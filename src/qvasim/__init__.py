@@ -12,7 +12,14 @@ from .analysis import (
     rdgs_probability,
     statistical_distance,
 )
-from .ansatz import Algorithm, AnsatzSpec, ParameterVector, apply_ansatz, objective_value
+from .ansatz import (
+    Algorithm,
+    AnsatzSpec,
+    ParameterVector,
+    Propagator,
+    apply_ansatz,
+    objective_value,
+)
 from .engine import (
     DepthResult,
     NelderMeadResult,

@@ -11,6 +11,18 @@ from .grid import ObjectiveTable, SolutionGrid
 from .mixers import (
     CirculantGraph,
     MomentumGrid,
+    apply_phase,
+    complete_walk,
+    hypercube_walk,
+    qmoa_spectra,
+    qmoa_walk,
+    qowe_factors,
+    qowe_walk,
+)
+
+# The public kernels stay importable from this module: the benchmark's tracer
+# (bench/tracing.py) rebinds them here.
+from .mixers import (  # noqa: F401
     hypercube_mixer,
     phase_shift,
     qaoa_complete_mixer,
@@ -21,8 +33,11 @@ from .states import (
     StateVector,
     WavepacketSpec,
     expectation,
+    expectation_of,
     gaussian_wavepacket,
     grid_superposition,
+    norm_drift_of,
+    renormalise,
 )
 
 
@@ -125,6 +140,91 @@ def initial_state(spec: AnsatzSpec, grid: SolutionGrid) -> StateVector:
     return grid_superposition(grid)
 
 
+class Propagator:
+    """Prepares |t, gamma> for one ansatz on one objective table and grid.
+
+    Built once per (spec at a fixed depth, table, grid) and then called for
+    every parameter vector an optimiser tries. Construction validates the
+    inputs once and caches what they fix:
+
+    * the initial amplitudes;
+    * the table's distinct values and each point's index into them, so a
+      phase shift exponentiates each distinct value once and gathers;
+    * QMOA: each dimension's circulant eigenvalues, shaped to broadcast
+      along its tensor axis;
+    * QOWE: each dimension's centred-transform pre-phase, post-phase and
+      scalar with their conjugates, and its kappa^2 vector.
+
+    An evaluation takes the flat, layer-major parameter vector of
+    ``ParameterVector.flatten`` and runs the layer loop on bare arrays. It
+    calls the array-level kernels behind ``phase_shift`` and the public
+    mixers, on the same operands in the same order, and checks the norm
+    drift after every layer under the 1e-12 renormalise policy, so its
+    amplitudes equal, bit for bit, those of composing ``phase_shift``, the
+    mixer and ``StateVector.renormalised`` layer by layer.
+    """
+
+    def __init__(self, spec: AnsatzSpec, table: ObjectiveTable, grid: SolutionGrid):
+        if table.values.size != grid.total_points:
+            raise ValueError("objective table does not match the grid")
+        self.spec = spec
+        self.table = table
+        self.n_params = spec.total_params(grid.dims)
+        self._width = spec.params_per_layer(grid.dims)
+        self._shape = grid.tensor_shape
+        self._initial = initial_state(spec, grid).amplitudes
+        if spec.algorithm is Algorithm.QMOA:
+            self._spectra = qmoa_spectra(spec.graphs, self._shape)
+        elif spec.algorithm is Algorithm.QOWE:
+            self._factors, self._kappa_squared = qowe_factors(
+                grid, MomentumGrid.from_grid(grid), grid.dims
+            )
+
+    def _mix(self, amps: np.ndarray, times: np.ndarray) -> np.ndarray:
+        algorithm = self.spec.algorithm
+        if algorithm is Algorithm.QMOA:
+            if self.spec.shared_walk_time:
+                times = (times[0],) * len(self._spectra)
+            return qmoa_walk(amps.reshape(self._shape), times, self._spectra).ravel()
+        if algorithm is Algorithm.QAOA_COMPLETE:
+            return complete_walk(amps, float(times[0]))
+        if algorithm is Algorithm.QAOA_HYPERCUBE:
+            # amps is the phase shift's fresh output, so the walk may work in place
+            return hypercube_walk(amps, float(times[0]))
+        psi = qowe_walk(amps.reshape(self._shape), times, self._factors, self._kappa_squared)
+        return psi.ravel()
+
+    def amplitudes(self, flat: np.ndarray, drift_log: list[float] | None = None) -> np.ndarray:
+        """Flat amplitudes of the prepared state.
+
+        ``drift_log`` collects the per-layer drifts seen before any correction.
+        """
+        flat = np.asarray(flat, dtype=float)
+        if flat.shape != (self.n_params,):
+            raise ValueError(f"expected {self.n_params} parameters, got shape {flat.shape}")
+        if not np.all(np.isfinite(flat)):
+            raise ValueError("parameters must be finite")
+        table, width = self.table, self._width
+        amps = self._initial
+        for start in range(0, self.n_params, width):
+            amps = apply_phase(
+                amps, float(flat[start]), table.unique_sorted_values, table.level_index
+            )
+            amps = self._mix(amps, flat[start + 1 : start + width])
+            drift = norm_drift_of(amps)
+            if drift_log is not None:
+                drift_log.append(drift)
+            amps = renormalise(amps, drift)
+        return amps
+
+    def state(self, flat: np.ndarray, drift_log: list[float] | None = None) -> StateVector:
+        return StateVector(self.amplitudes(flat, drift_log), self._shape)
+
+    def expectation(self, flat: np.ndarray) -> float:
+        """<Q> of the prepared state; the quantity the optimiser minimises."""
+        return expectation_of(self.table.values, self.amplitudes(flat))
+
+
 def apply_ansatz(
     spec: AnsatzSpec,
     params: ParameterVector,
@@ -136,36 +236,15 @@ def apply_ansatz(
 
     Norm drift is checked after every layer; drifts beyond the renormalise
     threshold are corrected (and logged by the state). Pass ``drift_log`` to
-    collect the per-layer drifts seen before any correction.
+    collect the per-layer drifts seen before any correction. Evaluating many
+    parameter vectors is cheaper through one ``Propagator``.
     """
     if not params.matches(spec, grid.dims):
         raise ValueError(
             f"parameter layout {params.walk_times.shape} does not match "
             f"{spec.algorithm.value} at depth {spec.depth} in D={grid.dims}"
         )
-    if table.values.size != grid.total_points:
-        raise ValueError("objective table does not match the grid")
-    state = initial_state(spec, grid)
-    momentum = (
-        MomentumGrid.from_grid(grid) if spec.algorithm is Algorithm.QOWE else None
-    )
-    dims = grid.dims
-    for layer in range(spec.depth):
-        state = phase_shift(state, float(params.gammas[layer]), table)
-        times = params.walk_times[layer]
-        if spec.algorithm is Algorithm.QMOA:
-            expanded = np.repeat(times, dims) if spec.shared_walk_time else times
-            state = qmoa_mixer(state, expanded, spec.graphs)
-        elif spec.algorithm is Algorithm.QAOA_COMPLETE:
-            state = qaoa_complete_mixer(state, float(times[0]))
-        elif spec.algorithm is Algorithm.QAOA_HYPERCUBE:
-            state = hypercube_mixer(state, float(times[0]))
-        else:
-            state = qowe_mixer(state, times, momentum, grid)
-        if drift_log is not None:
-            drift_log.append(state.norm_drift())
-        state = state.renormalised()
-    return state
+    return Propagator(spec, table, grid).state(params.flatten(), drift_log)
 
 
 def objective_value(

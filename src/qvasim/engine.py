@@ -25,9 +25,14 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy import optimize as sciopt
 
-from .ansatz import Algorithm, AnsatzSpec, ParameterVector, apply_ansatz
+from .ansatz import Algorithm, AnsatzSpec, ParameterVector, Propagator
 from .grid import ObjectiveTable, SolutionGrid
-from .states import StateVector, WavepacketSpec, expectation
+from .states import StateVector, WavepacketSpec
+
+# Importable from this module for the benchmark's tracer (bench/tracing.py),
+# which rebinds them here; the engine evaluates through a Propagator.
+from .ansatz import apply_ansatz  # noqa: F401
+from .states import expectation  # noqa: F401
 
 WALK_TIME_RANGE = (0.0, 2.0 * np.pi)
 GAMMA_RANGE = (-2.0 * np.pi, 2.0 * np.pi)
@@ -256,17 +261,6 @@ def _initial_params(
     return ParameterVector(gammas, times)
 
 
-def _objective_closure(spec, table, grid):
-    p = spec.depth
-    m = spec.walk_times_per_layer(grid.dims)
-
-    def fn(flat: np.ndarray) -> float:
-        params = ParameterVector.unflatten(flat, p, m)
-        return expectation(apply_ansatz(spec, params, table, grid), table)
-
-    return fn
-
-
 def _qowe_bounds(p: int, times_per_layer: int, halfwidth: float) -> np.ndarray:
     """Layer-major bounds matching ParameterVector.flatten()."""
     rows = []
@@ -312,21 +306,21 @@ def run_single_repeat(
             WavepacketSpec(centres, np.full(grid.dims, QOWE_SIGMA))
         )
     params0 = _initial_params(spec, grid.dims, warm, rng, identity_extension)
-    fn = _objective_closure(spec, table, grid)
+    propagator = Propagator(spec, table, grid)
 
     if spec.algorithm is Algorithm.QOWE:
         result, halfwidth, evaluations = _qowe_expansion_loop(
-            fn, params0, spec, grid.dims, warm, options
+            propagator.expectation, params0, spec, grid.dims, warm, options
         )
     else:
-        result = nelder_mead(fn, params0.flatten(), options)
+        result = nelder_mead(propagator.expectation, params0.flatten(), options)
         halfwidth = None
         evaluations = result.evaluations
 
     best_params = ParameterVector.unflatten(
         result.x, spec.depth, spec.walk_times_per_layer(grid.dims)
     )
-    state = apply_ansatz(spec, best_params, table, grid)
+    state = propagator.state(result.x)
     return RepeatResult(
         params=best_params,
         expectation=float(result.value),
@@ -377,7 +371,8 @@ def _repeat_task(args):
     return run_single_repeat(*args)
 
 
-def _default_workers(workers: int | None) -> int:
+def resolve_workers(workers: int | None = None) -> int:
+    """Worker processes to use: ``workers`` if given, else ``QVASIM_WORKERS``, else 1."""
     if workers is not None:
         return max(1, workers)
     env = os.environ.get("QVASIM_WORKERS")
@@ -408,7 +403,7 @@ def optimise_at_depth(
         (spec, table, grid, warm, seed_list[j], options, warm is not None and j == 0)
         for j in range(repeats)
     ]
-    n_workers = _default_workers(workers)
+    n_workers = resolve_workers(workers)
     if n_workers > 1 and repeats > 1:
         with ProcessPoolExecutor(max_workers=min(n_workers, repeats)) as pool:
             results = list(pool.map(_repeat_task, tasks))

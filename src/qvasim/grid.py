@@ -7,10 +7,13 @@ vectorised index ``k`` in which dimension 0 varies fastest.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
+
+logger = logging.getLogger(__name__)
 
 DEFAULT_QUBIT_CAP = 26
 
@@ -138,6 +141,9 @@ class ObjectiveTable:
 
     ``unique_sorted_values`` deduplicates with exact floating-point equality;
     ``rank_of`` maps a value to its 1-based rank among those unique values.
+    ``level_index`` maps every grid point to its entry in
+    ``unique_sorted_values``, so ``unique_sorted_values[level_index]`` equals
+    ``values``; the phase shift exponentiates each distinct value once.
     """
 
     values: np.ndarray
@@ -145,6 +151,7 @@ class ObjectiveTable:
     max_value: float
     argmin_index: int
     unique_sorted_values: np.ndarray = field(repr=False)
+    level_index: np.ndarray = field(repr=False)
 
     @property
     def n_unique(self) -> int:
@@ -162,18 +169,24 @@ def build_objective(grid: SolutionGrid, fn: Callable) -> ObjectiveTable:
 
     ``fn`` receives per-dimension coordinate columns of shape (D, K) and may
     return the full (K,) value vector; callables that only handle single
-    points of shape (D,) are evaluated in a loop.
+    points of shape (D,) are evaluated in a loop. The loop costs one Python
+    call per point, so falling back to it is logged as a warning.
     """
     cols = grid.coordinate_columns()
     k_total = grid.total_points
-    values = None
     try:
-        out = np.asarray(fn(cols), dtype=float)
-        if out.shape == (k_total,):
-            values = out
-    except Exception:
-        values = None
-    if values is None:
+        values = np.asarray(fn(cols), dtype=float)
+        reason = None
+        if values.shape != (k_total,):
+            reason = f"returned shape {values.shape}, not ({k_total},)"
+    except Exception as exc:
+        reason = f"raised {type(exc).__name__}"
+    if reason is not None:
+        logger.warning(
+            "objective is not vectorised (%s); evaluating K=%d points one at a time",
+            reason,
+            k_total,
+        )
         values = np.fromiter(
             (float(fn(cols[:, k])) for k in range(k_total)), dtype=float, count=k_total
         )
@@ -183,14 +196,7 @@ def build_objective(grid: SolutionGrid, fn: Callable) -> ObjectiveTable:
             f"objective is not finite at grid point k={bad}, "
             f"x={index_to_coords(grid, bad)}"
         )
-    argmin = int(np.argmin(values))  # np.argmin returns the smallest index on ties
-    return ObjectiveTable(
-        values=values,
-        min_value=float(values[argmin]),
-        max_value=float(np.max(values)),
-        argmin_index=argmin,
-        unique_sorted_values=np.unique(values),
-    )
+    return _table(values)
 
 
 def table_from_values(values: Sequence[float]) -> ObjectiveTable:
@@ -200,13 +206,19 @@ def table_from_values(values: Sequence[float]) -> ObjectiveTable:
         raise ValueError("values must be a non-empty vector")
     if not np.all(np.isfinite(values)):
         raise ValueError("values must be finite")
-    argmin = int(np.argmin(values))
+    return _table(values)
+
+
+def _table(values: np.ndarray) -> ObjectiveTable:
+    argmin = int(np.argmin(values))  # np.argmin returns the smallest index on ties
+    levels, level_index = np.unique(values, return_inverse=True)
     return ObjectiveTable(
         values=values,
         min_value=float(values[argmin]),
         max_value=float(np.max(values)),
         argmin_index=argmin,
-        unique_sorted_values=np.unique(values),
+        unique_sorted_values=levels,
+        level_index=level_index,
     )
 
 

@@ -3,8 +3,9 @@
 Records are appended to ``records.jsonl`` as each depth completes, so an
 interrupted run resumes from what is already on disk: completed (algorithm,
 function, depth, repeat) combinations are never recomputed, and the warm
-start for the next depth is reconstructed from the stored best record. A
-consolidated ``records.csv`` (sorted, reproducible modulo wall-time columns)
+start for the next depth is reconstructed from the stored best record. Each
+append is fsynced; a line torn by a run killed mid-write is cut off before the
+next run appends. A consolidated ``records.csv`` (sorted, reproducible modulo wall-time columns)
 is rewritten at the end of every run.
 
 Hybrid-study repeats use the seed formula with the depth slot set to
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import json
+import logging
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -26,13 +28,15 @@ import numpy as np
 
 from ..analysis import ScalingFit, fit_scaling, metrics_for_state
 from ..ansatz import Algorithm, AnsatzSpec, ParameterVector
-from ..engine import OptimiserOptions, WarmStart, run_single_repeat
+from ..engine import OptimiserOptions, WarmStart, resolve_workers, run_single_repeat
 from ..functions import get_function
 from ..grid import build_objective, make_grid
 from ..hybrid import classical_baseline, hybrid_optimise, speedup
 from ..mixers import CirculantGraph
 from ..states import WavepacketSpec
 from .config import ConfigError, ExperimentConfig, config_hash, seed_for
+
+logger = logging.getLogger(__name__)
 
 RECORDS_NAME = "records.jsonl"
 CSV_NAME = "records.csv"
@@ -169,36 +173,60 @@ def _records_path(config: ExperimentConfig) -> Path:
 
 
 def _append_records(path: Path, records) -> None:
+    """Append records as JSON lines, flushed and fsynced before returning."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("a") as fh:
         for record in records:
             payload = {"record": type(record).__name__, **asdict(record)}
             fh.write(json.dumps(payload) + "\n")
+        fh.flush()
+        os.fsync(fh.fileno())
 
 
 def load_records(path) -> list:
-    """Read the line-delimited record log (missing file reads as empty)."""
+    """Read the line-delimited record log (missing file reads as empty).
+
+    A final line that lacks its newline and does not parse is the torn tail
+    of a run killed mid-write: it is skipped with a warning. A line that does
+    not parse anywhere else raises.
+    """
     path = Path(path)
     if not path.exists():
         return []
+    lines = path.read_bytes().splitlines(keepends=True)
     out = []
-    with path.open() as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
+    for i, line in enumerate(lines):
+        if not line.strip():
+            continue
+        try:
             payload = json.loads(line)
-            kind = payload.pop("record", "ExperimentRecord")
-            cls = HybridRecord if kind == "HybridRecord" else ExperimentRecord
-            out.append(cls(**payload))
+        except json.JSONDecodeError:
+            if i < len(lines) - 1 or line.endswith(b"\n"):
+                raise
+            logger.warning("skipping torn final line of %s (%d bytes)", path, len(line))
+            break
+        kind = payload.pop("record", "ExperimentRecord")
+        cls = HybridRecord if kind == "HybridRecord" else ExperimentRecord
+        out.append(cls(**payload))
     return out
 
 
-def _workers(explicit: int | None = None) -> int:
-    if explicit is not None:
-        return max(1, explicit)
-    env = os.environ.get("QVASIM_WORKERS")
-    return max(1, int(env)) if env else 1
+def _truncate_torn_tail(path: Path) -> None:
+    """Cut everything after the log's last newline, so appends start a fresh line.
+
+    A final line without its newline was cut short by a killed run; if it was
+    a whole record, that record is recomputed.
+    """
+    if not path.exists():
+        return
+    data = path.read_bytes()
+    keep = data.rfind(b"\n") + 1
+    if keep < len(data):
+        logger.warning(
+            "truncating %d bytes of torn final line from %s", len(data) - keep, path
+        )
+        with path.open("r+b") as fh:
+            fh.truncate(keep)
 
 
 def _repeat_payload(args):
@@ -449,7 +477,8 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None) -> list
     config.validate()
     outdir = Path(config.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    n_workers = _workers(workers)
+    _truncate_torn_tail(outdir / RECORDS_NAME)
+    n_workers = resolve_workers(workers)
     if config.kind == "hybrid_study":
         records = _hybrid_kind(config, n_workers)
     else:

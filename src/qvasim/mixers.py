@@ -7,11 +7,19 @@ Conventions fixed here and relied on everywhere else:
 * Grid dimension d lives on tensor axis D-1-d (flat index k carries
   dimension 0 in its least-significant base-N digits).
 * Mixers are pure: they return a new state and never renormalise.
+
+Each unitary has one implementation, an array-level kernel (``apply_phase``,
+``qmoa_walk``, ``complete_walk``, ``hypercube_walk``, ``qowe_walk``) that
+takes its precomputed factors as arguments. The public functions taking a
+``StateVector`` validate their inputs, build those factors and call the
+kernel; ``qvasim.ansatz.Propagator`` builds the factors once and calls the
+same kernels for every evaluation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple, Sequence
 
 import numpy as np
 import scipy.fft as sfft
@@ -28,10 +36,27 @@ def phase_shift(state: StateVector, gamma: float, table: ObjectiveTable) -> Stat
         raise ValueError(
             f"table has {table.values.size} values, state has {state.total_points}"
         )
-    phase = table.values * (-1j * gamma)
+    amps = apply_phase(
+        state.amplitudes, gamma, table.unique_sorted_values, table.level_index
+    )
+    return StateVector(amps, state.tensor_shape)
+
+
+def apply_phase(
+    amplitudes: np.ndarray, gamma: float, levels: np.ndarray, level_index: np.ndarray
+) -> np.ndarray:
+    """exp(-i*gamma*f_k) * amplitude_k as a new array.
+
+    ``levels[level_index]`` are the objective values f_k (see
+    ``ObjectiveTable``). Each distinct value is exponentiated once and
+    gathered; the exponential is elementwise, so the result is the same as
+    exponentiating all K values.
+    """
+    phase = levels * (-1j * gamma)
     np.exp(phase, out=phase)
-    phase *= state.amplitudes
-    return StateVector(phase, state.tensor_shape)
+    phase = np.take(phase, level_index)
+    phase *= amplitudes
+    return phase
 
 
 # --------------------------------------------------------------------------
@@ -97,6 +122,24 @@ def _broadcast_shape(dims: int, dim: int, n: int) -> list[int]:
     return shape
 
 
+def qmoa_spectra(
+    graphs: tuple[CirculantGraph, ...], shape: tuple[int, ...]
+) -> tuple[np.ndarray, ...]:
+    """Each dimension's graph spectrum, shaped to broadcast along its tensor axis."""
+    dims = len(shape)
+    if len(graphs) != dims:
+        raise ValueError(f"need one graph per dimension (D={dims}), got {len(graphs)}")
+    for d, g in enumerate(graphs):
+        if g.size != shape[dims - 1 - d]:
+            raise ValueError(
+                f"graph for dimension {d} has {g.size} vertices, grid has {shape[dims - 1 - d]}"
+            )
+    return tuple(
+        circulant_eigenvalues(g).reshape(_broadcast_shape(dims, d, g.size))
+        for d, g in enumerate(graphs)
+    )
+
+
 def qmoa_mixer(
     state: StateVector, times: np.ndarray, graphs: tuple[CirculantGraph, ...]
 ) -> StateVector:
@@ -112,22 +155,24 @@ def qmoa_mixer(
         times = np.repeat(times, dims)
     if times.size != dims or len(graphs) != dims:
         raise ValueError(f"need one walk time and one graph per dimension (D={dims})")
-    for d, g in enumerate(graphs):
-        if g.size != shape[dims - 1 - d]:
-            raise ValueError(
-                f"graph for dimension {d} has {g.size} vertices, grid has {shape[dims - 1 - d]}"
-            )
-    # exp(-i sum_d t_d L_d) built as a product of per-dimension factors: D
-    # small exponentials instead of one K-sized one
-    phase = np.ones((1,) * dims, dtype=np.complex128)
-    for d, g in enumerate(graphs):
-        eig = circulant_eigenvalues(g)
-        factor = np.exp(-1j * times[d] * eig)
-        phase = phase * factor.reshape(_broadcast_shape(dims, d, g.size))
-    spectrum = sfft.fftn(state.as_tensor(), norm="ortho")
-    spectrum *= phase
-    out = sfft.ifftn(spectrum, norm="ortho", overwrite_x=True)
+    out = qmoa_walk(state.as_tensor(), times, qmoa_spectra(graphs, shape))
     return StateVector(out.ravel(), shape)
+
+
+def qmoa_walk(
+    tensor: np.ndarray, times: Sequence[float], spectra: tuple[np.ndarray, ...]
+) -> np.ndarray:
+    """exp(-i sum_d t_d L_d) applied to a (N,)*D tensor; returns a new tensor.
+
+    The diagonal phase is built as a product of per-dimension factors: D
+    small exponentials instead of one K-sized one.
+    """
+    phase = np.ones((1,) * tensor.ndim, dtype=np.complex128)
+    for t, eig in zip(times, spectra):
+        phase = phase * np.exp(-1j * t * eig)
+    spectrum = sfft.fftn(tensor, norm="ortho")
+    spectrum *= phase
+    return sfft.ifftn(spectrum, norm="ortho", overwrite_x=True)
 
 
 def qaoa_complete_mixer(state: StateVector, t: float) -> StateVector:
@@ -136,12 +181,15 @@ def qaoa_complete_mixer(state: StateVector, t: float) -> StateVector:
     The leading global phase exp(i*t) of the closed form is kept so the
     operator matches exp(-i*t*A) for the complete-graph adjacency exactly.
     """
-    k_total = state.total_points
-    mean = np.mean(state.amplitudes)
-    out = np.exp(1j * t) * (
-        state.amplitudes + (np.exp(-1j * t * k_total) - 1.0) * mean
+    return StateVector(complete_walk(state.amplitudes, t), state.tensor_shape)
+
+
+def complete_walk(amplitudes: np.ndarray, t: float) -> np.ndarray:
+    """The complete-graph walk on a flat amplitude array; returns a new array."""
+    mean = np.mean(amplitudes)
+    return np.exp(1j * t) * (
+        amplitudes + (np.exp(-1j * t * amplitudes.size) - 1.0) * mean
     )
-    return StateVector(out, state.tensor_shape)
 
 
 def hypercube_mixer(state: StateVector, t: float) -> StateVector:
@@ -150,20 +198,26 @@ def hypercube_mixer(state: StateVector, t: float) -> StateVector:
     Equivalent to the product of commuting single-qubit rotations
     cos(t)*I - i*sin(t)*X applied to each of the M = log2(K) qubits.
     """
-    k_total = state.total_points
+    return StateVector(
+        hypercube_walk(state.amplitudes.copy(), t), state.tensor_shape
+    )
+
+
+def hypercube_walk(amplitudes: np.ndarray, t: float) -> np.ndarray:
+    """The hypercube walk on a flat contiguous array, in place; returns it."""
+    k_total = amplitudes.size
     m = k_total.bit_length() - 1
     if 1 << m != k_total:
         raise ValueError(f"hypercube mixer needs K = 2^M states, got K={k_total}")
     c = np.cos(t)
     s = np.sin(t)
-    amps = state.amplitudes.copy()
     for i in range(m):
-        pairs = amps.reshape(-1, 2, 1 << i)
+        pairs = amplitudes.reshape(-1, 2, 1 << i)
         a = pairs[:, 0, :].copy()
         b = pairs[:, 1, :]
         pairs[:, 0, :] = c * a - 1j * s * b
         pairs[:, 1, :] = c * b - 1j * s * a
-    return StateVector(amps, state.tensor_shape)
+    return amplitudes
 
 
 # --------------------------------------------------------------------------
@@ -204,6 +258,50 @@ class MomentumGrid:
         return self.values.shape[1]
 
 
+class CentredFactors(NamedTuple):
+    """Diagonal factors of the centred transform along one tensor axis.
+
+    The transform is ``post * scalar * DFT(pre * psi)``; the conjugates give
+    its inverse.
+    """
+
+    axis: int
+    pre: np.ndarray
+    post: np.ndarray
+    scalar: complex
+    pre_conj: np.ndarray
+    post_conj: np.ndarray
+    scalar_conj: complex
+
+
+def centred_factors(
+    dim: int, dims: int, grid: SolutionGrid, momentum: MomentumGrid
+) -> CentredFactors:
+    """Factors of the centred transform along grid dimension ``dim`` of a D-tensor."""
+    n = grid.points_per_dim
+    x0 = grid.lower[dim]
+    dx = grid.spacing[dim]
+    k0 = momentum.kappa_0[dim]
+    dk = momentum.delta_kappa[dim]
+    idx = np.arange(n)
+    pre = np.exp(-1j * k0 * dx * idx).reshape(_broadcast_shape(dims, dim, n))
+    post = np.exp(-1j * dk * x0 * idx).reshape(_broadcast_shape(dims, dim, n))
+    scalar = np.exp(-1j * k0 * x0)
+    return CentredFactors(
+        dims - 1 - dim, pre, post, scalar, pre.conj(), post.conj(), scalar.conj()
+    )
+
+
+def _centred_forward(psi: np.ndarray, f: CentredFactors) -> np.ndarray:
+    psi = np.fft.fft(psi * f.pre, axis=f.axis, norm="ortho")
+    return psi * f.post * f.scalar
+
+
+def _centred_inverse(psi: np.ndarray, f: CentredFactors) -> np.ndarray:
+    psi = np.fft.ifft(psi * f.post_conj * f.scalar_conj, axis=f.axis, norm="ortho")
+    return psi * f.pre_conj
+
+
 def centred_fourier(
     state: StateVector,
     dim: int,
@@ -221,24 +319,23 @@ def centred_fourier(
         raise ValueError(f"dimension {dim} out of range for D={dims}")
     if direction not in ("forward", "inverse"):
         raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
-    n = grid.points_per_dim
-    axis = dims - 1 - dim
-    x0 = grid.lower[dim]
-    dx = grid.spacing[dim]
-    k0 = momentum.kappa_0[dim]
-    dk = momentum.delta_kappa[dim]
-    idx = np.arange(n)
-    pre = np.exp(-1j * k0 * dx * idx).reshape(_broadcast_shape(dims, dim, n))
-    post = np.exp(-1j * dk * x0 * idx).reshape(_broadcast_shape(dims, dim, n))
-    scalar = np.exp(-1j * k0 * x0)
-    psi = state.as_tensor()
-    if direction == "forward":
-        psi = np.fft.fft(psi * pre, axis=axis, norm="ortho")
-        psi = psi * post * scalar
-    else:
-        psi = np.fft.ifft(psi * post.conj() * scalar.conj(), axis=axis, norm="ortho")
-        psi = psi * pre.conj()
+    factors = centred_factors(dim, dims, grid, momentum)
+    transform = _centred_forward if direction == "forward" else _centred_inverse
+    psi = transform(state.as_tensor(), factors)
     return StateVector(psi.ravel(), state.tensor_shape)
+
+
+def qowe_factors(
+    grid: SolutionGrid, momentum: MomentumGrid, dims: int
+) -> tuple[tuple[CentredFactors, ...], tuple[np.ndarray, ...]]:
+    """Per-dimension centred-transform factors and broadcast kappa^2 vectors."""
+    n = momentum.points_per_dim
+    factors = tuple(centred_factors(d, dims, grid, momentum) for d in range(dims))
+    kappa_squared = tuple(
+        (momentum.values[d] ** 2).reshape(_broadcast_shape(dims, d, n))
+        for d in range(dims)
+    )
+    return factors, kappa_squared
 
 
 def qowe_mixer(
@@ -267,19 +364,27 @@ def qowe_mixer(
             + (momentum.points_per_dim - 1) * momentum.position_spacing,
             momentum.position_spacing,
         )
-    out = state
-    for d in range(dims):
-        out = centred_fourier(out, d, grid, momentum, "forward")
-    phase = np.ones((1,) * dims, dtype=np.complex128)
-    for d in range(dims):
-        factor = np.exp(-1j * times[d] * momentum.values[d] ** 2)
-        phase = phase * factor.reshape(
-            _broadcast_shape(dims, d, momentum.points_per_dim)
-        )
-    out = StateVector(out.as_tensor() * phase, state.tensor_shape)
-    for d in range(dims):
-        out = centred_fourier(out, d, grid, momentum, "inverse")
-    return out
+    factors, kappa_squared = qowe_factors(grid, momentum, dims)
+    out = qowe_walk(state.as_tensor(), times, factors, kappa_squared)
+    return StateVector(out.ravel(), state.tensor_shape)
+
+
+def qowe_walk(
+    psi: np.ndarray,
+    times: Sequence[float],
+    factors: tuple[CentredFactors, ...],
+    kappa_squared: tuple[np.ndarray, ...],
+) -> np.ndarray:
+    """Centred transforms on every axis, kinetic phase, inverse transforms; new tensor."""
+    for f in factors:
+        psi = _centred_forward(psi, f)
+    phase = np.ones((1,) * psi.ndim, dtype=np.complex128)
+    for t, k2 in zip(times, kappa_squared):
+        phase = phase * np.exp(-1j * t * k2)
+    psi = psi * phase
+    for f in factors:
+        psi = _centred_inverse(psi, f)
+    return psi
 
 
 # --------------------------------------------------------------------------

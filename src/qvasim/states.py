@@ -43,23 +43,43 @@ class StateVector:
         return self.amplitudes.reshape(self.tensor_shape)
 
     def probabilities(self) -> np.ndarray:
-        return (self.amplitudes.real**2 + self.amplitudes.imag**2)
+        return probabilities_of(self.amplitudes)
 
     def norm_drift(self) -> float:
         """|1 - sum of probabilities|."""
-        return abs(1.0 - float(np.sum(self.probabilities())))
+        return norm_drift_of(self.amplitudes)
 
     def copy(self) -> "StateVector":
         return StateVector(self.amplitudes.copy(), self.tensor_shape)
 
     def renormalised(self) -> "StateVector":
         """Rescale to unit norm if drift exceeds the threshold (logged)."""
-        drift = self.norm_drift()
-        if drift <= RENORM_THRESHOLD:
-            return self
-        logger.warning("renormalising state with norm drift %.3e", drift)
-        norm = np.sqrt(np.sum(self.probabilities()))
-        return StateVector(self.amplitudes / norm, self.tensor_shape)
+        amps = renormalise(self.amplitudes, self.norm_drift())
+        return self if amps is self.amplitudes else StateVector(amps, self.tensor_shape)
+
+
+# Array-level helpers shared by StateVector and the ansatz propagator, which
+# works on bare amplitude arrays.
+
+
+def probabilities_of(amplitudes: np.ndarray) -> np.ndarray:
+    return amplitudes.real**2 + amplitudes.imag**2
+
+
+def norm_drift_of(amplitudes: np.ndarray) -> float:
+    return abs(1.0 - float(np.sum(probabilities_of(amplitudes))))
+
+
+def renormalise(amplitudes: np.ndarray, drift: float) -> np.ndarray:
+    """``amplitudes`` itself if ``drift`` is within the threshold, else rescaled (logged)."""
+    if drift <= RENORM_THRESHOLD:
+        return amplitudes
+    logger.warning("renormalising state with norm drift %.3e", drift)
+    return amplitudes / np.sqrt(np.sum(probabilities_of(amplitudes)))
+
+
+def expectation_of(values: np.ndarray, amplitudes: np.ndarray) -> float:
+    return float(np.dot(values, probabilities_of(amplitudes)))
 
 
 @dataclass(frozen=True)
@@ -116,7 +136,7 @@ def expectation(state: StateVector, table: ObjectiveTable) -> float:
         raise ValueError(
             f"table has {table.values.size} values, state has {state.total_points}"
         )
-    return float(np.dot(table.values, state.probabilities()))
+    return expectation_of(table.values, state.amplitudes)
 
 
 def sample(state: StateVector, rng: np.random.Generator, shots: int) -> np.ndarray:

@@ -1,0 +1,175 @@
+"""The prepared propagator against the public kernels composed layer by layer.
+
+The propagator calls the same array-level kernels as ``phase_shift`` and the
+public mixers, on the same operands in the same order, so agreement here is
+exact (``np.array_equal``), not within a tolerance.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import qvasim.mixers
+from qvasim.ansatz import (
+    Algorithm,
+    AnsatzSpec,
+    ParameterVector,
+    Propagator,
+    apply_ansatz,
+    initial_state,
+)
+from qvasim.engine import GAMMA_RANGE, WALK_TIME_RANGE
+from qvasim.functions import get_function
+from qvasim.grid import build_objective, make_grid
+from qvasim.mixers import (
+    CirculantGraph,
+    MomentumGrid,
+    hypercube_mixer,
+    phase_shift,
+    qaoa_complete_mixer,
+    qmoa_mixer,
+    qowe_mixer,
+)
+from qvasim.states import WavepacketSpec
+
+LABELS = (
+    "qmoa_complete",
+    "qmoa_cycle",
+    "qmoa_shared",
+    "qaoa_complete",
+    "qaoa_hypercube",
+    "qowe_equal",
+    "qowe_gaussian",
+)
+
+
+def problem(dims, n, name="rastrigin"):
+    fn = get_function(name)
+    lower, upper = fn.domain(dims)
+    grid = make_grid(lower, upper, n)
+    return grid, build_objective(grid, fn.fn)
+
+
+def make_spec(label, dims, n, depth):
+    if label.startswith("qmoa"):
+        graph = CirculantGraph.cycle(n) if label == "qmoa_cycle" else CirculantGraph.complete(n)
+        return AnsatzSpec(
+            Algorithm.QMOA,
+            depth,
+            graphs=(graph,) * dims,
+            shared_walk_time=label == "qmoa_shared",
+        )
+    if label == "qowe_gaussian":
+        packet = WavepacketSpec(np.full(dims, 0.5), np.full(dims, 1.5))
+        return AnsatzSpec(Algorithm.QOWE, depth, initial_state=packet)
+    algorithm = {
+        "qaoa_complete": Algorithm.QAOA_COMPLETE,
+        "qaoa_hypercube": Algorithm.QAOA_HYPERCUBE,
+        "qowe_equal": Algorithm.QOWE,
+    }[label]
+    return AnsatzSpec(algorithm, depth)
+
+
+def random_params(spec, dims, rng):
+    m = spec.walk_times_per_layer(dims)
+    return ParameterVector(
+        rng.uniform(*GAMMA_RANGE, size=spec.depth),
+        rng.uniform(*WALK_TIME_RANGE, size=(spec.depth, m)),
+    )
+
+
+def composed(spec, params, table, grid):
+    """The layer loop from the public kernels; returns the state and per-layer drifts."""
+    state = initial_state(spec, grid)
+    momentum = MomentumGrid.from_grid(grid)
+    drifts = []
+    for gamma, times in zip(params.gammas, params.walk_times):
+        state = phase_shift(state, float(gamma), table)
+        if spec.algorithm is Algorithm.QMOA:
+            if spec.shared_walk_time:
+                times = np.repeat(times, grid.dims)
+            state = qmoa_mixer(state, times, spec.graphs)
+        elif spec.algorithm is Algorithm.QAOA_COMPLETE:
+            state = qaoa_complete_mixer(state, float(times[0]))
+        elif spec.algorithm is Algorithm.QAOA_HYPERCUBE:
+            state = hypercube_mixer(state, float(times[0]))
+        else:
+            state = qowe_mixer(state, times, momentum, grid)
+        drifts.append(state.norm_drift())
+        state = state.renormalised()
+    return state, drifts
+
+
+@pytest.mark.parametrize("dims", [1, 2, 3])
+@pytest.mark.parametrize("label", LABELS)
+def test_propagator_equals_composed_public_kernels(label, dims):
+    grid, table = problem(dims, 8)
+    spec = make_spec(label, dims, 8, depth=3)
+    rng = np.random.default_rng(100 * dims + LABELS.index(label))
+    propagator = Propagator(spec, table, grid)
+    for _ in range(2):
+        params = random_params(spec, dims, rng)
+        expected, expected_drifts = composed(spec, params, table, grid)
+        drifts = []
+        amps = propagator.amplitudes(params.flatten(), drifts)
+        assert np.array_equal(amps, expected.amplitudes)
+        assert drifts == expected_drifts
+        assert np.array_equal(apply_ansatz(spec, params, table, grid).amplitudes, amps)
+        assert propagator.expectation(params.flatten()) == float(
+            np.dot(table.values, expected.probabilities())
+        )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dims=st.sampled_from([1, 2, 3]),
+    n=st.sampled_from([4, 8, 16]),
+    depth=st.sampled_from([1, 2, 3]),
+    label=st.sampled_from(LABELS),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_propagator_property(dims, n, depth, label, seed):
+    grid, table = problem(dims, n, "styblinski_tang")
+    spec = make_spec(label, dims, n, depth)
+    params = random_params(spec, dims, np.random.default_rng(seed))
+    drifts = []
+    state = Propagator(spec, table, grid).state(params.flatten(), drifts)
+    expected, _ = composed(spec, params, table, grid)
+    assert np.array_equal(state.amplitudes, expected.amplitudes)
+    assert len(drifts) == depth
+    assert max(drifts) < 1e-12
+    assert state.norm_drift() < 1e-12
+
+
+def test_circulant_eigenvalues_computed_once_per_propagator(monkeypatch):
+    calls = []
+    original = qvasim.mixers.circulant_eigenvalues
+
+    def counting(graph):
+        calls.append(graph)
+        return original(graph)
+
+    monkeypatch.setattr(qvasim.mixers, "circulant_eigenvalues", counting)
+    grid, table = problem(3, 4)
+    spec = make_spec("qmoa_complete", 3, 4, depth=2)
+    propagator = Propagator(spec, table, grid)
+    assert len(calls) == 3
+    rng = np.random.default_rng(5)
+    for _ in range(10):
+        propagator.expectation(random_params(spec, 3, rng).flatten())
+    assert len(calls) == 3
+
+
+def test_propagator_rejects_bad_parameters_and_tables():
+    grid, table = problem(2, 4)
+    spec = make_spec("qowe_equal", 2, 4, depth=2)
+    propagator = Propagator(spec, table, grid)
+    assert propagator.n_params == 6
+    with pytest.raises(ValueError, match="expected 6 parameters"):
+        propagator.expectation(np.zeros(5))
+    with pytest.raises(ValueError, match="finite"):
+        propagator.expectation(np.array([0.1, 0.1, np.nan, 0.1, 0.1, 0.1]))
+    other_grid, _ = problem(2, 8)
+    with pytest.raises(ValueError, match="does not match the grid"):
+        Propagator(spec, table, other_grid)

@@ -1,8 +1,11 @@
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qvasim.functions import FUNCTIONS
 from qvasim.grid import (
     GridError,
     build_objective,
@@ -158,6 +161,45 @@ class TestObjectiveTable:
 
         table = build_objective(grid, scalar_fn)
         assert np.array_equal(table.values, [0.0, 1.0, 2.0, 3.0])
+
+    def test_loop_fallback_names_exception_and_size(self, caplog):
+        grid = make_grid([0, 0], [1, 1], 2)
+
+        def scalar_fn(x):
+            if np.ndim(x[0]) != 0:
+                raise TypeError("scalar only")
+            return float(x[0])
+
+        with caplog.at_level(logging.WARNING, logger="qvasim.grid"):
+            build_objective(grid, scalar_fn)
+        assert [r.name for r in caplog.records] == ["qvasim.grid"]
+        assert "TypeError" in caplog.text
+        assert "K=4" in caplog.text
+
+    def test_loop_fallback_names_wrong_shape(self, caplog):
+        grid = make_grid([0, 0], [1, 1], 4)
+        with caplog.at_level(logging.WARNING, logger="qvasim.grid"):
+            table = build_objective(grid, lambda x: np.sum(x))
+        assert "shape ()" in caplog.text
+        assert "K=16" in caplog.text
+        assert np.array_equal(table.values, grid.coordinate_columns().sum(axis=0))
+
+    def test_catalogue_functions_are_vectorised(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="qvasim.grid"):
+            for f in FUNCTIONS.values():
+                for dims in (1, 2, 3):
+                    if f.supports(dims):
+                        build_objective(make_grid(*f.domain(dims), 4), f.fn)
+        assert caplog.records == []
+
+    def test_level_index_rebuilds_values(self):
+        grid = make_grid([-1, -1], [1, 1], 8)
+        table = build_objective(grid, lambda x: x[0] ** 2 + x[1] ** 2)
+        assert table.n_unique < table.values.size
+        assert np.array_equal(table.unique_sorted_values[table.level_index], table.values)
+        flat = table_from_values([3.0, 1.0, 3.0, 2.0])
+        assert np.array_equal(flat.unique_sorted_values, [1.0, 2.0, 3.0])
+        assert np.array_equal(flat.level_index, [2, 0, 2, 1])
 
     def test_min_max_argmin_consistent(self):
         grid = make_grid([-1, -1], [1, 1], 8)

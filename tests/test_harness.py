@@ -1,4 +1,6 @@
 import json
+import logging
+import os
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -186,6 +188,48 @@ class TestRunner:
             got.pop("config_hash")
             want.pop("config_hash")
             assert got == want, key
+
+    @pytest.mark.parametrize("whole_record", [False, True])
+    def test_resume_after_torn_final_line_matches_uninterrupted(
+        self, tmp_path, caplog, whole_record
+    ):
+        config = tiny_config(tmp_path)
+        reference = {r.key(): r for r in run_experiment(config)}
+
+        config2 = replace(config, output_dir=str(tmp_path / "out2"))
+        run_experiment(config2)
+        path = tmp_path / "out2" / "records.jsonl"
+        lines = path.read_text().splitlines(keepends=True)
+        # a run killed while writing the fourth record: cut it mid-line, or
+        # just before its newline
+        tail = lines[3][:-1] if whole_record else lines[3][: len(lines[3]) // 2]
+        path.write_text("".join(lines[:3]) + tail)
+        with caplog.at_level(logging.WARNING, logger="qvasim.harness.runner"):
+            assert len(load_records(path)) == (4 if whole_record else 3)
+            resumed = {r.key(): r for r in run_experiment(config2)}
+        assert "torn final line" in caplog.text
+
+        assert len(load_records(path)) == len(reference)
+        assert set(resumed) == set(reference)
+        for key, record in reference.items():
+            got = asdict(resumed[key])
+            want = asdict(record)
+            for volatile in ("wall_time", "config_hash"):
+                got.pop(volatile)
+                want.pop(volatile)
+            assert got == want, key
+
+    def test_corrupt_line_mid_log_raises(self, tmp_path):
+        config = tiny_config(tmp_path)
+        run_experiment(config)
+        path = tmp_path / "out" / "records.jsonl"
+        lines = path.read_text().splitlines(keepends=True)
+        lines[2] = lines[2][:20] + "\n"
+        path.write_text("".join(lines))
+        with pytest.raises(json.JSONDecodeError):
+            load_records(path)
+        with pytest.raises(json.JSONDecodeError):
+            run_experiment(config)
 
     def test_stored_params_replay_to_recorded_expectation(self, tmp_path):
         import qvasim as q
@@ -425,3 +469,15 @@ def test_write_and_load_records_roundtrip(tmp_path):
     loaded = load_records(jsonl)
     assert [r.repeat for r in loaded] == [0, 1, 2]
     assert loaded[0] == records[0]
+
+
+def test_append_records_fsyncs_each_append(tmp_path, monkeypatch):
+    from qvasim.harness.runner import _append_records
+
+    synced = []
+    monkeypatch.setattr(os, "fsync", synced.append)
+    jsonl = tmp_path / "records.jsonl"
+    _append_records(jsonl, [fake_record(repeat=0), fake_record(repeat=1)])
+    _append_records(jsonl, [fake_record(repeat=2)])
+    assert len(synced) == 2
+    assert [r.repeat for r in load_records(jsonl)] == [0, 1, 2]
