@@ -29,7 +29,6 @@ from .engine import (
     depth_sweep,
     nelder_mead,
     optimise_at_depth,
-    qowe_optimise,
 )
 from .functions import FUNCTIONS, TestFunction, evaluate_test_function, get_function
 from .grid import (

@@ -18,9 +18,10 @@ from __future__ import annotations
 
 import json
 import os
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 from scipy import optimize as sciopt
@@ -179,11 +180,14 @@ class WarmStart:
 
 @dataclass
 class RepeatResult:
+    """One optimisation's outcome; ``state`` is None once dropped or if restored from a log."""
+
     params: ParameterVector
     expectation: float
     evaluations: int
     seed: int
-    state: StateVector = field(repr=False)
+    state: StateVector | None = field(repr=False)
+    wall_time: float
     wavepacket_centres: np.ndarray | None = None
     bound_halfwidth: float | None = None
     identity_extension: bool = False
@@ -295,6 +299,7 @@ def run_single_repeat(
     options: OptimiserOptions,
     identity_extension: bool,
 ) -> RepeatResult:
+    started = time.perf_counter()
     rng = np.random.default_rng(seed)
     centres = None
     if spec.algorithm is Algorithm.QOWE and spec.initial_state != "equal":
@@ -327,6 +332,7 @@ def run_single_repeat(
         evaluations=evaluations,
         seed=seed,
         state=state,
+        wall_time=time.perf_counter() - started,
         wavepacket_centres=centres,
         bound_halfwidth=halfwidth,
         identity_extension=identity_extension,
@@ -371,12 +377,18 @@ def _repeat_task(args):
     return run_single_repeat(*args)
 
 
-def resolve_workers(workers: int | None = None) -> int:
-    """Worker processes to use: ``workers`` if given, else ``QVASIM_WORKERS``, else 1."""
-    if workers is not None:
-        return max(1, workers)
-    env = os.environ.get("QVASIM_WORKERS")
-    return max(1, int(env)) if env else 1
+def parallel_map(fn: Callable, tasks: Sequence, workers: int | None = None) -> list:
+    """``[fn(t) for t in tasks]``, in a process pool when workers and tasks exceed one.
+
+    ``workers`` defaults to ``QVASIM_WORKERS``, else 1. In a pool, ``fn``, the
+    tasks and the results are pickled; otherwise everything runs in this process.
+    """
+    if workers is None:
+        workers = int(os.environ.get("QVASIM_WORKERS") or 1)
+    if workers > 1 and len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+            return list(pool.map(fn, tasks))
+    return [fn(t) for t in tasks]
 
 
 def optimise_at_depth(
@@ -389,46 +401,29 @@ def optimise_at_depth(
     seeds: int | Sequence[int] = 0,
     options: OptimiserOptions | None = None,
     workers: int | None = None,
+    done: Mapping[int, RepeatResult] | None = None,
 ) -> DepthResult:
     """Best of ``repeats`` independent optimisations at depth ``p``.
 
     Ties between repeats resolve to the lowest repeat index. ``seeds`` is
     either one base seed (repeat j uses base + j) or one seed per repeat.
+    ``done`` maps repeat indices to results already known, for example
+    restored from a record log; only the other repeats are run, and the
+    known results take their places in repeat order.
     """
     spec = spec.at_depth(p)
     warm = _as_warm_start(warm_start)
     options = options or OptimiserOptions()
     seed_list = _resolve_seeds(seeds, repeats)
+    done = done or {}
     tasks = [
         (spec, table, grid, warm, seed_list[j], options, warm is not None and j == 0)
         for j in range(repeats)
+        if j not in done
     ]
-    n_workers = resolve_workers(workers)
-    if n_workers > 1 and repeats > 1:
-        with ProcessPoolExecutor(max_workers=min(n_workers, repeats)) as pool:
-            results = list(pool.map(_repeat_task, tasks))
-    else:
-        results = [_repeat_task(t) for t in tasks]
+    fresh = iter(parallel_map(_repeat_task, tasks, workers))
+    results = [done[j] if j in done else next(fresh) for j in range(repeats)]
     return DepthResult(depth=p, repeats=results)
-
-
-def qowe_optimise(
-    spec: AnsatzSpec,
-    table: ObjectiveTable,
-    grid: SolutionGrid,
-    p: int,
-    warm_start: WarmStart | ParameterVector | None = None,
-    repeats: int = 10,
-    seeds: int | Sequence[int] = 0,
-    options: OptimiserOptions | None = None,
-    workers: int | None = None,
-) -> DepthResult:
-    """Bound-expanded optimisation of the wavepacket-evolution ansatz."""
-    if spec.algorithm is not Algorithm.QOWE:
-        raise ValueError("qowe_optimise needs a QOWE ansatz spec")
-    return optimise_at_depth(
-        spec, table, grid, p, warm_start, repeats, seeds, options, workers
-    )
 
 
 def depth_sweep(
@@ -442,11 +437,15 @@ def depth_sweep(
     workers: int | None = None,
     warm_start: WarmStart | None = None,
     on_depth: Callable[[DepthResult], None] | None = None,
+    done: Callable[[int], Mapping[int, RepeatResult]] | None = None,
 ) -> list[DepthResult]:
     """Warm-start-chained sweep over ascending depths.
 
     ``seed_fn(p, repeat)`` supplies per-repeat seeds (defaults to
     ``1000 * p + repeat``); ``on_depth`` fires after each completed depth.
+    ``done(p)`` returns the repeats of depth ``p`` that are already known
+    (see ``optimise_at_depth``); the warm start chains from the best of the
+    merged repeats.
     """
     depths = list(depths)
     if depths != sorted(depths) or len(set(depths)) != len(depths):
@@ -459,7 +458,8 @@ def depth_sweep(
         if warm is not None and warm.params.depth != p - 1:
             warm = None  # chain only links consecutive depths
         dr = optimise_at_depth(
-            spec, table, grid, p, warm, repeats, seeds, options, workers
+            spec, table, grid, p, warm, repeats, seeds, options, workers,
+            done(p) if done is not None else None,
         )
         results.append(dr)
         warm = dr.warm_start()

@@ -3,8 +3,8 @@
 Subcommands: ``run`` executes a config, ``summarise`` aggregates a record
 log, ``plot-data`` writes figure-ready CSV series, ``catalogue`` lists the
 available functions, algorithms and graph families. Exit codes: 0 success,
-2 configuration error, 3 runtime failure. Set QVASIM_WORKERS to parallelise
-repeats within a depth.
+2 configuration error, 3 runtime failure. Set QVASIM_WORKERS (or ``--workers``)
+to parallelise the repeats of a sweep depth or of a hybrid study.
 """
 
 from __future__ import annotations
@@ -40,7 +40,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="override a single config key (repeatable)",
     )
     run.add_argument("--output-dir", help="override the config's output directory")
-    run.add_argument("--workers", type=int, help="parallel repeats per depth")
+    run.add_argument(
+        "--workers", type=int, help="parallel repeats per sweep depth or hybrid study"
+    )
 
     summ = sub.add_parser("summarise", help="aggregate a record log")
     summ.add_argument("records", help="records.jsonl from a run")

@@ -1,16 +1,17 @@
 """Experiment execution: seeded repeats, warm-start chaining, persistence.
 
-Records are appended to ``records.jsonl`` as each depth completes, so an
-interrupted run resumes from what is already on disk: completed (algorithm,
-function, depth, repeat) combinations are never recomputed, and the warm
-start for the next depth is reconstructed from the stored best record. Each
+Sweeps run through ``qvasim.engine.depth_sweep``, and records are appended to
+``records.jsonl`` as each depth completes. An interrupted run resumes from
+what is on disk: stored records go back to the engine through its ``done``
+hook, so completed (algorithm, function, depth, repeat) combinations are never
+recomputed and the next depth's warm start chains from the best repeat. Each
 append is fsynced; a line torn by a run killed mid-write is cut off before the
-next run appends. A consolidated ``records.csv`` (sorted, reproducible modulo wall-time columns)
-is rewritten at the end of every run.
+next run appends. A consolidated ``records.csv`` (sorted, reproducible modulo
+wall-time columns) is rewritten at the end of every run.
 
 Hybrid-study repeats use the seed formula with the depth slot set to
 ``1000 * dims + depth``; their classical baselines use the repeat slot offset
-by 10**6.
+by 10**6. Sweep and hybrid repeats alike are spread over ``workers`` processes.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import json
 import logging
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -28,13 +28,23 @@ import numpy as np
 
 from ..analysis import ScalingFit, fit_scaling, metrics_for_state
 from ..ansatz import Algorithm, AnsatzSpec, ParameterVector
-from ..engine import OptimiserOptions, WarmStart, resolve_workers, run_single_repeat
+from ..engine import (
+    DepthResult,
+    OptimiserOptions,
+    RepeatResult,
+    depth_sweep,
+    parallel_map,
+)
 from ..functions import get_function
 from ..grid import build_objective, make_grid
 from ..hybrid import classical_baseline, hybrid_optimise, speedup
 from ..mixers import CirculantGraph
 from ..states import WavepacketSpec
 from .config import ConfigError, ExperimentConfig, config_hash, seed_for
+
+# Importable from this module for the benchmark's tracer (bench/tracing.py),
+# which rebinds it here; sweeps reach it through engine.depth_sweep.
+from ..engine import run_single_repeat  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
@@ -229,23 +239,22 @@ def _truncate_torn_tail(path: Path) -> None:
             fh.truncate(keep)
 
 
-def _repeat_payload(args):
-    started = time.perf_counter()
-    result = run_single_repeat(*args)
-    return result, time.perf_counter() - started
-
-
-def _warm_start_from(records: list[ExperimentRecord], spec: AnsatzSpec, dims: int) -> WarmStart:
-    best = min(records, key=lambda r: (r.expectation, r.repeat))
-    params = ParameterVector.unflatten(
-        np.asarray(best.params), best.depth, spec.walk_times_per_layer(dims)
+def _repeat_from_record(record: ExperimentRecord, times_per_layer: int) -> RepeatResult:
+    """A stored repeat as the engine's result, without its state."""
+    return RepeatResult(
+        params=ParameterVector.unflatten(record.params, record.depth, times_per_layer),
+        expectation=record.expectation,
+        evaluations=record.evaluations,
+        seed=record.seed,
+        state=None,
+        wall_time=record.wall_time,
+        wavepacket_centres=(
+            np.asarray(record.wavepacket_centres)
+            if record.wavepacket_centres is not None
+            else None
+        ),
+        bound_halfwidth=record.bound_halfwidth,
     )
-    centres = (
-        np.asarray(best.wavepacket_centres)
-        if best.wavepacket_centres is not None
-        else None
-    )
-    return WarmStart(params, centres, best.bound_halfwidth)
 
 
 def _run_sweep_cell(
@@ -255,7 +264,7 @@ def _run_sweep_cell(
     dims: int,
     n_points: int,
     existing: dict[tuple, ExperimentRecord],
-    workers: int,
+    workers: int | None,
 ) -> list[ExperimentRecord]:
     """Warm-start-chained depth sweep for one (algorithm, function, D, N)."""
     fn = get_function(function_name)
@@ -264,7 +273,8 @@ def _run_sweep_cell(
     lower, upper = fn.domain(dims)
     grid = make_grid(lower, upper, n_points, qubit_cap=config.qubit_cap)
     table = build_objective(grid, fn.fn)
-    base_spec = build_ansatz_spec(label, dims, n_points, config.shared_walk_time)
+    spec = build_ansatz_spec(label, dims, n_points, config.shared_walk_time)
+    times_per_layer = spec.walk_times_per_layer(dims)
     opt = config.optimiser
     options = OptimiserOptions(
         max_iterations=opt.max_iterations,
@@ -273,42 +283,35 @@ def _run_sweep_cell(
         adaptive=opt.adaptive,
     )
     chash = config_hash(config)
-    new_records: list[ExperimentRecord] = []
-    warm: WarmStart | None = None
     path = _records_path(config)
-    for depth in config.depths():
-        spec = base_spec.at_depth(depth)
-        depth_records: dict[int, ExperimentRecord] = {}
-        todo = []
-        for repeat in range(config.repeats):
-            key = (label, function_name, dims, n_points, depth, repeat)
-            if key in existing:
-                depth_records[repeat] = existing[key]
-            else:
-                seed = seed_for(config.base_seed, depth, repeat)
-                identity = warm is not None and repeat == 0
-                todo.append(
-                    (repeat, (spec, table, grid, warm, seed, options, identity))
-                )
-        if todo:
-            if workers > 1 and len(todo) > 1:
-                with ProcessPoolExecutor(max_workers=min(workers, len(todo))) as pool:
-                    outcomes = list(pool.map(_repeat_payload, [t[1] for t in todo]))
-            else:
-                outcomes = [_repeat_payload(t[1]) for t in todo]
-            fresh = []
-            for (repeat, args), (result, elapsed) in zip(todo, outcomes):
-                metrics = metrics_for_state(result.state, grid, table, result.expectation)
-                record = ExperimentRecord(
+    new_records: list[ExperimentRecord] = []
+    cell = (label, function_name, dims, n_points)
+
+    def done(depth: int) -> dict[int, RepeatResult]:
+        return {
+            repeat: _repeat_from_record(existing[cell + (depth, repeat)], times_per_layer)
+            for repeat in range(config.repeats)
+            if cell + (depth, repeat) in existing
+        }
+
+    def on_depth(dr: DepthResult) -> None:
+        fresh = []
+        for repeat, result in enumerate(dr.repeats):
+            if cell + (dr.depth, repeat) in existing:
+                continue
+            metrics = metrics_for_state(result.state, grid, table, result.expectation)
+            result.state = None  # the sweep's result list would keep every K-sized state
+            fresh.append(
+                ExperimentRecord(
                     config_hash=chash,
                     kind=config.kind,
                     algorithm=label,
                     function=function_name,
                     dims=dims,
                     n_points=n_points,
-                    depth=depth,
+                    depth=dr.depth,
                     repeat=repeat,
-                    seed=args[4],
+                    seed=result.seed,
                     expectation=result.expectation,
                     mean_error=metrics.mean_error,
                     statistical_distance=metrics.statistical_distance,
@@ -316,7 +319,7 @@ def _run_sweep_cell(
                     max_amplified_index=metrics.max_amplified_index,
                     max_amplified_rank=metrics.max_amplified_rank,
                     evaluations=result.evaluations,
-                    wall_time=elapsed,
+                    wall_time=result.wall_time,
                     params=[float(v) for v in result.params.flatten()],
                     wavepacket_centres=(
                         [float(v) for v in result.wavepacket_centres]
@@ -325,16 +328,27 @@ def _run_sweep_cell(
                     ),
                     bound_halfwidth=result.bound_halfwidth,
                 )
-                depth_records[repeat] = record
-                fresh.append(record)
-            fresh.sort(key=lambda r: r.repeat)
+            )
+        if fresh:
             _append_records(path, fresh)
             new_records.extend(fresh)
-        warm = _warm_start_from(list(depth_records.values()), spec, dims)
+
+    depth_sweep(
+        spec,
+        table,
+        grid,
+        config.depths(),
+        repeats=config.repeats,
+        seed_fn=lambda p, j: seed_for(config.base_seed, p, j),
+        options=options,
+        workers=workers,
+        on_depth=on_depth,
+        done=done,
+    )
     return new_records
 
 
-def _sweep_kind(config: ExperimentConfig, workers: int) -> list[ExperimentRecord]:
+def _sweep_kind(config: ExperimentConfig, workers: int | None) -> list[ExperimentRecord]:
     if config.kind == "degree_sweep":
         labels = [f"qmoa_banded_{s}" for s in config.bandwidths]
     else:
@@ -383,7 +397,48 @@ def _emit_scaling_fits(config: ExperimentConfig, records: list[ExperimentRecord]
             writer.writerow(list(cell) + [fit.alpha, fit.alpha_stddev, fit.c])
 
 
-def _hybrid_kind(config: ExperimentConfig, workers: int) -> list[HybridRecord]:
+def _hybrid_repeat(task: tuple) -> HybridRecord:
+    """One assisted run and its classical baseline, as a record."""
+    config, chash, function_name, dims, repeat = task
+    depth = config.depth_range[0]
+    seed = seed_for(config.base_seed, 1000 * dims + depth, repeat)
+    baseline_seed = seed_for(config.base_seed, 1000 * dims + depth, repeat + 10**6)
+    started = time.perf_counter()
+    run = hybrid_optimise(
+        function_name,
+        dims,
+        config.n_points,
+        depth,
+        epsilon=config.epsilon,
+        seed=seed,
+        sample_size=config.sample_size,
+    )
+    base = classical_baseline(
+        function_name, dims, epsilon=config.epsilon, seed=baseline_seed
+    )
+    return HybridRecord(
+        config_hash=chash,
+        kind=config.kind,
+        function=function_name,
+        dims=dims,
+        n_points=config.n_points,
+        depth=depth,
+        repeat=repeat,
+        seed=seed,
+        success=run.success,
+        fev_qmoa=run.accounting.fev_qmoa,
+        fev_nelder_mead=run.accounting.fev_nelder_mead,
+        fev_assisted=run.accounting.fev_assisted,
+        seeds_tried=run.seeds_tried,
+        baseline_fev=base.evaluations,
+        baseline_success=base.success,
+        baseline_restarts=base.restarts,
+        speedup=speedup(base.evaluations, run.accounting),
+        wall_time=time.perf_counter() - started,
+    )
+
+
+def _hybrid_kind(config: ExperimentConfig, workers: int | None) -> list[HybridRecord]:
     chash = config_hash(config)
     existing = {
         r.key(): r
@@ -396,52 +451,12 @@ def _hybrid_kind(config: ExperimentConfig, workers: int) -> list[HybridRecord]:
     path = _records_path(config)
     for function_name in config.functions:
         for dims in dims_list:
-            todo = []
-            for repeat in range(config.repeats):
-                key = (function_name, dims, config.n_points, depth, repeat)
-                if key not in existing:
-                    todo.append(repeat)
-            fresh = []
-            for repeat in todo:
-                seed = seed_for(config.base_seed, 1000 * dims + depth, repeat)
-                baseline_seed = seed_for(
-                    config.base_seed, 1000 * dims + depth, repeat + 10**6
-                )
-                started = time.perf_counter()
-                run = hybrid_optimise(
-                    function_name,
-                    dims,
-                    config.n_points,
-                    depth,
-                    epsilon=config.epsilon,
-                    seed=seed,
-                    sample_size=config.sample_size,
-                )
-                base = classical_baseline(
-                    function_name, dims, epsilon=config.epsilon, seed=baseline_seed
-                )
-                fresh.append(
-                    HybridRecord(
-                        config_hash=chash,
-                        kind=config.kind,
-                        function=function_name,
-                        dims=dims,
-                        n_points=config.n_points,
-                        depth=depth,
-                        repeat=repeat,
-                        seed=seed,
-                        success=run.success,
-                        fev_qmoa=run.accounting.fev_qmoa,
-                        fev_nelder_mead=run.accounting.fev_nelder_mead,
-                        fev_assisted=run.accounting.fev_assisted,
-                        seeds_tried=run.seeds_tried,
-                        baseline_fev=base.evaluations,
-                        baseline_success=base.success,
-                        baseline_restarts=base.restarts,
-                        speedup=speedup(base.evaluations, run.accounting),
-                        wall_time=time.perf_counter() - started,
-                    )
-                )
+            todo = [
+                (config, chash, function_name, dims, repeat)
+                for repeat in range(config.repeats)
+                if (function_name, dims, config.n_points, depth, repeat) not in existing
+            ]
+            fresh = parallel_map(_hybrid_repeat, todo, workers)
             if fresh:
                 _append_records(path, fresh)
                 records.extend(fresh)
@@ -478,10 +493,9 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None) -> list
     outdir = Path(config.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     _truncate_torn_tail(outdir / RECORDS_NAME)
-    n_workers = resolve_workers(workers)
     if config.kind == "hybrid_study":
-        records = _hybrid_kind(config, n_workers)
+        records = _hybrid_kind(config, workers)
     else:
-        records = _sweep_kind(config, n_workers)
+        records = _sweep_kind(config, workers)
     write_csv(records, outdir / CSV_NAME)
     return records

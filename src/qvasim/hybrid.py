@@ -77,16 +77,6 @@ def _scipy_default_options(n_params: int) -> OptimiserOptions:
     )
 
 
-def _counting(fn):
-    count = [0]
-
-    def wrapped(x):
-        count[0] += 1
-        return fn(x)
-
-    return wrapped, count
-
-
 def hybrid_optimise(
     function: str | TestFunction,
     dims: int,
@@ -142,20 +132,21 @@ def hybrid_optimise(
     fev_qmoa = estimations[0]
 
     threshold = f.known_minimum(dims) + epsilon
-    counted_f, fev_nm = _counting(lambda x: float(f.fn(x)))
+    fev_nm = 0
     found_x = None
     found_value = None
     seeds_tried = 0
     for start in sample_minima:
         seeds_tried += 1
-        result = nelder_mead(counted_f, start, _scipy_default_options(dims))
+        result = nelder_mead(lambda x: float(f.fn(x)), start, _scipy_default_options(dims))
+        fev_nm += result.evaluations
         if result.value <= threshold:
             found_x = result.x
             found_value = result.value
             break
     accounting = HybridAccounting(
         fev_qmoa=fev_qmoa,
-        fev_nelder_mead=fev_nm[0],
+        fev_nelder_mead=fev_nm,
         sample_size=sample_size,
         depth=depth,
     )
@@ -188,12 +179,13 @@ def classical_baseline(
     lower, upper = f.domain(dims)
     rng = np.random.default_rng(seed)
     threshold = f.known_minimum(dims) + epsilon
-    counted_f, fev = _counting(lambda x: float(f.fn(x)))
+    fev = 0
     restarts = 0
-    while fev[0] < max_evaluations:
+    while fev < max_evaluations:
         restarts += 1
         x0 = rng.uniform(lower, upper)
-        result = nelder_mead(counted_f, x0, _scipy_default_options(dims))
+        result = nelder_mead(lambda x: float(f.fn(x)), x0, _scipy_default_options(dims))
+        fev += result.evaluations
         if result.value <= threshold:
-            return BaselineResult(fev[0], True, restarts, result.x)
-    return BaselineResult(fev[0], False, restarts, None)
+            return BaselineResult(fev, True, restarts, result.x)
+    return BaselineResult(fev, False, restarts, None)

@@ -342,12 +342,12 @@ def qowe_mixer(
     state: StateVector,
     times: np.ndarray,
     momentum: MomentumGrid,
-    grid: SolutionGrid | None = None,
+    grid: SolutionGrid,
 ) -> StateVector:
     """Kinetic-energy evolution: F^-1 exp(-i sum_d t_d kappa_d^2) F.
 
-    Walk times are per-dimension. ``grid`` may be omitted; the momentum grid
-    carries the matching position-grid origin and spacing.
+    Walk times are per-dimension; ``grid`` is the position grid that
+    ``momentum`` was built from.
     """
     dims = len(state.tensor_shape)
     times = np.atleast_1d(np.asarray(times, dtype=float))
@@ -355,15 +355,6 @@ def qowe_mixer(
         times = np.repeat(times, dims)
     if times.size != dims or momentum.dims != dims:
         raise ValueError(f"need one walk time per dimension (D={dims})")
-    if grid is None:
-        grid = SolutionGrid(
-            dims,
-            momentum.points_per_dim,
-            momentum.position_origin,
-            momentum.position_origin
-            + (momentum.points_per_dim - 1) * momentum.position_spacing,
-            momentum.position_spacing,
-        )
     factors, kappa_squared = qowe_factors(grid, momentum, dims)
     out = qowe_walk(state.as_tensor(), times, factors, kappa_squared)
     return StateVector(out.ravel(), state.tensor_shape)

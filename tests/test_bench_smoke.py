@@ -11,15 +11,18 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_bench_sweep_k256_runs_and_reports_declared_metrics():
+@pytest.mark.parametrize("workload", ["sweep_k256", "hybrid_k256"])
+def test_bench_runs_and_reports_declared_metrics(workload):
     proc = subprocess.run(
         [
             sys.executable,
             "bench/run.py",
-            "--workload", "sweep_k256",
+            "--workload", workload,
             "--seconds", "1",
             "--seed", "2",
             "--trace", "0",

@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import qvasim.engine as engine
 from qvasim.ansatz import (
     Algorithm,
     AnsatzSpec,
@@ -11,13 +14,13 @@ from qvasim.ansatz import (
 )
 from qvasim.engine import (
     OptimiserOptions,
+    RepeatResult,
     WarmStart,
     _initial_params,
     depth_sweep,
     draw_wavepacket_centres,
     nelder_mead,
     optimise_at_depth,
-    qowe_optimise,
 )
 from qvasim.grid import build_objective, make_grid, table_from_values
 from qvasim.mixers import CirculantGraph, adjacency_matrix, dense_walk_oracle
@@ -289,6 +292,36 @@ class TestOptimiseAtDepth:
             r.expectation for r in parallel.repeats
         ]
 
+    def test_done_repeats_are_kept_and_not_rerun(self, monkeypatch):
+        grid, table = small_problem()
+        spec = qmoa_spec(2, 4)
+        known = RepeatResult(
+            params=ParameterVector([0.0], [[0.0, 0.0]]),
+            expectation=-1e9,
+            evaluations=0,
+            seed=-1,
+            state=None,
+            wall_time=0.0,
+        )
+        run_seeds = []
+        real = engine.run_single_repeat
+
+        def spy(spec, table, grid, warm, seed, options, identity):
+            run_seeds.append(seed)
+            return real(spec, table, grid, warm, seed, options, identity)
+
+        monkeypatch.setattr(engine, "run_single_repeat", spy)
+        result = optimise_at_depth(spec, table, grid, 1, repeats=3, seeds=5, done={1: known})
+        assert run_seeds == [5, 7]
+        assert result.repeats[1] is known
+        assert [r.seed for r in result.repeats] == [5, -1, 7]
+        assert result.best is known
+
+    def test_repeat_reports_wall_time(self):
+        grid, table = small_problem()
+        result = optimise_at_depth(qmoa_spec(2, 4), table, grid, 1, repeats=1)
+        assert result.repeats[0].wall_time > 0.0
+
 
 class TestDepthSweep:
     def test_monotone_best_values(self):
@@ -302,6 +335,32 @@ class TestDepthSweep:
         grid, table = small_problem()
         spec = qmoa_spec(2, 4)
         results = depth_sweep(spec, table, grid, [1, 2], repeats=2)
+        assert results[1].repeats[0].identity_extension
+
+    def test_done_hook_chains_warm_start_from_restored_best(self, monkeypatch):
+        grid, table = small_problem()
+        spec = qmoa_spec(2, 4)
+        first = optimise_at_depth(spec, table, grid, 1, repeats=2, seeds=3)
+        # make the worse repeat the restored best, so the chain must follow it
+        worst = int(np.argmax([r.expectation for r in first.repeats]))
+        restored = {
+            j: replace(r, state=None, expectation=-1e9 if j == worst else r.expectation)
+            for j, r in enumerate(first.repeats)
+        }
+        calls = []
+        real = engine.run_single_repeat
+
+        def spy(spec, table, grid, warm, seed, options, identity):
+            calls.append((spec.depth, warm))
+            return real(spec, table, grid, warm, seed, options, identity)
+
+        monkeypatch.setattr(engine, "run_single_repeat", spy)
+        results = depth_sweep(
+            spec, table, grid, [1, 2], repeats=2, done=lambda p: restored if p == 1 else {}
+        )
+        assert [r is restored[j] for j, r in enumerate(results[0].repeats)] == [True, True]
+        assert [depth for depth, _ in calls] == [2, 2]
+        assert all(warm.params is restored[worst].params for _, warm in calls)
         assert results[1].repeats[0].identity_extension
 
     def test_rejects_unsorted_depths(self):
@@ -405,7 +464,7 @@ class TestQoweProtocol:
         grid = make_grid([-1.0], [1.0], 8)
         table = table_from_values(np.full(8, 2.0))
         spec = AnsatzSpec(Algorithm.QOWE, 1, initial_state="equal")
-        result = qowe_optimise(spec, table, grid, 1, repeats=1, seeds=0)
+        result = optimise_at_depth(spec, table, grid, 1, repeats=1, seeds=0)
         assert result.best.bound_halfwidth == pytest.approx(0.1)
 
     def test_halfwidth_stays_on_growth_ladder(self):
@@ -413,7 +472,7 @@ class TestQoweProtocol:
         spec = AnsatzSpec(
             Algorithm.QOWE, 1, initial_state=WavepacketSpec([0.0], [1.0])
         )
-        result = qowe_optimise(spec, table, grid, 1, repeats=2, seeds=3)
+        result = optimise_at_depth(spec, table, grid, 1, repeats=2, seeds=3)
         for repeat in result.repeats:
             b = repeat.bound_halfwidth
             assert b is not None
@@ -422,11 +481,6 @@ class TestQoweProtocol:
                 assert abs(steps - round(steps)) < 1e-9
             else:
                 assert b == pytest.approx(2 * np.pi)
-
-    def test_qowe_optimise_rejects_other_algorithms(self):
-        grid, table = small_problem()
-        with pytest.raises(ValueError, match="QOWE"):
-            qowe_optimise(qmoa_spec(2, 4), table, grid, 1)
 
     def test_wavepacket_repeats_redraw_centres(self):
         grid, table = small_problem(dims=2, n=8)

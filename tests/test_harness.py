@@ -219,6 +219,34 @@ class TestRunner:
                 want.pop(volatile)
             assert got == want, key
 
+    def test_resume_mid_depth_with_workers_matches_serial(self, tmp_path):
+        config = tiny_config(
+            tmp_path, algorithms=["qmoa_complete", "qowe_gaussian"], repeats=3
+        )
+        reference = {r.key(): r for r in run_experiment(config, workers=1)}
+
+        config2 = replace(config, output_dir=str(tmp_path / "out2"))
+        run_experiment(config2, workers=1)
+        # a run killed inside depth 2: only repeat 1 of that depth was stored
+        path = tmp_path / "out2" / "records.jsonl"
+        kept = [
+            line
+            for line in path.read_text().splitlines(keepends=True)
+            if json.loads(line)["depth"] == 1 or json.loads(line)["repeat"] == 1
+        ]
+        path.write_text("".join(kept))
+        resumed = {r.key(): r for r in run_experiment(config2, workers=2)}
+
+        assert len(load_records(path)) == len(reference)
+        assert set(resumed) == set(reference)
+        for key, record in reference.items():
+            got = asdict(resumed[key])
+            want = asdict(record)
+            for volatile in ("wall_time", "config_hash"):
+                got.pop(volatile)
+                want.pop(volatile)
+            assert got == want, key
+
     def test_corrupt_line_mid_log_raises(self, tmp_path):
         config = tiny_config(tmp_path)
         run_experiment(config)
@@ -302,6 +330,28 @@ class TestRunner:
         # resumable: rerun adds nothing
         again = run_experiment(config)
         assert len(again) == 2
+
+
+    def test_hybrid_study_workers_match_serial(self, tmp_path):
+        config = tiny_config(
+            tmp_path,
+            kind="hybrid_study",
+            algorithms=[],
+            functions=["sphere"],
+            dims=2,
+            n_points=8,
+            depth_range=(1, 1),
+            repeats=3,
+        )
+        serial = run_experiment(config, workers=1)
+        config2 = replace(config, output_dir=str(tmp_path / "out2"))
+        parallel = run_experiment(config2, workers=2)
+        assert len(serial) == len(parallel) == 3
+        for a, b in zip(serial, parallel):
+            got, want = asdict(b), asdict(a)
+            got.pop("wall_time")
+            want.pop("wall_time")
+            assert got == want
 
 
 class TestSummarise:
