@@ -72,11 +72,16 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _cmd_summarise(args) -> int:
-    records = load_records(args.records)
+def _load_nonempty(path) -> list:
+    """The records logged at ``path``; a missing or empty log is a runtime failure."""
+    records = load_records(path)
     if not records:
-        print(f"no records found in {args.records}", file=sys.stderr)
-        return EXIT_RUNTIME
+        raise RuntimeError(f"no records found in {path}")
+    return records
+
+
+def _cmd_summarise(args) -> int:
+    records = _load_nonempty(args.records)
     rows = summarise(records, [k.strip() for k in args.group_by.split(",") if k.strip()])
     if args.out:
         write_summary_csv(rows, args.out)
@@ -88,11 +93,7 @@ def _cmd_summarise(args) -> int:
 
 
 def _cmd_plot_data(args) -> int:
-    records = load_records(args.records)
-    if not records:
-        print(f"no records found in {args.records}", file=sys.stderr)
-        return EXIT_RUNTIME
-    paths = emit_plot_data(records, args.kind, Path(args.out))
+    paths = emit_plot_data(_load_nonempty(args.records), args.kind, Path(args.out))
     for path in paths:
         print(path)
     return 0

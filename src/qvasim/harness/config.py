@@ -7,7 +7,8 @@ A config file describes one experiment. Keys (YAML):
     functions: [styblinski_tang, ...]
     dims: 3
     n_points: 32
-    depth_range: [1, 8]          # inclusive, contiguous (warm-start chaining)
+    depth_range: [1, 8]          # inclusive, contiguous (warm-start chaining);
+                                 # scaling_study: at least three depths (the fit)
     repeats: 10
     base_seed: 42
     output_dir: runs/my-experiment
@@ -106,6 +107,10 @@ class ExperimentConfig:
         elif self.kind == "scaling_study":
             if not self.dims_list or not self.grid_sizes:
                 raise ConfigError("scaling_study needs dims_list and grid_sizes")
+            if hi - lo < 2:
+                raise ConfigError(
+                    f"scaling_study fits need at least three depths, got {self.depth_range}"
+                )
         elif self.kind != "hybrid_study" and not self.algorithms:
             raise ConfigError("at least one algorithm is required")
         for label in self.algorithms:

@@ -21,12 +21,12 @@ import json
 import logging
 import os
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from ..analysis import ScalingFit, fit_scaling, metrics_for_state
+from ..analysis import fit_scaling, metrics_for_state
 from ..ansatz import Algorithm, AnsatzSpec, ParameterVector
 from ..engine import (
     DepthResult,
@@ -50,50 +50,7 @@ logger = logging.getLogger(__name__)
 
 RECORDS_NAME = "records.jsonl"
 CSV_NAME = "records.csv"
-
-RECORD_FIELDS = [
-    "config_hash",
-    "kind",
-    "algorithm",
-    "function",
-    "dims",
-    "n_points",
-    "depth",
-    "repeat",
-    "seed",
-    "expectation",
-    "mean_error",
-    "statistical_distance",
-    "max_amplification",
-    "max_amplified_index",
-    "max_amplified_rank",
-    "evaluations",
-    "wall_time",
-    "params",
-    "wavepacket_centres",
-    "bound_halfwidth",
-]
-
-HYBRID_FIELDS = [
-    "config_hash",
-    "kind",
-    "function",
-    "dims",
-    "n_points",
-    "depth",
-    "repeat",
-    "seed",
-    "success",
-    "fev_qmoa",
-    "fev_nelder_mead",
-    "fev_assisted",
-    "seeds_tried",
-    "baseline_fev",
-    "baseline_success",
-    "baseline_restarts",
-    "speedup",
-    "wall_time",
-]
+_JSON_FIELDS = ("params", "wavepacket_centres")  # JSON-encoded in records.csv
 
 
 @dataclass
@@ -152,20 +109,6 @@ def build_ansatz_spec(
     label: str, dims: int, n_points: int, shared_walk_time: bool = False
 ) -> AnsatzSpec:
     """Resolve a config algorithm label into an AnsatzSpec (depth 1)."""
-    if label == "qmoa_complete":
-        graphs = tuple(CirculantGraph.complete(n_points) for _ in range(dims))
-        return AnsatzSpec(Algorithm.QMOA, 1, graphs=graphs, shared_walk_time=shared_walk_time)
-    if label == "qmoa_cycle":
-        graphs = tuple(CirculantGraph.cycle(n_points) for _ in range(dims))
-        return AnsatzSpec(Algorithm.QMOA, 1, graphs=graphs, shared_walk_time=shared_walk_time)
-    if label.startswith("qmoa_banded_"):
-        bandwidth = int(label.rsplit("_", 1)[1])
-        if bandwidth < 1 or bandwidth > n_points // 2:
-            raise ConfigError(
-                f"bandwidth {bandwidth} out of range [1, {n_points // 2}] for N={n_points}"
-            )
-        graphs = tuple(CirculantGraph.banded(n_points, bandwidth) for _ in range(dims))
-        return AnsatzSpec(Algorithm.QMOA, 1, graphs=graphs, shared_walk_time=shared_walk_time)
     if label == "qaoa_complete":
         return AnsatzSpec(Algorithm.QAOA_COMPLETE, 1)
     if label == "qaoa_hypercube":
@@ -175,11 +118,36 @@ def build_ansatz_spec(
         return AnsatzSpec(Algorithm.QOWE, 1, initial_state=placeholder)
     if label == "qowe_equal":
         return AnsatzSpec(Algorithm.QOWE, 1, initial_state="equal")
-    raise ConfigError(f"unknown algorithm label {label!r}")
+    if label == "qmoa_complete":
+        graph = CirculantGraph.complete(n_points)
+    elif label == "qmoa_cycle":
+        graph = CirculantGraph.cycle(n_points)
+    elif label.startswith("qmoa_banded_"):
+        bandwidth = int(label.rsplit("_", 1)[1])
+        if bandwidth < 1 or bandwidth > n_points // 2:
+            raise ConfigError(
+                f"bandwidth {bandwidth} out of range [1, {n_points // 2}] for N={n_points}"
+            )
+        graph = CirculantGraph.banded(n_points, bandwidth)
+    else:
+        raise ConfigError(f"unknown algorithm label {label!r}")
+    return AnsatzSpec(
+        Algorithm.QMOA, 1, graphs=(graph,) * dims, shared_walk_time=shared_walk_time
+    )
 
 
 def _records_path(config: ExperimentConfig) -> Path:
     return Path(config.output_dir) / RECORDS_NAME
+
+
+def _existing(config: ExperimentConfig, cls: type) -> dict[tuple, object]:
+    """Stored records of ``cls`` written under this config, by key."""
+    chash = config_hash(config)
+    return {
+        r.key(): r
+        for r in load_records(_records_path(config))
+        if isinstance(r, cls) and r.config_hash == chash
+    }
 
 
 def _append_records(path: Path, records) -> None:
@@ -275,13 +243,7 @@ def _run_sweep_cell(
     table = build_objective(grid, fn.fn)
     spec = build_ansatz_spec(label, dims, n_points, config.shared_walk_time)
     times_per_layer = spec.walk_times_per_layer(dims)
-    opt = config.optimiser
-    options = OptimiserOptions(
-        max_iterations=opt.max_iterations,
-        simplex_tolerance=opt.simplex_tolerance,
-        value_tolerance=opt.value_tolerance,
-        adaptive=opt.adaptive,
-    )
+    options = OptimiserOptions(**asdict(config.optimiser))
     chash = config_hash(config)
     path = _records_path(config)
     new_records: list[ExperimentRecord] = []
@@ -313,11 +275,7 @@ def _run_sweep_cell(
                     repeat=repeat,
                     seed=result.seed,
                     expectation=result.expectation,
-                    mean_error=metrics.mean_error,
-                    statistical_distance=metrics.statistical_distance,
-                    max_amplification=metrics.max_amplification,
-                    max_amplified_index=metrics.max_amplified_index,
-                    max_amplified_rank=metrics.max_amplified_rank,
+                    **asdict(metrics),
                     evaluations=result.evaluations,
                     wall_time=result.wall_time,
                     params=[float(v) for v in result.params.flatten()],
@@ -353,18 +311,12 @@ def _sweep_kind(config: ExperimentConfig, workers: int | None) -> list[Experimen
         labels = [f"qmoa_banded_{s}" for s in config.bandwidths]
     else:
         labels = config.algorithms
-    cells = []
     if config.kind == "scaling_study":
-        for dims in config.dims_list:
-            for n_points in config.grid_sizes:
-                cells.extend((label, f, dims, n_points) for label in labels for f in config.functions)
+        sizes = [(d, n) for d in config.dims_list for n in config.grid_sizes]
     else:
-        cells = [(label, f, config.dims, config.n_points) for label in labels for f in config.functions]
-    existing = {
-        r.key(): r
-        for r in load_records(_records_path(config))
-        if isinstance(r, ExperimentRecord) and r.config_hash == config_hash(config)
-    }
+        sizes = [(config.dims, config.n_points)]
+    cells = [(label, f, d, n) for d, n in sizes for label in labels for f in config.functions]
+    existing = _existing(config, ExperimentRecord)
     records = list(existing.values())
     for label, function_name, dims, n_points in cells:
         records.extend(
@@ -388,12 +340,10 @@ def _emit_scaling_fits(config: ExperimentConfig, records: list[ExperimentRecord]
             ["algorithm", "function", "dims", "n_points", "alpha", "alpha_stddev", "c"]
         )
         for cell in sorted(groups):
-            by_depth = groups[cell]
-            points = [
+            fit = fit_scaling(
                 (depth, cell[2], float(np.mean(values)))
-                for depth, values in sorted(by_depth.items())
-            ]
-            fit: ScalingFit = fit_scaling(points)
+                for depth, values in sorted(groups[cell].items())
+            )
             writer.writerow(list(cell) + [fit.alpha, fit.alpha_stddev, fit.c])
 
 
@@ -440,11 +390,7 @@ def _hybrid_repeat(task: tuple) -> HybridRecord:
 
 def _hybrid_kind(config: ExperimentConfig, workers: int | None) -> list[HybridRecord]:
     chash = config_hash(config)
-    existing = {
-        r.key(): r
-        for r in load_records(_records_path(config))
-        if isinstance(r, HybridRecord) and r.config_hash == chash
-    }
+    existing = _existing(config, HybridRecord)
     records = list(existing.values())
     depth = config.depth_range[0]
     dims_list = config.dims_list or [config.dims]
@@ -464,27 +410,21 @@ def _hybrid_kind(config: ExperimentConfig, workers: int | None) -> list[HybridRe
 
 
 def write_csv(records: list, path) -> None:
-    """Consolidated CSV, sorted for reproducibility."""
-    experiment = sorted(
-        (r for r in records if isinstance(r, ExperimentRecord)), key=lambda r: r.key()
-    )
-    hybrid = sorted(
-        (r for r in records if isinstance(r, HybridRecord)), key=lambda r: r.key()
-    )
+    """Consolidated CSV: one block per record class, headed by its field names.
+
+    Rows are sorted by record key for reproducibility; list-valued fields are
+    JSON-encoded.
+    """
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
-        if experiment:
-            writer.writerow(RECORD_FIELDS)
-            for r in experiment:
-                row = asdict(r)
-                row["params"] = json.dumps(row["params"])
-                row["wavepacket_centres"] = json.dumps(row["wavepacket_centres"])
-                writer.writerow([row[f] for f in RECORD_FIELDS])
-        if hybrid:
-            writer.writerow(HYBRID_FIELDS)
-            for r in hybrid:
-                row = asdict(r)
-                writer.writerow([row[f] for f in HYBRID_FIELDS])
+        for cls in (ExperimentRecord, HybridRecord):
+            block = sorted((r for r in records if isinstance(r, cls)), key=cls.key)
+            if block:
+                writer.writerow([f.name for f in fields(cls)])
+            for r in block:
+                writer.writerow(
+                    json.dumps(v) if k in _JSON_FIELDS else v for k, v in asdict(r).items()
+                )
 
 
 def run_experiment(config: ExperimentConfig, workers: int | None = None) -> list:

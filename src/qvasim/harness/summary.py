@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -10,12 +11,10 @@ import numpy as np
 from ..analysis import fit_scaling, rdgs_amplification
 from .runner import ExperimentRecord, HybridRecord
 
-SWEEP_METRICS = ("expectation", "mean_error", "statistical_distance", "max_amplification")
-HYBRID_METRICS = ("speedup", "fev_qmoa", "fev_nelder_mead", "fev_assisted", "baseline_fev")
-
-
-def _population_std(values: np.ndarray) -> float:
-    return float(np.std(values, ddof=0))
+_METRICS = {
+    ExperimentRecord: ("expectation", "mean_error", "statistical_distance", "max_amplification"),
+    HybridRecord: ("speedup", "fev_qmoa", "fev_nelder_mead", "fev_assisted", "baseline_fev"),
+}
 
 
 def summarise(records: list, group_by: list[str]) -> list[dict]:
@@ -26,14 +25,12 @@ def summarise(records: list, group_by: list[str]) -> list[dict]:
     """
     if not records:
         raise ValueError("no records to summarise")
-    sweeps = [r for r in records if isinstance(r, ExperimentRecord)]
-    hybrids = [r for r in records if isinstance(r, HybridRecord)]
     rows: list[dict] = []
-    for subset, metric_names in ((sweeps, SWEEP_METRICS), (hybrids, HYBRID_METRICS)):
-        if not subset:
-            continue
+    for cls, metric_names in _METRICS.items():
         groups: dict[tuple, list] = {}
-        for r in subset:
+        for r in records:
+            if not isinstance(r, cls):
+                continue
             try:
                 key = tuple(getattr(r, k) for k in group_by)
             except AttributeError as exc:
@@ -46,8 +43,8 @@ def summarise(records: list, group_by: list[str]) -> list[dict]:
             for metric in metric_names:
                 values = np.array([float(getattr(r, metric)) for r in members])
                 row[f"{metric}_mean"] = float(np.mean(values))
-                row[f"{metric}_pstd"] = _population_std(values)
-            if isinstance(members[0], ExperimentRecord):
+                row[f"{metric}_pstd"] = float(np.std(values, ddof=0))
+            if cls is ExperimentRecord:
                 best = min(members, key=lambda r: (r.expectation, r.repeat))
                 row["best_repeat"] = best.repeat
                 row["best_expectation"] = best.expectation
@@ -63,22 +60,14 @@ def summarise(records: list, group_by: list[str]) -> list[dict]:
 def write_summary_csv(rows: list[dict], path) -> None:
     if not rows:
         raise ValueError("no summary rows to write")
-    fields: list[str] = []
-    for row in rows:
-        for name in row:
-            if name not in fields:
-                fields.append(name)
+    fields = list(dict.fromkeys(name for row in rows for name in row))
     with Path(path).open("w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=fields)
         writer.writeheader()
         writer.writerows(rows)
 
 
-def _slug(*parts) -> str:
-    return "__".join(str(p) for p in parts)
-
-
-def _write_series(path: Path, header: list[str], rows: list[list]) -> Path:
+def _write_series(path: Path, header, rows: list[list]) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
@@ -87,159 +76,124 @@ def _write_series(path: Path, header: list[str], rows: list[list]) -> Path:
     return path
 
 
-PLOT_KINDS = (
-    "mean_error_vs_depth",
-    "amplification_vs_depth",
-    "function_bars",
-    "scaling",
-    "speedup_vs_dimension",
-)
+@dataclass(frozen=True)
+class _Plot:
+    """One figure family: a file per ``series`` key, a row per ``x`` value.
+
+    Rows are ``summarise`` groups over ``series + (x,)``; ``name`` is the file
+    name's template over the series keys.
+    """
+
+    record: type
+    series: tuple[str, ...]
+    x: str
+    y: tuple[str, ...]
+    header: tuple[str, ...]
+    name: str
+
+
+_PLOTS = {
+    "mean_error_vs_depth": _Plot(
+        ExperimentRecord,
+        ("algorithm", "function"),
+        "depth",
+        ("mean_error_mean", "mean_error_pstd"),
+        ("x", "y", "y_err"),
+        "{function}__{algorithm}",
+    ),
+    "amplification_vs_depth": _Plot(
+        ExperimentRecord,
+        ("algorithm", "function"),
+        "depth",
+        (
+            "max_amplification_mean",
+            "max_amplification_pstd",
+            "best_max_amplification",
+            "best_max_amplified_rank",
+        ),
+        ("x", "y", "y_err", "y_best", "best_rank"),
+        "{function}__{algorithm}",
+    ),
+    # records are cut to the deepest layer first, so "depth" is one value
+    "function_bars": _Plot(
+        ExperimentRecord,
+        ("algorithm", "depth"),
+        "function",
+        (
+            "mean_error_mean",
+            "mean_error_pstd",
+            "statistical_distance_mean",
+            "statistical_distance_pstd",
+        ),
+        (
+            "function",
+            "mean_error",
+            "mean_error_err",
+            "statistical_distance",
+            "statistical_distance_err",
+        ),
+        "{algorithm}__p{depth}",
+    ),
+    # one more column, y_fit, is computed per file
+    "scaling": _Plot(
+        ExperimentRecord,
+        ("algorithm", "function", "dims", "n_points"),
+        "depth",
+        ("max_amplification_mean", "max_amplification_pstd"),
+        ("x", "y", "y_err", "y_fit"),
+        "{function}__{algorithm}__D{dims}__N{n_points}",
+    ),
+    "speedup_vs_dimension": _Plot(
+        HybridRecord,
+        ("function",),
+        "dims",
+        ("speedup_mean", "speedup_pstd"),
+        ("x", "y", "y_err"),
+        "{function}",
+    ),
+}
+
+PLOT_KINDS = tuple(_PLOTS)
 
 
 def emit_plot_data(records: list, kind: str, outdir) -> list[Path]:
-    """Write plain (x, y, y_err) CSV series for one figure family."""
-    outdir = Path(outdir)
-    if kind not in PLOT_KINDS:
+    """Write plain (x, y, y_err, ...) CSV series for one figure family."""
+    if kind not in _PLOTS:
         raise ValueError(f"unknown plot kind {kind!r}; one of {PLOT_KINDS}")
-    sweeps = [r for r in records if isinstance(r, ExperimentRecord)]
-    hybrids = [r for r in records if isinstance(r, HybridRecord)]
+    plot = _PLOTS[kind]
+    outdir = Path(outdir)
+    subset = [r for r in records if isinstance(r, plot.record)]
+    if kind == "function_bars":
+        max_depth = max((r.depth for r in subset), default=None)
+        subset = [r for r in subset if r.depth == max_depth]
+    by_series: dict[tuple, list[dict]] = {}
+    for row in summarise(subset, [*plot.series, plot.x]):
+        by_series.setdefault(tuple(row[k] for k in plot.series), []).append(row)
     written: list[Path] = []
-
-    if kind == "mean_error_vs_depth":
-        rows = summarise(sweeps, ["algorithm", "function", "depth"])
-        for algorithm, function in sorted({(r["algorithm"], r["function"]) for r in rows}):
-            series = [
-                [r["depth"], r["mean_error_mean"], r["mean_error_pstd"]]
-                for r in rows
-                if r["algorithm"] == algorithm and r["function"] == function
-            ]
-            series.sort()
-            written.append(
-                _write_series(
-                    outdir / f"mean_error_vs_depth__{_slug(function, algorithm)}.csv",
-                    ["x", "y", "y_err"],
-                    series,
-                )
+    for key in sorted(by_series):
+        rows = sorted(by_series[key], key=lambda r: r[plot.x])
+        series = [[r[plot.x], *(r[c] for c in plot.y)] for r in rows]
+        if kind == "scaling":
+            fit = fit_scaling(
+                [(r["depth"], r["dims"], r["max_amplification_mean"]) for r in rows]
             )
-
-    elif kind == "amplification_vs_depth":
-        rows = summarise(sweeps, ["algorithm", "function", "depth"])
-        for algorithm, function in sorted({(r["algorithm"], r["function"]) for r in rows}):
-            series = [
-                [
-                    r["depth"],
-                    r["max_amplification_mean"],
-                    r["max_amplification_pstd"],
-                    r["best_max_amplification"],
-                    r["best_max_amplified_rank"],
-                ]
-                for r in rows
-                if r["algorithm"] == algorithm and r["function"] == function
-            ]
-            series.sort()
-            written.append(
-                _write_series(
-                    outdir / f"amplification_vs_depth__{_slug(function, algorithm)}.csv",
-                    ["x", "y", "y_err", "y_best", "best_rank"],
-                    series,
-                )
-            )
+            for line, r in zip(series, rows):
+                line.append(float(fit.predict(np.array([r["depth"]]), r["dims"])[0]))
+        name = f"{kind}__{plot.name.format(**rows[0])}.csv"
+        written.append(_write_series(outdir / name, plot.header, series))
+    if kind == "amplification_vs_depth":
         # one unstructured-search baseline per problem size
         for function, dims, n_points in sorted(
-            {(r.function, r.dims, r.n_points) for r in sweeps}
+            {(r.function, r.dims, r.n_points) for r in subset}
         ):
             k_total = n_points**dims
-            depths = sorted({r.depth for r in sweeps if r.function == function})
+            depths = sorted({r.depth for r in subset if r.function == function})
             series = [[p, rdgs_amplification(p, k_total), 0.0] for p in depths]
             written.append(
                 _write_series(
-                    outdir / f"rdgs_baseline__{_slug(function, f'K{k_total}')}.csv",
+                    outdir / f"rdgs_baseline__{function}__K{k_total}.csv",
                     ["x", "y", "y_err"],
                     series,
                 )
             )
-
-    elif kind == "function_bars":
-        max_depth = max(r.depth for r in sweeps)
-        at_max = [r for r in sweeps if r.depth == max_depth]
-        rows = summarise(at_max, ["algorithm", "function"])
-        for algorithm in sorted({r["algorithm"] for r in rows}):
-            series = [
-                [
-                    r["function"],
-                    r["mean_error_mean"],
-                    r["mean_error_pstd"],
-                    r["statistical_distance_mean"],
-                    r["statistical_distance_pstd"],
-                ]
-                for r in rows
-                if r["algorithm"] == algorithm
-            ]
-            series.sort()
-            written.append(
-                _write_series(
-                    outdir / f"function_bars__{_slug(algorithm, f'p{max_depth}')}.csv",
-                    [
-                        "function",
-                        "mean_error",
-                        "mean_error_err",
-                        "statistical_distance",
-                        "statistical_distance_err",
-                    ],
-                    series,
-                )
-            )
-
-    elif kind == "scaling":
-        rows = summarise(sweeps, ["algorithm", "function", "dims", "n_points", "depth"])
-        cells = sorted(
-            {(r["algorithm"], r["function"], r["dims"], r["n_points"]) for r in rows}
-        )
-        for algorithm, function, dims, n_points in cells:
-            cell_rows = sorted(
-                (
-                    r
-                    for r in rows
-                    if (r["algorithm"], r["function"], r["dims"], r["n_points"])
-                    == (algorithm, function, dims, n_points)
-                ),
-                key=lambda r: r["depth"],
-            )
-            points = [
-                (r["depth"], dims, r["max_amplification_mean"]) for r in cell_rows
-            ]
-            fit = fit_scaling(points)
-            series = [
-                [
-                    r["depth"],
-                    r["max_amplification_mean"],
-                    r["max_amplification_pstd"],
-                    float(fit.predict(np.array([r["depth"]]), dims)[0]),
-                ]
-                for r in cell_rows
-            ]
-            name = f"scaling__{_slug(function, algorithm, f'D{dims}', f'N{n_points}')}.csv"
-            written.append(
-                _write_series(outdir / name, ["x", "y", "y_err", "y_fit"], series)
-            )
-
-    elif kind == "speedup_vs_dimension":
-        rows = summarise(hybrids, ["function", "dims"])
-        for function in sorted({r["function"] for r in rows}):
-            series = [
-                [r["dims"], r["speedup_mean"], r["speedup_pstd"]]
-                for r in rows
-                if r["function"] == function
-            ]
-            series.sort()
-            written.append(
-                _write_series(
-                    outdir / f"speedup_vs_dimension__{function}.csv",
-                    ["x", "y", "y_err"],
-                    series,
-                )
-            )
-
-    if not written:
-        raise ValueError(f"no records produced any {kind!r} series; nothing written")
     return written

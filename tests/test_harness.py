@@ -23,7 +23,7 @@ from qvasim.harness.runner import (
     load_records,
     write_csv,
 )
-from qvasim.harness.summary import emit_plot_data, write_summary_csv
+from qvasim.harness.summary import PLOT_KINDS, emit_plot_data, write_summary_csv
 
 
 def tiny_config(tmp_path, **overrides) -> ExperimentConfig:
@@ -105,6 +105,23 @@ class TestConfig:
     def test_empty_depth_range_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="ascending"):
             tiny_config(tmp_path, depth_range=(3, 2))
+
+    @pytest.mark.parametrize("depth_range", [(1, 1), (2, 3)])
+    def test_scaling_study_needs_three_depths(self, tmp_path, depth_range):
+        scaling = dict(kind="scaling_study", dims_list=[2], grid_sizes=[4])
+        with pytest.raises(ConfigError, match="three depths"):
+            tiny_config(tmp_path, depth_range=depth_range, **scaling)
+        tiny_config(tmp_path, depth_range=(depth_range[0], depth_range[0] + 2), **scaling)
+
+    def test_short_scaling_study_exits_before_running(self, tmp_path):
+        cfg = tmp_path / "scaling.yaml"
+        cfg.write_text(
+            "kind: scaling_study\nalgorithm: qmoa_complete\nfunction: rastrigin\n"
+            "dims: 2\nn_points: 4\ndims_list: [1, 2]\ngrid_sizes: [4, 8]\n"
+            f"depth_range: [1, 2]\nrepeats: 1\nbase_seed: 3\noutput_dir: {tmp_path / 'out'}\n"
+        )
+        assert main(["run", str(cfg)]) == 2
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_function_and_kind(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown function"):
@@ -465,9 +482,10 @@ class TestPlotData:
         with pytest.raises(ValueError, match="unknown plot kind"):
             emit_plot_data(self._sweep_records(), "nope", tmp_path)
 
-    def test_empty_records_diagnostic(self, tmp_path):
+    @pytest.mark.parametrize("kind", PLOT_KINDS)
+    def test_empty_records_diagnostic(self, tmp_path, kind):
         with pytest.raises(ValueError, match="no records"):
-            emit_plot_data([], "mean_error_vs_depth", tmp_path)
+            emit_plot_data([], kind, tmp_path)
 
 
 class TestCli:
@@ -498,6 +516,9 @@ class TestCli:
 
     def test_missing_records_exit_code(self, tmp_path):
         assert main(["summarise", str(tmp_path / "none.jsonl")]) == 3
+        missing = ["plot-data", str(tmp_path / "none.jsonl"), "--kind", "scaling"]
+        assert main([*missing, "--out", str(tmp_path / "plots")]) == 3
+        assert not (tmp_path / "plots").exists()
 
     def test_catalogue(self, capsys):
         assert main(["catalogue"]) == 0
@@ -519,6 +540,46 @@ def test_write_and_load_records_roundtrip(tmp_path):
     loaded = load_records(jsonl)
     assert [r.repeat for r in loaded] == [0, 1, 2]
     assert loaded[0] == records[0]
+
+
+def test_csv_header_rows(tmp_path):
+    hybrid = HybridRecord(
+        config_hash="h",
+        kind="hybrid_study",
+        function="sphere",
+        dims=2,
+        n_points=8,
+        depth=1,
+        repeat=0,
+        seed=0,
+        success=True,
+        fev_qmoa=1,
+        fev_nelder_mead=2,
+        fev_assisted=3,
+        seeds_tried=1,
+        baseline_fev=4,
+        baseline_success=False,
+        baseline_restarts=0,
+        speedup=1.5,
+        wall_time=0.1,
+    )
+    path = tmp_path / "records.csv"
+    write_csv([hybrid, fake_record(wavepacket_centres=[0.5, -1.0])], path)
+    lines = path.read_text().splitlines()
+    assert lines[0] == (
+        "config_hash,kind,algorithm,function,dims,n_points,depth,repeat,seed,"
+        "expectation,mean_error,statistical_distance,max_amplification,"
+        "max_amplified_index,max_amplified_rank,evaluations,wall_time,params,"
+        "wavepacket_centres,bound_halfwidth"
+    )
+    assert lines[1].endswith(',"[0.1, 0.2]","[0.5, -1.0]",')
+    assert lines[2] == (
+        "config_hash,kind,function,dims,n_points,depth,repeat,seed,success,"
+        "fev_qmoa,fev_nelder_mead,fev_assisted,seeds_tried,baseline_fev,"
+        "baseline_success,baseline_restarts,speedup,wall_time"
+    )
+    assert lines[3] == "h,hybrid_study,sphere,2,8,1,0,0,True,1,2,3,1,4,False,0,1.5,0.1"
+    assert len(lines[0].split(",")) == 20 and len(lines[2].split(",")) == 18
 
 
 def test_append_records_fsyncs_each_append(tmp_path, monkeypatch):
