@@ -36,7 +36,8 @@ def summarise(records: list, group_by: list[str]) -> list[dict]:
             except AttributeError as exc:
                 raise ValueError(f"unknown group-by key: {exc}") from None
             groups.setdefault(key, []).append(r)
-        for key in sorted(groups, key=lambda k: tuple(str(v) for v in k)):
+        # by value, with None (e.g. an unset bound_halfwidth) after every value
+        for key in sorted(groups, key=lambda k: tuple((v is None, v) for v in k)):
             members = groups[key]
             row = dict(zip(group_by, key))
             row["n"] = len(members)

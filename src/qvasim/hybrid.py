@@ -7,6 +7,10 @@ located to within epsilon. Costs are compared against plain random-restart
 simplex search through the accounting identity
 
     fev_assisted = sample_size * (p + 1) * fev_qmoa + fev_nelder_mead
+
+Sample minima are grid points, so most launches repeat an earlier start.
+Every launch is counted in ``fev_nelder_mead``, but the deterministic simplex
+run from a repeated start is not re-run: its evaluation count is reused.
 """
 
 from __future__ import annotations
@@ -16,7 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ansatz import Algorithm, AnsatzSpec, ParameterVector, Propagator
-from .engine import GAMMA_RANGE, WALK_TIME_RANGE, OptimiserOptions, nelder_mead
+from .engine import (
+    GAMMA_RANGE,
+    WALK_TIME_RANGE,
+    NelderMeadResult,
+    OptimiserOptions,
+    nelder_mead,
+)
 from .functions import TestFunction, get_function
 from .grid import ObjectiveTable, SolutionGrid, build_objective, make_grid
 from .mixers import CirculantGraph
@@ -59,6 +69,8 @@ class HybridRunResult:
     success: bool
     accounting: HybridAccounting
     seeds_tried: int
+    # simplex runs actually made; repeated starts reuse an earlier run
+    distinct_starts: int
 
 
 def speedup(baseline_fev: int, accounting: HybridAccounting) -> float:
@@ -75,6 +87,11 @@ def _scipy_default_options(n_params: int) -> OptimiserOptions:
         max_evaluations=200 * n_params,
         adaptive=False,
     )
+
+
+def _classical_search(f: TestFunction, start: np.ndarray) -> NelderMeadResult:
+    """One plain simplex run on ``f`` from ``start`` with the default settings."""
+    return nelder_mead(lambda x: float(f.fn(x)), start, _scipy_default_options(len(start)))
 
 
 def hybrid_optimise(
@@ -96,6 +113,12 @@ def hybrid_optimise(
     the recorded minima seed continuous Nelder-Mead runs in the order they
     were collected; the procedure stops at the first run reaching
     f <= f_min + epsilon.
+
+    Every launch counts towards ``seeds_tried`` and ``fev_nelder_mead``, but
+    a start reached again is not re-run: the run is deterministic, and a
+    repeated start has always failed before (success ends the loop), so its
+    earlier evaluation count is added again. ``distinct_starts`` counts the
+    runs actually made.
     """
     f = get_function(function) if isinstance(function, str) else function
     if grid is None:
@@ -113,14 +136,14 @@ def hybrid_optimise(
     coords = grid.coordinate_columns()
     propagator = Propagator(spec, table, grid)
 
-    sample_minima: list[np.ndarray] = []
+    sample_minima: list[int] = []
     estimations = [0]
 
     def sampled_objective(flat: np.ndarray) -> float:
         estimations[0] += 1
         ks = sample(propagator.state(flat), rng, sample_size)
         values = table.values[ks]
-        sample_minima.append(coords[:, ks[np.argmin(values)]].copy())
+        sample_minima.append(int(ks[np.argmin(values)]))
         return float(np.mean(values))
 
     n_params = depth * (1 + times_per_layer)
@@ -136,14 +159,19 @@ def hybrid_optimise(
     found_x = None
     found_value = None
     seeds_tried = 0
-    for start in sample_minima:
+    failed: dict[int, int] = {}  # grid index of a failed start -> its evaluations
+    for k in sample_minima:
         seeds_tried += 1
-        result = nelder_mead(lambda x: float(f.fn(x)), start, _scipy_default_options(dims))
+        if k in failed:
+            fev_nm += failed[k]
+            continue
+        result = _classical_search(f, coords[:, k])
         fev_nm += result.evaluations
         if result.value <= threshold:
             found_x = result.x
             found_value = result.value
             break
+        failed[k] = result.evaluations
     accounting = HybridAccounting(
         fev_qmoa=fev_qmoa,
         fev_nelder_mead=fev_nm,
@@ -156,6 +184,7 @@ def hybrid_optimise(
         success=found_x is not None,
         accounting=accounting,
         seeds_tried=seeds_tried,
+        distinct_starts=len(failed) + (found_x is not None),
     )
 
 
@@ -184,7 +213,7 @@ def classical_baseline(
     while fev < max_evaluations:
         restarts += 1
         x0 = rng.uniform(lower, upper)
-        result = nelder_mead(lambda x: float(f.fn(x)), x0, _scipy_default_options(dims))
+        result = _classical_search(f, x0)
         fev += result.evaluations
         if result.value <= threshold:
             return BaselineResult(fev, True, restarts, result.x)

@@ -147,10 +147,11 @@ def sample(state: StateVector, rng: np.random.Generator, shots: int) -> np.ndarr
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    drift = state.norm_drift()
+    probabilities = probabilities_of(state.amplitudes)
+    drift = abs(1.0 - float(np.sum(probabilities)))
     if drift > 1e-8:
         raise ValueError(f"state is not normalised (norm drift {drift:.3e})")
-    cdf = np.cumsum(state.probabilities())
+    cdf = np.cumsum(probabilities)
     cdf[-1] = 1.0
     draws = rng.random(shots)
     return np.searchsorted(cdf, draws, side="right").astype(np.int64)

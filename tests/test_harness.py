@@ -390,6 +390,25 @@ class TestSummarise:
         rows = summarise(records, ["algorithm"])
         assert rows[0]["expectation_pstd"] == 0.0
 
+    def test_groups_ordered_by_value(self):
+        rows = summarise([fake_record(depth=d) for d in (10, 1, 2)], ["depth"])
+        assert [row["depth"] for row in rows] == [1, 2, 10]
+
+    def test_none_group_value_sorts_last(self):
+        records = [
+            fake_record(depth=2, bound_halfwidth=None),
+            fake_record(depth=1, bound_halfwidth=10.0),
+            fake_record(depth=1, bound_halfwidth=None),
+            fake_record(depth=1, bound_halfwidth=2.0),
+        ]
+        rows = summarise(records, ["depth", "bound_halfwidth"])
+        assert [(row["depth"], row["bound_halfwidth"]) for row in rows] == [
+            (1, 2.0),
+            (1, 10.0),
+            (1, None),
+            (2, None),
+        ]
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="group-by"):
             summarise([fake_record()], ["nonsense"])

@@ -142,6 +142,13 @@ class TestSampling:
         with pytest.raises(ValueError, match="normalised"):
             sample(state, np.random.default_rng(0), 1)
 
+    def test_rejects_small_drift_above_threshold(self):
+        amps = equal_superposition(16).amplitudes * np.sqrt(1 + 1e-7)
+        with pytest.raises(ValueError, match="normalised"):
+            sample(StateVector(amps, (16,)), np.random.default_rng(0), 1)
+        within = equal_superposition(16).amplitudes * np.sqrt(1 + 1e-10)
+        assert sample(StateVector(within, (16,)), np.random.default_rng(0), 1).shape == (1,)
+
     def test_rejects_zero_shots(self):
         with pytest.raises(ValueError):
             sample(equal_superposition(2), np.random.default_rng(0), 0)
