@@ -54,8 +54,12 @@ class AnsatzSpec:
 
     ``graphs`` supplies the per-dimension circulant graphs (QMOA only).
     ``shared_walk_time`` collapses the QMOA walk times to one parameter per
-    layer instead of one per dimension. ``initial_state`` is either the
-    string "equal" or a WavepacketSpec.
+    layer instead of one per dimension. ``initial_state`` is one of:
+
+    * "equal": the equal superposition over the grid;
+    * a WavepacketSpec: that Gaussian wavepacket, used as given;
+    * "gaussian" (QOWE only): a wavepacket whose centres the optimiser draws
+      per repeat, with width 1/sqrt(2).
     """
 
     algorithm: Algorithm
@@ -71,10 +75,14 @@ class AnsatzSpec:
             raise ValueError("QMOA needs one circulant graph per dimension")
         if self.algorithm is not Algorithm.QMOA and self.graphs is not None:
             raise ValueError("only QMOA takes mixing graphs")
-        if isinstance(self.initial_state, str) and self.initial_state != "equal":
+        mode = self.initial_state
+        if isinstance(mode, str) and mode not in ("equal", "gaussian"):
             raise ValueError(
-                f"initial_state must be 'equal' or a WavepacketSpec, got {self.initial_state!r}"
+                "initial_state must be 'equal', 'gaussian' or a WavepacketSpec, "
+                f"got {mode!r}"
             )
+        if mode == "gaussian" and self.algorithm is not Algorithm.QOWE:
+            raise ValueError("only QOWE takes a 'gaussian' initial state")
 
     def walk_times_per_layer(self, dims: int) -> int:
         if self.algorithm in (Algorithm.QAOA_COMPLETE, Algorithm.QAOA_HYPERCUBE):
@@ -137,6 +145,11 @@ class ParameterVector:
 def initial_state(spec: AnsatzSpec, grid: SolutionGrid) -> StateVector:
     if isinstance(spec.initial_state, WavepacketSpec):
         return gaussian_wavepacket(grid, spec.initial_state)
+    if spec.initial_state == "gaussian":
+        raise ValueError(
+            "a 'gaussian' initial state has no centres yet; the optimiser draws "
+            "them, or pass a WavepacketSpec"
+        )
     return grid_superposition(grid)
 
 

@@ -11,7 +11,11 @@ Protocol implemented here:
   non-increasing in depth;
 * the wavepacket-evolution algorithm is optimised inside expanding parameter
   bounds, growing by a factor of 1.2 whenever the optimum pins against a
-  bound, up to a half-width of 2*pi.
+  bound, up to a half-width of 2*pi;
+* a "gaussian" initial state gets wavepacket centres drawn per repeat (the
+  identity-extension repeat keeps the warm start's), with width 1/sqrt(2); a
+  supplied WavepacketSpec is used as given. Either way the centres are
+  reported with the repeat.
 """
 
 from __future__ import annotations
@@ -109,13 +113,15 @@ def nelder_mead(
     x0 = np.asarray(x0, dtype=float)
     if not np.all(np.isfinite(x0)):
         raise ValueError("starting point must be finite")
-    f0 = float(objective(np.clip(x0, *_bound_arrays(options.bounds)) if options.bounds is not None else x0))
-    if not np.isfinite(f0):
-        raise ValueError(f"objective is not finite at the starting point ({f0})")
     bounds = None
+    start = x0
     if options.bounds is not None:
         lo, hi = _bound_arrays(options.bounds)
         bounds = sciopt.Bounds(lo, hi)
+        start = np.clip(x0, lo, hi)
+    f0 = float(objective(start))
+    if not np.isfinite(f0):
+        raise ValueError(f"objective is not finite at the starting point ({f0})")
     scipy_options = {
         "maxiter": options.max_iterations,
         "xatol": options.simplex_tolerance,
@@ -302,7 +308,9 @@ def run_single_repeat(
     started = time.perf_counter()
     rng = np.random.default_rng(seed)
     centres = None
-    if spec.algorithm is Algorithm.QOWE and spec.initial_state != "equal":
+    if isinstance(spec.initial_state, WavepacketSpec):
+        centres = spec.initial_state.centres
+    elif spec.initial_state == "gaussian":
         if identity_extension and warm is not None and warm.wavepacket_centres is not None:
             centres = warm.wavepacket_centres
         else:

@@ -13,7 +13,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import ALGORITHM_LABELS, ConfigError, load_config
+from .config import ALGORITHM_LABELS, KINDS, ConfigError, load_config
 from .runner import load_records, run_experiment
 from .summary import PLOT_KINDS, emit_plot_data, summarise, write_summary_csv
 
@@ -111,8 +111,7 @@ def _cmd_catalogue() -> int:
         print(f"  {label}")
     print("  qmoa_banded_<s>    (circulant band of half-width s)")
     print("graphs: complete, cycle, banded(s)")
-    print("experiment kinds: depth_sweep, mixer_comparison, degree_sweep, "
-          "scaling_study, hybrid_study")
+    print("experiment kinds: " + ", ".join(KINDS))
     return 0
 
 

@@ -8,7 +8,8 @@ A config file describes one experiment. Keys (YAML):
     dims: 3
     n_points: 32
     depth_range: [1, 8]          # inclusive, contiguous (warm-start chaining);
-                                 # scaling_study: at least three depths (the fit)
+                                 # scaling_study: at least three depths (the fit);
+                                 # hybrid_study: one depth (or ``depth: 5``)
     repeats: 10
     base_seed: 42
     output_dir: runs/my-experiment
@@ -27,6 +28,13 @@ counts at other depths.
 
 CLI flags may override single keys; the config hash covers every semantically
 relevant field (everything except ``output_dir``).
+
+Cells: ``ExperimentConfig.cells()`` is the one list of (label, function, D, N)
+cells a config runs, in run order. ``validate()`` rejects a config with no
+cells, a hybrid study over more than one depth, and any cell the runner could
+not set up (function undefined at D, grid off the power-of-two or qubit-cap
+rules, unknown or out-of-range algorithm label), so a config error surfaces
+before any record is written.
 """
 
 from __future__ import annotations
@@ -37,6 +45,11 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import yaml
+
+from ..ansatz import Algorithm, AnsatzSpec
+from ..functions import FUNCTIONS, get_function
+from ..grid import GridError, SolutionGrid, make_grid
+from ..mixers import CirculantGraph
 
 KINDS = ("depth_sweep", "mixer_comparison", "degree_sweep", "scaling_study", "hybrid_study")
 
@@ -86,13 +99,33 @@ class ExperimentConfig:
         lo, hi = self.depth_range
         return list(range(lo, hi + 1))
 
-    def validate(self) -> "ExperimentConfig":
-        from ..functions import FUNCTIONS
+    def cells(self) -> list[tuple[str | None, str, int, int]]:
+        """Every (label, function, D, N) cell this config runs, in run order.
 
+        Hybrid-study cells have no algorithm label.
+        """
+        if self.kind == "hybrid_study":
+            dims_list = self.dims_list or [self.dims]
+            return [(None, f, d, self.n_points) for f in self.functions for d in dims_list]
+        if self.kind == "degree_sweep":
+            labels = [f"qmoa_banded_{s}" for s in self.bandwidths]
+        else:
+            labels = self.algorithms
+        if self.kind == "scaling_study":
+            sizes = [(d, n) for d in self.dims_list for n in self.grid_sizes]
+        else:
+            sizes = [(self.dims, self.n_points)]
+        return [(label, f, d, n) for d, n in sizes for label in labels for f in self.functions]
+
+    def cell_grid(self, function_name: str, dims: int, n_points: int) -> SolutionGrid:
+        """The grid of one cell: the function's domain at D, N points, this qubit cap."""
+        lower, upper = get_function(function_name).domain(dims)
+        return make_grid(lower, upper, n_points, qubit_cap=self.qubit_cap)
+
+    def validate(self) -> "ExperimentConfig":
+        """Check the config and set up every cell as the runner will; returns self."""
         if self.kind not in KINDS:
             raise ConfigError(f"unknown kind {self.kind!r}; one of {KINDS}")
-        if not self.functions:
-            raise ConfigError("at least one function is required")
         for name in self.functions:
             if name not in FUNCTIONS:
                 raise ConfigError(f"unknown function {name!r}")
@@ -101,25 +134,74 @@ class ExperimentConfig:
             raise ConfigError(f"depth_range must be non-empty ascending, got {self.depth_range}")
         if self.repeats < 1:
             raise ConfigError("repeats must be >= 1")
-        if self.kind == "degree_sweep":
-            if not self.bandwidths:
-                raise ConfigError("degree_sweep needs a bandwidths list")
-        elif self.kind == "scaling_study":
-            if not self.dims_list or not self.grid_sizes:
-                raise ConfigError("scaling_study needs dims_list and grid_sizes")
-            if hi - lo < 2:
-                raise ConfigError(
-                    f"scaling_study fits need at least three depths, got {self.depth_range}"
-                )
-        elif self.kind != "hybrid_study" and not self.algorithms:
-            raise ConfigError("at least one algorithm is required")
+        if self.kind == "scaling_study" and hi - lo < 2:
+            raise ConfigError(
+                f"scaling_study fits need at least three depths, got {self.depth_range}"
+            )
+        if self.kind == "hybrid_study" and hi != lo:
+            raise ConfigError(
+                f"hybrid_study runs one depth, got depth_range {self.depth_range}"
+            )
         for label in self.algorithms:
-            if label not in ALGORITHM_LABELS and not label.startswith("qmoa_banded_"):
-                raise ConfigError(
-                    f"unknown algorithm {label!r}; one of {ALGORITHM_LABELS} "
-                    "or qmoa_banded_<s>"
-                )
+            if label not in ALGORITHM_LABELS:
+                _bandwidth(label)
+        cells = self.cells()
+        if not cells:
+            raise ConfigError(
+                f"{self.kind} config has no cells: functions, algorithms, bandwidths, "
+                "dims_list or grid_sizes is empty"
+            )
+        for label, name, dims, n_points in cells:
+            if not FUNCTIONS[name].supports(dims):
+                raise ConfigError(f"{name} is not defined for D={dims}")
+            try:
+                self.cell_grid(name, dims, n_points)
+            except GridError as exc:
+                raise ConfigError(f"{name} at D={dims}: {exc}") from exc
+            if label is not None:
+                build_ansatz_spec(label, dims, n_points, self.shared_walk_time)
         return self
+
+
+def _bandwidth(label: str) -> int:
+    """The half-width s of a ``qmoa_banded_<s>`` label."""
+    prefix, _, width = label.rpartition("_")
+    if prefix != "qmoa_banded":
+        raise ConfigError(
+            f"unknown algorithm {label!r}; one of {ALGORITHM_LABELS} or qmoa_banded_<s>"
+        )
+    try:
+        return int(width)
+    except ValueError:
+        raise ConfigError(f"bandwidth of {label!r} is not an integer") from None
+
+
+def build_ansatz_spec(
+    label: str, dims: int, n_points: int, shared_walk_time: bool = False
+) -> AnsatzSpec:
+    """Resolve a config algorithm label into an AnsatzSpec (depth 1)."""
+    if label == "qaoa_complete":
+        return AnsatzSpec(Algorithm.QAOA_COMPLETE, 1)
+    if label == "qaoa_hypercube":
+        return AnsatzSpec(Algorithm.QAOA_HYPERCUBE, 1)
+    if label == "qowe_gaussian":
+        return AnsatzSpec(Algorithm.QOWE, 1, initial_state="gaussian")
+    if label == "qowe_equal":
+        return AnsatzSpec(Algorithm.QOWE, 1, initial_state="equal")
+    if label == "qmoa_complete":
+        graph = CirculantGraph.complete(n_points)
+    elif label == "qmoa_cycle":
+        graph = CirculantGraph.cycle(n_points)
+    else:
+        bandwidth = _bandwidth(label)
+        if bandwidth < 1 or bandwidth > n_points // 2:
+            raise ConfigError(
+                f"bandwidth {bandwidth} out of range [1, {n_points // 2}] for N={n_points}"
+            )
+        graph = CirculantGraph.banded(n_points, bandwidth)
+    return AnsatzSpec(
+        Algorithm.QMOA, 1, graphs=(graph,) * dims, shared_walk_time=shared_walk_time
+    )
 
 
 def _coerce(raw: dict) -> ExperimentConfig:

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from ..analysis import fit_scaling, metrics_for_state
-from ..ansatz import Algorithm, AnsatzSpec, ParameterVector
+from ..ansatz import ParameterVector
 from ..engine import (
     DepthResult,
     OptimiserOptions,
@@ -36,11 +36,9 @@ from ..engine import (
     parallel_map,
 )
 from ..functions import get_function
-from ..grid import build_objective, make_grid
+from ..grid import build_objective
 from ..hybrid import classical_baseline, hybrid_optimise, speedup
-from ..mixers import CirculantGraph
-from ..states import WavepacketSpec
-from .config import ConfigError, ExperimentConfig, config_hash, seed_for
+from .config import ExperimentConfig, build_ansatz_spec, config_hash, seed_for
 
 # Importable from this module for the benchmark's tracer (bench/tracing.py),
 # which rebinds it here; sweeps reach it through engine.depth_sweep.
@@ -103,37 +101,6 @@ class HybridRecord:
 
     def key(self) -> tuple:
         return (self.function, self.dims, self.n_points, self.depth, self.repeat)
-
-
-def build_ansatz_spec(
-    label: str, dims: int, n_points: int, shared_walk_time: bool = False
-) -> AnsatzSpec:
-    """Resolve a config algorithm label into an AnsatzSpec (depth 1)."""
-    if label == "qaoa_complete":
-        return AnsatzSpec(Algorithm.QAOA_COMPLETE, 1)
-    if label == "qaoa_hypercube":
-        return AnsatzSpec(Algorithm.QAOA_HYPERCUBE, 1)
-    if label == "qowe_gaussian":
-        placeholder = WavepacketSpec(np.zeros(dims), np.full(dims, 1.0))
-        return AnsatzSpec(Algorithm.QOWE, 1, initial_state=placeholder)
-    if label == "qowe_equal":
-        return AnsatzSpec(Algorithm.QOWE, 1, initial_state="equal")
-    if label == "qmoa_complete":
-        graph = CirculantGraph.complete(n_points)
-    elif label == "qmoa_cycle":
-        graph = CirculantGraph.cycle(n_points)
-    elif label.startswith("qmoa_banded_"):
-        bandwidth = int(label.rsplit("_", 1)[1])
-        if bandwidth < 1 or bandwidth > n_points // 2:
-            raise ConfigError(
-                f"bandwidth {bandwidth} out of range [1, {n_points // 2}] for N={n_points}"
-            )
-        graph = CirculantGraph.banded(n_points, bandwidth)
-    else:
-        raise ConfigError(f"unknown algorithm label {label!r}")
-    return AnsatzSpec(
-        Algorithm.QMOA, 1, graphs=(graph,) * dims, shared_walk_time=shared_walk_time
-    )
 
 
 def _records_path(config: ExperimentConfig) -> Path:
@@ -235,12 +202,8 @@ def _run_sweep_cell(
     workers: int | None,
 ) -> list[ExperimentRecord]:
     """Warm-start-chained depth sweep for one (algorithm, function, D, N)."""
-    fn = get_function(function_name)
-    if not fn.supports(dims):
-        raise ConfigError(f"{function_name} is not defined for D={dims}")
-    lower, upper = fn.domain(dims)
-    grid = make_grid(lower, upper, n_points, qubit_cap=config.qubit_cap)
-    table = build_objective(grid, fn.fn)
+    grid = config.cell_grid(function_name, dims, n_points)
+    table = build_objective(grid, get_function(function_name).fn)
     spec = build_ansatz_spec(label, dims, n_points, config.shared_walk_time)
     times_per_layer = spec.walk_times_per_layer(dims)
     options = OptimiserOptions(**asdict(config.optimiser))
@@ -307,18 +270,9 @@ def _run_sweep_cell(
 
 
 def _sweep_kind(config: ExperimentConfig, workers: int | None) -> list[ExperimentRecord]:
-    if config.kind == "degree_sweep":
-        labels = [f"qmoa_banded_{s}" for s in config.bandwidths]
-    else:
-        labels = config.algorithms
-    if config.kind == "scaling_study":
-        sizes = [(d, n) for d in config.dims_list for n in config.grid_sizes]
-    else:
-        sizes = [(config.dims, config.n_points)]
-    cells = [(label, f, d, n) for d, n in sizes for label in labels for f in config.functions]
     existing = _existing(config, ExperimentRecord)
     records = list(existing.values())
-    for label, function_name, dims, n_points in cells:
+    for label, function_name, dims, n_points in config.cells():
         records.extend(
             _run_sweep_cell(config, label, function_name, dims, n_points, existing, workers)
         )
@@ -349,7 +303,8 @@ def _emit_scaling_fits(config: ExperimentConfig, records: list[ExperimentRecord]
 
 def _hybrid_repeat(task: tuple) -> HybridRecord:
     """One assisted run and its classical baseline, as a record."""
-    config, chash, function_name, dims, repeat = task
+    config, chash, function_name, grid, repeat = task
+    dims = grid.dims
     depth = config.depth_range[0]
     seed = seed_for(config.base_seed, 1000 * dims + depth, repeat)
     baseline_seed = seed_for(config.base_seed, 1000 * dims + depth, repeat + 10**6)
@@ -357,11 +312,12 @@ def _hybrid_repeat(task: tuple) -> HybridRecord:
     run = hybrid_optimise(
         function_name,
         dims,
-        config.n_points,
+        grid.points_per_dim,
         depth,
         epsilon=config.epsilon,
         seed=seed,
         sample_size=config.sample_size,
+        grid=grid,
     )
     base = classical_baseline(
         function_name, dims, epsilon=config.epsilon, seed=baseline_seed
@@ -371,7 +327,7 @@ def _hybrid_repeat(task: tuple) -> HybridRecord:
         kind=config.kind,
         function=function_name,
         dims=dims,
-        n_points=config.n_points,
+        n_points=grid.points_per_dim,
         depth=depth,
         repeat=repeat,
         seed=seed,
@@ -393,19 +349,18 @@ def _hybrid_kind(config: ExperimentConfig, workers: int | None) -> list[HybridRe
     existing = _existing(config, HybridRecord)
     records = list(existing.values())
     depth = config.depth_range[0]
-    dims_list = config.dims_list or [config.dims]
     path = _records_path(config)
-    for function_name in config.functions:
-        for dims in dims_list:
-            todo = [
-                (config, chash, function_name, dims, repeat)
-                for repeat in range(config.repeats)
-                if (function_name, dims, config.n_points, depth, repeat) not in existing
-            ]
-            fresh = parallel_map(_hybrid_repeat, todo, workers)
-            if fresh:
-                _append_records(path, fresh)
-                records.extend(fresh)
+    for _, function_name, dims, n_points in config.cells():
+        grid = config.cell_grid(function_name, dims, n_points)
+        todo = [
+            (config, chash, function_name, grid, repeat)
+            for repeat in range(config.repeats)
+            if (function_name, dims, n_points, depth, repeat) not in existing
+        ]
+        fresh = parallel_map(_hybrid_repeat, todo, workers)
+        if fresh:
+            _append_records(path, fresh)
+            records.extend(fresh)
     return records
 
 

@@ -49,7 +49,6 @@ class HybridAccounting:
     sample_size: int
     depth: int
     fev_assisted: int = 0
-    speedup: float | None = None
 
     def __post_init__(self) -> None:
         expected = self.sample_size * (self.depth + 1) * self.fev_qmoa + self.fev_nelder_mead

@@ -484,9 +484,7 @@ class TestQoweProtocol:
 
     def test_wavepacket_repeats_redraw_centres(self):
         grid, table = small_problem(dims=2, n=8)
-        spec = AnsatzSpec(
-            Algorithm.QOWE, 1, initial_state=WavepacketSpec([0.0, 0.0], [1.0, 1.0])
-        )
+        spec = AnsatzSpec(Algorithm.QOWE, 1, initial_state="gaussian")
         result = optimise_at_depth(spec, table, grid, 1, repeats=2, seeds=11)
         c0 = result.repeats[0].wavepacket_centres
         c1 = result.repeats[1].wavepacket_centres
@@ -495,9 +493,7 @@ class TestQoweProtocol:
 
     def test_warm_identity_repeat_reuses_centres(self):
         grid, table = small_problem(dims=2, n=8)
-        spec = AnsatzSpec(
-            Algorithm.QOWE, 1, initial_state=WavepacketSpec([0.0, 0.0], [1.0, 1.0])
-        )
+        spec = AnsatzSpec(Algorithm.QOWE, 1, initial_state="gaussian")
         first = optimise_at_depth(spec, table, grid, 1, repeats=2, seeds=11)
         second = optimise_at_depth(
             spec, table, grid, 2, warm_start=first.warm_start(), repeats=2, seeds=13
@@ -505,3 +501,20 @@ class TestQoweProtocol:
         assert np.array_equal(
             second.repeats[0].wavepacket_centres, first.best.wavepacket_centres
         )
+
+    def test_supplied_wavepacket_used_as_given(self):
+        grid, table = small_problem(dims=2, n=8)
+        packet = WavepacketSpec([1.5, -1.5], [0.3, 0.3])
+        spec = AnsatzSpec(Algorithm.QOWE, 1, initial_state=packet)
+        result = optimise_at_depth(spec, table, grid, 1, repeats=2, seeds=11)
+        for repeat in result.repeats:
+            assert np.array_equal(repeat.wavepacket_centres, [1.5, -1.5])
+            replayed = objective_value(spec, repeat.params, table, grid)
+            assert replayed == repeat.expectation
+
+    def test_gaussian_mode_needs_drawn_centres(self):
+        grid, _ = small_problem(dims=2, n=8)
+        with pytest.raises(ValueError, match="centres"):
+            initial_state(AnsatzSpec(Algorithm.QOWE, 1, initial_state="gaussian"), grid)
+        with pytest.raises(ValueError, match="only QOWE"):
+            AnsatzSpec(Algorithm.QAOA_COMPLETE, 1, initial_state="gaussian")

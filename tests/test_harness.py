@@ -2,9 +2,11 @@ import json
 import logging
 import os
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from qvasim.harness import (
     ConfigError,
@@ -147,6 +149,53 @@ class TestConfig:
         seeds = {seed_for(42, p, j) for p in range(1, 9) for j in range(10)}
         assert len(seeds) == 80
         assert seed_for(42, 1, 0) != seed_for(43, 1, 0)
+
+    @pytest.mark.parametrize("kind, extra, expected", [
+        (
+            "mixer_comparison",
+            {},
+            [("a", "f", 2, 4), ("a", "g", 2, 4), ("b", "f", 2, 4), ("b", "g", 2, 4)],
+        ),
+        (
+            "degree_sweep",
+            {"bandwidths": [1, 2]},
+            [
+                ("qmoa_banded_1", "f", 2, 4), ("qmoa_banded_1", "g", 2, 4),
+                ("qmoa_banded_2", "f", 2, 4), ("qmoa_banded_2", "g", 2, 4),
+            ],
+        ),
+        (
+            "scaling_study",
+            {"dims_list": [1, 3], "grid_sizes": [8, 16]},
+            [
+                (label, f, d, n)
+                for d in (1, 3) for n in (8, 16) for label in "ab" for f in "fg"
+            ],
+        ),
+        (
+            "hybrid_study",
+            {"dims_list": [1, 3]},
+            [(None, "f", 1, 4), (None, "f", 3, 4), (None, "g", 1, 4), (None, "g", 3, 4)],
+        ),
+        (
+            "hybrid_study",
+            {},
+            [(None, "f", 2, 4), (None, "g", 2, 4)],
+        ),
+    ])
+    def test_cells_in_run_order(self, kind, extra, expected):
+        # built without validate(): the order does not depend on the names
+        config = ExperimentConfig(
+            kind=kind, algorithms=["a", "b"], functions=["f", "g"], dims=2, n_points=4,
+            depth_range=(1, 1), repeats=1, base_seed=0, output_dir="out", **extra,
+        )
+        assert config.cells() == expected
+
+    @pytest.mark.parametrize(
+        "path", sorted(Path(__file__).parent.parent.glob("configs/*.yaml")), ids=lambda p: p.name
+    )
+    def test_shipped_configs_validate(self, path):
+        assert load_config(path).cells()
 
     def test_build_ansatz_spec_labels(self):
         from qvasim.ansatz import Algorithm
@@ -532,6 +581,38 @@ class TestCli:
         cfg = tmp_path / "bad.yaml"
         cfg.write_text("kind: nope\n")
         assert main(["run", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("overrides", [
+        {"kind": "degree_sweep", "algorithms": [], "bandwidths": [1, 9]},
+        {
+            "kind": "scaling_study", "functions": ["beale"], "dims_list": [2, 3],
+            "grid_sizes": [4], "depth_range": [1, 3],
+        },
+        {"n_points": 10},
+        {"kind": "hybrid_study", "algorithms": [], "functions": ["beale"], "dims_list": [2, 3]},
+        {"algorithms": ["qmoa_complete", "qmoa_banded_x"]},
+        {
+            "kind": "scaling_study", "algorithms": [], "dims_list": [2],
+            "grid_sizes": [4], "depth_range": [1, 3],
+        },
+        {"kind": "hybrid_study", "algorithms": [], "functions": ["sphere"], "depth_range": [1, 3]},
+    ], ids=[
+        "bandwidth_over_half_n", "function_undefined_at_later_dims", "n_not_power_of_two",
+        "hybrid_function_undefined_at_dims", "non_integer_bandwidth", "no_algorithms",
+        "hybrid_depth_range",
+    ])
+    def test_invalid_config_exits_before_running(self, tmp_path, capsys, overrides):
+        out = tmp_path / "out"
+        raw = {
+            "kind": "mixer_comparison", "algorithms": ["qmoa_complete"],
+            "functions": ["sphere"], "dims": 2, "n_points": 8, "depth_range": [1, 1],
+            "repeats": 1, "base_seed": 3, "output_dir": str(out), **overrides,
+        }
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(yaml.safe_dump(raw))
+        assert main(["run", str(cfg)]) == 2
+        assert "config error:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_records_exit_code(self, tmp_path):
         assert main(["summarise", str(tmp_path / "none.jsonl")]) == 3
