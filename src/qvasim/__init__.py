@@ -53,7 +53,6 @@ from .mixers import (
     MomentumGrid,
     centred_fourier,
     circulant_eigenvalues,
-    dense_walk_oracle,
     hypercube_mixer,
     phase_shift,
     qaoa_complete_mixer,

@@ -218,14 +218,6 @@ class DepthResult:
         return WarmStart(best.params, best.wavepacket_centres, best.bound_halfwidth)
 
 
-def _as_warm_start(warm) -> WarmStart | None:
-    if warm is None or isinstance(warm, WarmStart):
-        return warm
-    if isinstance(warm, ParameterVector):
-        return WarmStart(warm)
-    raise TypeError(f"warm start must be a ParameterVector or WarmStart, got {type(warm)}")
-
-
 def _resolve_seeds(seeds, repeats: int) -> list[int]:
     if np.isscalar(seeds):
         return [int(seeds) + j for j in range(repeats)]
@@ -404,7 +396,7 @@ def optimise_at_depth(
     table: ObjectiveTable,
     grid: SolutionGrid,
     p: int,
-    warm_start: WarmStart | ParameterVector | None = None,
+    warm_start: WarmStart | None = None,
     repeats: int = 10,
     seeds: int | Sequence[int] = 0,
     options: OptimiserOptions | None = None,
@@ -419,8 +411,10 @@ def optimise_at_depth(
     restored from a record log; only the other repeats are run, and the
     known results take their places in repeat order.
     """
+    warm = warm_start
+    if warm is not None and not isinstance(warm, WarmStart):
+        raise TypeError(f"warm start must be a WarmStart or None, got {type(warm)}")
     spec = spec.at_depth(p)
-    warm = _as_warm_start(warm_start)
     options = options or OptimiserOptions()
     seed_list = _resolve_seeds(seeds, repeats)
     done = done or {}
@@ -443,7 +437,6 @@ def depth_sweep(
     seed_fn: Callable[[int, int], int] | None = None,
     options: OptimiserOptions | None = None,
     workers: int | None = None,
-    warm_start: WarmStart | None = None,
     on_depth: Callable[[DepthResult], None] | None = None,
     done: Callable[[int], Mapping[int, RepeatResult]] | None = None,
 ) -> list[DepthResult]:
@@ -460,7 +453,7 @@ def depth_sweep(
         raise ValueError("depths must be strictly ascending")
     seed_fn = seed_fn or (lambda p, j: 1000 * p + j)
     results = []
-    warm = warm_start
+    warm = None
     for p in depths:
         seeds = [seed_fn(p, j) for j in range(repeats)]
         if warm is not None and warm.params.depth != p - 1:

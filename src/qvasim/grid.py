@@ -2,7 +2,8 @@
 
 A solution grid covers a rectangular domain with ``N`` points per dimension
 (both endpoints on-grid) and addresses the ``K = N**D`` points with a single
-vectorised index ``k`` in which dimension 0 varies fastest.
+vectorised index ``k`` in which dimension 0 varies fastest, so in the (N,)*D
+tensor dimension d lies on tensor axis ``tensor_axis(d, D)`` = D-1-d.
 """
 
 from __future__ import annotations
@@ -62,15 +63,22 @@ class SolutionGrid:
         Column k holds the coordinates of point k; dimension 0 occupies the
         least-significant base-N digits of k.
         """
-        n = self.points_per_dim
-        k_total = self.total_points
-        cols = np.empty((self.dims, k_total))
+        cols = np.empty((self.dims,) + self.tensor_shape)
         for d in range(self.dims):
-            axis = self.axis_coords(d)
-            reps_inner = n**d
-            reps_outer = k_total // (reps_inner * n)
-            cols[d] = np.tile(np.repeat(axis, reps_inner), reps_outer)
-        return cols
+            cols[d] = along_axis(self.axis_coords(d), d, self.dims)
+        return cols.reshape(self.dims, self.total_points)
+
+
+def tensor_axis(dim: int, dims: int) -> int:
+    """Tensor axis of grid dimension ``dim`` in an (N,)*D tensor; its own inverse."""
+    return dims - 1 - dim
+
+
+def along_axis(vector: np.ndarray, dim: int, dims: int) -> np.ndarray:
+    """A length-N vector of dimension ``dim``, shaped to broadcast along its tensor axis."""
+    shape = [1] * dims
+    shape[tensor_axis(dim, dims)] = -1
+    return np.reshape(vector, shape)
 
 
 def make_grid(
@@ -111,13 +119,10 @@ def index_to_coords(grid: SolutionGrid, k: int) -> np.ndarray:
     """Coordinates of grid point ``k``; dimension 0 varies fastest."""
     if not 0 <= k < grid.total_points:
         raise GridError(f"index {k} out of range for K={grid.total_points}")
-    n = grid.points_per_dim
-    rem = int(k)
-    out = np.empty(grid.dims)
-    for d in range(grid.dims):
-        out[d] = grid.axis_coords(d)[rem % n]
-        rem //= n
-    return out
+    digits = np.unravel_index(int(k), grid.tensor_shape)
+    return np.array(
+        [grid.axis_coords(d)[digits[tensor_axis(d, grid.dims)]] for d in range(grid.dims)]
+    )
 
 
 def coords_to_index(grid: SolutionGrid, coords: Sequence[float]) -> int:
@@ -128,11 +133,8 @@ def coords_to_index(grid: SolutionGrid, coords: Sequence[float]) -> int:
     digits = np.rint((coords - grid.lower) / grid.spacing).astype(int)
     if np.any(digits < 0) or np.any(digits >= grid.points_per_dim):
         raise GridError(f"coordinates {coords} lie outside the grid")
-    n = grid.points_per_dim
-    k = 0
-    for d in range(grid.dims - 1, -1, -1):
-        k = k * n + int(digits[d])
-    return k
+    by_axis = [digits[tensor_axis(a, grid.dims)] for a in range(grid.dims)]
+    return int(np.ravel_multi_index(by_axis, grid.tensor_shape))
 
 
 @dataclass(frozen=True)

@@ -3,24 +3,29 @@
 A config file describes one experiment. Keys (YAML):
 
     kind: depth_sweep | mixer_comparison | degree_sweep | scaling_study | hybrid_study
-    algorithms: [qmoa_complete, qaoa_hypercube, ...]
+    algorithms: [qmoa_complete, qaoa_hypercube, ...]  # not degree_sweep, hybrid_study
     functions: [styblinski_tang, ...]
     dims: 3
     n_points: 32
     depth_range: [1, 8]          # inclusive, contiguous (warm-start chaining);
                                  # scaling_study: at least three depths (the fit);
-                                 # hybrid_study: one depth (or ``depth: 5``)
+                                 # hybrid_study: one depth
     repeats: 10
     base_seed: 42
     output_dir: runs/my-experiment
     shared_walk_time: false      # walk-graph algorithms: one t per layer
     optimiser: {max_iterations: 1000000, simplex_tolerance: 1.0e-4,
                 value_tolerance: 1.0e-4, adaptive: true}
-    bandwidths: [1, 2, 4, 8, 16] # degree_sweep
-    dims_list: [2, 3, 4]         # scaling_study
-    grid_sizes: [16, 32]         # scaling_study
-    epsilon: 1.0e-4              # hybrid_study
-    sample_size: 30              # hybrid_study
+    bandwidths: [1, 2, 4, 8, 16] # degree_sweep only
+    dims_list: [2, 3, 4]         # scaling_study; hybrid_study (default [dims])
+    grid_sizes: [16, 32]         # scaling_study only
+    epsilon: 1.0e-4              # hybrid_study; > 0
+    sample_size: 30              # hybrid_study; >= 1
+
+A list key that the kind does not read must be empty or absent. The aliases
+``algorithm: x``, ``function: f`` and ``depth: p`` stand for ``algorithms:
+[x]``, ``functions: [f]`` and ``depth_range: [p, p]``; a file may give only
+one form of each, and a ``key=value`` override of either form replaces both.
 
 Seeds: every repeat's generator seed is ``seed_for(base_seed, depth, repeat)``,
 the first 8 bytes of blake2b over the decimal triple, independent of repeat
@@ -31,10 +36,10 @@ relevant field (everything except ``output_dir``).
 
 Cells: ``ExperimentConfig.cells()`` is the one list of (label, function, D, N)
 cells a config runs, in run order. ``validate()`` rejects a config with no
-cells, a hybrid study over more than one depth, and any cell the runner could
-not set up (function undefined at D, grid off the power-of-two or qubit-cap
-rules, unknown or out-of-range algorithm label), so a config error surfaces
-before any record is written.
+cells, a hybrid study over more than one depth, a list key the kind does not
+read, and any cell the runner could not set up (function undefined at D, grid
+off the power-of-two or qubit-cap rules, unknown or out-of-range algorithm
+label), so a config error surfaces before any record is written.
 """
 
 from __future__ import annotations
@@ -52,6 +57,17 @@ from ..grid import GridError, SolutionGrid, make_grid
 from ..mixers import CirculantGraph
 
 KINDS = ("depth_sweep", "mixer_comparison", "degree_sweep", "scaling_study", "hybrid_study")
+
+# The kinds that read each optional list key; under any other kind it must be empty.
+LIST_KEY_KINDS = {
+    "algorithms": ("depth_sweep", "mixer_comparison", "scaling_study"),
+    "bandwidths": ("degree_sweep",),
+    "dims_list": ("scaling_study", "hybrid_study"),
+    "grid_sizes": ("scaling_study",),
+}
+
+# Single-value aliases and the list keys they stand for.
+ALIASES = {"algorithm": "algorithms", "function": "functions", "depth": "depth_range"}
 
 ALGORITHM_LABELS = (
     "qmoa_complete",
@@ -134,6 +150,17 @@ class ExperimentConfig:
             raise ConfigError(f"depth_range must be non-empty ascending, got {self.depth_range}")
         if self.repeats < 1:
             raise ConfigError("repeats must be >= 1")
+        if self.sample_size < 1:
+            raise ConfigError(f"sample_size must be >= 1, got {self.sample_size}")
+        if not isinstance(self.epsilon, (int, float)) or not self.epsilon > 0:
+            # YAML reads 1e-4 as a string; 1.0e-4 is a float
+            raise ConfigError(f"epsilon must be a number > 0, got {self.epsilon!r}")
+        unread = [
+            key for key, kinds in LIST_KEY_KINDS.items()
+            if getattr(self, key) and self.kind not in kinds
+        ]
+        if unread:
+            raise ConfigError(f"{self.kind} does not read {unread}; leave them empty")
         if self.kind == "scaling_study" and hi - lo < 2:
             raise ConfigError(
                 f"scaling_study fits need at least three depths, got {self.depth_range}"
@@ -147,9 +174,9 @@ class ExperimentConfig:
                 _bandwidth(label)
         cells = self.cells()
         if not cells:
+            read = [k for k, kinds in LIST_KEY_KINDS.items() if self.kind in kinds]
             raise ConfigError(
-                f"{self.kind} config has no cells: functions, algorithms, bandwidths, "
-                "dims_list or grid_sizes is empty"
+                f"{self.kind} config has no cells: functions or one of {read} is empty"
             )
         for label, name, dims, n_points in cells:
             if not FUNCTIONS[name].supports(dims):
@@ -206,13 +233,13 @@ def build_ansatz_spec(
 
 def _coerce(raw: dict) -> ExperimentConfig:
     data = dict(raw)
-    if "algorithm" in data and "algorithms" not in data:
-        data["algorithms"] = [data.pop("algorithm")]
-    if "function" in data and "functions" not in data:
-        data["functions"] = [data.pop("function")]
-    if "depth" in data and "depth_range" not in data:
-        p = int(data.pop("depth"))
-        data["depth_range"] = (p, p)
+    for alias, key in ALIASES.items():
+        if alias not in data:
+            continue
+        if key in data:
+            raise ConfigError(f"config gives both {alias!r} and {key!r}; keep one")
+        value = data.pop(alias)
+        data[key] = (int(value),) * 2 if alias == "depth" else [value]
     opt = data.pop("optimiser", {})
     known = {f for f in ExperimentConfig.__dataclass_fields__}
     unknown = set(data) - known
@@ -246,7 +273,12 @@ def load_config(path, overrides: list[str] | None = None) -> ExperimentConfig:
         if "=" not in item:
             raise ConfigError(f"override must look like key=value, got {item!r}")
         key, value = item.split("=", 1)
-        raw[key.strip()] = yaml.safe_load(value)
+        key = key.strip()
+        for alias, full in ALIASES.items():
+            if key in (alias, full):
+                raw.pop(alias, None)
+                raw.pop(full, None)
+        raw[key] = yaml.safe_load(value)
     return _coerce(raw)
 
 

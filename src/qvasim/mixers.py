@@ -1,11 +1,12 @@
-"""Phase-shift and mixing unitaries, plus dense oracles for testing them.
+"""Phase-shift and mixing unitaries.
 
 Conventions fixed here and relied on everywhere else:
 
 * The discrete Fourier transform is the unitary one, kernel
   ``exp(-2j*pi*m*n/N) / sqrt(N)`` (``numpy.fft`` with ``norm="ortho"``).
-* Grid dimension d lives on tensor axis D-1-d (flat index k carries
-  dimension 0 in its least-significant base-N digits).
+* Grid dimension d lives on tensor axis ``grid.tensor_axis(d, D)`` = D-1-d
+  (flat index k carries dimension 0 in its least-significant base-N digits);
+  per-dimension factors are placed there by ``grid.along_axis``.
 * Mixers are pure: they return a new state and never renormalise.
 
 Each unitary has one implementation, an array-level kernel (``apply_phase``,
@@ -24,10 +25,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 import scipy.fft as sfft
 
-from .grid import ObjectiveTable, SolutionGrid
+from .grid import ObjectiveTable, SolutionGrid, along_axis, tensor_axis
 from .states import StateVector
-
-DENSE_ORACLE_CAP = 4096
 
 
 def phase_shift(state: StateVector, gamma: float, table: ObjectiveTable) -> StateVector:
@@ -116,12 +115,6 @@ def circulant_eigenvalues(graph: CirculantGraph) -> np.ndarray:
     return eig
 
 
-def _broadcast_shape(dims: int, dim: int, n: int) -> list[int]:
-    shape = [1] * dims
-    shape[dims - 1 - dim] = n
-    return shape
-
-
 def qmoa_spectra(
     graphs: tuple[CirculantGraph, ...], shape: tuple[int, ...]
 ) -> tuple[np.ndarray, ...]:
@@ -130,14 +123,10 @@ def qmoa_spectra(
     if len(graphs) != dims:
         raise ValueError(f"need one graph per dimension (D={dims}), got {len(graphs)}")
     for d, g in enumerate(graphs):
-        if g.size != shape[dims - 1 - d]:
-            raise ValueError(
-                f"graph for dimension {d} has {g.size} vertices, grid has {shape[dims - 1 - d]}"
-            )
-    return tuple(
-        circulant_eigenvalues(g).reshape(_broadcast_shape(dims, d, g.size))
-        for d, g in enumerate(graphs)
-    )
+        n = shape[tensor_axis(d, dims)]
+        if g.size != n:
+            raise ValueError(f"graph for dimension {d} has {g.size} vertices, grid has {n}")
+    return tuple(along_axis(circulant_eigenvalues(g), d, dims) for d, g in enumerate(graphs))
 
 
 def qmoa_mixer(
@@ -231,15 +220,12 @@ class MomentumGrid:
 
     Per dimension: dk = 2*pi / (N * dx), kappa_0 = dk * (-N + 1 + (N-1)//2),
     kappa_n = kappa_0 + n * dk, which places kappa = 0 on-grid and spans
-    [-N*dk/2, N*dk/2). The position-grid origin and spacing are kept because
-    the centred transform's phases depend on both grids.
+    [-N*dk/2, N*dk/2).
     """
 
     kappa_0: np.ndarray
     delta_kappa: np.ndarray
     values: np.ndarray
-    position_origin: np.ndarray
-    position_spacing: np.ndarray
 
     @classmethod
     def from_grid(cls, grid: SolutionGrid) -> "MomentumGrid":
@@ -247,15 +233,11 @@ class MomentumGrid:
         dk = 2.0 * np.pi / (n * grid.spacing)
         k0 = dk * (-n + 1 + (n - 1) // 2)
         values = k0[:, None] + np.arange(n)[None, :] * dk[:, None]
-        return cls(k0, dk, values, grid.lower.copy(), grid.spacing.copy())
+        return cls(k0, dk, values)
 
     @property
     def dims(self) -> int:
         return self.kappa_0.size
-
-    @property
-    def points_per_dim(self) -> int:
-        return self.values.shape[1]
 
 
 class CentredFactors(NamedTuple):
@@ -278,17 +260,16 @@ def centred_factors(
     dim: int, dims: int, grid: SolutionGrid, momentum: MomentumGrid
 ) -> CentredFactors:
     """Factors of the centred transform along grid dimension ``dim`` of a D-tensor."""
-    n = grid.points_per_dim
     x0 = grid.lower[dim]
     dx = grid.spacing[dim]
     k0 = momentum.kappa_0[dim]
     dk = momentum.delta_kappa[dim]
-    idx = np.arange(n)
-    pre = np.exp(-1j * k0 * dx * idx).reshape(_broadcast_shape(dims, dim, n))
-    post = np.exp(-1j * dk * x0 * idx).reshape(_broadcast_shape(dims, dim, n))
+    idx = np.arange(grid.points_per_dim)
+    pre = along_axis(np.exp(-1j * k0 * dx * idx), dim, dims)
+    post = along_axis(np.exp(-1j * dk * x0 * idx), dim, dims)
     scalar = np.exp(-1j * k0 * x0)
     return CentredFactors(
-        dims - 1 - dim, pre, post, scalar, pre.conj(), post.conj(), scalar.conj()
+        tensor_axis(dim, dims), pre, post, scalar, pre.conj(), post.conj(), scalar.conj()
     )
 
 
@@ -329,12 +310,8 @@ def qowe_factors(
     grid: SolutionGrid, momentum: MomentumGrid, dims: int
 ) -> tuple[tuple[CentredFactors, ...], tuple[np.ndarray, ...]]:
     """Per-dimension centred-transform factors and broadcast kappa^2 vectors."""
-    n = momentum.points_per_dim
     factors = tuple(centred_factors(d, dims, grid, momentum) for d in range(dims))
-    kappa_squared = tuple(
-        (momentum.values[d] ** 2).reshape(_broadcast_shape(dims, d, n))
-        for d in range(dims)
-    )
+    kappa_squared = tuple(along_axis(momentum.values[d] ** 2, d, dims) for d in range(dims))
     return factors, kappa_squared
 
 
@@ -376,65 +353,3 @@ def qowe_walk(
     for f in factors:
         psi = _centred_inverse(psi, f)
     return psi
-
-
-# --------------------------------------------------------------------------
-# Dense oracles (testing only; capped at K <= 4096)
-# --------------------------------------------------------------------------
-
-
-def dense_walk_oracle(adjacency: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i*t*A) via dense eigendecomposition of a symmetric adjacency."""
-    adjacency = np.asarray(adjacency, dtype=float)
-    k = adjacency.shape[0]
-    if adjacency.shape != (k, k) or k > DENSE_ORACLE_CAP:
-        raise ValueError(f"adjacency must be square with K <= {DENSE_ORACLE_CAP}")
-    if not np.allclose(adjacency, adjacency.T, atol=1e-12):
-        raise ValueError("adjacency must be symmetric")
-    eigvals, eigvecs = np.linalg.eigh(adjacency)
-    return (eigvecs * np.exp(-1j * t * eigvals)) @ eigvecs.conj().T
-
-
-def adjacency_matrix(graph: CirculantGraph) -> np.ndarray:
-    """Dense adjacency of a circulant graph."""
-    n = graph.size
-    a = np.zeros((n, n))
-    for j in graph.connection_set:
-        for v in range(n):
-            a[v, (v + j) % n] = 1.0
-            a[v, (v - j) % n] = 1.0
-    return a
-
-
-def hypercube_adjacency(m: int) -> np.ndarray:
-    """Dense adjacency of the M-dimensional hypercube on 2^M vertices."""
-    k = 1 << m
-    a = np.zeros((k, k))
-    for v in range(k):
-        for i in range(m):
-            a[v, v ^ (1 << i)] = 1.0
-    return a
-
-
-def lifted_adjacency(graphs: tuple[CirculantGraph, ...]) -> np.ndarray:
-    """sum_d I x ... x A_d x ... x I with dimension 0 least significant."""
-    dims = len(graphs)
-    sizes = [g.size for g in graphs]
-    k = int(np.prod(sizes))
-    total = np.zeros((k, k))
-    for d, g in enumerate(graphs):
-        term = adjacency_matrix(g)
-        for lower in range(d):
-            term = np.kron(term, np.eye(sizes[lower]))
-        for upper in range(d + 1, dims):
-            term = np.kron(np.eye(sizes[upper]), term)
-        total += term
-    return total
-
-
-def centred_fourier_matrix(momentum: MomentumGrid, dim: int) -> np.ndarray:
-    """Dense one-dimensional centred transform, elements exp(-i*k_m*x_n)/sqrt(N)."""
-    n = momentum.points_per_dim
-    x = momentum.position_origin[dim] + np.arange(n) * momentum.position_spacing[dim]
-    kappa = momentum.values[dim]
-    return np.exp(-1j * np.outer(kappa, x)) / np.sqrt(n)

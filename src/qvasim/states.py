@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import ObjectiveTable, SolutionGrid
+from .grid import ObjectiveTable, SolutionGrid, along_axis
 
 logger = logging.getLogger(__name__)
 
@@ -21,8 +21,8 @@ class StateVector:
     """K complex amplitudes with unit norm.
 
     ``tensor_shape`` records the (N, ..., N) layout used by dimension-wise
-    transforms; dimension d of the grid is the (D-1-d)-th tensor axis, so the
-    flat index k has dimension 0 in its least-significant base-N digits.
+    transforms; grid dimension d is tensor axis ``grid.tensor_axis(d, D)``, so
+    the flat index k has dimension 0 in its least-significant base-N digits.
     """
 
     amplitudes: np.ndarray
@@ -120,9 +120,7 @@ def gaussian_wavepacket(grid: SolutionGrid, spec: WavepacketSpec) -> StateVector
     for d in range(grid.dims):
         x = grid.axis_coords(d)
         profile = np.exp(-((x - spec.centres[d]) ** 2) / (2.0 * spec.widths[d] ** 2))
-        shape = [1] * grid.dims
-        shape[grid.dims - 1 - d] = grid.points_per_dim
-        amps = amps * profile.reshape(shape)
+        amps = amps * along_axis(profile, d, grid.dims)
     flat = amps.ravel()
     norm = np.sqrt(np.sum(flat**2))
     if norm == 0.0:

@@ -25,7 +25,13 @@ import qvasim as q
 from qvasim.ansatz import Algorithm
 from qvasim.harness import ExperimentConfig, run_experiment, summarise
 from qvasim.harness.runner import build_ansatz_spec
-from qvasim.mixers import adjacency_matrix, centred_fourier_matrix, hypercube_adjacency
+
+from oracles import (
+    adjacency_matrix,
+    centred_fourier_matrix,
+    dense_walk_oracle,
+    hypercube_adjacency,
+)
 
 FULL = os.environ.get("QVASIM_FULL_ACCEPTANCE") == "1"
 SCALING = os.environ.get("QVASIM_SCALING_ACCEPTANCE") == "1"
@@ -96,10 +102,10 @@ def test_criterion_2_oracle_equivalence():
                 # exp(-i sum_d t_d T_d) with commuting Kronecker lifts equals
                 # the Kronecker product of the per-dimension dense walks
                 # (dimension 0 in the least-significant slot)
-                dense_op = q.dense_walk_oracle(adjacency, float(times[0]))
+                dense_op = dense_walk_oracle(adjacency, float(times[0]))
                 for dim in range(1, d):
                     dense_op = np.kron(
-                        q.dense_walk_oracle(adjacency, float(times[dim])), dense_op
+                        dense_walk_oracle(adjacency, float(times[dim])), dense_op
                     )
                 dense = dense_op @ state.amplitudes
                 del dense_op
@@ -135,7 +141,7 @@ def test_criterion_2_oracle_equivalence():
         for d in (1, 2):
             grid = q.make_grid([-2.0] * d, [3.0] * d, n)
             momentum = q.MomentumGrid.from_grid(grid)
-            f1 = centred_fourier_matrix(momentum, 0)
+            f1 = centred_fourier_matrix(grid, momentum, 0)
             big_f = f1
             for _ in range(d - 1):
                 big_f = np.kron(f1, big_f)

@@ -23,10 +23,12 @@ from qvasim.engine import (
     optimise_at_depth,
 )
 from qvasim.grid import build_objective, make_grid, table_from_values
-from qvasim.mixers import CirculantGraph, adjacency_matrix, dense_walk_oracle
+from qvasim.mixers import CirculantGraph
 from qvasim.states import WavepacketSpec, expectation, grid_superposition
 from qvasim.analysis import rdgs_probability
 from qvasim.functions import get_function
+
+from oracles import adjacency_matrix, dense_walk_oracle
 
 
 def small_problem(dims=2, n=4, name="styblinski_tang"):
@@ -321,6 +323,12 @@ class TestOptimiseAtDepth:
         grid, table = small_problem()
         result = optimise_at_depth(qmoa_spec(2, 4), table, grid, 1, repeats=1)
         assert result.repeats[0].wall_time > 0.0
+
+    def test_warm_start_must_be_warm_start(self):
+        grid, table = small_problem()
+        bare = ParameterVector([0.5], [[1.0, 2.0]])
+        with pytest.raises(TypeError, match="WarmStart"):
+            optimise_at_depth(qmoa_spec(2, 4), table, grid, 2, warm_start=bare, repeats=1)
 
 
 class TestDepthSweep:

@@ -103,6 +103,22 @@ class TestIndexing:
         grid = make_grid([-5.12, -3.3], [5.12, 9.1], 32)
         assert coords_to_index(grid, index_to_coords(grid, k)) == k
 
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    @pytest.mark.parametrize("dims", [1, 2, 3, 4])
+    def test_layout_matches_tile_repeat_construction(self, dims, n):
+        # dimension d repeats each coordinate N^d times, then tiles the block
+        grid = make_grid(np.linspace(-3.1, 0.4, dims), np.linspace(1.7, 5.3, dims), n)
+        k_total = grid.total_points
+        expected = np.empty((dims, k_total))
+        for d in range(dims):
+            inner = n**d
+            outer = k_total // (inner * n)
+            expected[d] = np.tile(np.repeat(grid.axis_coords(d), inner), outer)
+        assert np.array_equal(grid.coordinate_columns(), expected)
+        for k in range(k_total):
+            assert np.array_equal(index_to_coords(grid, k), expected[:, k])
+            assert coords_to_index(grid, expected[:, k]) == k
+
     def test_columns_match_pointwise_coords(self):
         grid = make_grid([-2, 0, 1], [2, 8, 3], 8)
         cols = grid.coordinate_columns()

@@ -28,6 +28,9 @@ from qvasim.harness.runner import (
 from qvasim.harness.summary import PLOT_KINDS, emit_plot_data, write_summary_csv
 
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
 def tiny_config(tmp_path, **overrides) -> ExperimentConfig:
     base = dict(
         kind="mixer_comparison",
@@ -97,6 +100,31 @@ class TestConfig:
         config = load_config(path, ["repeats=3", "n_points=16"])
         assert config.repeats == 3
         assert config.n_points == 16
+
+    @pytest.mark.parametrize("name, override, field, expected", [
+        ("stf_depth_sweep.yaml", "depth=3", "depth_range", (3, 3)),
+        ("hybrid_study.yaml", "depth_range=[2, 2]", "depth_range", (2, 2)),
+        ("stf_depth_sweep.yaml", "algorithm=qaoa_complete", "algorithms", ["qaoa_complete"]),
+        ("stf_depth_sweep.yaml", "function=sphere", "functions", ["sphere"]),
+    ])
+    def test_override_replaces_alias_and_key(self, name, override, field, expected):
+        assert getattr(load_config(CONFIGS / name, [override]), field) == expected
+
+    @pytest.mark.parametrize("alias, key, value, listed", [
+        ("algorithm", "algorithms", "qmoa_complete", ["qmoa_complete"]),
+        ("function", "functions", "sphere", ["sphere"]),
+        ("depth", "depth_range", 2, [2, 2]),
+    ])
+    def test_alias_and_key_in_one_file_rejected(self, tmp_path, alias, key, value, listed):
+        raw = {
+            "kind": "depth_sweep", "algorithms": ["qmoa_complete"], "functions": ["sphere"],
+            "dims": 2, "n_points": 4, "depth_range": [1, 1], "repeats": 1,
+            "base_seed": 0, "output_dir": "out", alias: value, key: listed,
+        }
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        with pytest.raises(ConfigError, match=f"'{alias}' and '{key}'"):
+            load_config(path)
 
     def test_unknown_keys_rejected(self, tmp_path):
         path = tmp_path / "cfg.yaml"
@@ -596,10 +624,22 @@ class TestCli:
             "grid_sizes": [4], "depth_range": [1, 3],
         },
         {"kind": "hybrid_study", "algorithms": [], "functions": ["sphere"], "depth_range": [1, 3]},
+        {"bandwidths": [2]},
+        {"kind": "degree_sweep", "bandwidths": [1]},
+        {"kind": "hybrid_study"},
+        {"kind": "depth_sweep", "dims_list": [1, 3], "bandwidths": [2]},
+        {"kind": "degree_sweep", "algorithms": [], "bandwidths": [1], "dims_list": [2]},
+        {"kind": "hybrid_study", "algorithms": [], "grid_sizes": [4, 16]},
+        {"kind": "hybrid_study", "algorithms": [], "sample_size": 0},
+        {"kind": "hybrid_study", "algorithms": [], "epsilon": -1e-4},
+        {"kind": "hybrid_study", "algorithms": [], "epsilon": "1e-4"},
     ], ids=[
         "bandwidth_over_half_n", "function_undefined_at_later_dims", "n_not_power_of_two",
         "hybrid_function_undefined_at_dims", "non_integer_bandwidth", "no_algorithms",
-        "hybrid_depth_range",
+        "hybrid_depth_range", "bandwidths_on_mixer_comparison", "algorithms_on_degree_sweep",
+        "algorithms_on_hybrid_study", "dims_list_and_bandwidths_on_depth_sweep",
+        "dims_list_on_degree_sweep", "grid_sizes_on_hybrid_study", "zero_sample_size",
+        "negative_epsilon", "epsilon_read_as_string",
     ])
     def test_invalid_config_exits_before_running(self, tmp_path, capsys, overrides):
         out = tmp_path / "out"

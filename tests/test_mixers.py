@@ -5,20 +5,23 @@ from qvasim.grid import make_grid, table_from_values
 from qvasim.mixers import (
     CirculantGraph,
     MomentumGrid,
-    adjacency_matrix,
     centred_fourier,
-    centred_fourier_matrix,
     circulant_eigenvalues,
-    dense_walk_oracle,
-    hypercube_adjacency,
     hypercube_mixer,
-    lifted_adjacency,
     phase_shift,
     qaoa_complete_mixer,
     qmoa_mixer,
     qowe_mixer,
 )
 from qvasim.states import StateVector, equal_superposition, gaussian_wavepacket, WavepacketSpec
+
+from oracles import (
+    adjacency_matrix,
+    centred_fourier_matrix,
+    dense_walk_oracle,
+    hypercube_adjacency,
+    lifted_adjacency,
+)
 
 
 def random_state(rng, k, shape=None):
@@ -216,7 +219,7 @@ class TestCentredFourier:
     def test_matrix_elements_match_direct_evaluation(self):
         grid = make_grid([0.0], [3.0], 4)
         momentum = MomentumGrid.from_grid(grid)
-        f_matrix = centred_fourier_matrix(momentum, 0)
+        f_matrix = centred_fourier_matrix(grid, momentum, 0)
         x = grid.axis_coords(0)
         for m in range(4):
             for n in range(4):
@@ -268,7 +271,7 @@ class TestQoweMixer:
         rng = np.random.default_rng(14)
         grid = make_grid([0.0], [3.0], 4)
         momentum = MomentumGrid.from_grid(grid)
-        f_matrix = centred_fourier_matrix(momentum, 0)
+        f_matrix = centred_fourier_matrix(grid, momentum, 0)
         t = 0.6
         dense = f_matrix.conj().T @ np.diag(np.exp(-1j * t * momentum.values[0] ** 2)) @ f_matrix
         state = random_state(rng, 4)
