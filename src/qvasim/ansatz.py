@@ -37,6 +37,7 @@ from .states import (
     gaussian_wavepacket,
     grid_superposition,
     norm_drift_of,
+    probabilities_of,
     renormalise,
 )
 
@@ -168,6 +169,17 @@ class Propagator:
     * QOWE: each dimension's centred-transform pre-phase, post-phase and
       scalar with their conjugates, and its kappa^2 vector.
 
+    It also allocates, once, the workspace every evaluation writes into:
+
+    * two K-complex state buffers, used in turn, so a phase shift never
+      writes over its own input and the hypercube passes can alternate;
+    * one K-complex scratch buffer for the mixers;
+    * two K-float probability buffers: the per-layer norm check writes the
+      probabilities there, and ``expectation`` dots the last layer's with
+      the objective values instead of computing them again (they are
+      recomputed only after a renormalisation);
+    * one complex entry per objective level for the phase exponentials.
+
     An evaluation takes the flat, layer-major parameter vector of
     ``ParameterVector.flatten`` and runs the layer loop on bare arrays. It
     calls the array-level kernels behind ``phase_shift`` and the public
@@ -175,6 +187,10 @@ class Propagator:
     drift after every layer under the 1e-12 renormalise policy, so its
     amplitudes equal, bit for bit, those of composing ``phase_shift``, the
     mixer and ``StateVector.renormalised`` layer by layer.
+
+    Nothing a caller receives aliases the workspace: ``amplitudes`` and
+    ``state`` copy the result out once, so it survives later evaluations.
+    The workspace makes a Propagator unsafe to share between threads.
     """
 
     def __init__(self, spec: AnsatzSpec, table: ObjectiveTable, grid: SolutionGrid):
@@ -192,50 +208,75 @@ class Propagator:
             self._factors, self._kappa_squared = qowe_factors(
                 grid, MomentumGrid.from_grid(grid), grid.dims
             )
+        k = grid.total_points
+        self._states = (np.empty(k, np.complex128), np.empty(k, np.complex128))
+        self._scratch = np.empty(k, np.complex128)
+        self._probabilities = (np.empty(k), np.empty(k))
+        self._level_phases = np.empty(table.n_unique, np.complex128)
 
     def _mix(self, amps: np.ndarray, times: np.ndarray) -> np.ndarray:
+        """The mixer on ``amps``, a state buffer it overwrites; returns the result's array."""
         algorithm = self.spec.algorithm
-        if algorithm is Algorithm.QMOA:
-            if self.spec.shared_walk_time:
-                times = (times[0],) * len(self._spectra)
-            return qmoa_walk(amps.reshape(self._shape), times, self._spectra).ravel()
         if algorithm is Algorithm.QAOA_COMPLETE:
             return complete_walk(amps, float(times[0]))
         if algorithm is Algorithm.QAOA_HYPERCUBE:
-            # amps is the phase shift's fresh output, so the walk may work in place
-            return hypercube_walk(amps, float(times[0]))
-        psi = qowe_walk(amps.reshape(self._shape), times, self._factors, self._kappa_squared)
-        return psi.ravel()
+            first, second = self._states
+            spare = second if amps is first else first
+            return hypercube_walk(amps, float(times[0]), spare, self._scratch)
+        tensor, scratch = amps.reshape(self._shape), self._scratch.reshape(self._shape)
+        if algorithm is Algorithm.QMOA:
+            if self.spec.shared_walk_time:
+                times = (times[0],) * len(self._spectra)
+            return qmoa_walk(tensor, times, self._spectra, scratch).ravel()
+        return qowe_walk(tensor, times, self._factors, self._kappa_squared, scratch).ravel()
 
-    def amplitudes(self, flat: np.ndarray, drift_log: list[float] | None = None) -> np.ndarray:
-        """Flat amplitudes of the prepared state.
+    def _evolve(self, flat: np.ndarray, drift_log: list[float] | None) -> np.ndarray:
+        """Run every layer in the workspace and return the final amplitudes.
 
-        ``drift_log`` collects the per-layer drifts seen before any correction.
+        Their probabilities are left in ``self._probabilities[0]``.
         """
         flat = np.asarray(flat, dtype=float)
         if flat.shape != (self.n_params,):
             raise ValueError(f"expected {self.n_params} parameters, got shape {flat.shape}")
-        if not np.all(np.isfinite(flat)):
+        if not np.isfinite(flat).all():
             raise ValueError("parameters must be finite")
         table, width = self.table, self._width
+        first, second = self._states
         amps = self._initial
         for start in range(0, self.n_params, width):
-            amps = apply_phase(
-                amps, float(flat[start]), table.unique_sorted_values, table.level_index
+            out = second if np.may_share_memory(amps, first) else first
+            apply_phase(
+                amps,
+                float(flat[start]),
+                table.unique_sorted_values,
+                table.level_index,
+                out,
+                self._level_phases,
             )
-            amps = self._mix(amps, flat[start + 1 : start + width])
-            drift = norm_drift_of(amps)
+            amps = self._mix(out, flat[start + 1 : start + width])
+            drift = norm_drift_of(probabilities_of(amps, *self._probabilities))
             if drift_log is not None:
                 drift_log.append(drift)
-            amps = renormalise(amps, drift)
+            renormalised = renormalise(amps, drift)
+            if renormalised is not amps:
+                amps = renormalised
+                probabilities_of(amps, *self._probabilities)
         return amps
+
+    def amplitudes(self, flat: np.ndarray, drift_log: list[float] | None = None) -> np.ndarray:
+        """Flat amplitudes of the prepared state, copied out of the workspace.
+
+        ``drift_log`` collects the per-layer drifts seen before any correction.
+        """
+        return self._evolve(flat, drift_log).copy()
 
     def state(self, flat: np.ndarray, drift_log: list[float] | None = None) -> StateVector:
         return StateVector(self.amplitudes(flat, drift_log), self._shape)
 
     def expectation(self, flat: np.ndarray) -> float:
         """<Q> of the prepared state; the quantity the optimiser minimises."""
-        return expectation_of(self.table.values, self.amplitudes(flat))
+        self._evolve(flat, None)
+        return expectation_of(self.table.values, self._probabilities[0])
 
 
 def apply_ansatz(

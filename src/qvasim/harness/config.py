@@ -35,17 +35,21 @@ CLI flags may override single keys; the config hash covers every semantically
 relevant field (everything except ``output_dir``).
 
 Cells: ``ExperimentConfig.cells()`` is the one list of (label, function, D, N)
-cells a config runs, in run order. ``validate()`` rejects a config with no
-cells, a hybrid study over more than one depth, a list key the kind does not
-read, and any cell the runner could not set up (function undefined at D, grid
-off the power-of-two or qubit-cap rules, unknown or out-of-range algorithm
-label), so a config error surfaces before any record is written.
+cells a config runs, in run order. ``validate()`` rejects a config with a
+numeric field of the wrong type or sign (tolerances and ``epsilon`` must be
+numbers > 0; counts, sizes and ``qubit_cap`` integers >= 1; ``base_seed`` an
+integer; a ``bool`` is none of these), no cells, a hybrid study over more than
+one depth, a list key the kind does not read, and any cell the runner could
+not set up (function undefined at D, grid off the power-of-two or qubit-cap
+rules, unknown or out-of-range algorithm label), so a config error surfaces
+before any record is written.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -142,19 +146,13 @@ class ExperimentConfig:
         """Check the config and set up every cell as the runner will; returns self."""
         if self.kind not in KINDS:
             raise ConfigError(f"unknown kind {self.kind!r}; one of {KINDS}")
+        self._check_numbers()
         for name in self.functions:
             if name not in FUNCTIONS:
                 raise ConfigError(f"unknown function {name!r}")
         lo, hi = self.depth_range
         if lo < 1 or hi < lo:
             raise ConfigError(f"depth_range must be non-empty ascending, got {self.depth_range}")
-        if self.repeats < 1:
-            raise ConfigError("repeats must be >= 1")
-        if self.sample_size < 1:
-            raise ConfigError(f"sample_size must be >= 1, got {self.sample_size}")
-        if not isinstance(self.epsilon, (int, float)) or not self.epsilon > 0:
-            # YAML reads 1e-4 as a string; 1.0e-4 is a float
-            raise ConfigError(f"epsilon must be a number > 0, got {self.epsilon!r}")
         unread = [
             key for key, kinds in LIST_KEY_KINDS.items()
             if getattr(self, key) and self.kind not in kinds
@@ -188,6 +186,37 @@ class ExperimentConfig:
             if label is not None:
                 build_ansatz_spec(label, dims, n_points, self.shared_walk_time)
         return self
+
+    def _check_numbers(self) -> None:
+        """Reject numeric fields of the wrong type or sign; ``bool`` counts as neither.
+
+        YAML reads ``1e-4`` as a string (``1.0e-4`` is a float), which would
+        otherwise pass until the optimiser first compares it.
+        """
+        opt = self.optimiser
+        for name, value in (
+            ("epsilon", self.epsilon),
+            ("optimiser.simplex_tolerance", opt.simplex_tolerance),
+            ("optimiser.value_tolerance", opt.value_tolerance),
+        ):
+            if not _is_number(value, numbers.Real) or not value > 0:
+                raise ConfigError(f"{name} must be a number > 0, got {value!r}")
+        for name, value in (
+            ("optimiser.max_iterations", opt.max_iterations),
+            ("dims", self.dims),
+            ("n_points", self.n_points),
+            ("repeats", self.repeats),
+            ("sample_size", self.sample_size),
+            ("qubit_cap", self.qubit_cap),
+        ):
+            if not _is_number(value, numbers.Integral) or value < 1:
+                raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
+        if not _is_number(self.base_seed, numbers.Integral):
+            raise ConfigError(f"base_seed must be an integer, got {self.base_seed!r}")
+
+
+def _is_number(value, kind: type) -> bool:
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def _bandwidth(label: str) -> int:

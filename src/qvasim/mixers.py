@@ -7,14 +7,20 @@ Conventions fixed here and relied on everywhere else:
 * Grid dimension d lives on tensor axis ``grid.tensor_axis(d, D)`` = D-1-d
   (flat index k carries dimension 0 in its least-significant base-N digits);
   per-dimension factors are placed there by ``grid.along_axis``.
-* Mixers are pure: they return a new state and never renormalise.
+* The public mixers are pure: they return a new state, leave their input
+  unchanged and never renormalise.
 
 Each unitary has one implementation, an array-level kernel (``apply_phase``,
 ``qmoa_walk``, ``complete_walk``, ``hypercube_walk``, ``qowe_walk``) that
-takes its precomputed factors as arguments. The public functions taking a
-``StateVector`` validate their inputs, build those factors and call the
-kernel; ``qvasim.ansatz.Propagator`` builds the factors once and calls the
-same kernels for every evaluation.
+takes its precomputed factors and the buffers it writes into as arguments
+and allocates no state-sized array of its own. ``apply_phase`` writes into
+an output buffer; the walks overwrite the array they are given, using a
+scratch buffer (and, for the hypercube, a spare state buffer), and return
+the array that holds the result. The public functions taking a
+``StateVector`` validate their inputs, build the factors, allocate fresh
+buffers and call the kernel; ``qvasim.ansatz.Propagator`` builds the factors
+and a workspace of buffers once and calls the same kernels, with the same
+operands in the same order, for every evaluation.
 """
 
 from __future__ import annotations
@@ -36,26 +42,38 @@ def phase_shift(state: StateVector, gamma: float, table: ObjectiveTable) -> Stat
             f"table has {table.values.size} values, state has {state.total_points}"
         )
     amps = apply_phase(
-        state.amplitudes, gamma, table.unique_sorted_values, table.level_index
+        state.amplitudes,
+        gamma,
+        table.unique_sorted_values,
+        table.level_index,
+        np.empty_like(state.amplitudes),
+        np.empty(table.n_unique, dtype=np.complex128),
     )
     return StateVector(amps, state.tensor_shape)
 
 
 def apply_phase(
-    amplitudes: np.ndarray, gamma: float, levels: np.ndarray, level_index: np.ndarray
+    amplitudes: np.ndarray,
+    gamma: float,
+    levels: np.ndarray,
+    level_index: np.ndarray,
+    out: np.ndarray,
+    level_phases: np.ndarray,
 ) -> np.ndarray:
-    """exp(-i*gamma*f_k) * amplitude_k as a new array.
+    """Write exp(-i*gamma*f_k) * amplitude_k into ``out`` and return it.
 
     ``levels[level_index]`` are the objective values f_k (see
-    ``ObjectiveTable``). Each distinct value is exponentiated once and
-    gathered; the exponential is elementwise, so the result is the same as
-    exponentiating all K values.
+    ``ObjectiveTable``). Each distinct value is exponentiated once, into
+    ``level_phases`` (one complex entry per level), and gathered; the
+    exponential is elementwise, so the result is the same as exponentiating
+    all K values. ``out`` must not overlap ``amplitudes``.
     """
-    phase = levels * (-1j * gamma)
-    np.exp(phase, out=phase)
-    phase = np.take(phase, level_index)
-    phase *= amplitudes
-    return phase
+    np.multiply(levels, -1j * gamma, out=level_phases)
+    np.exp(level_phases, out=level_phases)
+    # mode="raise" would gather into a temporary and copy; level_index is in range
+    level_phases.take(level_index, out=out, mode="clip")
+    np.multiply(out, amplitudes, out=out)
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -144,24 +162,43 @@ def qmoa_mixer(
         times = np.repeat(times, dims)
     if times.size != dims or len(graphs) != dims:
         raise ValueError(f"need one walk time and one graph per dimension (D={dims})")
-    out = qmoa_walk(state.as_tensor(), times, qmoa_spectra(graphs, shape))
+    tensor = state.as_tensor().copy()
+    out = qmoa_walk(tensor, times, qmoa_spectra(graphs, shape), np.empty_like(tensor))
     return StateVector(out.ravel(), shape)
 
 
 def qmoa_walk(
-    tensor: np.ndarray, times: Sequence[float], spectra: tuple[np.ndarray, ...]
+    tensor: np.ndarray,
+    times: Sequence[float],
+    spectra: tuple[np.ndarray, ...],
+    scratch: np.ndarray,
 ) -> np.ndarray:
-    """exp(-i sum_d t_d L_d) applied to a (N,)*D tensor; returns a new tensor.
+    """exp(-i sum_d t_d L_d) applied to a contiguous (N,)*D tensor, which it overwrites.
 
-    The diagonal phase is built as a product of per-dimension factors: D
-    small exponentials instead of one K-sized one.
+    Both transforms run with ``overwrite_x=True``, so scipy writes them into
+    ``tensor``'s memory; the diagonal phase goes into ``scratch``, a
+    K-complex array of the tensor's shape.
     """
-    phase = np.ones((1,) * tensor.ndim, dtype=np.complex128)
-    for t, eig in zip(times, spectra):
-        phase = phase * np.exp(-1j * t * eig)
-    spectrum = sfft.fftn(tensor, norm="ortho")
-    spectrum *= phase
+    _diagonal_phase(times, spectra, scratch)
+    spectrum = sfft.fftn(tensor, norm="ortho", overwrite_x=True)
+    spectrum *= scratch
     return sfft.ifftn(spectrum, norm="ortho", overwrite_x=True)
+
+
+def _diagonal_phase(
+    times: Sequence[float], vectors: tuple[np.ndarray, ...], out: np.ndarray
+) -> np.ndarray:
+    """prod_d exp(-i t_d v_d) into ``out``, from D small per-dimension exponentials.
+
+    Each v_d broadcasts along its own tensor axis, so only the last product
+    is K-sized. The product starts from 1+0j rather than from the first
+    factor; where some t_d = 0, that multiplication sets the signs of the
+    zero parts.
+    """
+    phase = 1 + 0j
+    for t, v in zip(times[:-1], vectors[:-1]):
+        phase = phase * np.exp(-1j * t * v)
+    return np.multiply(phase, np.exp(-1j * times[-1] * vectors[-1]), out=out)
 
 
 def qaoa_complete_mixer(state: StateVector, t: float) -> StateVector:
@@ -170,15 +207,16 @@ def qaoa_complete_mixer(state: StateVector, t: float) -> StateVector:
     The leading global phase exp(i*t) of the closed form is kept so the
     operator matches exp(-i*t*A) for the complete-graph adjacency exactly.
     """
-    return StateVector(complete_walk(state.amplitudes, t), state.tensor_shape)
+    amps = state.amplitudes.copy()
+    return StateVector(complete_walk(amps, t), state.tensor_shape)
 
 
 def complete_walk(amplitudes: np.ndarray, t: float) -> np.ndarray:
-    """The complete-graph walk on a flat amplitude array; returns a new array."""
-    mean = np.mean(amplitudes)
-    return np.exp(1j * t) * (
-        amplitudes + (np.exp(-1j * t * amplitudes.size) - 1.0) * mean
-    )
+    """The complete-graph walk on a flat amplitude array, which it overwrites; returns it."""
+    mean = amplitudes.mean()
+    np.add(amplitudes, (np.exp(-1j * t * amplitudes.size) - 1.0) * mean, out=amplitudes)
+    np.multiply(np.exp(1j * t), amplitudes, out=amplitudes)
+    return amplitudes
 
 
 def hypercube_mixer(state: StateVector, t: float) -> StateVector:
@@ -187,26 +225,38 @@ def hypercube_mixer(state: StateVector, t: float) -> StateVector:
     Equivalent to the product of commuting single-qubit rotations
     cos(t)*I - i*sin(t)*X applied to each of the M = log2(K) qubits.
     """
-    return StateVector(
-        hypercube_walk(state.amplitudes.copy(), t), state.tensor_shape
-    )
+    amps = state.amplitudes.copy()
+    out = hypercube_walk(amps, t, np.empty_like(amps), np.empty_like(amps))
+    return StateVector(out, state.tensor_shape)
 
 
-def hypercube_walk(amplitudes: np.ndarray, t: float) -> np.ndarray:
-    """The hypercube walk on a flat contiguous array, in place; returns it."""
+def hypercube_walk(
+    amplitudes: np.ndarray, t: float, spare: np.ndarray, scratch: np.ndarray
+) -> np.ndarray:
+    """The hypercube walk on a flat contiguous array; returns the array holding the result.
+
+    Pass i pairs index k with its partner across qubit i. Viewed as
+    ``x.reshape(-1, 2, 2**i)``, the partners are the same view with its middle
+    axis reversed, so a pass is three whole-array ufuncs: ``scratch`` gets
+    i*sin(t) times the swapped view, and the other state buffer gets
+    cos(t)*x minus ``scratch``. The passes alternate between ``amplitudes``
+    and ``spare``, overwriting both, and the result ends in ``amplitudes``
+    when M is even and in ``spare`` when M is odd.
+    """
     k_total = amplitudes.size
     m = k_total.bit_length() - 1
     if 1 << m != k_total:
         raise ValueError(f"hypercube mixer needs K = 2^M states, got K={k_total}")
     c = np.cos(t)
-    s = np.sin(t)
+    js = 1j * np.sin(t)
+    x, y = amplitudes, spare
     for i in range(m):
-        pairs = amplitudes.reshape(-1, 2, 1 << i)
-        a = pairs[:, 0, :].copy()
-        b = pairs[:, 1, :]
-        pairs[:, 0, :] = c * a - 1j * s * b
-        pairs[:, 1, :] = c * b - 1j * s * a
-    return amplitudes
+        pairs = (-1, 2, 1 << i)
+        np.multiply(js, x.reshape(pairs)[:, ::-1, :], out=scratch.reshape(pairs))
+        np.multiply(c, x, out=y)
+        np.subtract(y, scratch, out=y)
+        x, y = y, x
+    return x
 
 
 # --------------------------------------------------------------------------
@@ -273,14 +323,24 @@ def centred_factors(
     )
 
 
-def _centred_forward(psi: np.ndarray, f: CentredFactors) -> np.ndarray:
-    psi = np.fft.fft(psi * f.pre, axis=f.axis, norm="ortho")
-    return psi * f.post * f.scalar
+# The centred transforms overwrite ``psi``; ``scratch`` (same shape) holds
+# the phased input of the FFT, which numpy writes into ``psi`` with ``out=``.
 
 
-def _centred_inverse(psi: np.ndarray, f: CentredFactors) -> np.ndarray:
-    psi = np.fft.ifft(psi * f.post_conj * f.scalar_conj, axis=f.axis, norm="ortho")
-    return psi * f.pre_conj
+def _centred_forward(psi: np.ndarray, f: CentredFactors, scratch: np.ndarray) -> np.ndarray:
+    np.multiply(psi, f.pre, out=scratch)
+    np.fft.fft(scratch, axis=f.axis, norm="ortho", out=psi)
+    np.multiply(psi, f.post, out=psi)
+    np.multiply(psi, f.scalar, out=psi)
+    return psi
+
+
+def _centred_inverse(psi: np.ndarray, f: CentredFactors, scratch: np.ndarray) -> np.ndarray:
+    np.multiply(psi, f.post_conj, out=scratch)
+    np.multiply(scratch, f.scalar_conj, out=scratch)
+    np.fft.ifft(scratch, axis=f.axis, norm="ortho", out=psi)
+    np.multiply(psi, f.pre_conj, out=psi)
+    return psi
 
 
 def centred_fourier(
@@ -302,7 +362,8 @@ def centred_fourier(
         raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
     factors = centred_factors(dim, dims, grid, momentum)
     transform = _centred_forward if direction == "forward" else _centred_inverse
-    psi = transform(state.as_tensor(), factors)
+    psi = state.as_tensor().copy()
+    transform(psi, factors, np.empty_like(psi))
     return StateVector(psi.ravel(), state.tensor_shape)
 
 
@@ -333,8 +394,9 @@ def qowe_mixer(
     if times.size != dims or momentum.dims != dims:
         raise ValueError(f"need one walk time per dimension (D={dims})")
     factors, kappa_squared = qowe_factors(grid, momentum, dims)
-    out = qowe_walk(state.as_tensor(), times, factors, kappa_squared)
-    return StateVector(out.ravel(), state.tensor_shape)
+    psi = state.as_tensor().copy()
+    qowe_walk(psi, times, factors, kappa_squared, np.empty_like(psi))
+    return StateVector(psi.ravel(), state.tensor_shape)
 
 
 def qowe_walk(
@@ -342,14 +404,16 @@ def qowe_walk(
     times: Sequence[float],
     factors: tuple[CentredFactors, ...],
     kappa_squared: tuple[np.ndarray, ...],
+    scratch: np.ndarray,
 ) -> np.ndarray:
-    """Centred transforms on every axis, kinetic phase, inverse transforms; new tensor."""
+    """Centred transforms on every axis, kinetic phase, inverse transforms.
+
+    Overwrites the (N,)*D tensor ``psi`` and returns it; ``scratch`` is a
+    K-complex array of the same shape.
+    """
     for f in factors:
-        psi = _centred_forward(psi, f)
-    phase = np.ones((1,) * psi.ndim, dtype=np.complex128)
-    for t, k2 in zip(times, kappa_squared):
-        phase = phase * np.exp(-1j * t * k2)
-    psi = psi * phase
+        _centred_forward(psi, f, scratch)
+    np.multiply(psi, _diagonal_phase(times, kappa_squared, scratch), out=psi)
     for f in factors:
-        psi = _centred_inverse(psi, f)
+        _centred_inverse(psi, f, scratch)
     return psi

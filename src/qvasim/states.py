@@ -47,7 +47,7 @@ class StateVector:
 
     def norm_drift(self) -> float:
         """|1 - sum of probabilities|."""
-        return norm_drift_of(self.amplitudes)
+        return norm_drift_of(self.probabilities())
 
     def copy(self) -> "StateVector":
         return StateVector(self.amplitudes.copy(), self.tensor_shape)
@@ -62,12 +62,21 @@ class StateVector:
 # works on bare amplitude arrays.
 
 
-def probabilities_of(amplitudes: np.ndarray) -> np.ndarray:
-    return amplitudes.real**2 + amplitudes.imag**2
+def probabilities_of(
+    amplitudes: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None
+) -> np.ndarray:
+    """re^2 + im^2 per amplitude, written into ``out`` when given.
+
+    ``scratch`` is a second K-float buffer for the imaginary squares; with
+    both given nothing state-sized is allocated.
+    """
+    probabilities = np.square(amplitudes.real, out=out)
+    return np.add(probabilities, np.square(amplitudes.imag, out=scratch), out=probabilities)
 
 
-def norm_drift_of(amplitudes: np.ndarray) -> float:
-    return abs(1.0 - float(np.sum(probabilities_of(amplitudes))))
+def norm_drift_of(probabilities: np.ndarray) -> float:
+    """|1 - sum of probabilities|."""
+    return abs(1.0 - float(probabilities.sum()))
 
 
 def renormalise(amplitudes: np.ndarray, drift: float) -> np.ndarray:
@@ -78,8 +87,8 @@ def renormalise(amplitudes: np.ndarray, drift: float) -> np.ndarray:
     return amplitudes / np.sqrt(np.sum(probabilities_of(amplitudes)))
 
 
-def expectation_of(values: np.ndarray, amplitudes: np.ndarray) -> float:
-    return float(np.dot(values, probabilities_of(amplitudes)))
+def expectation_of(values: np.ndarray, probabilities: np.ndarray) -> float:
+    return float(np.dot(values, probabilities))
 
 
 @dataclass(frozen=True)
@@ -134,7 +143,7 @@ def expectation(state: StateVector, table: ObjectiveTable) -> float:
         raise ValueError(
             f"table has {table.values.size} values, state has {state.total_points}"
         )
-    return expectation_of(table.values, state.amplitudes)
+    return expectation_of(table.values, state.probabilities())
 
 
 def sample(state: StateVector, rng: np.random.Generator, shots: int) -> np.ndarray:
@@ -145,8 +154,8 @@ def sample(state: StateVector, rng: np.random.Generator, shots: int) -> np.ndarr
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    probabilities = probabilities_of(state.amplitudes)
-    drift = abs(1.0 - float(np.sum(probabilities)))
+    probabilities = state.probabilities()
+    drift = norm_drift_of(probabilities)
     if drift > 1e-8:
         raise ValueError(f"state is not normalised (norm drift {drift:.3e})")
     cdf = np.cumsum(probabilities)

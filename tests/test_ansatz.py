@@ -2,8 +2,11 @@
 
 The propagator calls the same array-level kernels as ``phase_shift`` and the
 public mixers, on the same operands in the same order, so agreement here is
-exact (``np.array_equal``), not within a tolerance.
+exact (``np.array_equal``, and equal sign bits where checked), not within a
+tolerance.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qvasim.mixers
+import qvasim.states
 from qvasim.ansatz import (
     Algorithm,
     AnsatzSpec,
@@ -31,7 +35,7 @@ from qvasim.mixers import (
     qmoa_mixer,
     qowe_mixer,
 )
-from qvasim.states import WavepacketSpec
+from qvasim.states import WavepacketSpec, expectation
 
 LABELS = (
     "qmoa_complete",
@@ -79,23 +83,38 @@ def random_params(spec, dims, rng):
     )
 
 
+def assert_same_bits(actual, expected):
+    """Equal values and equal sign bits, so -0.0 and 0.0 count as different."""
+    assert np.array_equal(actual, expected)
+    assert np.array_equal(np.signbit(actual.real), np.signbit(expected.real))
+    assert np.array_equal(np.signbit(actual.imag), np.signbit(expected.imag))
+
+
+def unchanged(kernel, state, *args):
+    """Call a public kernel and check that it left its input state as it was."""
+    before = state.amplitudes.copy()
+    out = kernel(state, *args)
+    assert_same_bits(state.amplitudes, before)
+    return out
+
+
 def composed(spec, params, table, grid):
     """The layer loop from the public kernels; returns the state and per-layer drifts."""
     state = initial_state(spec, grid)
     momentum = MomentumGrid.from_grid(grid)
     drifts = []
     for gamma, times in zip(params.gammas, params.walk_times):
-        state = phase_shift(state, float(gamma), table)
+        state = unchanged(phase_shift, state, float(gamma), table)
         if spec.algorithm is Algorithm.QMOA:
             if spec.shared_walk_time:
                 times = np.repeat(times, grid.dims)
-            state = qmoa_mixer(state, times, spec.graphs)
+            state = unchanged(qmoa_mixer, state, times, spec.graphs)
         elif spec.algorithm is Algorithm.QAOA_COMPLETE:
-            state = qaoa_complete_mixer(state, float(times[0]))
+            state = unchanged(qaoa_complete_mixer, state, float(times[0]))
         elif spec.algorithm is Algorithm.QAOA_HYPERCUBE:
-            state = hypercube_mixer(state, float(times[0]))
+            state = unchanged(hypercube_mixer, state, float(times[0]))
         else:
-            state = qowe_mixer(state, times, momentum, grid)
+            state = unchanged(qowe_mixer, state, times, momentum, grid)
         drifts.append(state.norm_drift())
         state = state.renormalised()
     return state, drifts
@@ -121,25 +140,87 @@ def test_propagator_equals_composed_public_kernels(label, dims):
         )
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(
     dims=st.sampled_from([1, 2, 3]),
-    n=st.sampled_from([4, 8, 16]),
+    n=st.sampled_from([2, 4, 8, 16]),
     depth=st.sampled_from([1, 2, 3]),
     label=st.sampled_from(LABELS),
     seed=st.integers(0, 2**32 - 1),
+    zero_gammas=st.lists(st.booleans(), min_size=3, max_size=3),
+    zero_times=st.lists(st.booleans(), min_size=3, max_size=3),
 )
-def test_propagator_property(dims, n, depth, label, seed):
+def test_propagator_property(dims, n, depth, label, seed, zero_gammas, zero_times):
+    """Bit identity with the composed public kernels, identity layers included.
+
+    Also: the expectation equals ``expectation`` of that state, the public
+    kernels leave their inputs unchanged (checked in ``composed``), and
+    amplitudes a caller holds survive later evaluations of the workspace.
+    """
     grid, table = problem(dims, n, "styblinski_tang")
     spec = make_spec(label, dims, n, depth)
-    params = random_params(spec, dims, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    params = random_params(spec, dims, rng)
+    params.gammas[np.array(zero_gammas[:depth])] = 0.0
+    params.walk_times[np.array(zero_times[:depth])] = 0.0
+    propagator = Propagator(spec, table, grid)
     drifts = []
-    state = Propagator(spec, table, grid).state(params.flatten(), drifts)
-    expected, _ = composed(spec, params, table, grid)
-    assert np.array_equal(state.amplitudes, expected.amplitudes)
+    state = propagator.state(params.flatten(), drifts)
+    expected, expected_drifts = composed(spec, params, table, grid)
+    assert_same_bits(state.amplitudes, expected.amplitudes)
+    assert drifts == expected_drifts
     assert len(drifts) == depth
     assert max(drifts) < 1e-12
     assert state.norm_drift() < 1e-12
+    assert propagator.expectation(params.flatten()) == expectation(expected, table)
+
+    kept = state.amplitudes.copy()
+    amps = propagator.amplitudes(params.flatten())
+    for _ in range(2):
+        other = random_params(spec, dims, rng).flatten()
+        propagator.expectation(other)
+        propagator.amplitudes(other)
+    assert_same_bits(state.amplitudes, kept)
+    assert_same_bits(amps, kept)
+
+
+@pytest.mark.parametrize("label", LABELS)
+def test_renormalised_layers_match_composed_kernels(label, monkeypatch):
+    """With every layer renormalised, the expectation uses the rescaled probabilities."""
+    monkeypatch.setattr(qvasim.states, "RENORM_THRESHOLD", -1.0)
+    grid, table = problem(2, 8)
+    spec = make_spec(label, 2, 8, depth=3)
+    propagator = Propagator(spec, table, grid)
+    rng = np.random.default_rng(LABELS.index(label))
+    for _ in range(3):
+        params = random_params(spec, 2, rng)
+        expected, _ = composed(spec, params, table, grid)
+        assert_same_bits(propagator.amplitudes(params.flatten()), expected.amplitudes)
+        assert propagator.expectation(params.flatten()) == expectation(expected, table)
+
+
+@pytest.mark.parametrize(
+    "label, limit",
+    [("qmoa_complete", 4), ("qaoa_complete", 2), ("qaoa_hypercube", 2), ("qowe_equal", 4)],
+)
+def test_evaluation_allocates_less_than_a_few_states(label, limit):
+    """The workspace holds every state-sized array an evaluation writes.
+
+    What remains is the phase products' small factors, numpy's bounded
+    iteration buffers and scipy's plan and line buffers.
+    """
+    grid, table = problem(2, 64)
+    spec = make_spec(label, 2, 64, depth=2)
+    propagator = Propagator(spec, table, grid)
+    flat = random_params(spec, 2, np.random.default_rng(9)).flatten()
+    propagator.expectation(flat)
+    tracemalloc.start()
+    try:
+        propagator.expectation(flat)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < limit * 16 * grid.total_points
 
 
 def test_circulant_eigenvalues_computed_once_per_propagator(monkeypatch):

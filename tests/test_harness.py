@@ -633,13 +633,27 @@ class TestCli:
         {"kind": "hybrid_study", "algorithms": [], "sample_size": 0},
         {"kind": "hybrid_study", "algorithms": [], "epsilon": -1e-4},
         {"kind": "hybrid_study", "algorithms": [], "epsilon": "1e-4"},
+        {"kind": "hybrid_study", "algorithms": [], "epsilon": True},
+        {"kind": "hybrid_study", "algorithms": [], "sample_size": True},
+        {"optimiser": {"simplex_tolerance": "1e-4"}},
+        {"optimiser": {"value_tolerance": 0}},
+        {"optimiser": {"max_iterations": 10.5}},
+        {"optimiser": {"max_iterations": True}},
+        {"dims": True},
+        {"n_points": 8.0},
+        {"repeats": "2"},
+        {"qubit_cap": 0},
+        {"base_seed": 1.5},
     ], ids=[
         "bandwidth_over_half_n", "function_undefined_at_later_dims", "n_not_power_of_two",
         "hybrid_function_undefined_at_dims", "non_integer_bandwidth", "no_algorithms",
         "hybrid_depth_range", "bandwidths_on_mixer_comparison", "algorithms_on_degree_sweep",
         "algorithms_on_hybrid_study", "dims_list_and_bandwidths_on_depth_sweep",
         "dims_list_on_degree_sweep", "grid_sizes_on_hybrid_study", "zero_sample_size",
-        "negative_epsilon", "epsilon_read_as_string",
+        "negative_epsilon", "epsilon_read_as_string", "bool_epsilon", "bool_sample_size",
+        "simplex_tolerance_read_as_string", "zero_value_tolerance",
+        "fractional_max_iterations", "bool_max_iterations", "bool_dims", "float_n_points",
+        "repeats_read_as_string", "zero_qubit_cap", "fractional_base_seed",
     ])
     def test_invalid_config_exits_before_running(self, tmp_path, capsys, overrides):
         out = tmp_path / "out"
@@ -652,6 +666,24 @@ class TestCli:
         cfg.write_text(yaml.safe_dump(raw))
         assert main(["run", str(cfg)]) == 2
         assert "config error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_tolerance_in_yaml_short_float_form_exits_before_running(self, tmp_path, capsys):
+        # YAML 1.1 reads 1e-4 (no decimal point) as the string "1e-4"
+        out = tmp_path / "out"
+        text = (
+            "kind: mixer_comparison\nalgorithms: [qmoa_complete]\nfunctions: [sphere]\n"
+            "dims: 2\nn_points: 8\ndepth_range: [1, 1]\nrepeats: 1\nbase_seed: 3\n"
+            f"output_dir: {out}\noptimiser: {{simplex_tolerance: %s}}\n"
+        )
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(text % "1.0e-4")
+        assert load_config(cfg).optimiser.simplex_tolerance == 1e-4
+        cfg.write_text(text % "1e-4")
+        assert main(["run", str(cfg)]) == 2
+        assert "optimiser.simplex_tolerance must be a number > 0, got '1e-4'" in (
+            capsys.readouterr().err
+        )
         assert not out.exists()
 
     def test_missing_records_exit_code(self, tmp_path):
