@@ -51,7 +51,6 @@ from .hybrid import (
 from .mixers import (
     CirculantGraph,
     MomentumGrid,
-    centred_fourier,
     circulant_eigenvalues,
     hypercube_mixer,
     phase_shift,

@@ -11,13 +11,12 @@ from .grid import ObjectiveTable, SolutionGrid
 from .mixers import (
     CirculantGraph,
     MomentumGrid,
+    all_complete,
     apply_phase,
     complete_walk,
     hypercube_walk,
     qmoa_spectra,
     qmoa_walk,
-    qowe_factors,
-    qowe_walk,
 )
 
 # The public kernels stay importable from this module: the benchmark's tracer
@@ -165,15 +164,20 @@ class Propagator:
     * the table's distinct values and each point's index into them, so a
       phase shift exponentiates each distinct value once and gathers;
     * QMOA: each dimension's circulant eigenvalues, shaped to broadcast
-      along its tensor axis;
-    * QOWE: each dimension's centred-transform pre-phase, post-phase and
-      scalar with their conjugates, and its kappa^2 vector.
+      along its tensor axis, and whether every graph is complete
+      (``all_complete``), in which case the walk takes ``complete_walk``'s
+      closed form and the eigenvalues only check the graphs against the grid;
+    * QOWE: each dimension's kappa^2 in DFT frequency order
+      (``MomentumGrid.kinetic_spectra``), so the mixer is QMOA's spectral
+      walk with those spectra.
 
     It also allocates, once, the workspace every evaluation writes into:
 
     * two K-complex state buffers, used in turn, so a phase shift never
       writes over its own input and the hypercube passes can alternate;
-    * one K-complex scratch buffer for the mixers;
+    * for the spectral and hypercube walks, one K-complex scratch buffer;
+      for the closed-form complete-graph walk instead, a reduction buffer
+      for one axis's mean: K/N complex entries for QMOA, one for QAOA;
     * two K-float probability buffers: the per-layer norm check writes the
       probabilities there, and ``expectation`` dots the last layer's with
       the objective values instead of computing them again (they are
@@ -202,33 +206,38 @@ class Propagator:
         self._width = spec.params_per_layer(grid.dims)
         self._shape = grid.tensor_shape
         self._initial = initial_state(spec, grid).amplitudes
-        if spec.algorithm is Algorithm.QMOA:
-            self._spectra = qmoa_spectra(spec.graphs, self._shape)
-        elif spec.algorithm is Algorithm.QOWE:
-            self._factors, self._kappa_squared = qowe_factors(
-                grid, MomentumGrid.from_grid(grid), grid.dims
-            )
         k = grid.total_points
+        algorithm = spec.algorithm
+        if algorithm is Algorithm.QMOA:
+            self._spectra = qmoa_spectra(spec.graphs, self._shape)
+        elif algorithm is Algorithm.QOWE:
+            self._spectra = MomentumGrid.from_grid(grid).kinetic_spectra()
+        # The axes of the closed-form complete-graph walk, when it is taken.
+        self._walk_shape = None
+        if algorithm is Algorithm.QAOA_COMPLETE:
+            self._walk_shape = (k,)
+        elif algorithm is Algorithm.QMOA and all_complete(spec.graphs):
+            self._walk_shape = self._shape
         self._states = (np.empty(k, np.complex128), np.empty(k, np.complex128))
-        self._scratch = np.empty(k, np.complex128)
+        if self._walk_shape is None:
+            self._scratch = np.empty(k, np.complex128)
+        else:
+            self._reduced = np.empty(k // self._walk_shape[0], np.complex128)
         self._probabilities = (np.empty(k), np.empty(k))
         self._level_phases = np.empty(table.n_unique, np.complex128)
 
     def _mix(self, amps: np.ndarray, times: np.ndarray) -> np.ndarray:
         """The mixer on ``amps``, a state buffer it overwrites; returns the result's array."""
-        algorithm = self.spec.algorithm
-        if algorithm is Algorithm.QAOA_COMPLETE:
-            return complete_walk(amps, float(times[0]))
-        if algorithm is Algorithm.QAOA_HYPERCUBE:
+        if self.spec.algorithm is Algorithm.QAOA_HYPERCUBE:
             first, second = self._states
             spare = second if amps is first else first
             return hypercube_walk(amps, float(times[0]), spare, self._scratch)
+        if self.spec.algorithm is Algorithm.QMOA and self.spec.shared_walk_time:
+            times = (times[0],) * len(self._shape)
+        if self._walk_shape is not None:
+            return complete_walk(amps.reshape(self._walk_shape), times, self._reduced).ravel()
         tensor, scratch = amps.reshape(self._shape), self._scratch.reshape(self._shape)
-        if algorithm is Algorithm.QMOA:
-            if self.spec.shared_walk_time:
-                times = (times[0],) * len(self._spectra)
-            return qmoa_walk(tensor, times, self._spectra, scratch).ravel()
-        return qowe_walk(tensor, times, self._factors, self._kappa_squared, scratch).ravel()
+        return qmoa_walk(tensor, times, self._spectra, scratch).ravel()
 
     def _evolve(self, flat: np.ndarray, drift_log: list[float] | None) -> np.ndarray:
         """Run every layer in the workspace and return the final amplitudes.

@@ -170,9 +170,11 @@ def build_objective(grid: SolutionGrid, fn: Callable) -> ObjectiveTable:
     """Evaluate ``fn`` on every grid point and collect ranking metadata.
 
     ``fn`` receives per-dimension coordinate columns of shape (D, K) and may
-    return the full (K,) value vector; callables that only handle single
-    points of shape (D,) are evaluated in a loop. The loop costs one Python
-    call per point, so falling back to it is logged as a warning.
+    return the full (K,) value vector. A callable that returns another shape,
+    or raises the ``TypeError`` or ``ValueError`` of a scalar-only function
+    given arrays, is evaluated in a loop over single points of shape (D,).
+    The loop costs one Python call per point, so falling back to it is logged
+    as a warning. Any other exception propagates.
     """
     cols = grid.coordinate_columns()
     k_total = grid.total_points
@@ -181,7 +183,7 @@ def build_objective(grid: SolutionGrid, fn: Callable) -> ObjectiveTable:
         reason = None
         if values.shape != (k_total,):
             reason = f"returned shape {values.shape}, not ({k_total},)"
-    except Exception as exc:
+    except (TypeError, ValueError) as exc:
         reason = f"raised {type(exc).__name__}"
     if reason is not None:
         logger.warning(

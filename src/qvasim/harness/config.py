@@ -32,7 +32,8 @@ the first 8 bytes of blake2b over the decimal triple, independent of repeat
 counts at other depths.
 
 CLI flags may override single keys; the config hash covers every semantically
-relevant field (everything except ``output_dir``).
+relevant field (everything except ``output_dir``) and
+``qvasim.mixers.KERNEL_VERSION``, so records from other kernels are not resumed.
 
 Cells: ``ExperimentConfig.cells()`` is the one list of (label, function, D, N)
 cells a config runs, in run order. ``validate()`` rejects a config with a
@@ -58,6 +59,7 @@ import yaml
 from ..ansatz import Algorithm, AnsatzSpec
 from ..functions import FUNCTIONS, get_function
 from ..grid import GridError, SolutionGrid, make_grid
+from .. import mixers
 from ..mixers import CirculantGraph
 
 KINDS = ("depth_sweep", "mixer_comparison", "degree_sweep", "scaling_study", "hybrid_study")
@@ -312,9 +314,10 @@ def load_config(path, overrides: list[str] | None = None) -> ExperimentConfig:
 
 
 def config_hash(config: ExperimentConfig) -> str:
-    """Stable hash of every semantically relevant field (output_dir excluded)."""
+    """Stable hash of every semantically relevant field, output_dir excluded, and the kernels."""
     payload = asdict(config)
     payload.pop("output_dir")
+    payload["kernel_version"] = mixers.KERNEL_VERSION
     canonical = json.dumps(payload, sort_keys=True, default=list)
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 

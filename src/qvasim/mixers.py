@@ -10,29 +10,54 @@ Conventions fixed here and relied on everywhere else:
 * The public mixers are pure: they return a new state, leave their input
   unchanged and never renormalise.
 
-Each unitary has one implementation, an array-level kernel (``apply_phase``,
-``qmoa_walk``, ``complete_walk``, ``hypercube_walk``, ``qowe_walk``) that
-takes its precomputed factors and the buffers it writes into as arguments
-and allocates no state-sized array of its own. ``apply_phase`` writes into
-an output buffer; the walks overwrite the array they are given, using a
-scratch buffer (and, for the hypercube, a spare state buffer), and return
-the array that holds the result. The public functions taking a
-``StateVector`` validate their inputs, build the factors, allocate fresh
-buffers and call the kernel; ``qvasim.ansatz.Propagator`` builds the factors
-and a workspace of buffers once and calls the same kernels, with the same
-operands in the same order, for every evaluation.
+Each unitary has one implementation, an array-level kernel that takes its
+precomputed factors and the buffers it writes into as arguments and
+allocates no state-sized array of its own:
+
+* ``apply_phase`` writes the phased amplitudes into an output buffer;
+* ``qmoa_walk`` is the spectral walk ``DFT^-1 exp(-i sum_d t_d v_d) DFT``
+  for per-dimension spectra v_d in DFT frequency order. It runs QMOA on
+  cycle and banded graphs, and QOWE;
+* ``complete_walk`` is the complete-graph walk in closed form, axis by
+  axis. It runs QAOA on the complete graph (one flat axis of K) and QMOA
+  whose graphs are all complete; ``all_complete`` makes that choice for
+  ``qmoa_mixer`` and ``qvasim.ansatz.Propagator`` alike;
+* ``hypercube_walk`` runs M butterfly passes.
+
+The walks overwrite the array they are given, using the scratch buffers
+passed in, and return the array that holds the result.
+
+QOWE is a circulant walk. The centred transform ``exp(-i kappa_m x_n) / sqrt(N)``
+is ``scalar * post_m * DFT[m, n] * pre_n`` with ``pre_n = exp(-i kappa_0 dx n)``.
+As ``dk * dx = 2 pi / N`` and ``kappa_0 = s * dk`` for the integer
+``s = -N + 1 + (N - 1) // 2``, ``pre`` only rotates the DFT output (momentum
+index m lands on frequency ``(m + s) % N``), and the diagonal ``post`` and
+``scalar`` commute with the kinetic phase and cancel against their conjugates.
+So the QOWE mixer is ``qmoa_walk`` with the spectra ``kappa_d[(j - s) % N] ** 2``
+of ``MomentumGrid.kinetic_spectra``: the kinetic step of the split-operator
+Fourier method (Feit, Fleck & Steiger, J. Comput. Phys. 47, 412 (1982)).
+
+The public functions taking a ``StateVector`` validate their inputs, build
+the factors, allocate fresh buffers and call the kernel;
+``qvasim.ansatz.Propagator`` builds the factors and a workspace of buffers
+once and calls the same kernels, with the same operands in the same order,
+for every evaluation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.fft as sfft
 
 from .grid import ObjectiveTable, SolutionGrid, along_axis, tensor_axis
 from .states import StateVector
+
+# Bumped whenever a kernel's floating-point results change; the harness folds
+# it into the config hash, so a resumed run never mixes records across kernels.
+KERNEL_VERSION = 2
 
 
 def phase_shift(state: StateVector, gamma: float, table: ObjectiveTable) -> StateVector:
@@ -137,6 +162,12 @@ def qmoa_spectra(
     graphs: tuple[CirculantGraph, ...], shape: tuple[int, ...]
 ) -> tuple[np.ndarray, ...]:
     """Each dimension's graph spectrum, shaped to broadcast along its tensor axis."""
+    _check_graphs(graphs, shape)
+    dims = len(shape)
+    return tuple(along_axis(circulant_eigenvalues(g), d, dims) for d, g in enumerate(graphs))
+
+
+def _check_graphs(graphs: tuple[CirculantGraph, ...], shape: tuple[int, ...]) -> None:
     dims = len(shape)
     if len(graphs) != dims:
         raise ValueError(f"need one graph per dimension (D={dims}), got {len(graphs)}")
@@ -144,7 +175,17 @@ def qmoa_spectra(
         n = shape[tensor_axis(d, dims)]
         if g.size != n:
             raise ValueError(f"graph for dimension {d} has {g.size} vertices, grid has {n}")
-    return tuple(along_axis(circulant_eigenvalues(g), d, dims) for d, g in enumerate(graphs))
+
+
+def all_complete(graphs: Sequence[CirculantGraph]) -> bool:
+    """Whether QMOA on ``graphs`` takes ``complete_walk``'s closed form."""
+    return all(len(g.connection_set) == g.size // 2 for g in graphs)  # every offset
+
+
+def _per_dimension(times, dims: int) -> np.ndarray:
+    """Walk times as a float vector, one time broadcast to every dimension."""
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    return np.repeat(times, dims) if times.size == 1 and dims > 1 else times
 
 
 def qmoa_mixer(
@@ -152,18 +193,21 @@ def qmoa_mixer(
 ) -> StateVector:
     """Separable continuous-time walk: one circulant graph per dimension.
 
-    Realised spectrally: forward DFT along every dimension, multiply by
-    exp(-i * sum_d t_d * eigenvalue_d), inverse DFT along every dimension.
+    Complete graphs on every dimension take ``complete_walk``'s closed form;
+    any other choice runs spectrally: forward DFT along every dimension,
+    multiply by exp(-i * sum_d t_d * eigenvalue_d), inverse DFT.
     """
     shape = state.tensor_shape
     dims = len(shape)
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    if times.size == 1 and dims > 1:
-        times = np.repeat(times, dims)
+    times = _per_dimension(times, dims)
     if times.size != dims or len(graphs) != dims:
         raise ValueError(f"need one walk time and one graph per dimension (D={dims})")
+    _check_graphs(graphs, shape)
     tensor = state.as_tensor().copy()
-    out = qmoa_walk(tensor, times, qmoa_spectra(graphs, shape), np.empty_like(tensor))
+    if all_complete(graphs):
+        out = complete_walk(tensor, times, np.empty(tensor.size // shape[0], np.complex128))
+    else:
+        out = qmoa_walk(tensor, times, qmoa_spectra(graphs, shape), np.empty_like(tensor))
     return StateVector(out.ravel(), shape)
 
 
@@ -173,11 +217,13 @@ def qmoa_walk(
     spectra: tuple[np.ndarray, ...],
     scratch: np.ndarray,
 ) -> np.ndarray:
-    """exp(-i sum_d t_d L_d) applied to a contiguous (N,)*D tensor, which it overwrites.
+    """DFT^-1 exp(-i sum_d t_d spectra_d) DFT on a contiguous (N,)*D tensor it overwrites.
 
-    Both transforms run with ``overwrite_x=True``, so scipy writes them into
-    ``tensor``'s memory; the diagonal phase goes into ``scratch``, a
-    K-complex array of the tensor's shape.
+    With circulant eigenvalues as spectra this is exp(-i sum_d t_d L_d); with
+    ``MomentumGrid.kinetic_spectra`` it is the QOWE mixer. Both transforms
+    run with ``overwrite_x=True``, so scipy writes them into ``tensor``'s
+    memory; the diagonal phase goes into ``scratch``, a K-complex array of
+    the tensor's shape.
     """
     _diagonal_phase(times, spectra, scratch)
     spectrum = sfft.fftn(tensor, norm="ortho", overwrite_x=True)
@@ -207,16 +253,37 @@ def qaoa_complete_mixer(state: StateVector, t: float) -> StateVector:
     The leading global phase exp(i*t) of the closed form is kept so the
     operator matches exp(-i*t*A) for the complete-graph adjacency exactly.
     """
-    amps = state.amplitudes.copy()
-    return StateVector(complete_walk(amps, t), state.tensor_shape)
+    amps = complete_walk(state.amplitudes.copy(), (t,), np.empty(1, np.complex128))
+    return StateVector(amps, state.tensor_shape)
 
 
-def complete_walk(amplitudes: np.ndarray, t: float) -> np.ndarray:
-    """The complete-graph walk on a flat amplitude array, which it overwrites; returns it."""
-    mean = amplitudes.mean()
-    np.add(amplitudes, (np.exp(-1j * t * amplitudes.size) - 1.0) * mean, out=amplitudes)
-    np.multiply(np.exp(1j * t), amplitudes, out=amplitudes)
-    return amplitudes
+def complete_walk(
+    tensor: np.ndarray, times: Sequence[float], reduced: np.ndarray
+) -> np.ndarray:
+    """exp(-i sum_d t_d A_d) for complete graphs A_d, on a contiguous tensor it overwrites.
+
+    Time t_d walks grid dimension d, on tensor axis ``tensor_axis(d, ndim)``;
+    a flat (K,) array with one time is the complete graph on all K states.
+    On N vertices exp(-i t (J - I)) = e^{it} (I + (e^{-itN} - 1) J/N), and J/N
+    replaces each entry by the mean along its axis. So each axis adds
+    (e^{-itN} - 1) times its mean, formed from the axis sums in ``reduced``
+    (a contiguous buffer of K/N complex entries), and one global phase
+    e^{i sum_d t_d} follows. Returns ``tensor``.
+    """
+    shape, dims = tensor.shape, tensor.ndim
+    total = 0.0
+    for d, t in enumerate(times):
+        axis = tensor_axis(d, dims)
+        n = shape[axis]
+        term = reduced.reshape(shape[:axis] + (1,) + shape[axis + 1 :])
+        np.add.reduce(tensor, axis=axis, keepdims=True, out=term)
+        # Scalar first, in place, N a power of two: this keeps QAOA bit for bit the
+        # scalar-mean closed form (numpy's out-of-place product fuses multiply-adds).
+        np.multiply((np.exp(-1j * t * n) - 1.0) / n, term, out=term)
+        np.add(tensor, term, out=tensor)
+        total += t
+    np.multiply(np.exp(1j * total), tensor, out=tensor)
+    return tensor
 
 
 def hypercube_mixer(state: StateVector, t: float) -> StateVector:
@@ -259,8 +326,10 @@ def hypercube_walk(
     return x
 
 
+
+
 # --------------------------------------------------------------------------
-# Momentum-space machinery for the wavepacket-evolution mixer
+# Momentum space for the wavepacket-evolution mixer
 # --------------------------------------------------------------------------
 
 
@@ -289,91 +358,18 @@ class MomentumGrid:
     def dims(self) -> int:
         return self.kappa_0.size
 
+    def kinetic_spectra(self) -> tuple[np.ndarray, ...]:
+        """Each dimension's kappa^2 in DFT frequency order, shaped for its tensor axis.
 
-class CentredFactors(NamedTuple):
-    """Diagonal factors of the centred transform along one tensor axis.
-
-    The transform is ``post * scalar * DFT(pre * psi)``; the conjugates give
-    its inverse.
-    """
-
-    axis: int
-    pre: np.ndarray
-    post: np.ndarray
-    scalar: complex
-    pre_conj: np.ndarray
-    post_conj: np.ndarray
-    scalar_conj: complex
-
-
-def centred_factors(
-    dim: int, dims: int, grid: SolutionGrid, momentum: MomentumGrid
-) -> CentredFactors:
-    """Factors of the centred transform along grid dimension ``dim`` of a D-tensor."""
-    x0 = grid.lower[dim]
-    dx = grid.spacing[dim]
-    k0 = momentum.kappa_0[dim]
-    dk = momentum.delta_kappa[dim]
-    idx = np.arange(grid.points_per_dim)
-    pre = along_axis(np.exp(-1j * k0 * dx * idx), dim, dims)
-    post = along_axis(np.exp(-1j * dk * x0 * idx), dim, dims)
-    scalar = np.exp(-1j * k0 * x0)
-    return CentredFactors(
-        tensor_axis(dim, dims), pre, post, scalar, pre.conj(), post.conj(), scalar.conj()
-    )
-
-
-# The centred transforms overwrite ``psi``; ``scratch`` (same shape) holds
-# the phased input of the FFT, which numpy writes into ``psi`` with ``out=``.
-
-
-def _centred_forward(psi: np.ndarray, f: CentredFactors, scratch: np.ndarray) -> np.ndarray:
-    np.multiply(psi, f.pre, out=scratch)
-    np.fft.fft(scratch, axis=f.axis, norm="ortho", out=psi)
-    np.multiply(psi, f.post, out=psi)
-    np.multiply(psi, f.scalar, out=psi)
-    return psi
-
-
-def _centred_inverse(psi: np.ndarray, f: CentredFactors, scratch: np.ndarray) -> np.ndarray:
-    np.multiply(psi, f.post_conj, out=scratch)
-    np.multiply(scratch, f.scalar_conj, out=scratch)
-    np.fft.ifft(scratch, axis=f.axis, norm="ortho", out=psi)
-    np.multiply(psi, f.pre_conj, out=psi)
-    return psi
-
-
-def centred_fourier(
-    state: StateVector,
-    dim: int,
-    grid: SolutionGrid,
-    momentum: MomentumGrid,
-    direction: str = "forward",
-) -> StateVector:
-    """Unitary with elements exp(-i*kappa_m*x_n)/sqrt(N) along one dimension.
-
-    Factors exactly as diagonal-phase o unitary DFT o diagonal-phase using
-    dk*dx = 2*pi/N; ``direction="inverse"`` applies the conjugate transpose.
-    """
-    dims = len(state.tensor_shape)
-    if not 0 <= dim < dims:
-        raise ValueError(f"dimension {dim} out of range for D={dims}")
-    if direction not in ("forward", "inverse"):
-        raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
-    factors = centred_factors(dim, dims, grid, momentum)
-    transform = _centred_forward if direction == "forward" else _centred_inverse
-    psi = state.as_tensor().copy()
-    transform(psi, factors, np.empty_like(psi))
-    return StateVector(psi.ravel(), state.tensor_shape)
-
-
-def qowe_factors(
-    grid: SolutionGrid, momentum: MomentumGrid, dims: int
-) -> tuple[tuple[CentredFactors, ...], tuple[np.ndarray, ...]]:
-    """Per-dimension centred-transform factors and broadcast kappa^2 vectors."""
-    factors = tuple(centred_factors(d, dims, grid, momentum) for d in range(dims))
-    kappa_squared = tuple(along_axis(momentum.values[d] ** 2, d, dims) for d in range(dims))
-    return factors, kappa_squared
+        kappa_0 = s * dk for an integer s, so frequency j carries
+        kappa_{(j - s) % N} (see the module docstring).
+        """
+        dims, n = self.values.shape
+        shifts = np.rint(self.kappa_0 / self.delta_kappa).astype(int)
+        j = np.arange(n)
+        return tuple(
+            along_axis(self.values[d][(j - shifts[d]) % n] ** 2, d, dims) for d in range(dims)
+        )
 
 
 def qowe_mixer(
@@ -382,38 +378,19 @@ def qowe_mixer(
     momentum: MomentumGrid,
     grid: SolutionGrid,
 ) -> StateVector:
-    """Kinetic-energy evolution: F^-1 exp(-i sum_d t_d kappa_d^2) F.
+    """Kinetic-energy evolution F^-1 exp(-i sum_d t_d kappa_d^2) F, F the centred transform.
 
-    Walk times are per-dimension; ``grid`` is the position grid that
-    ``momentum`` was built from.
+    Runs as ``qmoa_walk`` over ``momentum.kinetic_spectra()``. Walk times are
+    per-dimension; ``grid`` is the position grid that ``momentum`` was built
+    from, and must have the state's shape.
     """
-    dims = len(state.tensor_shape)
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    if times.size == 1 and dims > 1:
-        times = np.repeat(times, dims)
+    shape = state.tensor_shape
+    dims = len(shape)
+    times = _per_dimension(times, dims)
     if times.size != dims or momentum.dims != dims:
         raise ValueError(f"need one walk time per dimension (D={dims})")
-    factors, kappa_squared = qowe_factors(grid, momentum, dims)
-    psi = state.as_tensor().copy()
-    qowe_walk(psi, times, factors, kappa_squared, np.empty_like(psi))
-    return StateVector(psi.ravel(), state.tensor_shape)
-
-
-def qowe_walk(
-    psi: np.ndarray,
-    times: Sequence[float],
-    factors: tuple[CentredFactors, ...],
-    kappa_squared: tuple[np.ndarray, ...],
-    scratch: np.ndarray,
-) -> np.ndarray:
-    """Centred transforms on every axis, kinetic phase, inverse transforms.
-
-    Overwrites the (N,)*D tensor ``psi`` and returns it; ``scratch`` is a
-    K-complex array of the same shape.
-    """
-    for f in factors:
-        _centred_forward(psi, f, scratch)
-    np.multiply(psi, _diagonal_phase(times, kappa_squared, scratch), out=psi)
-    for f in factors:
-        _centred_inverse(psi, f, scratch)
-    return psi
+    if grid.tensor_shape != shape:
+        raise ValueError(f"grid has shape {grid.tensor_shape}, state has {shape}")
+    tensor = state.as_tensor().copy()
+    out = qmoa_walk(tensor, times, momentum.kinetic_spectra(), np.empty_like(tensor))
+    return StateVector(out.ravel(), shape)

@@ -3,7 +3,9 @@
 Each builds its operator from the definition (explicit adjacency matrices,
 Kronecker lifts, an eigendecomposition, the centred transform's matrix
 elements) rather than from the kernels' factorisations, so the tests can
-check the fast kernels against an independent reference.
+check the fast kernels against an independent reference. ``centred_fourier``
+is the centred transform factored about one DFT; the library's QOWE mixer
+does without it, and the tests check it against ``centred_fourier_matrix``.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import numpy as np
 
 from qvasim.grid import SolutionGrid
 from qvasim.mixers import CirculantGraph, MomentumGrid
+from qvasim.states import StateVector
 
 DENSE_ORACLE_CAP = 4096
 
@@ -49,20 +52,42 @@ def hypercube_adjacency(m: int) -> np.ndarray:
     return a
 
 
-def lifted_adjacency(graphs: tuple[CirculantGraph, ...]) -> np.ndarray:
-    """sum_d I x ... x A_d x ... x I with dimension 0 least significant."""
+def lifted_adjacency(
+    graphs: tuple[CirculantGraph, ...], weights: tuple[float, ...] | None = None
+) -> np.ndarray:
+    """sum_d w_d I x ... x A_d x ... x I with dimension 0 least significant.
+
+    The weights default to 1; with the walk times as weights,
+    ``dense_walk_oracle(lifted_adjacency(graphs, times), 1.0)`` is the walk
+    with one time per dimension.
+    """
     dims = len(graphs)
     sizes = [g.size for g in graphs]
     k = int(np.prod(sizes))
     total = np.zeros((k, k))
     for d, g in enumerate(graphs):
-        term = adjacency_matrix(g)
+        term = adjacency_matrix(g) * (1.0 if weights is None else weights[d])
         for lower in range(d):
             term = np.kron(term, np.eye(sizes[lower]))
         for upper in range(d + 1, dims):
             term = np.kron(np.eye(sizes[upper]), term)
         total += term
     return total
+
+
+def apply_per_dimension(matrices: list[np.ndarray], amplitudes: np.ndarray) -> np.ndarray:
+    """(M_{D-1} x ... x M_0) @ amplitudes, without forming the K x K product.
+
+    Dimension 0 is least significant, so on the C-ordered (N,)*D tensor
+    matrix M_d acts on axis D-1-d. Exact for any per-dimension matrices, so
+    it lifts per-dimension dense oracles to K = 4096 without a 4096^2 matrix.
+    """
+    dims = len(matrices)
+    tensor = amplitudes.reshape(tuple(m.shape[0] for m in reversed(matrices)))
+    for d, matrix in enumerate(matrices):
+        axis = dims - 1 - d
+        tensor = np.moveaxis(np.tensordot(matrix, tensor, axes=([1], [axis])), 0, axis)
+    return tensor.ravel()
 
 
 def centred_fourier_matrix(
@@ -73,3 +98,35 @@ def centred_fourier_matrix(
     x = grid.lower[dim] + np.arange(n) * grid.spacing[dim]
     kappa = momentum.values[dim]
     return np.exp(-1j * np.outer(kappa, x)) / np.sqrt(n)
+
+
+def centred_fourier(
+    state: StateVector,
+    dim: int,
+    grid: SolutionGrid,
+    momentum: MomentumGrid,
+    direction: str = "forward",
+) -> StateVector:
+    """Unitary with elements exp(-i*kappa_m*x_n)/sqrt(N) along one dimension.
+
+    Factors exactly as diagonal phase o unitary DFT o diagonal phase using
+    dk*dx = 2*pi/N; ``direction="inverse"`` applies the conjugate transpose.
+    """
+    dims = len(state.tensor_shape)
+    if not 0 <= dim < dims:
+        raise ValueError(f"dimension {dim} out of range for D={dims}")
+    if direction not in ("forward", "inverse"):
+        raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
+    x0, dx = grid.lower[dim], grid.spacing[dim]
+    k0, dk = momentum.kappa_0[dim], momentum.delta_kappa[dim]
+    n = grid.points_per_dim
+    axis = dims - 1 - dim  # dimension 0 is least significant
+    column = tuple(n if a == axis else 1 for a in range(dims))
+    pre = np.exp(-1j * k0 * dx * np.arange(n)).reshape(column)
+    post = np.exp(-1j * dk * x0 * np.arange(n)).reshape(column) * np.exp(-1j * k0 * x0)
+    psi = state.as_tensor()
+    if direction == "forward":
+        out = post * np.fft.fft(pre * psi, axis=axis, norm="ortho")
+    else:
+        out = pre.conj() * np.fft.ifft(post.conj() * psi, axis=axis, norm="ortho")
+    return StateVector(out.ravel(), state.tensor_shape)

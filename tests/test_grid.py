@@ -1,4 +1,5 @@
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -199,6 +200,29 @@ class TestObjectiveTable:
         assert "shape ()" in caplog.text
         assert "K=16" in caplog.text
         assert np.array_equal(table.values, grid.coordinate_columns().sum(axis=0))
+
+    @pytest.mark.parametrize("error", [ZeroDivisionError, KeyError])
+    def test_other_exceptions_propagate_without_fallback(self, caplog, error):
+        grid = make_grid([0, 0], [1, 1], 2)
+        calls = []
+
+        def broken(x):
+            calls.append(np.shape(x))
+            raise error("objective bug")
+
+        with caplog.at_level(logging.WARNING, logger="qvasim.grid"):
+            with pytest.raises(error, match="objective bug"):
+                build_objective(grid, broken)
+        assert calls == [(2, 4)]
+        assert caplog.records == []
+
+    def test_math_module_objective_falls_back_with_warning(self, caplog):
+        grid = make_grid([0, 0], [1, 1], 2)
+        with caplog.at_level(logging.WARNING, logger="qvasim.grid"):
+            table = build_objective(grid, lambda x: math.sin(x[0]) + x[1])
+        assert "TypeError" in caplog.text
+        expected = [math.sin(x0) + x1 for x0, x1 in grid.coordinate_columns().T]
+        assert np.array_equal(table.values, expected)
 
     def test_catalogue_functions_are_vectorised(self, caplog):
         with caplog.at_level(logging.WARNING, logger="qvasim.grid"):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import yaml
 
+import qvasim.mixers
 from qvasim.harness import (
     ConfigError,
     ExperimentConfig,
@@ -171,6 +172,12 @@ class TestConfig:
         c = tiny_config(tmp_path, repeats=3)
         assert config_hash(a) == config_hash(b)
         assert config_hash(a) != config_hash(c)
+
+    def test_hash_tracks_kernel_version(self, tmp_path, monkeypatch):
+        config = tiny_config(tmp_path)
+        before = config_hash(config)
+        monkeypatch.setattr(qvasim.mixers, "KERNEL_VERSION", qvasim.mixers.KERNEL_VERSION + 1)
+        assert config_hash(config) != before
 
     def test_seed_formula(self):
         assert seed_for(42, 1, 0) == seed_for(42, 1, 0)

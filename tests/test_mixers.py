@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qvasim.grid import make_grid, table_from_values
 from qvasim.mixers import (
     CirculantGraph,
     MomentumGrid,
-    centred_fourier,
     circulant_eigenvalues,
     hypercube_mixer,
     phase_shift,
@@ -16,7 +17,10 @@ from qvasim.mixers import (
 from qvasim.states import StateVector, equal_superposition, gaussian_wavepacket, WavepacketSpec
 
 from oracles import (
+    DENSE_ORACLE_CAP,
     adjacency_matrix,
+    apply_per_dimension,
+    centred_fourier,
     centred_fourier_matrix,
     dense_walk_oracle,
     hypercube_adjacency,
@@ -170,6 +174,20 @@ class TestCompleteGraphMixer:
         out = qaoa_complete_mixer(state, 0.37)
         assert np.max(np.abs(out.amplitudes - dense @ state.amplitudes)) < 1e-10
 
+    def test_bits_equal_the_scalar_closed_form(self):
+        """QAOA keeps the bits of the closed form over the scalar global mean.
+
+        A fused multiply-add or another operand order changes the last bits,
+        and with them the optimiser's simplex path.
+        """
+        rng = np.random.default_rng(19)
+        for k in (2, 64, 4096) * 8:
+            state = random_state(rng, k)
+            t = float(rng.uniform(-2 * np.pi, 2 * np.pi))
+            a = state.amplitudes
+            expected = np.exp(1j * t) * (a + (np.exp(-1j * t * k) - 1.0) * a.mean())
+            assert np.array_equal(qaoa_complete_mixer(state, t).amplitudes, expected)
+
 
 class TestHypercubeMixer:
     def test_zero_time_is_identity(self):
@@ -302,6 +320,12 @@ class TestQoweMixer:
         with pytest.raises(ValueError):
             qowe_mixer(equal_superposition(4), [0.1, 0.2], momentum, grid)
 
+    def test_rejects_grid_of_another_shape(self):
+        grid = make_grid([0.0], [1.0], 8)
+        momentum = MomentumGrid.from_grid(grid)
+        with pytest.raises(ValueError, match="grid has shape"):
+            qowe_mixer(equal_superposition(4), [0.1], momentum, grid)
+
 
 class TestDenseWalkOracle:
     def test_zero_time_is_identity(self):
@@ -355,3 +379,64 @@ def test_norm_preservation_100_random_draws():
             phase_shift(state, gamma, table),
         ):
             assert out.norm_drift() < 1e-10
+
+
+class TestClosedFormAndSpectralKernels:
+    """The complete-graph closed form and QOWE's spectral walk against dense oracles."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dims=st.sampled_from([1, 2, 3]),
+        n=st.sampled_from([2, 4, 8, 16]),
+        data=st.data(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_kernels_match_dense_oracles(self, dims, n, data, seed):
+        time = st.one_of(st.just(0.0), st.floats(-2 * np.pi, 2 * np.pi))
+        times = data.draw(st.lists(time, min_size=dims, max_size=dims))
+        k = n**dims
+        assert k <= DENSE_ORACLE_CAP
+        state = random_state(np.random.default_rng(seed), k, (n,) * dims)
+
+        graphs = (CirculantGraph.complete(n),) * dims
+        walks = [dense_walk_oracle(adjacency_matrix(g), t) for g, t in zip(graphs, times)]
+        expected = apply_per_dimension(walks, state.amplitudes)
+        out = qmoa_mixer(state, times, graphs)
+        assert np.max(np.abs(out.amplitudes - expected)) < 1e-13
+
+        grid = make_grid([-1.5] * dims, [2.0] * dims, n)
+        momentum = MomentumGrid.from_grid(grid)
+        kinetic = []
+        for d, t in enumerate(times):
+            f_matrix = centred_fourier_matrix(grid, momentum, d)
+            phase = np.exp(-1j * t * momentum.values[d] ** 2)
+            kinetic.append(f_matrix.conj().T @ (phase[:, None] * f_matrix))
+        expected = apply_per_dimension(kinetic, state.amplitudes)
+        out = qowe_mixer(state, times, momentum, grid)
+        assert np.max(np.abs(out.amplitudes - expected)) < 1e-13
+
+    def test_per_dimension_oracle_is_the_kronecker_product(self):
+        rng = np.random.default_rng(17)
+        mats = [rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)) for _ in range(3)]
+        amps = rng.normal(size=64) + 1j * rng.normal(size=64)
+        dense = np.kron(mats[2], np.kron(mats[1], mats[0]))
+        assert np.allclose(apply_per_dimension(mats, amps), dense @ amps, atol=1e-12)
+
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_complete_and_cycle_graphs_match_lifted_adjacency(self, order):
+        rng = np.random.default_rng(18)
+        graphs = (CirculantGraph.complete(8), CirculantGraph.cycle(8))[::order]
+        times = (0.37, 1.21)
+        state = random_state(rng, 64, (8, 8))
+        out = qmoa_mixer(state, times, graphs)
+        dense = dense_walk_oracle(lifted_adjacency(graphs, times), 1.0)
+        assert np.max(np.abs(out.amplitudes - dense @ state.amplitudes)) < 1e-13
+
+    @pytest.mark.parametrize("n", [2, 8, 64])
+    @pytest.mark.parametrize("t", [0.0, 0.83, -2.5])
+    def test_one_dim_complete_qmoa_is_the_qaoa_kernel_bit_for_bit(self, n, t):
+        state = random_state(np.random.default_rng(n), n)
+        walk = qmoa_mixer(state, [t], (CirculantGraph.complete(n),)).amplitudes
+        flat = qaoa_complete_mixer(state, t).amplitudes
+        assert np.array_equal(walk, flat)
+        assert np.array_equal(np.signbit(walk.view(float)), np.signbit(flat.view(float)))
