@@ -8,7 +8,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .grid import ObjectiveTable, SolutionGrid, index_to_coords
-from .states import StateVector
+from .states import StateVector, expectation
 
 
 @dataclass(frozen=True)
@@ -56,7 +56,7 @@ def metrics_for_state(
     q_expectation: float | None = None,
 ) -> MetricsRecord:
     if q_expectation is None:
-        q_expectation = float(np.dot(table.values, state.probabilities()))
+        q_expectation = expectation(state, table)
     amplification, idx = max_amplification(state)
     return MetricsRecord(
         mean_error=mean_error(q_expectation, table),

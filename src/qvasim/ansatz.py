@@ -11,12 +11,11 @@ from .grid import ObjectiveTable, SolutionGrid
 from .mixers import (
     CirculantGraph,
     MomentumGrid,
-    all_complete,
     apply_phase,
-    complete_walk,
-    hypercube_walk,
-    qmoa_spectra,
-    qmoa_walk,
+    prepare_complete,
+    prepare_hypercube,
+    prepare_qmoa,
+    prepare_qowe,
 )
 
 # The public kernels stay importable from this module: the benchmark's tracer
@@ -163,21 +162,13 @@ class Propagator:
     * the initial amplitudes;
     * the table's distinct values and each point's index into them, so a
       phase shift exponentiates each distinct value once and gathers;
-    * QMOA: each dimension's circulant eigenvalues, shaped to broadcast
-      along its tensor axis, and whether every graph is complete
-      (``all_complete``), in which case the walk takes ``complete_walk``'s
-      closed form and the eigenvalues only check the graphs against the grid;
-    * QOWE: each dimension's kappa^2 in DFT frequency order
-      (``MomentumGrid.kinetic_spectra``), so the mixer is QMOA's spectral
-      walk with those spectra.
+    * the mixer's walk, from ``qvasim.mixers.prepare_qmoa`` and its
+      siblings, which owns the mixer's factors and scratch.
 
     It also allocates, once, the workspace every evaluation writes into:
 
     * two K-complex state buffers, used in turn, so a phase shift never
       writes over its own input and the hypercube passes can alternate;
-    * for the spectral and hypercube walks, one K-complex scratch buffer;
-      for the closed-form complete-graph walk instead, a reduction buffer
-      for one axis's mean: K/N complex entries for QMOA, one for QAOA;
     * two K-float probability buffers: the per-layer norm check writes the
       probabilities there, and ``expectation`` dots the last layer's with
       the objective values instead of computing them again (they are
@@ -209,35 +200,18 @@ class Propagator:
         k = grid.total_points
         algorithm = spec.algorithm
         if algorithm is Algorithm.QMOA:
-            self._spectra = qmoa_spectra(spec.graphs, self._shape)
+            self._walk = walk = prepare_qmoa(spec.graphs, self._shape)
+            if spec.shared_walk_time:  # one time per layer drives every dimension
+                self._walk = lambda amps, times, spare: walk(amps, times.repeat(grid.dims), spare)
         elif algorithm is Algorithm.QOWE:
-            self._spectra = MomentumGrid.from_grid(grid).kinetic_spectra()
-        # The axes of the closed-form complete-graph walk, when it is taken.
-        self._walk_shape = None
-        if algorithm is Algorithm.QAOA_COMPLETE:
-            self._walk_shape = (k,)
-        elif algorithm is Algorithm.QMOA and all_complete(spec.graphs):
-            self._walk_shape = self._shape
-        self._states = (np.empty(k, np.complex128), np.empty(k, np.complex128))
-        if self._walk_shape is None:
-            self._scratch = np.empty(k, np.complex128)
+            self._walk = prepare_qowe(MomentumGrid.from_grid(grid), self._shape)
+        elif algorithm is Algorithm.QAOA_COMPLETE:
+            self._walk = prepare_complete((k,))
         else:
-            self._reduced = np.empty(k // self._walk_shape[0], np.complex128)
+            self._walk = prepare_hypercube(k)
+        self._states = (np.empty(k, np.complex128), np.empty(k, np.complex128))
         self._probabilities = (np.empty(k), np.empty(k))
         self._level_phases = np.empty(table.n_unique, np.complex128)
-
-    def _mix(self, amps: np.ndarray, times: np.ndarray) -> np.ndarray:
-        """The mixer on ``amps``, a state buffer it overwrites; returns the result's array."""
-        if self.spec.algorithm is Algorithm.QAOA_HYPERCUBE:
-            first, second = self._states
-            spare = second if amps is first else first
-            return hypercube_walk(amps, float(times[0]), spare, self._scratch)
-        if self.spec.algorithm is Algorithm.QMOA and self.spec.shared_walk_time:
-            times = (times[0],) * len(self._shape)
-        if self._walk_shape is not None:
-            return complete_walk(amps.reshape(self._walk_shape), times, self._reduced).ravel()
-        tensor, scratch = amps.reshape(self._shape), self._scratch.reshape(self._shape)
-        return qmoa_walk(tensor, times, self._spectra, scratch).ravel()
 
     def _evolve(self, flat: np.ndarray, drift_log: list[float] | None) -> np.ndarray:
         """Run every layer in the workspace and return the final amplitudes.
@@ -253,7 +227,7 @@ class Propagator:
         first, second = self._states
         amps = self._initial
         for start in range(0, self.n_params, width):
-            out = second if np.may_share_memory(amps, first) else first
+            out, spare = (second, first) if np.may_share_memory(amps, first) else (first, second)
             apply_phase(
                 amps,
                 float(flat[start]),
@@ -262,7 +236,7 @@ class Propagator:
                 out,
                 self._level_phases,
             )
-            amps = self._mix(out, flat[start + 1 : start + width])
+            amps = self._walk(out, flat[start + 1 : start + width], spare)
             drift = norm_drift_of(probabilities_of(amps, *self._probabilities))
             if drift_log is not None:
                 drift_log.append(drift)

@@ -58,7 +58,8 @@ import yaml
 
 from ..ansatz import Algorithm, AnsatzSpec
 from ..functions import FUNCTIONS, get_function
-from ..grid import GridError, SolutionGrid, make_grid
+from ..engine import OptimiserOptions
+from ..grid import DEFAULT_QUBIT_CAP, GridError, SolutionGrid, make_grid
 from .. import mixers
 from ..mixers import CirculantGraph
 
@@ -91,10 +92,10 @@ class ConfigError(ValueError):
 
 @dataclass
 class OptimiserConfig:
-    max_iterations: int = 1_000_000
-    simplex_tolerance: float = 1e-4
-    value_tolerance: float = 1e-4
-    adaptive: bool = True
+    max_iterations: int = OptimiserOptions.max_iterations
+    simplex_tolerance: float = OptimiserOptions.simplex_tolerance
+    value_tolerance: float = OptimiserOptions.value_tolerance
+    adaptive: bool = OptimiserOptions.adaptive
 
 
 @dataclass
@@ -115,7 +116,7 @@ class ExperimentConfig:
     grid_sizes: list[int] = field(default_factory=list)
     epsilon: float = 1e-4
     sample_size: int = 30
-    qubit_cap: int = 26
+    qubit_cap: int = DEFAULT_QUBIT_CAP
 
     def depths(self) -> list[int]:
         lo, hi = self.depth_range

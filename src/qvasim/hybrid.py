@@ -145,12 +145,11 @@ def hybrid_optimise(
         sample_minima.append(int(ks[np.argmin(values)]))
         return float(np.mean(values))
 
-    n_params = depth * (1 + times_per_layer)
     x0 = ParameterVector(
         rng.uniform(*GAMMA_RANGE, size=depth),
         rng.uniform(*WALK_TIME_RANGE, size=(depth, times_per_layer)),
     ).flatten()
-    nelder_mead(sampled_objective, x0, _scipy_default_options(n_params))
+    nelder_mead(sampled_objective, x0, _scipy_default_options(propagator.n_params))
     fev_qmoa = estimations[0]
 
     threshold = f.known_minimum(dims) + epsilon

@@ -16,16 +16,20 @@ allocates no state-sized array of its own:
 
 * ``apply_phase`` writes the phased amplitudes into an output buffer;
 * ``qmoa_walk`` is the spectral walk ``DFT^-1 exp(-i sum_d t_d v_d) DFT``
-  for per-dimension spectra v_d in DFT frequency order. It runs QMOA on
-  cycle and banded graphs, and QOWE;
-* ``complete_walk`` is the complete-graph walk in closed form, axis by
-  axis. It runs QAOA on the complete graph (one flat axis of K) and QMOA
-  whose graphs are all complete; ``all_complete`` makes that choice for
-  ``qmoa_mixer`` and ``qvasim.ansatz.Propagator`` alike;
+  for per-dimension spectra v_d in DFT frequency order;
+* ``complete_walk`` is the complete-graph walk in closed form, axis by axis;
 * ``hypercube_walk`` runs M butterfly passes.
 
 The walks overwrite the array they are given, using the scratch buffers
 passed in, and return the array that holds the result.
+
+Each mixer is decided once, by its ``prepare_*`` function, which validates
+its arguments, picks the kernel and builds its factors and scratch. It
+returns a ``Walk``: ``walk(amps, times, spare)`` runs the mixer on the flat
+state buffer ``amps`` and returns the array holding the result, overwriting
+``amps`` and the second state buffer ``spare`` as it goes. QMOA on complete
+graphs takes ``complete_walk``, as QAOA does over one flat axis of K; QMOA
+on other graphs, and QOWE, take ``qmoa_walk``.
 
 QOWE is a circulant walk. The centred transform ``exp(-i kappa_m x_n) / sqrt(N)``
 is ``scalar * post_m * DFT[m, n] * pre_n`` with ``pre_n = exp(-i kappa_0 dx n)``.
@@ -37,17 +41,18 @@ So the QOWE mixer is ``qmoa_walk`` with the spectra ``kappa_d[(j - s) % N] ** 2`
 of ``MomentumGrid.kinetic_spectra``: the kinetic step of the split-operator
 Fourier method (Feit, Fleck & Steiger, J. Comput. Phys. 47, 412 (1982)).
 
-The public functions taking a ``StateVector`` validate their inputs, build
-the factors, allocate fresh buffers and call the kernel;
-``qvasim.ansatz.Propagator`` builds the factors and a workspace of buffers
-once and calls the same kernels, with the same operands in the same order,
-for every evaluation.
+The public mixers taking a ``StateVector`` check the walk times, prepare
+the walk and run it on a copy of the state's amplitudes;
+``qvasim.ansatz.Propagator`` prepares its walk once and runs it in its
+workspace for every evaluation. Both therefore call the same kernels with
+the same operands in the same order.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 import scipy.fft as sfft
@@ -58,6 +63,8 @@ from .states import StateVector
 # Bumped whenever a kernel's floating-point results change; the harness folds
 # it into the config hash, so a resumed run never mixes records across kernels.
 KERNEL_VERSION = 2
+
+Walk = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 
 def phase_shift(state: StateVector, gamma: float, table: ObjectiveTable) -> StateVector:
@@ -158,16 +165,36 @@ def circulant_eigenvalues(graph: CirculantGraph) -> np.ndarray:
     return eig
 
 
-def qmoa_spectra(
-    graphs: tuple[CirculantGraph, ...], shape: tuple[int, ...]
-) -> tuple[np.ndarray, ...]:
-    """Each dimension's graph spectrum, shaped to broadcast along its tensor axis."""
-    _check_graphs(graphs, shape)
-    dims = len(shape)
-    return tuple(along_axis(circulant_eigenvalues(g), d, dims) for d, g in enumerate(graphs))
+def _per_dimension(times, dims: int) -> np.ndarray:
+    """Walk times as a float vector of ``dims`` entries; one time is broadcast to all."""
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    times = np.repeat(times, dims) if times.size == 1 else times
+    if times.shape != (dims,):
+        raise ValueError(f"need one walk time per dimension (D={dims}), got {times.size}")
+    return times
 
 
-def _check_graphs(graphs: tuple[CirculantGraph, ...], shape: tuple[int, ...]) -> None:
+def _mixed(state: StateVector, walk: Walk, times: np.ndarray) -> StateVector:
+    """A new state: ``walk`` run on a copy of ``state``'s amplitudes."""
+    amps = state.amplitudes.copy()
+    return StateVector(walk(amps, times, np.empty_like(amps)), state.tensor_shape)
+
+
+def qmoa_mixer(
+    state: StateVector, times: np.ndarray, graphs: tuple[CirculantGraph, ...]
+) -> StateVector:
+    """Separable continuous-time walk: one circulant graph per dimension."""
+    times = _per_dimension(times, len(state.tensor_shape))
+    return _mixed(state, prepare_qmoa(graphs, state.tensor_shape), times)
+
+
+def prepare_qmoa(graphs: tuple[CirculantGraph, ...], shape: tuple[int, ...]) -> Walk:
+    """QMOA's walk on states of ``shape``, one circulant graph per dimension.
+
+    Complete graphs on every dimension take ``complete_walk``'s closed form;
+    any other choice runs spectrally: forward DFT along every dimension,
+    multiply by exp(-i * sum_d t_d * eigenvalue_d), inverse DFT.
+    """
     dims = len(shape)
     if len(graphs) != dims:
         raise ValueError(f"need one graph per dimension (D={dims}), got {len(graphs)}")
@@ -175,40 +202,19 @@ def _check_graphs(graphs: tuple[CirculantGraph, ...], shape: tuple[int, ...]) ->
         n = shape[tensor_axis(d, dims)]
         if g.size != n:
             raise ValueError(f"graph for dimension {d} has {g.size} vertices, grid has {n}")
+    if all(len(g.connection_set) == g.size // 2 for g in graphs):  # every offset
+        return prepare_complete(shape)
+    spectra = tuple(along_axis(circulant_eigenvalues(g), d, dims) for d, g in enumerate(graphs))
+    return _prepare_spectral(spectra, shape)
 
 
-def all_complete(graphs: Sequence[CirculantGraph]) -> bool:
-    """Whether QMOA on ``graphs`` takes ``complete_walk``'s closed form."""
-    return all(len(g.connection_set) == g.size // 2 for g in graphs)  # every offset
+def _prepare_spectral(spectra: tuple[np.ndarray, ...], shape: tuple[int, ...]) -> Walk:
+    scratch = np.empty(shape, np.complex128)
 
+    def walk(amps, times, spare):
+        return qmoa_walk(amps.reshape(shape), times, spectra, scratch).ravel()
 
-def _per_dimension(times, dims: int) -> np.ndarray:
-    """Walk times as a float vector, one time broadcast to every dimension."""
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    return np.repeat(times, dims) if times.size == 1 and dims > 1 else times
-
-
-def qmoa_mixer(
-    state: StateVector, times: np.ndarray, graphs: tuple[CirculantGraph, ...]
-) -> StateVector:
-    """Separable continuous-time walk: one circulant graph per dimension.
-
-    Complete graphs on every dimension take ``complete_walk``'s closed form;
-    any other choice runs spectrally: forward DFT along every dimension,
-    multiply by exp(-i * sum_d t_d * eigenvalue_d), inverse DFT.
-    """
-    shape = state.tensor_shape
-    dims = len(shape)
-    times = _per_dimension(times, dims)
-    if times.size != dims or len(graphs) != dims:
-        raise ValueError(f"need one walk time and one graph per dimension (D={dims})")
-    _check_graphs(graphs, shape)
-    tensor = state.as_tensor().copy()
-    if all_complete(graphs):
-        out = complete_walk(tensor, times, np.empty(tensor.size // shape[0], np.complex128))
-    else:
-        out = qmoa_walk(tensor, times, qmoa_spectra(graphs, shape), np.empty_like(tensor))
-    return StateVector(out.ravel(), shape)
+    return walk
 
 
 def qmoa_walk(
@@ -253,8 +259,17 @@ def qaoa_complete_mixer(state: StateVector, t: float) -> StateVector:
     The leading global phase exp(i*t) of the closed form is kept so the
     operator matches exp(-i*t*A) for the complete-graph adjacency exactly.
     """
-    amps = complete_walk(state.amplitudes.copy(), (t,), np.empty(1, np.complex128))
-    return StateVector(amps, state.tensor_shape)
+    return _mixed(state, prepare_complete((state.total_points,)), _per_dimension(t, 1))
+
+
+def prepare_complete(shape: tuple[int, ...]) -> Walk:
+    """``complete_walk`` over the axes of ``shape``: the grid's for QMOA, ``(K,)`` for QAOA."""
+    reduced = np.empty(math.prod(shape) // shape[0], np.complex128)
+
+    def walk(amps, times, spare):
+        return complete_walk(amps.reshape(shape), times, reduced).ravel()
+
+    return walk
 
 
 def complete_walk(
@@ -292,15 +307,25 @@ def hypercube_mixer(state: StateVector, t: float) -> StateVector:
     Equivalent to the product of commuting single-qubit rotations
     cos(t)*I - i*sin(t)*X applied to each of the M = log2(K) qubits.
     """
-    amps = state.amplitudes.copy()
-    out = hypercube_walk(amps, t, np.empty_like(amps), np.empty_like(amps))
-    return StateVector(out, state.tensor_shape)
+    return _mixed(state, prepare_hypercube(state.total_points), _per_dimension(t, 1))
+
+
+def prepare_hypercube(k: int) -> Walk:
+    """``hypercube_walk`` on K = 2^M states, with its scratch buffer."""
+    if k & (k - 1) or k < 1:
+        raise ValueError(f"hypercube mixer needs K = 2^M states, got K={k}")
+    scratch = np.empty(k, np.complex128)
+
+    def walk(amps, times, spare):
+        return hypercube_walk(amps, float(times[0]), spare, scratch)
+
+    return walk
 
 
 def hypercube_walk(
     amplitudes: np.ndarray, t: float, spare: np.ndarray, scratch: np.ndarray
 ) -> np.ndarray:
-    """The hypercube walk on a flat contiguous array; returns the array holding the result.
+    """The hypercube walk on a flat contiguous array of 2^M entries.
 
     Pass i pairs index k with its partner across qubit i. Viewed as
     ``x.reshape(-1, 2, 2**i)``, the partners are the same view with its middle
@@ -308,24 +333,19 @@ def hypercube_walk(
     i*sin(t) times the swapped view, and the other state buffer gets
     cos(t)*x minus ``scratch``. The passes alternate between ``amplitudes``
     and ``spare``, overwriting both, and the result ends in ``amplitudes``
-    when M is even and in ``spare`` when M is odd.
+    when M is even and in ``spare`` when M is odd; the array holding it is
+    returned.
     """
-    k_total = amplitudes.size
-    m = k_total.bit_length() - 1
-    if 1 << m != k_total:
-        raise ValueError(f"hypercube mixer needs K = 2^M states, got K={k_total}")
     c = np.cos(t)
     js = 1j * np.sin(t)
     x, y = amplitudes, spare
-    for i in range(m):
+    for i in range(amplitudes.size.bit_length() - 1):
         pairs = (-1, 2, 1 << i)
         np.multiply(js, x.reshape(pairs)[:, ::-1, :], out=scratch.reshape(pairs))
         np.multiply(c, x, out=y)
         np.subtract(y, scratch, out=y)
         x, y = y, x
     return x
-
-
 
 
 # --------------------------------------------------------------------------
@@ -380,17 +400,17 @@ def qowe_mixer(
 ) -> StateVector:
     """Kinetic-energy evolution F^-1 exp(-i sum_d t_d kappa_d^2) F, F the centred transform.
 
-    Runs as ``qmoa_walk`` over ``momentum.kinetic_spectra()``. Walk times are
-    per-dimension; ``grid`` is the position grid that ``momentum`` was built
-    from, and must have the state's shape.
+    Walk times are per-dimension; ``grid`` is the position grid that
+    ``momentum`` was built from, and must have the state's shape.
     """
     shape = state.tensor_shape
-    dims = len(shape)
-    times = _per_dimension(times, dims)
-    if times.size != dims or momentum.dims != dims:
-        raise ValueError(f"need one walk time per dimension (D={dims})")
     if grid.tensor_shape != shape:
         raise ValueError(f"grid has shape {grid.tensor_shape}, state has {shape}")
-    tensor = state.as_tensor().copy()
-    out = qmoa_walk(tensor, times, momentum.kinetic_spectra(), np.empty_like(tensor))
-    return StateVector(out.ravel(), shape)
+    return _mixed(state, prepare_qowe(momentum, shape), _per_dimension(times, len(shape)))
+
+
+def prepare_qowe(momentum: MomentumGrid, shape: tuple[int, ...]) -> Walk:
+    """QOWE's kinetic walk: ``qmoa_walk`` over ``momentum.kinetic_spectra()``."""
+    if momentum.values.shape != (len(shape), shape[0]):
+        raise ValueError(f"momentum grid of shape {momentum.values.shape} does not fit {shape}")
+    return _prepare_spectral(momentum.kinetic_spectra(), shape)

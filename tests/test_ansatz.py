@@ -201,7 +201,13 @@ def test_renormalised_layers_match_composed_kernels(label, monkeypatch):
 
 @pytest.mark.parametrize(
     "label, limit",
-    [("qmoa_complete", 4), ("qaoa_complete", 2), ("qaoa_hypercube", 2), ("qowe_equal", 4)],
+    [
+        ("qmoa_complete", 4),
+        ("qmoa_cycle", 4),
+        ("qaoa_complete", 2),
+        ("qaoa_hypercube", 2),
+        ("qowe_equal", 4),
+    ],
 )
 def test_evaluation_allocates_less_than_a_few_states(label, limit):
     """The workspace holds every state-sized array an evaluation writes.
@@ -223,7 +229,11 @@ def test_evaluation_allocates_less_than_a_few_states(label, limit):
     assert peak < limit * 16 * grid.total_points
 
 
-def test_circulant_eigenvalues_computed_once_per_propagator(monkeypatch):
+@pytest.mark.parametrize("label, calls_at_construction", [("qmoa_cycle", 3), ("qmoa_complete", 0)])
+def test_circulant_eigenvalues_computed_once_per_propagator(
+    monkeypatch, label, calls_at_construction
+):
+    """Spectral QMOA computes its eigenvalues once, at construction; the closed form never."""
     calls = []
     original = qvasim.mixers.circulant_eigenvalues
 
@@ -233,13 +243,13 @@ def test_circulant_eigenvalues_computed_once_per_propagator(monkeypatch):
 
     monkeypatch.setattr(qvasim.mixers, "circulant_eigenvalues", counting)
     grid, table = problem(3, 4)
-    spec = make_spec("qmoa_complete", 3, 4, depth=2)
+    spec = make_spec(label, 3, 4, depth=2)
     propagator = Propagator(spec, table, grid)
-    assert len(calls) == 3
+    assert len(calls) == calls_at_construction
     rng = np.random.default_rng(5)
     for _ in range(10):
         propagator.expectation(random_params(spec, 3, rng).flatten())
-    assert len(calls) == 3
+    assert len(calls) == calls_at_construction
 
 
 def test_propagator_rejects_bad_parameters_and_tables():

@@ -37,3 +37,26 @@ def test_bench_runs_and_reports_declared_metrics(workload):
     assert result["correct"] is True
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     assert set(result["metrics"]) == {m["name"] for m in declared}
+
+
+def test_tracer_rebinds_every_name_and_restores_it(monkeypatch):
+    """``bench/tracing.py`` finds every name it rebinds and puts each original back.
+
+    Some of those names (the public kernels in ``qvasim.ansatz``) are imported
+    only for the tracer, so deleting one would break ``--trace 1`` runs alone.
+    """
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import tracing
+
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()  # AttributeError if a rebound name is missing
+        patched = list(tracer._restore)
+        assert all(getattr(module, attr) is not original for module, attr, original in patched)
+    finally:
+        tracer.restore()
+    assert {(module.__name__, attr) for module, attr, _ in patched} >= {
+        ("qvasim.ansatz", kernel) for kernel in tracing.KERNELS
+    }
+    for module, attr, original in patched:
+        assert getattr(module, attr) is original

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qvasim.ansatz import Algorithm, AnsatzSpec, Propagator
 from qvasim.grid import make_grid, table_from_values
 from qvasim.mixers import (
     CirculantGraph,
@@ -151,8 +152,13 @@ class TestQmoaMixer:
 
     def test_rejects_size_mismatch(self):
         state = equal_superposition(16, (4, 4))
-        with pytest.raises(ValueError, match="vertices"):
-            qmoa_mixer(state, [0.1, 0.1], (CirculantGraph.complete(8),) * 2)
+        grid = make_grid([0.0, 0.0], [1.0, 1.0], 4)
+        table = table_from_values(np.arange(16.0))
+        for graph in (CirculantGraph.complete(8), CirculantGraph.cycle(8)):
+            with pytest.raises(ValueError, match="vertices"):
+                qmoa_mixer(state, [0.1, 0.1], (graph,) * 2)
+            with pytest.raises(ValueError, match="vertices"):
+                Propagator(AnsatzSpec(Algorithm.QMOA, 1, graphs=(graph,) * 2), table, grid)
 
 
 class TestCompleteGraphMixer:
@@ -319,6 +325,9 @@ class TestQoweMixer:
         momentum = MomentumGrid.from_grid(grid)
         with pytest.raises(ValueError):
             qowe_mixer(equal_superposition(4), [0.1, 0.2], momentum, grid)
+        wider = MomentumGrid.from_grid(make_grid([0.0], [1.0], 8))
+        with pytest.raises(ValueError, match="does not fit"):
+            qowe_mixer(equal_superposition(4), [0.1], wider, grid)
 
     def test_rejects_grid_of_another_shape(self):
         grid = make_grid([0.0], [1.0], 8)
