@@ -163,12 +163,13 @@ class Propagator:
     * the table's distinct values and each point's index into them, so a
       phase shift exponentiates each distinct value once and gathers;
     * the mixer's walk, from ``qvasim.mixers.prepare_qmoa`` and its
-      siblings, which owns the mixer's factors and scratch.
+      siblings, which keeps only the mixer's factors.
 
-    It also allocates, once, the workspace every evaluation writes into:
+    It also allocates, once, the workspace, which holds every buffer an evaluation writes:
 
     * two K-complex state buffers, used in turn, so a phase shift never
-      writes over its own input and the hypercube passes can alternate;
+      writes over its own input; the one a layer's phase shift did not write
+      is the walk's ``spare``, its only scratch;
     * two K-float probability buffers: the per-layer norm check writes the
       probabilities there, and ``expectation`` dots the last layer's with
       the objective values instead of computing them again (they are

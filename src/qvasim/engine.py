@@ -153,7 +153,7 @@ def nelder_mead(
     try:
         res = sciopt.minimize(
             objective,
-            x0,
+            start,
             method="Nelder-Mead",
             bounds=bounds,
             options=scipy_options,
@@ -377,14 +377,27 @@ def _repeat_task(args):
     return run_single_repeat(*args)
 
 
+def resolve_workers(workers: int | None = None) -> int:
+    """``workers``, else ``QVASIM_WORKERS``, else 1; a bad count raises ``ValueError``."""
+    source = "workers"
+    if workers is None:
+        source, raw = "QVASIM_WORKERS", os.environ.get("QVASIM_WORKERS") or "1"
+        try:
+            workers = int(raw)
+        except ValueError:
+            raise ValueError(f"QVASIM_WORKERS must be an integer, got {raw!r}") from None
+    if workers < 1:
+        raise ValueError(f"{source} must be at least 1, got {workers}")
+    return workers
+
+
 def parallel_map(fn: Callable, tasks: Sequence, workers: int | None = None) -> list:
     """``[fn(t) for t in tasks]``, in a process pool when workers and tasks exceed one.
 
-    ``workers`` defaults to ``QVASIM_WORKERS``, else 1. In a pool, ``fn``, the
+    ``workers`` is resolved by ``resolve_workers``. In a pool, ``fn``, the
     tasks and the results are pickled; otherwise everything runs in this process.
     """
-    if workers is None:
-        workers = int(os.environ.get("QVASIM_WORKERS") or 1)
+    workers = resolve_workers(workers)
     if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             return list(pool.map(fn, tasks))

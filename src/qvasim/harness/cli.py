@@ -4,7 +4,8 @@ Subcommands: ``run`` executes a config, ``summarise`` aggregates a record
 log, ``plot-data`` writes figure-ready CSV series, ``catalogue`` lists the
 available functions, algorithms and graph families. Exit codes: 0 success,
 2 configuration error, 3 runtime failure. Set QVASIM_WORKERS (or ``--workers``)
-to parallelise the repeats of a sweep depth or of a hybrid study.
+to parallelise the repeats of a sweep depth or of a hybrid study; a count below
+1, or a QVASIM_WORKERS that is not an integer, is a configuration error.
 """
 
 from __future__ import annotations

@@ -34,11 +34,12 @@ from ..engine import (
     RepeatResult,
     depth_sweep,
     parallel_map,
+    resolve_workers,
 )
 from ..functions import get_function
 from ..grid import build_objective
 from ..hybrid import classical_baseline, hybrid_optimise, speedup
-from .config import ExperimentConfig, build_ansatz_spec, config_hash, seed_for
+from .config import ConfigError, ExperimentConfig, build_ansatz_spec, config_hash, seed_for
 
 # Importable from this module for the benchmark's tracer (bench/tracing.py),
 # which rebinds it here; sweeps reach it through engine.depth_sweep.
@@ -199,7 +200,7 @@ def _run_sweep_cell(
     dims: int,
     n_points: int,
     existing: dict[tuple, ExperimentRecord],
-    workers: int | None,
+    workers: int,
 ) -> list[ExperimentRecord]:
     """Warm-start-chained depth sweep for one (algorithm, function, D, N)."""
     grid = config.cell_grid(function_name, dims, n_points)
@@ -269,7 +270,7 @@ def _run_sweep_cell(
     return new_records
 
 
-def _sweep_kind(config: ExperimentConfig, workers: int | None) -> list[ExperimentRecord]:
+def _sweep_kind(config: ExperimentConfig, workers: int) -> list[ExperimentRecord]:
     existing = _existing(config, ExperimentRecord)
     records = list(existing.values())
     for label, function_name, dims, n_points in config.cells():
@@ -344,7 +345,7 @@ def _hybrid_repeat(task: tuple) -> HybridRecord:
     )
 
 
-def _hybrid_kind(config: ExperimentConfig, workers: int | None) -> list[HybridRecord]:
+def _hybrid_kind(config: ExperimentConfig, workers: int) -> list[HybridRecord]:
     chash = config_hash(config)
     existing = _existing(config, HybridRecord)
     records = list(existing.values())
@@ -383,8 +384,16 @@ def write_csv(records: list, path) -> None:
 
 
 def run_experiment(config: ExperimentConfig, workers: int | None = None) -> list:
-    """Execute a validated config; returns every record (existing + new)."""
+    """Execute a validated config; returns every record (existing + new).
+
+    The config and the worker count (``workers``, else ``QVASIM_WORKERS``) are
+    checked before ``output_dir`` is created; either fails with ``ConfigError``.
+    """
     config.validate()
+    try:
+        workers = resolve_workers(workers)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     outdir = Path(config.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     _truncate_torn_tail(outdir / RECORDS_NAME)

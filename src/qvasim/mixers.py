@@ -20,14 +20,15 @@ allocates no state-sized array of its own:
 * ``complete_walk`` is the complete-graph walk in closed form, axis by axis;
 * ``hypercube_walk`` runs M butterfly passes.
 
-The walks overwrite the array they are given, using the scratch buffers
-passed in, and return the array that holds the result.
+The walks overwrite the array they are given and return the array that
+holds the result. Their one scratch is the caller's second flat K-complex
+state buffer ``spare``, which they overwrite too.
 
 Each mixer is decided once, by its ``prepare_*`` function, which validates
-its arguments, picks the kernel and builds its factors and scratch. It
-returns a ``Walk``: ``walk(amps, times, spare)`` runs the mixer on the flat
-state buffer ``amps`` and returns the array holding the result, overwriting
-``amps`` and the second state buffer ``spare`` as it goes. QMOA on complete
+its arguments, picks the kernel and builds its factors (spectra, a shape).
+It allocates no buffer: ``walk(amps, times, spare)`` runs the mixer on the
+flat state buffer ``amps`` and returns the array holding the result,
+overwriting ``amps`` and ``spare`` as it goes. QMOA on complete
 graphs takes ``complete_walk``, as QAOA does over one flat axis of K; QMOA
 on other graphs, and QOWE, take ``qmoa_walk``.
 
@@ -50,7 +51,6 @@ the same operands in the same order.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -69,6 +69,8 @@ Walk = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 def phase_shift(state: StateVector, gamma: float, table: ObjectiveTable) -> StateVector:
     """Multiply amplitude_k by exp(-i*gamma*f_k)."""
+    if not np.isfinite(gamma):
+        raise ValueError(f"gamma must be finite, got {gamma}")
     if table.values.size != state.total_points:
         raise ValueError(
             f"table has {table.values.size} values, state has {state.total_points}"
@@ -166,11 +168,13 @@ def circulant_eigenvalues(graph: CirculantGraph) -> np.ndarray:
 
 
 def _per_dimension(times, dims: int) -> np.ndarray:
-    """Walk times as a float vector of ``dims`` entries; one time is broadcast to all."""
+    """Walk times as a finite float vector of ``dims`` entries; one time is broadcast to all."""
     times = np.atleast_1d(np.asarray(times, dtype=float))
     times = np.repeat(times, dims) if times.size == 1 else times
     if times.shape != (dims,):
         raise ValueError(f"need one walk time per dimension (D={dims}), got {times.size}")
+    if not np.isfinite(times).all():
+        raise ValueError(f"walk times must be finite, got {times}")
     return times
 
 
@@ -209,10 +213,8 @@ def prepare_qmoa(graphs: tuple[CirculantGraph, ...], shape: tuple[int, ...]) -> 
 
 
 def _prepare_spectral(spectra: tuple[np.ndarray, ...], shape: tuple[int, ...]) -> Walk:
-    scratch = np.empty(shape, np.complex128)
-
     def walk(amps, times, spare):
-        return qmoa_walk(amps.reshape(shape), times, spectra, scratch).ravel()
+        return qmoa_walk(amps.reshape(shape), times, spectra, spare).ravel()
 
     return walk
 
@@ -221,19 +223,19 @@ def qmoa_walk(
     tensor: np.ndarray,
     times: Sequence[float],
     spectra: tuple[np.ndarray, ...],
-    scratch: np.ndarray,
+    spare: np.ndarray,
 ) -> np.ndarray:
     """DFT^-1 exp(-i sum_d t_d spectra_d) DFT on a contiguous (N,)*D tensor it overwrites.
 
     With circulant eigenvalues as spectra this is exp(-i sum_d t_d L_d); with
     ``MomentumGrid.kinetic_spectra`` it is the QOWE mixer. Both transforms
     run with ``overwrite_x=True``, so scipy writes them into ``tensor``'s
-    memory; the diagonal phase goes into ``scratch``, a K-complex array of
-    the tensor's shape.
+    memory; the diagonal phase goes into ``spare``, a contiguous K-complex
+    buffer that is reshaped to the tensor.
     """
-    _diagonal_phase(times, spectra, scratch)
+    phase = _diagonal_phase(times, spectra, spare.reshape(tensor.shape))
     spectrum = sfft.fftn(tensor, norm="ortho", overwrite_x=True)
-    spectrum *= scratch
+    spectrum *= phase
     return sfft.ifftn(spectrum, norm="ortho", overwrite_x=True)
 
 
@@ -264,25 +266,22 @@ def qaoa_complete_mixer(state: StateVector, t: float) -> StateVector:
 
 def prepare_complete(shape: tuple[int, ...]) -> Walk:
     """``complete_walk`` over the axes of ``shape``: the grid's for QMOA, ``(K,)`` for QAOA."""
-    reduced = np.empty(math.prod(shape) // shape[0], np.complex128)
 
     def walk(amps, times, spare):
-        return complete_walk(amps.reshape(shape), times, reduced).ravel()
+        return complete_walk(amps.reshape(shape), times, spare).ravel()
 
     return walk
 
 
-def complete_walk(
-    tensor: np.ndarray, times: Sequence[float], reduced: np.ndarray
-) -> np.ndarray:
+def complete_walk(tensor: np.ndarray, times: Sequence[float], spare: np.ndarray) -> np.ndarray:
     """exp(-i sum_d t_d A_d) for complete graphs A_d, on a contiguous tensor it overwrites.
 
     Time t_d walks grid dimension d, on tensor axis ``tensor_axis(d, ndim)``;
     a flat (K,) array with one time is the complete graph on all K states.
     On N vertices exp(-i t (J - I)) = e^{it} (I + (e^{-itN} - 1) J/N), and J/N
     replaces each entry by the mean along its axis. So each axis adds
-    (e^{-itN} - 1) times its mean, formed from the axis sums in ``reduced``
-    (a contiguous buffer of K/N complex entries), and one global phase
+    (e^{-itN} - 1) times its mean, formed from the axis sums in the first
+    K/N entries of the contiguous buffer ``spare``, and one global phase
     e^{i sum_d t_d} follows. Returns ``tensor``.
     """
     shape, dims = tensor.shape, tensor.ndim
@@ -290,7 +289,7 @@ def complete_walk(
     for d, t in enumerate(times):
         axis = tensor_axis(d, dims)
         n = shape[axis]
-        term = reduced.reshape(shape[:axis] + (1,) + shape[axis + 1 :])
+        term = spare[: tensor.size // n].reshape(shape[:axis] + (1,) + shape[axis + 1 :])
         np.add.reduce(tensor, axis=axis, keepdims=True, out=term)
         # Scalar first, in place, N a power of two: this keeps QAOA bit for bit the
         # scalar-mean closed form (numpy's out-of-place product fuses multiply-adds).
@@ -311,39 +310,36 @@ def hypercube_mixer(state: StateVector, t: float) -> StateVector:
 
 
 def prepare_hypercube(k: int) -> Walk:
-    """``hypercube_walk`` on K = 2^M states, with its scratch buffer."""
+    """``hypercube_walk`` on K = 2^M states."""
     if k & (k - 1) or k < 1:
         raise ValueError(f"hypercube mixer needs K = 2^M states, got K={k}")
-    scratch = np.empty(k, np.complex128)
 
     def walk(amps, times, spare):
-        return hypercube_walk(amps, float(times[0]), spare, scratch)
+        return hypercube_walk(amps, float(times[0]), spare)
 
     return walk
 
 
-def hypercube_walk(
-    amplitudes: np.ndarray, t: float, spare: np.ndarray, scratch: np.ndarray
-) -> np.ndarray:
+def hypercube_walk(amplitudes: np.ndarray, t: float, spare: np.ndarray) -> np.ndarray:
     """The hypercube walk on a flat contiguous array of 2^M entries.
 
     Pass i pairs index k with its partner across qubit i. Viewed as
     ``x.reshape(-1, 2, 2**i)``, the partners are the same view with its middle
-    axis reversed, so a pass is three whole-array ufuncs: ``scratch`` gets
-    i*sin(t) times the swapped view, and the other state buffer gets
-    cos(t)*x minus ``scratch``. The passes alternate between ``amplitudes``
-    and ``spare``, overwriting both, and the result ends in ``amplitudes``
-    when M is even and in ``spare`` when M is odd; the array holding it is
-    returned.
+    axis reversed, so a pass is three whole-array ufuncs on two buffers: the
+    other buffer y gets i*sin(t) times the swapped view, x is scaled by
+    cos(t) in place, and y becomes x minus y. The passes alternate between
+    ``amplitudes`` and ``spare``, overwriting both, and the result ends in
+    ``amplitudes`` when M is even and in ``spare`` when M is odd; the array
+    holding it is returned.
     """
     c = np.cos(t)
     js = 1j * np.sin(t)
     x, y = amplitudes, spare
     for i in range(amplitudes.size.bit_length() - 1):
         pairs = (-1, 2, 1 << i)
-        np.multiply(js, x.reshape(pairs)[:, ::-1, :], out=scratch.reshape(pairs))
-        np.multiply(c, x, out=y)
-        np.subtract(y, scratch, out=y)
+        np.multiply(js, x.reshape(pairs)[:, ::-1, :], out=y.reshape(pairs))
+        np.multiply(c, x, out=x)
+        np.subtract(x, y, out=y)
         x, y = y, x
     return x
 

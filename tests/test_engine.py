@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -21,6 +22,8 @@ from qvasim.engine import (
     draw_wavepacket_centres,
     nelder_mead,
     optimise_at_depth,
+    parallel_map,
+    resolve_workers,
 )
 from qvasim.grid import build_objective, make_grid, table_from_values
 from qvasim.mixers import CirculantGraph
@@ -198,6 +201,22 @@ class TestNelderMead:
         )
         assert result.x[0] == pytest.approx(1.0, abs=1e-9)
 
+    def test_start_outside_bounds_is_clipped_before_scipy_sees_it(self):
+        bounds = np.array([[0.0, 1.0], [0.0, 1.0]])
+        options = OptimiserOptions(bounds=bounds)
+
+        def objective(x):
+            return float((x[0] - 0.3) ** 2 + (x[1] - 0.6) ** 2)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            outside = nelder_mead(objective, [3.0, -2.0], options)
+        clipped = nelder_mead(objective, [1.0, 0.0], options)
+        assert np.array_equal(outside.x, clipped.x)
+        assert outside.value == clipped.value
+        assert outside.evaluations == clipped.evaluations
+        assert outside.iterations == clipped.iterations
+
     def test_rejects_nonfinite_start(self):
         with pytest.raises(ValueError, match="finite"):
             nelder_mead(lambda x: x[0] ** 2, [np.inf])
@@ -293,6 +312,20 @@ class TestOptimiseAtDepth:
         assert [r.expectation for r in serial.repeats] == [
             r.expectation for r in parallel.repeats
         ]
+
+    def test_worker_counts_below_one_are_rejected(self, monkeypatch):
+        for workers in (0, -4):
+            with pytest.raises(ValueError, match=f"workers must be at least 1, got {workers}"):
+                parallel_map(abs, [1, 2], workers)
+        monkeypatch.setenv("QVASIM_WORKERS", "0")
+        with pytest.raises(ValueError, match="QVASIM_WORKERS must be at least 1"):
+            parallel_map(abs, [1, 2])
+        monkeypatch.setenv("QVASIM_WORKERS", "two")
+        with pytest.raises(ValueError, match="QVASIM_WORKERS must be an integer, got 'two'"):
+            resolve_workers()
+        assert resolve_workers(3) == 3
+        monkeypatch.setenv("QVASIM_WORKERS", "")
+        assert resolve_workers() == 1
 
     def test_done_repeats_are_kept_and_not_rerun(self, monkeypatch):
         grid, table = small_problem()

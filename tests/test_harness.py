@@ -591,6 +591,19 @@ class TestPlotData:
             emit_plot_data([], kind, tmp_path)
 
 
+def write_small_config(tmp_path, **overrides):
+    """A one-cell sweep config written to ``cfg.yaml``; returns it and its output_dir."""
+    out = tmp_path / "out"
+    raw = {
+        "kind": "mixer_comparison", "algorithms": ["qmoa_complete"],
+        "functions": ["sphere"], "dims": 2, "n_points": 8, "depth_range": [1, 1],
+        "repeats": 1, "base_seed": 3, "output_dir": str(out), **overrides,
+    }
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump(raw))
+    return cfg, out
+
+
 class TestCli:
     def test_run_and_summarise_and_plot(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.yaml"
@@ -663,16 +676,27 @@ class TestCli:
         "repeats_read_as_string", "zero_qubit_cap", "fractional_base_seed",
     ])
     def test_invalid_config_exits_before_running(self, tmp_path, capsys, overrides):
-        out = tmp_path / "out"
-        raw = {
-            "kind": "mixer_comparison", "algorithms": ["qmoa_complete"],
-            "functions": ["sphere"], "dims": 2, "n_points": 8, "depth_range": [1, 1],
-            "repeats": 1, "base_seed": 3, "output_dir": str(out), **overrides,
-        }
-        cfg = tmp_path / "cfg.yaml"
-        cfg.write_text(yaml.safe_dump(raw))
+        cfg, out = write_small_config(tmp_path, **overrides)
         assert main(["run", str(cfg)]) == 2
         assert "config error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args, env, message", [
+        (["--workers", "0"], None, "workers must be at least 1, got 0"),
+        (["--workers", "-4"], None, "workers must be at least 1, got -4"),
+        ([], "0", "QVASIM_WORKERS must be at least 1, got 0"),
+        ([], "two", "QVASIM_WORKERS must be an integer, got 'two'"),
+    ], ids=["zero_flag", "negative_flag", "zero_variable", "non_integer_variable"])
+    def test_invalid_worker_count_exits_before_running(
+        self, tmp_path, capsys, monkeypatch, args, env, message
+    ):
+        if env is None:
+            monkeypatch.delenv("QVASIM_WORKERS", raising=False)
+        else:
+            monkeypatch.setenv("QVASIM_WORKERS", env)
+        cfg, out = write_small_config(tmp_path)
+        assert main(["run", str(cfg), *args]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_tolerance_in_yaml_short_float_form_exits_before_running(self, tmp_path, capsys):

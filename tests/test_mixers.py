@@ -1,3 +1,6 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +14,10 @@ from qvasim.mixers import (
     circulant_eigenvalues,
     hypercube_mixer,
     phase_shift,
+    prepare_complete,
+    prepare_hypercube,
+    prepare_qmoa,
+    prepare_qowe,
     qaoa_complete_mixer,
     qmoa_mixer,
     qowe_mixer,
@@ -221,6 +228,57 @@ class TestHypercubeMixer:
         state = StateVector(np.ones(6, dtype=complex) / np.sqrt(6), (6,))
         with pytest.raises(ValueError, match="2\\^M"):
             hypercube_mixer(state, 0.3)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_public_kernels_reject_non_finite_parameters(bad):
+    rng = np.random.default_rng(12)
+    grid = make_grid([0.0, 0.0], [3.0, 3.0], 4)
+    state = random_state(rng, 16, grid.tensor_shape)
+    table = table_from_values(np.arange(16.0))
+    graphs = (CirculantGraph.cycle(4),) * 2
+    momentum = MomentumGrid.from_grid(grid)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="gamma must be finite"):
+            phase_shift(state, bad, table)
+        for call in (
+            lambda: qmoa_mixer(state, [bad, 0.1], graphs),
+            lambda: qmoa_mixer(state, bad, (CirculantGraph.complete(4),) * 2),
+            lambda: qaoa_complete_mixer(state, bad),
+            lambda: hypercube_mixer(state, bad),
+            lambda: qowe_mixer(state, [0.1, bad], momentum, grid),
+        ):
+            with pytest.raises(ValueError, match="walk times must be finite"):
+                call()
+
+
+@pytest.mark.parametrize("mixer", ["qmoa_cycle", "qmoa_complete", "qowe", "qaoa_complete", "hypercube"])
+def test_prepared_walks_keep_no_state_sized_buffer(mixer):
+    """A prepared walk keeps its factors only; the caller's ``spare`` is its scratch."""
+    n = 64
+    shape, k = (n, n), n * n
+    grid = make_grid([0.0, 0.0], [1.0, 1.0], n)
+    momentum = MomentumGrid.from_grid(grid)
+    prepare = {
+        "qmoa_cycle": lambda: prepare_qmoa((CirculantGraph.cycle(n),) * 2, shape),
+        "qmoa_complete": lambda: prepare_qmoa((CirculantGraph.complete(n),) * 2, shape),
+        "qowe": lambda: prepare_qowe(momentum, shape),
+        "qaoa_complete": lambda: prepare_complete((k,)),
+        "hypercube": lambda: prepare_hypercube(k),
+    }[mixer]
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        walk = prepare()
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert retained - before < 0.1 * 16 * k
+    amps = random_state(np.random.default_rng(13), k).amplitudes.copy()
+    times = np.array([0.4] if mixer in ("qaoa_complete", "hypercube") else [0.4, 0.7])
+    out = walk(amps, times, np.empty_like(amps))
+    assert np.linalg.norm(out) == pytest.approx(1.0)
 
 
 class TestCentredFourier:
