@@ -25,7 +25,6 @@ from .engine import (
     NelderMeadResult,
     OptimiserOptions,
     RepeatResult,
-    WarmStart,
     depth_sweep,
     nelder_mead,
     optimise_at_depth,

@@ -176,15 +176,6 @@ def _bound_arrays(bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 @dataclass
-class WarmStart:
-    """Best depth-p outcome carried into the depth-(p+1) optimisation."""
-
-    params: ParameterVector
-    wavepacket_centres: np.ndarray | None = None
-    bound_halfwidth: float | None = None
-
-
-@dataclass
 class RepeatResult:
     """One optimisation's outcome; ``state`` is None once dropped or if restored from a log."""
 
@@ -213,10 +204,6 @@ class DepthResult:
     def best(self) -> RepeatResult:
         return self.repeats[self.best_index]
 
-    def warm_start(self) -> WarmStart:
-        best = self.best
-        return WarmStart(best.params, best.wavepacket_centres, best.bound_halfwidth)
-
 
 def _resolve_seeds(seeds, repeats: int) -> list[int]:
     if np.isscalar(seeds):
@@ -236,7 +223,7 @@ def _draw_layer(rng: np.random.Generator, times_per_layer: int) -> tuple[float, 
 def _initial_params(
     spec: AnsatzSpec,
     dims: int,
-    warm: WarmStart | None,
+    warm: ParameterVector | None,
     rng: np.random.Generator,
     identity_extension: bool,
 ) -> ParameterVector:
@@ -246,12 +233,12 @@ def _initial_params(
     times = np.empty((p, m))
     start = 0
     if warm is not None:
-        if warm.params.depth != p - 1 or warm.params.walk_times.shape[1] != m:
+        if warm.depth != p - 1 or warm.walk_times.shape[1] != m:
             raise ValueError(
-                f"warm start layout {warm.params.walk_times.shape} does not fit depth {p}"
+                f"warm start layout {warm.walk_times.shape} does not fit depth {p}"
             )
-        gammas[: p - 1] = warm.params.gammas
-        times[: p - 1] = warm.params.walk_times
+        gammas[: p - 1] = warm.gammas
+        times[: p - 1] = warm.walk_times
         start = p - 1
     for layer in range(start, p):
         if identity_extension:
@@ -292,7 +279,7 @@ def run_single_repeat(
     spec: AnsatzSpec,
     table: ObjectiveTable,
     grid: SolutionGrid,
-    warm: WarmStart | None,
+    warm: RepeatResult | None,
     seed: int,
     options: OptimiserOptions,
     identity_extension: bool,
@@ -310,7 +297,9 @@ def run_single_repeat(
         spec = spec.with_initial_state(
             WavepacketSpec(centres, np.full(grid.dims, QOWE_SIGMA))
         )
-    params0 = _initial_params(spec, grid.dims, warm, rng, identity_extension)
+    params0 = _initial_params(
+        spec, grid.dims, warm.params if warm is not None else None, rng, identity_extension
+    )
     propagator = Propagator(spec, table, grid)
 
     if spec.algorithm is Algorithm.QOWE:
@@ -344,7 +333,7 @@ def _qowe_expansion_loop(
     params0: ParameterVector,
     spec: AnsatzSpec,
     dims: int,
-    warm: WarmStart | None,
+    warm: RepeatResult | None,
     options: OptimiserOptions,
 ) -> tuple[NelderMeadResult, float, int]:
     """Re-run the optimisation with 1.2x wider bounds while the optimum pins.
@@ -409,7 +398,7 @@ def optimise_at_depth(
     table: ObjectiveTable,
     grid: SolutionGrid,
     p: int,
-    warm_start: WarmStart | None = None,
+    warm_start: RepeatResult | None = None,
     repeats: int = 10,
     seeds: int | Sequence[int] = 0,
     options: OptimiserOptions | None = None,
@@ -418,15 +407,19 @@ def optimise_at_depth(
 ) -> DepthResult:
     """Best of ``repeats`` independent optimisations at depth ``p``.
 
-    Ties between repeats resolve to the lowest repeat index. ``seeds`` is
-    either one base seed (repeat j uses base + j) or one seed per repeat.
-    ``done`` maps repeat indices to results already known, for example
-    restored from a record log; only the other repeats are run, and the
-    known results take their places in repeat order.
+    ``warm_start`` is a depth ``p - 1`` repeat, usually the previous depth's
+    best; the repeats receive a copy without its state. Ties between repeats
+    resolve to the lowest repeat index. ``seeds`` is either one base seed
+    (repeat j uses base + j) or one seed per repeat. ``done`` maps repeat
+    indices to results already known, for example restored from a record
+    log; only the other repeats are run, and the known results take their
+    places in repeat order.
     """
     warm = warm_start
-    if warm is not None and not isinstance(warm, WarmStart):
-        raise TypeError(f"warm start must be a WarmStart or None, got {type(warm)}")
+    if warm is not None:
+        if not isinstance(warm, RepeatResult):
+            raise TypeError(f"warm start must be a RepeatResult or None, got {type(warm)}")
+        warm = replace(warm, state=None)  # the workers need no K-sized state
     spec = spec.at_depth(p)
     options = options or OptimiserOptions()
     seed_list = _resolve_seeds(seeds, repeats)
@@ -476,7 +469,7 @@ def depth_sweep(
             done(p) if done is not None else None,
         )
         results.append(dr)
-        warm = dr.warm_start()
+        warm = dr.best
         if on_depth is not None:
             on_depth(dr)
     return results

@@ -49,8 +49,8 @@ def _build_parser() -> argparse.ArgumentParser:
     summ.add_argument("records", help="records.jsonl from a run")
     summ.add_argument(
         "--group-by",
-        default="algorithm,function,depth",
-        help="comma-separated record fields",
+        help="comma-separated record fields (default: algorithm,function,depth "
+        "for sweep records, function,dims,depth for hybrid records)",
     )
     summ.add_argument("--out", help="summary CSV path (default: stdout)")
 
@@ -83,7 +83,10 @@ def _load_nonempty(path) -> list:
 
 def _cmd_summarise(args) -> int:
     records = _load_nonempty(args.records)
-    rows = summarise(records, [k.strip() for k in args.group_by.split(",") if k.strip()])
+    group_by = args.group_by
+    if group_by is not None:
+        group_by = [k.strip() for k in group_by.split(",") if k.strip()]
+    rows = summarise(records, group_by)
     if args.out:
         write_summary_csv(rows, args.out)
         print(f"{len(rows)} groups -> {args.out}")

@@ -7,25 +7,28 @@ A config file describes one experiment. Keys (YAML):
     functions: [styblinski_tang, ...]
     dims: 3
     n_points: 32
-    depth_range: [1, 8]          # inclusive, contiguous (warm-start chaining);
+    depth_range: [1, 8]          # two integers >= 1, inclusive, contiguous
+                                 # (warm-start chaining);
                                  # scaling_study: at least three depths (the fit);
                                  # hybrid_study: one depth
     repeats: 10
     base_seed: 42
     output_dir: runs/my-experiment
-    shared_walk_time: false      # walk-graph algorithms: one t per layer
+    shared_walk_time: false      # walk-graph algorithms: one t per layer; a bool
     optimiser: {max_iterations: 1000000, simplex_tolerance: 1.0e-4,
-                value_tolerance: 1.0e-4, adaptive: true}
+                value_tolerance: 1.0e-4, adaptive: true}  # adaptive: a bool
     bandwidths: [1, 2, 4, 8, 16] # degree_sweep only
-    dims_list: [2, 3, 4]         # scaling_study; hybrid_study (default [dims])
-    grid_sizes: [16, 32]         # scaling_study only
+    dims_list: [2, 3, 4]         # scaling_study; hybrid_study (default [dims]);
+                                 # integers >= 1
+    grid_sizes: [16, 32]         # scaling_study only; integers >= 1
     epsilon: 1.0e-4              # hybrid_study; > 0
     sample_size: 30              # hybrid_study; >= 1
 
 A list key that the kind does not read must be empty or absent. The aliases
 ``algorithm: x``, ``function: f`` and ``depth: p`` stand for ``algorithms:
-[x]``, ``functions: [f]`` and ``depth_range: [p, p]``; a file may give only
-one form of each, and a ``key=value`` override of either form replaces both.
+[x]``, ``functions: [f]`` and ``depth_range: [p, p]``, with ``p`` taken as
+written (``depth: 2.7`` is an error, not depth 2); a file may give only one
+form of each, and a ``key=value`` override of either form replaces both.
 
 Seeds: every repeat's generator seed is ``seed_for(base_seed, depth, repeat)``,
 the first 8 bytes of blake2b over the decimal triple, independent of repeat
@@ -37,13 +40,15 @@ relevant field (everything except ``output_dir``) and
 
 Cells: ``ExperimentConfig.cells()`` is the one list of (label, function, D, N)
 cells a config runs, in run order. ``validate()`` rejects a config with a
-numeric field of the wrong type or sign (tolerances and ``epsilon`` must be
-numbers > 0; counts, sizes and ``qubit_cap`` integers >= 1; ``base_seed`` an
-integer; a ``bool`` is none of these), no cells, a hybrid study over more than
-one depth, a list key the kind does not read, and any cell the runner could
-not set up (function undefined at D, grid off the power-of-two or qubit-cap
-rules, unknown or out-of-range algorithm label), so a config error surfaces
-before any record is written.
+field of the wrong type or sign (tolerances and ``epsilon`` must be numbers
+> 0; counts, sizes, ``qubit_cap`` and every ``dims_list`` and ``grid_sizes``
+entry integers >= 1; ``depth_range`` exactly two integers >= 1; ``base_seed``
+an integer; a ``bool`` is none of these; ``shared_walk_time`` and
+``optimiser.adaptive`` must be ``bool``), no cells, a hybrid study over more
+than one depth, a list key the kind does not read, and any cell the runner
+could not set up (function undefined at D, grid off the power-of-two or
+qubit-cap rules, unknown or out-of-range algorithm label), so a config error
+surfaces before any record is written.
 """
 
 from __future__ import annotations
@@ -191,9 +196,10 @@ class ExperimentConfig:
         return self
 
     def _check_numbers(self) -> None:
-        """Reject numeric fields of the wrong type or sign; ``bool`` counts as neither.
+        """Reject fields of the wrong type or sign.
 
-        YAML reads ``1e-4`` as a string (``1.0e-4`` is a float), which would
+        A ``bool`` is no number, and the two flags must be ``bool``. YAML
+        reads ``1e-4`` as a string (``1.0e-4`` is a float), which would
         otherwise pass until the optimiser first compares it.
         """
         opt = self.optimiser
@@ -216,6 +222,22 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
         if not _is_number(self.base_seed, numbers.Integral):
             raise ConfigError(f"base_seed must be an integer, got {self.base_seed!r}")
+        if len(self.depth_range) != 2 or not all(
+            _is_number(v, numbers.Integral) and v >= 1 for v in self.depth_range
+        ):
+            raise ConfigError(
+                f"depth_range must be two integers >= 1, got {list(self.depth_range)!r}"
+            )
+        for name in ("dims_list", "grid_sizes"):
+            for value in getattr(self, name):
+                if not _is_number(value, numbers.Integral) or value < 1:
+                    raise ConfigError(f"{name} entries must be integers >= 1, got {value!r}")
+        for name, value in (
+            ("shared_walk_time", self.shared_walk_time),
+            ("optimiser.adaptive", opt.adaptive),
+        ):
+            if not isinstance(value, bool):
+                raise ConfigError(f"{name} must be true or false, got {value!r}")
 
 
 def _is_number(value, kind: type) -> bool:
@@ -271,7 +293,7 @@ def _coerce(raw: dict) -> ExperimentConfig:
         if key in data:
             raise ConfigError(f"config gives both {alias!r} and {key!r}; keep one")
         value = data.pop(alias)
-        data[key] = (int(value),) * 2 if alias == "depth" else [value]
+        data[key] = (value, value) if alias == "depth" else [value]
     opt = data.pop("optimiser", {})
     known = {f for f in ExperimentConfig.__dataclass_fields__}
     unknown = set(data) - known

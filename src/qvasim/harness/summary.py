@@ -15,11 +15,17 @@ _METRICS = {
     ExperimentRecord: ("expectation", "mean_error", "statistical_distance", "max_amplification"),
     HybridRecord: ("speedup", "fev_qmoa", "fev_nelder_mead", "fev_assisted", "baseline_fev"),
 }
+# the keys each record class is grouped by when the caller names none
+_GROUP_BY = {
+    ExperimentRecord: ("algorithm", "function", "depth"),
+    HybridRecord: ("function", "dims", "depth"),
+}
 
 
-def summarise(records: list, group_by: list[str]) -> list[dict]:
+def summarise(records: list, group_by: list[str] | None = None) -> list[dict]:
     """Per-group mean and population standard deviation of every metric.
 
+    ``group_by=None`` groups each record class by its own keys in ``_GROUP_BY``.
     Sweep records additionally get best-repeat columns (the repeat with the
     lowest expectation value, ties to the lowest repeat index).
     """
@@ -27,19 +33,20 @@ def summarise(records: list, group_by: list[str]) -> list[dict]:
         raise ValueError("no records to summarise")
     rows: list[dict] = []
     for cls, metric_names in _METRICS.items():
+        keys = _GROUP_BY[cls] if group_by is None else group_by
         groups: dict[tuple, list] = {}
         for r in records:
             if not isinstance(r, cls):
                 continue
             try:
-                key = tuple(getattr(r, k) for k in group_by)
+                key = tuple(getattr(r, k) for k in keys)
             except AttributeError as exc:
                 raise ValueError(f"unknown group-by key: {exc}") from None
             groups.setdefault(key, []).append(r)
         # by value, with None (e.g. an unset bound_halfwidth) after every value
         for key in sorted(groups, key=lambda k: tuple((v is None, v) for v in k)):
             members = groups[key]
-            row = dict(zip(group_by, key))
+            row = dict(zip(keys, key))
             row["n"] = len(members)
             for metric in metric_names:
                 values = np.array([float(getattr(r, metric)) for r in members])

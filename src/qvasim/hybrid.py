@@ -8,9 +8,11 @@ simplex search through the accounting identity
 
     fev_assisted = sample_size * (p + 1) * fev_qmoa + fev_nelder_mead
 
-Sample minima are grid points, so most launches repeat an earlier start.
-Every launch is counted in ``fev_nelder_mead``, but the deterministic simplex
-run from a repeated start is not re-run: its evaluation count is reused.
+which ``HybridAccounting.fev_assisted`` computes from the four counts it
+holds; fev_qmoa is the number of expectation estimations. Sample minima are
+grid points, so most launches repeat an earlier start. Every launch is counted
+in ``fev_nelder_mead``, but the deterministic simplex run from a repeated
+start is not re-run: its evaluation count is reused.
 """
 
 from __future__ import annotations
@@ -42,23 +44,16 @@ DEFAULT_EPSILON = 1e-4
 
 @dataclass(frozen=True)
 class HybridAccounting:
-    """Evaluation counts for one assisted run; the identity is enforced."""
+    """Evaluation counts for one assisted run; ``fev_assisted`` follows from them."""
 
     fev_qmoa: int
     fev_nelder_mead: int
     sample_size: int
     depth: int
-    fev_assisted: int = 0
 
-    def __post_init__(self) -> None:
-        expected = self.sample_size * (self.depth + 1) * self.fev_qmoa + self.fev_nelder_mead
-        if self.fev_assisted == 0:
-            object.__setattr__(self, "fev_assisted", expected)
-        elif self.fev_assisted != expected:
-            raise ValueError(
-                f"inconsistent accounting: fev_assisted={self.fev_assisted}, "
-                f"expected {expected}"
-            )
+    @property
+    def fev_assisted(self) -> int:
+        return self.sample_size * (self.depth + 1) * self.fev_qmoa + self.fev_nelder_mead
 
 
 @dataclass
@@ -135,11 +130,9 @@ def hybrid_optimise(
     coords = grid.coordinate_columns()
     propagator = Propagator(spec, table, grid)
 
-    sample_minima: list[int] = []
-    estimations = [0]
+    sample_minima: list[int] = []  # one entry per estimation
 
     def sampled_objective(flat: np.ndarray) -> float:
-        estimations[0] += 1
         ks = sample(propagator.state(flat), rng, sample_size)
         values = table.values[ks]
         sample_minima.append(int(ks[np.argmin(values)]))
@@ -150,7 +143,6 @@ def hybrid_optimise(
         rng.uniform(*WALK_TIME_RANGE, size=(depth, times_per_layer)),
     ).flatten()
     nelder_mead(sampled_objective, x0, _scipy_default_options(propagator.n_params))
-    fev_qmoa = estimations[0]
 
     threshold = f.known_minimum(dims) + epsilon
     fev_nm = 0
@@ -171,7 +163,7 @@ def hybrid_optimise(
             break
         failed[k] = result.evaluations
     accounting = HybridAccounting(
-        fev_qmoa=fev_qmoa,
+        fev_qmoa=len(sample_minima),
         fev_nelder_mead=fev_nm,
         sample_size=sample_size,
         depth=depth,

@@ -16,7 +16,6 @@ from qvasim.ansatz import (
 from qvasim.engine import (
     OptimiserOptions,
     RepeatResult,
-    WarmStart,
     _initial_params,
     depth_sweep,
     draw_wavepacket_centres,
@@ -241,15 +240,15 @@ class TestInitialisation:
 
     def test_warm_start_copies_first_layers(self):
         spec = qmoa_spec(2, 4, depth=3)
-        warm = WarmStart(ParameterVector([0.5, -0.4], [[1.0, 2.0], [3.0, 4.0]]))
+        warm = ParameterVector([0.5, -0.4], [[1.0, 2.0], [3.0, 4.0]])
         rng = np.random.default_rng(1)
         params = _initial_params(spec, 2, warm, rng, identity_extension=False)
-        assert np.array_equal(params.gammas[:2], warm.params.gammas)
-        assert np.array_equal(params.walk_times[:2], warm.params.walk_times)
+        assert np.array_equal(params.gammas[:2], warm.gammas)
+        assert np.array_equal(params.walk_times[:2], warm.walk_times)
 
     def test_identity_extension_appends_zeros(self):
         spec = qmoa_spec(2, 4, depth=3)
-        warm = WarmStart(ParameterVector([0.5, -0.4], [[1.0, 2.0], [3.0, 4.0]]))
+        warm = ParameterVector([0.5, -0.4], [[1.0, 2.0], [3.0, 4.0]])
         rng = np.random.default_rng(2)
         params = _initial_params(spec, 2, warm, rng, identity_extension=True)
         assert params.gammas[2] == 0.0
@@ -257,7 +256,7 @@ class TestInitialisation:
 
     def test_warm_depth_mismatch_rejected(self):
         spec = qmoa_spec(2, 4, depth=4)
-        warm = WarmStart(ParameterVector([0.5], [[1.0, 2.0]]))
+        warm = ParameterVector([0.5], [[1.0, 2.0]])
         with pytest.raises(ValueError, match="warm start"):
             _initial_params(spec, 2, warm, np.random.default_rng(0), False)
 
@@ -360,8 +359,26 @@ class TestOptimiseAtDepth:
     def test_warm_start_must_be_warm_start(self):
         grid, table = small_problem()
         bare = ParameterVector([0.5], [[1.0, 2.0]])
-        with pytest.raises(TypeError, match="WarmStart"):
+        with pytest.raises(TypeError, match="RepeatResult"):
             optimise_at_depth(qmoa_spec(2, 4), table, grid, 2, warm_start=bare, repeats=1)
+
+    def test_warm_start_reaches_workers_without_state(self, monkeypatch):
+        grid, table = small_problem()
+        spec = qmoa_spec(2, 4)
+        first = optimise_at_depth(spec, table, grid, 1, repeats=2, seeds=3)
+        assert first.best.state is not None
+        sent = []
+        real = engine.parallel_map
+
+        def spy(fn, tasks, workers=None):
+            sent.extend(task[3] for task in tasks)
+            return real(fn, tasks, workers)
+
+        monkeypatch.setattr(engine, "parallel_map", spy)
+        optimise_at_depth(spec, table, grid, 2, warm_start=first.best, repeats=2, workers=2)
+        assert len(sent) == 2
+        assert all(warm.state is None and warm.params is first.best.params for warm in sent)
+        assert first.best.state is not None  # the caller's result keeps its state
 
 
 class TestDepthSweep:
@@ -537,7 +554,7 @@ class TestQoweProtocol:
         spec = AnsatzSpec(Algorithm.QOWE, 1, initial_state="gaussian")
         first = optimise_at_depth(spec, table, grid, 1, repeats=2, seeds=11)
         second = optimise_at_depth(
-            spec, table, grid, 2, warm_start=first.warm_start(), repeats=2, seeds=13
+            spec, table, grid, 2, warm_start=first.best, repeats=2, seeds=13
         )
         assert np.array_equal(
             second.repeats[0].wavepacket_centres, first.best.wavepacket_centres

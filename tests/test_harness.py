@@ -1,3 +1,4 @@
+import csv
 import json
 import logging
 import os
@@ -411,6 +412,35 @@ class TestRunner:
         assert fits[0].startswith("algorithm,function,dims,n_points,alpha")
         assert len(fits) == 2
 
+    def test_scaling_plot_fit_matches_scaling_fits_csv(self, tmp_path):
+        config = tiny_config(
+            tmp_path,
+            kind="scaling_study",
+            algorithms=["qmoa_complete"],
+            functions=["rastrigin"],
+            depth_range=(1, 3),
+            dims_list=[2],
+            grid_sizes=[4, 8],
+            repeats=2,
+        )
+        records = run_experiment(config)
+        with (tmp_path / "out" / "scaling_fits.csv").open() as fh:
+            fits = {
+                (r["function"], r["algorithm"], f"D{r['dims']}", f"N{r['n_points']}"): r
+                for r in csv.DictReader(fh)
+            }
+        paths = emit_plot_data(records, "scaling", tmp_path / "plots")
+        assert len(paths) == len(fits) == 2
+        for path in paths:
+            fit = fits[tuple(path.stem.split("__")[1:])]
+            alpha, c, dims = float(fit["alpha"]), float(fit["c"]), int(fit["dims"])
+            with path.open() as fh:
+                rows = list(csv.DictReader(fh))
+            assert [int(r["x"]) for r in rows] == [1, 2, 3]
+            for r in rows:
+                expected = c * int(r["x"]) ** (alpha * dims)
+                assert float(r["y_fit"]) == pytest.approx(expected, rel=1e-12, abs=0)
+
     def test_hybrid_study(self, tmp_path):
         config = tiny_config(
             tmp_path,
@@ -592,7 +622,10 @@ class TestPlotData:
 
 
 def write_small_config(tmp_path, **overrides):
-    """A one-cell sweep config written to ``cfg.yaml``; returns it and its output_dir."""
+    """A one-cell sweep config written to ``cfg.yaml``; returns it and its output_dir.
+
+    An override of ``None`` leaves its key out.
+    """
     out = tmp_path / "out"
     raw = {
         "kind": "mixer_comparison", "algorithms": ["qmoa_complete"],
@@ -600,7 +633,7 @@ def write_small_config(tmp_path, **overrides):
         "repeats": 1, "base_seed": 3, "output_dir": str(out), **overrides,
     }
     cfg = tmp_path / "cfg.yaml"
-    cfg.write_text(yaml.safe_dump(raw))
+    cfg.write_text(yaml.safe_dump({k: v for k, v in raw.items() if v is not None}))
     return cfg, out
 
 
@@ -624,6 +657,18 @@ class TestCli:
             str(tmp_path / "plots"),
         ]) == 0
         assert (tmp_path / "s.csv").exists()
+
+    def test_summarise_hybrid_log_by_default_keys(self, tmp_path, capsys):
+        cfg, out = write_small_config(tmp_path, kind="hybrid_study", algorithms=None)
+        assert main(["run", str(cfg)]) == 0
+        log, csv_path = str(out / "records.jsonl"), tmp_path / "s.csv"
+        assert main(["summarise", log, "--out", str(csv_path)]) == 0
+        header, row = csv_path.read_text().splitlines()
+        assert header.startswith("function,dims,depth,n,speedup_mean,")
+        assert row.startswith("sphere,2,1,1,")
+        # an explicit --group-by is used as given
+        assert main(["summarise", log, "--group-by", "algorithm"]) == 3
+        assert "unknown group-by key" in capsys.readouterr().err
 
     def test_config_error_exit_code(self, tmp_path):
         cfg = tmp_path / "bad.yaml"
@@ -664,6 +709,21 @@ class TestCli:
         {"repeats": "2"},
         {"qubit_cap": 0},
         {"base_seed": 1.5},
+        {"depth_range": [1.5, 2]},
+        {"depth_range": [1]},
+        {"depth_range": [1, "2"]},
+        {"depth_range": None, "depth": "abc"},
+        {"depth_range": None, "depth": 2.7},
+        {
+            "kind": "scaling_study", "dims_list": [2.5], "grid_sizes": [8],
+            "depth_range": [1, 3],
+        },
+        {
+            "kind": "scaling_study", "dims_list": [2], "grid_sizes": [16.0],
+            "depth_range": [1, 3],
+        },
+        {"shared_walk_time": "no"},
+        {"optimiser": {"adaptive": "no"}},
     ], ids=[
         "bandwidth_over_half_n", "function_undefined_at_later_dims", "n_not_power_of_two",
         "hybrid_function_undefined_at_dims", "non_integer_bandwidth", "no_algorithms",
@@ -674,6 +734,9 @@ class TestCli:
         "simplex_tolerance_read_as_string", "zero_value_tolerance",
         "fractional_max_iterations", "bool_max_iterations", "bool_dims", "float_n_points",
         "repeats_read_as_string", "zero_qubit_cap", "fractional_base_seed",
+        "fractional_depth_range", "one_entry_depth_range", "string_in_depth_range",
+        "string_depth", "fractional_depth", "fractional_dims_list", "float_grid_size",
+        "string_shared_walk_time", "string_adaptive",
     ])
     def test_invalid_config_exits_before_running(self, tmp_path, capsys, overrides):
         cfg, out = write_small_config(tmp_path, **overrides)

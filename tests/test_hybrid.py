@@ -23,12 +23,6 @@ class TestAccounting:
         acc = HybridAccounting(fev_qmoa=10, fev_nelder_mead=400, sample_size=30, depth=2)
         assert speedup(4000, acc) == pytest.approx(4000 / 1300)
 
-    def test_inconsistent_total_rejected(self):
-        with pytest.raises(ValueError, match="accounting"):
-            HybridAccounting(
-                fev_qmoa=10, fev_nelder_mead=400, sample_size=30, depth=2, fev_assisted=999
-            )
-
     def test_speedup_edge_cases(self):
         acc = HybridAccounting(fev_qmoa=1, fev_nelder_mead=0, sample_size=30, depth=1)
         assert speedup(acc.fev_assisted, acc) == 1.0
