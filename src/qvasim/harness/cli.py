@@ -3,7 +3,10 @@
 Subcommands: ``run`` executes a config, ``summarise`` aggregates a record
 log, ``plot-data`` writes figure-ready CSV series, ``catalogue`` lists the
 available functions, algorithms and graph families. Exit codes: 0 success,
-2 configuration error, 3 runtime failure. Set QVASIM_WORKERS (or ``--workers``)
+2 configuration error, 3 runtime failure. ``summarise`` and ``plot-data``
+refuse (exit 3) a log holding records of several configs, which a run into an
+``output_dir`` used before leaves behind; only a ``summarise --group-by`` that
+includes ``config_hash`` keeps them apart. Set QVASIM_WORKERS (or ``--workers``)
 to parallelise the repeats of a sweep depth or of a hybrid study; a count below
 1, or a QVASIM_WORKERS that is not an integer, is a configuration error.
 """
@@ -73,20 +76,29 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _load_nonempty(path) -> list:
-    """The records logged at ``path``; a missing or empty log is a runtime failure."""
+def _load_one_config(path, group_by: list[str] | None = None) -> list:
+    """The records logged at ``path``, all written under one config.
+
+    A missing or empty log is a runtime failure, and so is a log holding
+    records of several configs unless ``group_by`` keeps them apart.
+    """
     records = load_records(path)
     if not records:
         raise RuntimeError(f"no records found in {path}")
+    hashes = sorted({r.config_hash for r in records})
+    if len(hashes) > 1 and "config_hash" not in (group_by or ()):
+        raise RuntimeError(
+            f"{path} holds records of {len(hashes)} configs ({', '.join(hashes)}); "
+            "keep one config per log, or summarise with a --group-by that includes config_hash"
+        )
     return records
 
 
 def _cmd_summarise(args) -> int:
-    records = _load_nonempty(args.records)
     group_by = args.group_by
     if group_by is not None:
         group_by = [k.strip() for k in group_by.split(",") if k.strip()]
-    rows = summarise(records, group_by)
+    rows = summarise(_load_one_config(args.records, group_by), group_by)
     if args.out:
         write_summary_csv(rows, args.out)
         print(f"{len(rows)} groups -> {args.out}")
@@ -97,7 +109,7 @@ def _cmd_summarise(args) -> int:
 
 
 def _cmd_plot_data(args) -> int:
-    paths = emit_plot_data(_load_nonempty(args.records), args.kind, Path(args.out))
+    paths = emit_plot_data(_load_one_config(args.records), args.kind, Path(args.out))
     for path in paths:
         print(path)
     return 0

@@ -7,22 +7,20 @@ A config file describes one experiment. Keys (YAML):
     functions: [styblinski_tang, ...]
     dims: 3
     n_points: 32
-    depth_range: [1, 8]          # two integers >= 1, inclusive, contiguous
-                                 # (warm-start chaining);
+    depth_range: [1, 8]          # inclusive, contiguous (warm-start chaining);
                                  # scaling_study: at least three depths (the fit);
                                  # hybrid_study: one depth
     repeats: 10
     base_seed: 42
     output_dir: runs/my-experiment
-    shared_walk_time: false      # walk-graph algorithms: one t per layer; a bool
+    shared_walk_time: false      # walk-graph algorithms: one t per layer
     optimiser: {max_iterations: 1000000, simplex_tolerance: 1.0e-4,
-                value_tolerance: 1.0e-4, adaptive: true}  # adaptive: a bool
+                value_tolerance: 1.0e-4, adaptive: true}
     bandwidths: [1, 2, 4, 8, 16] # degree_sweep only
-    dims_list: [2, 3, 4]         # scaling_study; hybrid_study (default [dims]);
-                                 # integers >= 1
-    grid_sizes: [16, 32]         # scaling_study only; integers >= 1
-    epsilon: 1.0e-4              # hybrid_study; > 0
-    sample_size: 30              # hybrid_study; >= 1
+    dims_list: [2, 3, 4]         # scaling_study; hybrid_study (default [dims])
+    grid_sizes: [16, 32]         # scaling_study only
+    epsilon: 1.0e-4              # hybrid_study
+    sample_size: 30              # hybrid_study
 
 A list key that the kind does not read must be empty or absent. The aliases
 ``algorithm: x``, ``function: f`` and ``depth: p`` stand for ``algorithms:
@@ -39,25 +37,26 @@ relevant field (everything except ``output_dir``) and
 ``qvasim.mixers.KERNEL_VERSION``, so records from other kernels are not resumed.
 
 Cells: ``ExperimentConfig.cells()`` is the one list of (label, function, D, N)
-cells a config runs, in run order. ``validate()`` rejects a config with a
-field of the wrong type or sign (tolerances and ``epsilon`` must be numbers
-> 0; counts, sizes, ``qubit_cap`` and every ``dims_list`` and ``grid_sizes``
-entry integers >= 1; ``depth_range`` exactly two integers >= 1; ``base_seed``
-an integer; a ``bool`` is none of these; ``shared_walk_time`` and
-``optimiser.adaptive`` must be ``bool``), no cells, a hybrid study over more
-than one depth, a list key the kind does not read, and any cell the runner
-could not set up (function undefined at D, grid off the power-of-two or
-qubit-cap rules, unknown or out-of-range algorithm label), so a config error
-surfaces before any record is written.
+cells a config runs, in run order. ``validate()`` checks each field against its
+annotation: ``int`` admits an integer >= 1, ``float`` a number > 0 (a ``bool``
+is neither), ``bool`` and ``str`` themselves, ``list[T]`` a list or tuple of
+T's and ``tuple[int, int]`` two such integers; only ``base_seed`` (any integer)
+and ``output_dir`` (also a path) differ. It then rejects no cells, a hybrid
+study over more than one depth, a list key the kind does not read, and any cell
+the runner could not set up (function undefined at D, grid off the
+power-of-two or qubit-cap rules, unknown or out-of-range algorithm label), so a
+config error surfaces before any record is written.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import numbers
-from dataclasses import asdict, dataclass, field
+import os
+from dataclasses import asdict, dataclass, field, is_dataclass
+from numbers import Integral, Real
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import yaml
 
@@ -152,14 +151,14 @@ class ExperimentConfig:
 
     def validate(self) -> "ExperimentConfig":
         """Check the config and set up every cell as the runner will; returns self."""
+        _check_fields(self)
         if self.kind not in KINDS:
             raise ConfigError(f"unknown kind {self.kind!r}; one of {KINDS}")
-        self._check_numbers()
         for name in self.functions:
             if name not in FUNCTIONS:
                 raise ConfigError(f"unknown function {name!r}")
         lo, hi = self.depth_range
-        if lo < 1 or hi < lo:
+        if hi < lo:
             raise ConfigError(f"depth_range must be non-empty ascending, got {self.depth_range}")
         unread = [
             key for key, kinds in LIST_KEY_KINDS.items()
@@ -175,9 +174,6 @@ class ExperimentConfig:
             raise ConfigError(
                 f"hybrid_study runs one depth, got depth_range {self.depth_range}"
             )
-        for label in self.algorithms:
-            if label not in ALGORITHM_LABELS:
-                _bandwidth(label)
         cells = self.cells()
         if not cells:
             read = [k for k, kinds in LIST_KEY_KINDS.items() if self.kind in kinds]
@@ -195,66 +191,51 @@ class ExperimentConfig:
                 build_ansatz_spec(label, dims, n_points, self.shared_walk_time)
         return self
 
-    def _check_numbers(self) -> None:
-        """Reject fields of the wrong type or sign.
 
-        A ``bool`` is no number, and the two flags must be ``bool``. YAML
-        reads ``1e-4`` as a string (``1.0e-4`` is a float), which would
-        otherwise pass until the optimiser first compares it.
-        """
-        opt = self.optimiser
-        for name, value in (
-            ("epsilon", self.epsilon),
-            ("optimiser.simplex_tolerance", opt.simplex_tolerance),
-            ("optimiser.value_tolerance", opt.value_tolerance),
-        ):
-            if not _is_number(value, numbers.Real) or not value > 0:
-                raise ConfigError(f"{name} must be a number > 0, got {value!r}")
-        for name, value in (
-            ("optimiser.max_iterations", opt.max_iterations),
-            ("dims", self.dims),
-            ("n_points", self.n_points),
-            ("repeats", self.repeats),
-            ("sample_size", self.sample_size),
-            ("qubit_cap", self.qubit_cap),
-        ):
-            if not _is_number(value, numbers.Integral) or value < 1:
-                raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
-        if not _is_number(self.base_seed, numbers.Integral):
-            raise ConfigError(f"base_seed must be an integer, got {self.base_seed!r}")
-        if len(self.depth_range) != 2 or not all(
-            _is_number(v, numbers.Integral) and v >= 1 for v in self.depth_range
-        ):
-            raise ConfigError(
-                f"depth_range must be two integers >= 1, got {list(self.depth_range)!r}"
-            )
-        for name in ("dims_list", "grid_sizes"):
-            for value in getattr(self, name):
-                if not _is_number(value, numbers.Integral) or value < 1:
-                    raise ConfigError(f"{name} entries must be integers >= 1, got {value!r}")
-        for name, value in (
-            ("shared_walk_time", self.shared_walk_time),
-            ("optimiser.adaptive", opt.adaptive),
-        ):
-            if not isinstance(value, bool):
-                raise ConfigError(f"{name} must be true or false, got {value!r}")
+# annotation: (test, what a value must be, what the entries of a list must be)
+_RULES = {
+    int: (lambda v: _is_number(v, Integral) and v >= 1, "an integer >= 1", "integers >= 1"),
+    float: (lambda v: _is_number(v, Real) and v > 0, "a number > 0", "numbers > 0"),
+    bool: (lambda v: isinstance(v, bool), "true or false", "booleans"),
+    str: (lambda v: isinstance(v, str), "a string", "strings"),
+}
+# The only fields that admit more than their annotation's rule.
+_FIELD_RULES = {
+    "base_seed": (lambda v: _is_number(v, Integral), "an integer"),
+    "output_dir": (lambda v: isinstance(v, (str, os.PathLike)), "a string or path"),
+}
 
 
 def _is_number(value, kind: type) -> bool:
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
-def _bandwidth(label: str) -> int:
-    """The half-width s of a ``qmoa_banded_<s>`` label."""
-    prefix, _, width = label.rpartition("_")
-    if prefix != "qmoa_banded":
-        raise ConfigError(
-            f"unknown algorithm {label!r}; one of {ALGORITHM_LABELS} or qmoa_banded_<s>"
-        )
-    try:
-        return int(width)
-    except ValueError:
-        raise ConfigError(f"bandwidth of {label!r} is not an integer") from None
+def _rule(annotation) -> tuple:
+    """The (test, description) of what a field annotated ``annotation`` admits."""
+    if annotation in _RULES:
+        return _RULES[annotation][:2]
+    if is_dataclass(annotation):
+        return (lambda v: isinstance(v, annotation)), f"an instance of {annotation.__name__}"
+    origin, args = get_origin(annotation), get_args(annotation)
+    if origin in (list, tuple) and len(set(args)) == 1 and args[0] in _RULES:
+        admits, _, what = _RULES[args[0]]
+        size = len(args) if origin is tuple else None
+
+        def each(v):
+            return isinstance(v, (list, tuple)) and size in (None, len(v)) and all(map(admits, v))
+        return each, (f"{size} {what}" if size else f"a list of {what}")
+    raise TypeError(f"no config rule for annotation {annotation!r}")
+
+
+def _check_fields(obj, prefix: str = "") -> None:
+    """Check every field of a config dataclass, nested ones included, by its annotation."""
+    for name, annotation in get_type_hints(type(obj)).items():
+        key, value = prefix + name, getattr(obj, name)
+        admits, what = _FIELD_RULES.get(key) or _rule(annotation)
+        if not admits(value):
+            raise ConfigError(f"{key} must be {what}, got {value!r}")
+        if is_dataclass(value):
+            _check_fields(value, f"{key}.")
 
 
 def build_ansatz_spec(
@@ -274,7 +255,15 @@ def build_ansatz_spec(
     elif label == "qmoa_cycle":
         graph = CirculantGraph.cycle(n_points)
     else:
-        bandwidth = _bandwidth(label)
+        prefix, _, width = label.rpartition("_")
+        if prefix != "qmoa_banded":
+            raise ConfigError(
+                f"unknown algorithm {label!r}; one of {ALGORITHM_LABELS} or qmoa_banded_<s>"
+            )
+        try:
+            bandwidth = int(width)
+        except ValueError:
+            raise ConfigError(f"bandwidth of {label!r} is not an integer") from None
         if bandwidth < 1 or bandwidth > n_points // 2:
             raise ConfigError(
                 f"bandwidth {bandwidth} out of range [1, {n_points // 2}] for N={n_points}"
@@ -295,6 +284,9 @@ def _coerce(raw: dict) -> ExperimentConfig:
         value = data.pop(alias)
         data[key] = (value, value) if alias == "depth" else [value]
     opt = data.pop("optimiser", {})
+    depth_range = data.get("depth_range", (1, 1))
+    if isinstance(depth_range, list):
+        depth_range = tuple(depth_range)
     known = {f for f in ExperimentConfig.__dataclass_fields__}
     unknown = set(data) - known
     if unknown:
@@ -303,8 +295,8 @@ def _coerce(raw: dict) -> ExperimentConfig:
         cfg = ExperimentConfig(
             **{
                 **data,
-                "depth_range": tuple(data.get("depth_range", (1, 1))),
-                "algorithms": list(data.get("algorithms", [])),
+                "depth_range": depth_range,
+                "algorithms": data.get("algorithms", []),
                 "optimiser": OptimiserConfig(**opt),
             }
         )

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..analysis import fit_scaling, metrics_for_state
+from ..analysis import ScalingFit, fit_scaling, metrics_for_state
 from ..ansatz import ParameterVector
 from ..engine import (
     DepthResult,
@@ -282,23 +282,29 @@ def _sweep_kind(config: ExperimentConfig, workers: int) -> list[ExperimentRecord
     return records
 
 
-def _emit_scaling_fits(config: ExperimentConfig, records: list[ExperimentRecord]) -> None:
-    """Fit amplification growth per (algorithm, function, D, N) cell."""
+def scaling_fits(records: list[ExperimentRecord]) -> dict[tuple, ScalingFit]:
+    """Amplification growth fit per (algorithm, function, D, N) cell, from per-depth means."""
     groups: dict[tuple, dict[int, list[float]]] = {}
     for r in records:
         cell = (r.algorithm, r.function, r.dims, r.n_points)
         groups.setdefault(cell, {}).setdefault(r.depth, []).append(r.max_amplification)
+    return {
+        cell: fit_scaling(
+            (depth, cell[2], float(np.mean(values)))
+            for depth, values in sorted(by_depth.items())
+        )
+        for cell, by_depth in groups.items()
+    }
+
+
+def _emit_scaling_fits(config: ExperimentConfig, records: list[ExperimentRecord]) -> None:
     path = Path(config.output_dir) / "scaling_fits.csv"
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["algorithm", "function", "dims", "n_points", "alpha", "alpha_stddev", "c"]
         )
-        for cell in sorted(groups):
-            fit = fit_scaling(
-                (depth, cell[2], float(np.mean(values)))
-                for depth, values in sorted(groups[cell].items())
-            )
+        for cell, fit in sorted(scaling_fits(records).items()):
             writer.writerow(list(cell) + [fit.alpha, fit.alpha_stddev, fit.c])
 
 

@@ -8,8 +8,8 @@ from pathlib import Path
 
 import numpy as np
 
-from ..analysis import fit_scaling, rdgs_amplification
-from .runner import ExperimentRecord, HybridRecord
+from ..analysis import rdgs_amplification
+from .runner import ExperimentRecord, HybridRecord, scaling_fits
 
 _METRICS = {
     ExperimentRecord: ("expectation", "mean_error", "statistical_distance", "max_amplification"),
@@ -177,14 +177,13 @@ def emit_plot_data(records: list, kind: str, outdir) -> list[Path]:
     by_series: dict[tuple, list[dict]] = {}
     for row in summarise(subset, [*plot.series, plot.x]):
         by_series.setdefault(tuple(row[k] for k in plot.series), []).append(row)
+    fits = scaling_fits(subset) if kind == "scaling" else {}
     written: list[Path] = []
     for key in sorted(by_series):
         rows = sorted(by_series[key], key=lambda r: r[plot.x])
         series = [[r[plot.x], *(r[c] for c in plot.y)] for r in rows]
         if kind == "scaling":
-            fit = fit_scaling(
-                [(r["depth"], r["dims"], r["max_amplification_mean"]) for r in rows]
-            )
+            fit = fits[key]
             for line, r in zip(series, rows):
                 line.append(float(fit.predict(np.array([r["depth"]]), r["dims"])[0]))
         name = f"{kind}__{plot.name.format(**rows[0])}.csv"

@@ -2,7 +2,7 @@ import csv
 import json
 import logging
 import os
-from dataclasses import asdict, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -232,6 +232,33 @@ class TestConfig:
     )
     def test_shipped_configs_validate(self, path):
         assert load_config(path).cells()
+
+    @pytest.mark.parametrize("name, expected", [
+        ("degree_sweep", "b7b91ed0968ef269"),
+        ("hybrid_study", "7c523d6c6f99f2e8"),
+        ("rf_depth_sweep", "b291b38a32ae9102"),
+        ("scaling_study", "238ea14fd17814ce"),
+        ("stf_depth_sweep", "9213977a5b8f9712"),
+    ])
+    def test_shipped_config_hashes_are_pinned(self, name, expected):
+        # a changed hash makes every resumed run start afresh; a kernel-version
+        # bump must update these values on purpose
+        assert config_hash(load_config(CONFIGS / f"{name}.yaml")) == expected
+
+    def test_field_without_type_rule_fails_loudly(self, tmp_path):
+        @dataclass
+        class WithMapping(ExperimentConfig):
+            extra: dict[str, int] = field(default_factory=dict)
+
+        with pytest.raises(TypeError, match="no config rule for annotation"):
+            WithMapping(**vars(tiny_config(tmp_path))).validate()
+
+    def test_path_output_dir_validates_and_runs(self, tmp_path):
+        config = tiny_config(tmp_path, output_dir=tmp_path / "out", depth_range=(1, 1))
+        assert config_hash(config) == config_hash(replace(config, output_dir="elsewhere"))
+        records = run_experiment(config, workers=1)
+        assert len(records) == 2 * 2
+        assert len(load_records(tmp_path / "out" / "records.jsonl")) == 4
 
     def test_build_ansatz_spec_labels(self):
         from qvasim.ansatz import Algorithm
@@ -724,6 +751,14 @@ class TestCli:
         },
         {"shared_walk_time": "no"},
         {"optimiser": {"adaptive": "no"}},
+        {"kind": "scaling_study", "dims_list": 2, "grid_sizes": [8], "depth_range": [1, 3]},
+        {"kind": "scaling_study", "dims_list": [2], "grid_sizes": 4, "depth_range": [1, 3]},
+        {"kind": "degree_sweep", "algorithms": [], "bandwidths": 2},
+        {"algorithms": "qmoa_complete"},
+        {"functions": "sphere"},
+        {"algorithms": None, "algorithm": ["qmoa_complete"]},
+        {"functions": [["sphere"]]},
+        {"output_dir": 5},
     ], ids=[
         "bandwidth_over_half_n", "function_undefined_at_later_dims", "n_not_power_of_two",
         "hybrid_function_undefined_at_dims", "non_integer_bandwidth", "no_algorithms",
@@ -736,12 +771,29 @@ class TestCli:
         "repeats_read_as_string", "zero_qubit_cap", "fractional_base_seed",
         "fractional_depth_range", "one_entry_depth_range", "string_in_depth_range",
         "string_depth", "fractional_depth", "fractional_dims_list", "float_grid_size",
-        "string_shared_walk_time", "string_adaptive",
+        "string_shared_walk_time", "string_adaptive", "scalar_dims_list",
+        "scalar_grid_sizes", "scalar_bandwidths", "string_algorithms", "string_functions",
+        "list_algorithm_alias", "nested_functions", "integer_output_dir",
     ])
     def test_invalid_config_exits_before_running(self, tmp_path, capsys, overrides):
         cfg, out = write_small_config(tmp_path, **overrides)
         assert main(["run", str(cfg)]) == 2
         assert "config error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("overrides, args, message", [
+        ({"algorithms": "qmoa_complete"}, [], "algorithms must be a list of strings, got "
+         "'qmoa_complete'"),
+        ({"functions": "sphere"}, [], "functions must be a list of strings, got 'sphere'"),
+        ({}, ["--set", "algorithms=qmoa_complete"], "algorithms must be a list of strings, "
+         "got 'qmoa_complete'"),
+    ], ids=["algorithms_in_file", "functions_in_file", "algorithms_override"])
+    def test_string_for_list_key_names_key_and_whole_value(
+        self, tmp_path, capsys, overrides, args, message
+    ):
+        cfg, out = write_small_config(tmp_path, **overrides)
+        assert main(["run", str(cfg), *args]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("args, env, message", [
@@ -779,6 +831,35 @@ class TestCli:
             capsys.readouterr().err
         )
         assert not out.exists()
+
+    def _log_of_two_configs(self, tmp_path) -> str:
+        cfg, out = write_small_config(tmp_path, repeats=2)
+        assert main(["run", str(cfg)]) == 0
+        assert main(["run", str(cfg), "--set", "base_seed=4"]) == 0
+        records = load_records(out / "records.jsonl")
+        assert len(records) == 4 and len({r.config_hash for r in records}) == 2
+        return str(out / "records.jsonl")
+
+    def test_summarise_refuses_log_of_several_configs(self, tmp_path, capsys):
+        log = self._log_of_two_configs(tmp_path)
+        hashes = sorted({r.config_hash for r in load_records(log)})
+        capsys.readouterr()
+        assert main(["summarise", log]) == 3
+        err = capsys.readouterr().err
+        assert "2 configs" in err and all(h in err for h in hashes)
+        # grouping by config_hash keeps the configs apart
+        assert main(["summarise", log, "--group-by", "config_hash,algorithm,depth"]) == 0
+        assert capsys.readouterr().out.count("'n': 2") == 2
+
+    def test_plot_data_refuses_log_of_several_configs(self, tmp_path, capsys):
+        log = self._log_of_two_configs(tmp_path)
+        hashes = sorted({r.config_hash for r in load_records(log)})
+        capsys.readouterr()
+        plots = tmp_path / "plots"
+        assert main(["plot-data", log, "--kind", "mean_error_vs_depth", "--out", str(plots)]) == 3
+        err = capsys.readouterr().err
+        assert all(h in err for h in hashes)
+        assert not plots.exists()
 
     def test_missing_records_exit_code(self, tmp_path):
         assert main(["summarise", str(tmp_path / "none.jsonl")]) == 3
