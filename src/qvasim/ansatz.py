@@ -37,6 +37,7 @@ from .states import (
     norm_drift_of,
     probabilities_of,
     renormalise,
+    sample_of,
 )
 
 
@@ -261,6 +262,16 @@ class Propagator:
         """<Q> of the prepared state; the quantity the optimiser minimises."""
         self._evolve(flat, None)
         return expectation_of(self.table.values, self._probabilities[0])
+
+    def sample(self, flat: np.ndarray, rng: np.random.Generator, shots: int) -> np.ndarray:
+        """``shots`` basis-state draws from the prepared state.
+
+        The draws equal ``states.sample(self.state(flat), rng, shots)``: they
+        read the last layer's probabilities from the workspace instead of
+        copying the state out and squaring it again.
+        """
+        self._evolve(flat, None)
+        return sample_of(self._probabilities[0], rng, shots)
 
 
 def apply_ansatz(

@@ -28,7 +28,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy import optimize as sciopt
 
 from .ansatz import Algorithm, AnsatzSpec, ParameterVector, Propagator
 from .grid import ObjectiveTable, SolutionGrid
@@ -57,11 +56,12 @@ BOUND_HIT_TOL = 1e-9
 class OptimiserOptions:
     """Nelder-Mead settings.
 
-    ``max_iterations`` is passed to scipy's ``maxiter``, and scipy counts the
-    initial simplex as its first iteration: a run stopped by this cap reports
+    ``max_iterations`` caps the simplex iterations, and the initial simplex
+    counts as the first: a run stopped by this cap reports
     ``NelderMeadResult.iterations == max_iterations - 1`` simplex steps.
-    ``max_evaluations`` is passed to ``maxfev`` and bounds scipy's own calls;
-    the starting-point check adds one more evaluation.
+    ``max_evaluations`` caps the simplex's own objective calls, the initial
+    simplex's included; the call that would pass it is not made and ends the
+    step it falls in. The starting-point check adds one more evaluation.
     """
 
     max_iterations: int = 1_000_000
@@ -81,16 +81,19 @@ class NelderMeadResult:
     """Outcome of one ``nelder_mead`` call.
 
     ``evaluations`` counts every objective call, the starting-point check
-    included. ``iterations`` counts the simplex steps reported to the
-    iteration callback; the initial simplex is not counted, and a step cut
-    short by the evaluation cap is counted. It always equals the number of
-    lines one call appends to ``trace_path``.
+    included. ``iterations`` counts the simplex steps; the initial simplex
+    is not counted, and a step cut short by the evaluation cap is counted.
+    It always equals the number of lines one call appends to ``trace_path``.
     """
 
     x: np.ndarray
     value: float
     evaluations: int
     iterations: int
+
+
+class _EvaluationCap(Exception):
+    """The simplex asked for an evaluation past ``max_evaluations``."""
 
 
 def nelder_mead(
@@ -101,78 +104,169 @@ def nelder_mead(
 ) -> NelderMeadResult:
     """Simplex minimisation with the dimension-adaptive coefficient scheme.
 
-    Terminates when both the simplex spread and the value spread fall below
-    their tolerances, at the iteration cap or at the evaluation cap. With
-    bounds set, evaluation points are clamped onto the boundary.
-    ``trace_path`` appends one JSON line per simplex step, numbered from 1:
-    iteration index, best value, parameter vector. Steps are counted by the
-    callback whether or not a trace is written, so the trace and the
-    reported ``iterations`` agree on every exit.
+    The simplex follows scipy 1.17.1's Nelder-Mead expression for
+    expression, so it takes the same points and returns the same bits.
+    ``adaptive`` selects the coefficients of Gao & Han (Comput. Optim. Appl.
+    51, 259-277, 2012) over the standard 1, 2, 1/2, 1/2. Terminates when both
+    the simplex spread and the value spread fall below their tolerances, at
+    the iteration cap or at the evaluation cap. With bounds set, the start
+    and every evaluation point are clipped onto the box, and initial-simplex
+    vertices above an upper bound are first reflected below it.
+    ``objective`` receives a copy of each point. ``trace_path`` appends one
+    JSON line per simplex step, numbered from 1: iteration index, best
+    value, parameter vector.
     """
     options = options or OptimiserOptions()
     x0 = np.asarray(x0, dtype=float)
+    if x0.ndim != 1 or x0.size == 0:
+        raise ValueError(f"starting point must be a non-empty vector, got shape {x0.shape}")
     if not np.all(np.isfinite(x0)):
         raise ValueError("starting point must be finite")
-    bounds = None
+    lo = hi = None
     start = x0
     if options.bounds is not None:
-        lo, hi = _bound_arrays(options.bounds)
-        bounds = sciopt.Bounds(lo, hi)
+        lo, hi = _bound_arrays(options.bounds, x0.size)
         start = np.clip(x0, lo, hi)
     f0 = float(objective(start))
     if not np.isfinite(f0):
         raise ValueError(f"objective is not finite at the starting point ({f0})")
-    scipy_options = {
-        "maxiter": options.max_iterations,
-        "xatol": options.simplex_tolerance,
-        "fatol": options.value_tolerance,
-        "adaptive": options.adaptive,
-    }
-    if options.max_evaluations is not None:
-        scipy_options["maxfev"] = options.max_evaluations
-    # scipy's nit counts the initial simplex but the callback fires once per
-    # step, except that a step cut by maxfev is reported without raising nit;
-    # counting here keeps iterations and the trace in step on every exit.
     trace_file = open(trace_path, "a") if trace_path is not None else None
-    counter = [0]
-
-    def callback(intermediate_result):
-        counter[0] += 1
-        if trace_file is not None:
-            trace_file.write(
-                json.dumps(
-                    {
-                        "iteration": counter[0],
-                        "expectation": float(intermediate_result.fun),
-                        "params": [float(v) for v in intermediate_result.x],
-                    }
-                )
-                + "\n"
-            )
-
     try:
-        res = sciopt.minimize(
-            objective,
-            start,
-            method="Nelder-Mead",
-            bounds=bounds,
-            options=scipy_options,
-            callback=callback,
-        )
+        x, value, calls, steps = _simplex(objective, start, lo, hi, options, trace_file)
     finally:
         if trace_file is not None:
             trace_file.close()
     return NelderMeadResult(
-        x=np.asarray(res.x, dtype=float),
-        value=float(res.fun),
-        evaluations=int(res.nfev) + 1,  # +1 for the starting-point check above
-        iterations=counter[0],
+        x=x,
+        value=value,
+        evaluations=calls + 1,  # +1 for the starting-point check above
+        iterations=steps,
     )
 
 
-def _bound_arrays(bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _bound_arrays(bounds: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     b = np.asarray(bounds, dtype=float)
+    if b.shape != (n, 2):
+        raise ValueError(f"bounds must have shape ({n}, 2), got {b.shape}")
+    if np.any(b[:, 1] < b[:, 0]):
+        raise ValueError("an upper bound is less than the corresponding lower bound")
     return b[:, 0], b[:, 1]
+
+
+def _order(sim: np.ndarray, fsim: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The simplex and its values, best vertex first."""
+    ind = np.argsort(fsim)
+    return np.take(sim, ind, 0), np.take(fsim, ind, 0)
+
+
+def _simplex(objective, x0, lo, hi, options, trace_file):
+    """Run the simplex from ``x0``; return (best x, best value, calls, steps).
+
+    ``x0`` is already inside the bounds, if any. ``calls`` counts the
+    objective calls made here; ``steps`` the passes through the main loop
+    that did not stop at the convergence test.
+    """
+    n = x0.size
+    bounded = lo is not None
+    if options.adaptive:
+        dim = float(n)
+        rho, chi, psi, sigma = 1, 1 + 2 / dim, 0.75 - 1 / (2 * dim), 1 - 1 / dim
+    else:
+        rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    max_calls = np.inf if options.max_evaluations is None else options.max_evaluations
+    xatol, fatol = options.simplex_tolerance, options.value_tolerance
+    calls = 0
+
+    def f(x):
+        nonlocal calls
+        if calls >= max_calls:
+            raise _EvaluationCap
+        calls += 1
+        return objective(np.copy(x))
+
+    # vertex k + 1 steps coordinate k by 5%, or to 0.00025 from zero
+    sim = np.tile(x0, (n + 1, 1))
+    for k in range(n):
+        sim[k + 1, k] = (1 + 0.05) * x0[k] if x0[k] != 0 else 0.00025
+    if bounded:
+        # vertices pushed past an upper bound are reflected back inside, so
+        # that clipping cannot collapse the simplex onto the bound
+        sim = np.clip(np.where(sim > hi, 2 * hi - sim, sim), lo, hi)
+
+    fsim = np.full(n + 1, np.inf)
+    try:
+        for k in range(n + 1):
+            fsim[k] = f(sim[k])
+    except _EvaluationCap:
+        pass
+    # sorted twice as scipy sorts it; np.argsort is not stable, so the second
+    # pass may still reorder tied vertices
+    sim, fsim = _order(*_order(sim, fsim))
+
+    iterations = 1  # the initial simplex counts towards max_iterations
+    steps = 0
+    while calls < max_calls and iterations < options.max_iterations:
+        try:
+            if (
+                np.max(np.abs(sim[1:] - sim[0])) <= xatol
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol
+            ):
+                break
+            xbar = np.add.reduce(sim[:-1], 0) / n
+            xr = (1 + rho) * xbar - rho * sim[-1]
+            if bounded:
+                xr = np.clip(xr, lo, hi)
+            fxr = f(xr)
+            if fxr < fsim[0]:
+                xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+                if bounded:
+                    xe = np.clip(xe, lo, hi)
+                fxe = f(xe)
+                if fxe < fxr:
+                    sim[-1], fsim[-1] = xe, fxe
+                else:
+                    sim[-1], fsim[-1] = xr, fxr
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                shrink = False
+                if fxr < fsim[-1]:  # outside contraction
+                    xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
+                    if bounded:
+                        xc = np.clip(xc, lo, hi)
+                    fxc = f(xc)
+                    if fxc <= fxr:
+                        sim[-1], fsim[-1] = xc, fxc
+                    else:
+                        shrink = True
+                else:  # inside contraction
+                    xcc = (1 - psi) * xbar + psi * sim[-1]
+                    if bounded:
+                        xcc = np.clip(xcc, lo, hi)
+                    fxcc = f(xcc)
+                    if fxcc < fsim[-1]:
+                        sim[-1], fsim[-1] = xcc, fxcc
+                    else:
+                        shrink = True
+                if shrink:
+                    for j in range(1, n + 1):
+                        sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                        if bounded:
+                            sim[j] = np.clip(sim[j], lo, hi)
+                        fsim[j] = f(sim[j])
+            iterations += 1
+        except _EvaluationCap:
+            pass  # the step ends at the cap, still counted below
+        sim, fsim = _order(sim, fsim)
+        steps += 1
+        if trace_file is not None:
+            record = {
+                "iteration": steps,
+                "expectation": float(fsim[0]),
+                "params": [float(v) for v in sim[0]],
+            }
+            trace_file.write(json.dumps(record) + "\n")
+    return sim[0], float(np.min(fsim)), calls, steps
 
 
 @dataclass

@@ -284,6 +284,8 @@ def _coerce(raw: dict) -> ExperimentConfig:
         value = data.pop(alias)
         data[key] = (value, value) if alias == "depth" else [value]
     opt = data.pop("optimiser", {})
+    if not isinstance(opt, dict):
+        raise ConfigError(f"optimiser must be a mapping, got {opt!r}")
     depth_range = data.get("depth_range", (1, 1))
     if isinstance(depth_range, list):
         depth_range = tuple(depth_range)
@@ -324,7 +326,10 @@ def load_config(path, overrides: list[str] | None = None) -> ExperimentConfig:
             if key in (alias, full):
                 raw.pop(alias, None)
                 raw.pop(full, None)
-        raw[key] = yaml.safe_load(value)
+        try:
+            raw[key] = yaml.safe_load(value)
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"override of {key} is not valid YAML: {exc}") from exc
     return _coerce(raw)
 
 

@@ -32,11 +32,12 @@ from .engine import (
 from .functions import TestFunction, get_function
 from .grid import ObjectiveTable, SolutionGrid, build_objective, make_grid
 from .mixers import CirculantGraph
-from .states import sample
 
 # Importable from this module for the benchmark's tracer (bench/tracing.py),
-# which rebinds it here; the sampled objective evaluates through a Propagator.
+# which rebinds them here; the sampled objective evaluates and samples
+# through a Propagator.
 from .ansatz import apply_ansatz  # noqa: F401
+from .states import sample  # noqa: F401
 
 DEFAULT_SAMPLE_SIZE = 30
 DEFAULT_EPSILON = 1e-4
@@ -133,7 +134,7 @@ def hybrid_optimise(
     sample_minima: list[int] = []  # one entry per estimation
 
     def sampled_objective(flat: np.ndarray) -> float:
-        ks = sample(propagator.state(flat), rng, sample_size)
+        ks = propagator.sample(flat, rng, sample_size)
         values = table.values[ks]
         sample_minima.append(int(ks[np.argmin(values)]))
         return float(np.mean(values))

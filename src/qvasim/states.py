@@ -152,9 +152,13 @@ def sample(state: StateVector, rng: np.random.Generator, shots: int) -> np.ndarr
     Inverse-CDF sampling on the cumulative probability array: O(K) setup and
     O(log K) per shot, exact for the stored distribution.
     """
+    return sample_of(state.probabilities(), rng, shots)
+
+
+def sample_of(probabilities: np.ndarray, rng: np.random.Generator, shots: int) -> np.ndarray:
+    """``sample`` on a bare probability array, which it leaves untouched."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    probabilities = state.probabilities()
     drift = norm_drift_of(probabilities)
     if drift > 1e-8:
         raise ValueError(f"state is not normalised (norm drift {drift:.3e})")

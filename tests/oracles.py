@@ -1,17 +1,24 @@
-"""Dense oracles for the mixer kernels, capped at K <= 4096.
+"""Dense oracles for the mixer kernels, capped at K <= 4096, and a simplex oracle.
 
-Each builds its operator from the definition (explicit adjacency matrices,
-Kronecker lifts, an eigendecomposition, the centred transform's matrix
-elements) rather than from the kernels' factorisations, so the tests can
-check the fast kernels against an independent reference. ``centred_fourier``
-is the centred transform factored about one DFT; the library's QOWE mixer
-does without it, and the tests check it against ``centred_fourier_matrix``.
+Each mixer oracle builds its operator from the definition (explicit
+adjacency matrices, Kronecker lifts, an eigendecomposition, the centred
+transform's matrix elements) rather than from the kernels' factorisations,
+so the tests can check the fast kernels against an independent reference.
+``centred_fourier`` is the centred transform factored about one DFT; the
+library's QOWE mixer does without it, and the tests check it against
+``centred_fourier_matrix``. ``scipy_nelder_mead`` is ``nelder_mead`` written
+over ``scipy.optimize.minimize``, which the library's own simplex must
+match bit for bit.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import json
 
+import numpy as np
+from scipy import optimize as sciopt
+
+from qvasim.engine import NelderMeadResult, OptimiserOptions
 from qvasim.grid import SolutionGrid
 from qvasim.mixers import CirculantGraph, MomentumGrid
 from qvasim.states import StateVector
@@ -130,3 +137,62 @@ def centred_fourier(
     else:
         out = pre.conj() * np.fft.ifft(post.conj() * psi, axis=axis, norm="ortho")
     return StateVector(out.ravel(), state.tensor_shape)
+
+
+def scipy_nelder_mead(objective, x0, options=None, trace_path=None) -> NelderMeadResult:
+    """``qvasim.engine.nelder_mead`` through ``scipy.optimize.minimize``.
+
+    Same starting-point check, result and trace as the library's simplex;
+    the steps are counted by scipy's per-step callback, which also fires for
+    a step cut short by ``maxfev`` (scipy's ``nit`` does not count that one).
+    """
+    options = options or OptimiserOptions()
+    x0 = np.asarray(x0, dtype=float)
+    bounds = None
+    start = x0
+    if options.bounds is not None:
+        b = np.asarray(options.bounds, dtype=float)
+        bounds = sciopt.Bounds(b[:, 0], b[:, 1])
+        start = np.clip(x0, b[:, 0], b[:, 1])
+    f0 = float(objective(start))
+    if not np.isfinite(f0):
+        raise ValueError(f"objective is not finite at the starting point ({f0})")
+    scipy_options = {
+        "maxiter": options.max_iterations,
+        "xatol": options.simplex_tolerance,
+        "fatol": options.value_tolerance,
+        "adaptive": options.adaptive,
+    }
+    if options.max_evaluations is not None:
+        scipy_options["maxfev"] = options.max_evaluations
+    trace_file = open(trace_path, "a") if trace_path is not None else None
+    counter = [0]
+
+    def callback(intermediate_result):
+        counter[0] += 1
+        if trace_file is not None:
+            record = {
+                "iteration": counter[0],
+                "expectation": float(intermediate_result.fun),
+                "params": [float(v) for v in intermediate_result.x],
+            }
+            trace_file.write(json.dumps(record) + "\n")
+
+    try:
+        res = sciopt.minimize(
+            objective,
+            start,
+            method="Nelder-Mead",
+            bounds=bounds,
+            options=scipy_options,
+            callback=callback,
+        )
+    finally:
+        if trace_file is not None:
+            trace_file.close()
+    return NelderMeadResult(
+        x=np.asarray(res.x, dtype=float),
+        value=float(res.fun),
+        evaluations=int(res.nfev) + 1,
+        iterations=counter[0],
+    )

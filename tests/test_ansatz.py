@@ -35,7 +35,7 @@ from qvasim.mixers import (
     qmoa_mixer,
     qowe_mixer,
 )
-from qvasim.states import WavepacketSpec, expectation
+from qvasim.states import WavepacketSpec, expectation, sample
 
 LABELS = (
     "qmoa_complete",
@@ -197,6 +197,23 @@ def test_renormalised_layers_match_composed_kernels(label, monkeypatch):
         expected, _ = composed(spec, params, table, grid)
         assert_same_bits(propagator.amplitudes(params.flatten()), expected.amplitudes)
         assert propagator.expectation(params.flatten()) == expectation(expected, table)
+
+
+@pytest.mark.parametrize("renormalised", [False, True], ids=["unit_norm", "renormalised"])
+@pytest.mark.parametrize("label", ["qmoa_complete", "qaoa_hypercube", "qowe_equal"])
+def test_sample_equals_sampling_the_copied_state(label, renormalised, monkeypatch):
+    """Draws from the workspace probabilities equal ``sample`` of ``state``."""
+    if renormalised:
+        monkeypatch.setattr(qvasim.states, "RENORM_THRESHOLD", -1.0)
+    grid, table = problem(2, 8)
+    spec = make_spec(label, 2, 8, depth=3)
+    propagator = Propagator(spec, table, grid)
+    rng = np.random.default_rng(LABELS.index(label))
+    for seed in range(3):
+        flat = random_params(spec, 2, rng).flatten()
+        draws = propagator.sample(flat, np.random.default_rng(seed), 200)
+        expected = sample(propagator.state(flat), np.random.default_rng(seed), 200)
+        assert np.array_equal(draws, expected)
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,15 @@
+import os
+import subprocess
+import sys
+import tempfile
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qvasim.engine as engine
 from qvasim.ansatz import (
@@ -30,7 +37,7 @@ from qvasim.states import WavepacketSpec, expectation, grid_superposition
 from qvasim.analysis import rdgs_probability
 from qvasim.functions import get_function
 
-from oracles import adjacency_matrix, dense_walk_oracle
+from oracles import adjacency_matrix, dense_walk_oracle, scipy_nelder_mead
 
 
 def small_problem(dims=2, n=4, name="styblinski_tang"):
@@ -221,6 +228,19 @@ class TestNelderMead:
             nelder_mead(lambda x: x[0] ** 2, [np.inf])
         with pytest.raises(ValueError, match="not finite"):
             nelder_mead(lambda x: float("nan"), [0.0])
+
+    def test_rejects_bad_shapes_before_evaluating(self):
+        def objective(x):
+            raise AssertionError("evaluated")
+
+        with pytest.raises(ValueError, match="non-empty vector"):
+            nelder_mead(objective, [])
+        with pytest.raises(ValueError, match="non-empty vector"):
+            nelder_mead(objective, [[0.0, 1.0]])
+        with pytest.raises(ValueError, match=r"shape \(2, 2\)"):
+            nelder_mead(objective, [0.0, 1.0], OptimiserOptions(bounds=np.array([[0.0, 1.0]])))
+        with pytest.raises(ValueError, match="upper bound is less"):
+            nelder_mead(objective, [0.5], OptimiserOptions(bounds=np.array([[1.0, 0.0]])))
 
 
 class TestInitialisation:
@@ -492,6 +512,80 @@ class TestTraceLog:
         assert plain.value == traced.value
         assert plain.evaluations == traced.evaluations
         assert plain.iterations == traced.iterations
+
+
+# Objectives bounded below, so no run diverges; a centre moves each minimum.
+SIMPLEX_OBJECTIVES = {
+    "quadratic": lambda c: lambda x: float(np.sum((x - c) ** 2)),
+    "rosenbrock": lambda c: lambda x: float(
+        np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2) + np.sum((x - c) ** 2)
+    ),
+    # piecewise constant: vertices tie, so the ordering's tie-breaks decide
+    "plateau": lambda c: lambda x: float(np.floor(4.0 * np.abs(x - c)).sum()),
+}
+
+
+@st.composite
+def simplex_runs(draw):
+    """(objective, x0, options) over the simplex's branches and stopping rules."""
+    dims = draw(st.integers(1, 8))
+
+    def vector(elements):
+        return draw(st.lists(elements, min_size=dims, max_size=dims).map(np.array))
+
+    # zero components take the absolute initial step instead of the relative one
+    x0 = vector(st.one_of(st.just(0.0), st.floats(-3.0, 3.0)))
+    bounds = None
+    if draw(st.booleans()):
+        # an upper bound on or just above x0 pushes initial vertices past it
+        above = vector(st.one_of(st.just(0.0), st.floats(0.0, 1e-3), st.floats(0.0, 2.0)))
+        bounds = np.column_stack([x0 - vector(st.floats(0.0, 2.0)), x0 + above])
+    options = OptimiserOptions(
+        # most runs converge below 1,000 iterations; the cap ends those that
+        # do not, such as one that a wrong tie-break sends around a plateau
+        max_iterations=draw(st.one_of(st.integers(1, 200), st.just(1_000))),
+        # at most N+1 evaluations cuts the initial simplex short
+        max_evaluations=draw(
+            st.one_of(st.none(), st.integers(0, dims + 1), st.integers(dims + 2, 40 * dims))
+        ),
+        adaptive=draw(st.booleans()),
+        bounds=bounds,
+    )
+    centre = vector(st.floats(-2.0, 2.0))
+    objective = SIMPLEX_OBJECTIVES[draw(st.sampled_from(sorted(SIMPLEX_OBJECTIVES)))](centre)
+    return objective, x0, options
+
+
+class TestSimplexMatchesScipy:
+    @settings(max_examples=300, deadline=None)
+    @given(run=simplex_runs())
+    def test_bit_for_bit(self, run):
+        objective, x0, options = run
+        with tempfile.TemporaryDirectory() as tmp:
+            ours_trace, scipy_trace = Path(tmp, "ours.jsonl"), Path(tmp, "scipy.jsonl")
+            ours = nelder_mead(objective, x0, options, trace_path=ours_trace)
+            theirs = scipy_nelder_mead(objective, x0, options, trace_path=scipy_trace)
+            # as lists of lines, so that a failure reports the first step that differs
+            assert ours_trace.read_text().splitlines() == scipy_trace.read_text().splitlines()
+        assert np.array_equal(ours.x, theirs.x)
+        assert ours.value == theirs.value
+        assert ours.evaluations == theirs.evaluations
+        assert ours.iterations == theirs.iterations
+
+    def test_package_and_cli_import_without_scipy_optimize(self):
+        src = Path(engine.__file__).resolve().parents[1]
+        code = (
+            "import sys, qvasim, qvasim.harness.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert out.stdout.strip() == "[]"
 
 
 class TestExactPeriodicity:

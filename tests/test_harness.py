@@ -702,7 +702,7 @@ class TestCli:
         cfg.write_text("kind: nope\n")
         assert main(["run", str(cfg)]) == 2
 
-    @pytest.mark.parametrize("overrides", [
+    @pytest.mark.parametrize("overrides, args", [(overrides, []) for overrides in [
         {"kind": "degree_sweep", "algorithms": [], "bandwidths": [1, 9]},
         {
             "kind": "scaling_study", "functions": ["beale"], "dims_list": [2, 3],
@@ -759,6 +759,11 @@ class TestCli:
         {"algorithms": None, "algorithm": ["qmoa_complete"]},
         {"functions": [["sphere"]]},
         {"output_dir": 5},
+    ]] + [
+        ({}, ["--set", "repeats=[1"]),
+        ({"optimiser": 5}, []),
+        ({}, ["--set", "optimiser=5"]),
+        ({}, ["--set", "optimiser="]),
     ], ids=[
         "bandwidth_over_half_n", "function_undefined_at_later_dims", "n_not_power_of_two",
         "hybrid_function_undefined_at_dims", "non_integer_bandwidth", "no_algorithms",
@@ -774,11 +779,30 @@ class TestCli:
         "string_shared_walk_time", "string_adaptive", "scalar_dims_list",
         "scalar_grid_sizes", "scalar_bandwidths", "string_algorithms", "string_functions",
         "list_algorithm_alias", "nested_functions", "integer_output_dir",
+        "override_not_yaml", "scalar_optimiser", "scalar_optimiser_override",
+        "empty_optimiser_override",
     ])
-    def test_invalid_config_exits_before_running(self, tmp_path, capsys, overrides):
+    def test_invalid_config_exits_before_running(self, tmp_path, capsys, overrides, args):
         cfg, out = write_small_config(tmp_path, **overrides)
-        assert main(["run", str(cfg)]) == 2
+        assert main(["run", str(cfg), *args]) == 2
         assert "config error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, args, message", [
+        ("optimiser: 5\n", [], "optimiser must be a mapping, got 5"),
+        ("optimiser:\n", [], "optimiser must be a mapping, got None"),
+        ("", ["--set", "optimiser=5"], "optimiser must be a mapping, got 5"),
+        ("", ["--set", "optimiser="], "optimiser must be a mapping, got None"),
+        ("", ["--set", "repeats=[1"], "override of repeats is not valid YAML"),
+    ], ids=[
+        "scalar_optimiser", "empty_optimiser", "scalar_optimiser_override",
+        "empty_optimiser_override", "override_not_yaml",
+    ])
+    def test_malformed_value_names_its_key(self, tmp_path, capsys, text, args, message):
+        cfg, out = write_small_config(tmp_path)
+        cfg.write_text(cfg.read_text() + text)
+        assert main(["run", str(cfg), *args]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("overrides, args, message", [

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import qvasim.hybrid
+from qvasim.ansatz import Propagator
 from qvasim.engine import OptimiserOptions, nelder_mead
 from qvasim.functions import get_function
 from qvasim.grid import build_objective, make_grid
@@ -11,7 +12,6 @@ from qvasim.hybrid import (
     hybrid_optimise,
     speedup,
 )
-from qvasim.states import sample
 
 
 class TestAccounting:
@@ -69,8 +69,10 @@ def _traced_run(monkeypatch, function, n_points, seed, epsilon=1e-4):
     minima: list[int] = []
     starts: list[tuple] = []
 
-    def recording_sample(state, rng, shots):
-        ks = sample(state, rng, shots)
+    draw = Propagator.sample
+
+    def recording_sample(propagator, flat, rng, shots):
+        ks = draw(propagator, flat, rng, shots)
         minima.append(int(ks[np.argmin(table.values[ks])]))
         return ks
 
@@ -78,7 +80,7 @@ def _traced_run(monkeypatch, function, n_points, seed, epsilon=1e-4):
         starts.append(tuple(np.asarray(x0, dtype=float)))
         return nelder_mead(objective, x0, options, trace_path)
 
-    monkeypatch.setattr(qvasim.hybrid, "sample", recording_sample)
+    monkeypatch.setattr(Propagator, "sample", recording_sample)
     monkeypatch.setattr(qvasim.hybrid, "nelder_mead", counting_nelder_mead)
     result = hybrid_optimise(
         f, 2, n_points, depth=1, epsilon=epsilon, seed=seed, grid=grid, table=table
