@@ -55,7 +55,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.fft as sfft
 
 from .grid import ObjectiveTable, SolutionGrid, along_axis, tensor_axis
 from .states import StateVector
@@ -213,8 +212,10 @@ def prepare_qmoa(graphs: tuple[CirculantGraph, ...], shape: tuple[int, ...]) -> 
 
 
 def _prepare_spectral(spectra: tuple[np.ndarray, ...], shape: tuple[int, ...]) -> Walk:
+    scale = float(1 / np.sqrt(np.longdouble(np.prod(shape))))
+
     def walk(amps, times, spare):
-        return qmoa_walk(amps.reshape(shape), times, spectra, spare).ravel()
+        return qmoa_walk(amps.reshape(shape), times, spectra, scale, spare).ravel()
 
     return walk
 
@@ -223,20 +224,40 @@ def qmoa_walk(
     tensor: np.ndarray,
     times: Sequence[float],
     spectra: tuple[np.ndarray, ...],
+    scale: float,
     spare: np.ndarray,
 ) -> np.ndarray:
     """DFT^-1 exp(-i sum_d t_d spectra_d) DFT on a contiguous (N,)*D tensor it overwrites.
 
     With circulant eigenvalues as spectra this is exp(-i sum_d t_d L_d); with
-    ``MomentumGrid.kinetic_spectra`` it is the QOWE mixer. Both transforms
-    run with ``overwrite_x=True``, so scipy writes them into ``tensor``'s
-    memory; the diagonal phase goes into ``spare``, a contiguous K-complex
-    buffer that is reshaped to the tensor.
+    ``MomentumGrid.kinetic_spectra`` it is the QOWE mixer. ``scale`` is
+    1/sqrt(K) rounded from long double, each transform's unitary factor.
+    Both transforms run in place in ``tensor``'s memory; the diagonal phase
+    goes into ``spare``, a contiguous K-complex buffer that is reshaped to
+    the tensor.
     """
     phase = _diagonal_phase(times, spectra, spare.reshape(tensor.shape))
-    spectrum = sfft.fftn(tensor, norm="ortho", overwrite_x=True)
+    spectrum = _unitary_dft(tensor, scale, inverse=False)
     spectrum *= phase
-    return sfft.ifftn(spectrum, norm="ortho", overwrite_x=True)
+    return _unitary_dft(spectrum, scale, inverse=True)
+
+
+def _unitary_dft(tensor: np.ndarray, scale: float, inverse: bool) -> np.ndarray:
+    """The D-dimensional unitary DFT of ``tensor`` (or its inverse), in place.
+
+    The unscaled 1-D transform runs along axes 0, 1, ..., D-1, and ``scale``
+    multiplies the real and imaginary parts once, right after axis 0. That
+    is where ``scipy.fft.fftn`` with ``norm="ortho"`` applies its factor, so
+    the bits are the same as scipy's; numpy's own ``norm="ortho"`` scales
+    every axis and rounds differently. Returns ``tensor``.
+    """
+    transform, norm = (np.fft.ifft, "forward") if inverse else (np.fft.fft, "backward")
+    for axis in range(tensor.ndim):
+        transform(tensor, axis=axis, norm=norm, out=tensor)
+        if axis == 0:
+            parts = tensor.view(np.float64)
+            np.multiply(parts, scale, out=parts)
+    return tensor
 
 
 def _diagonal_phase(

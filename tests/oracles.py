@@ -7,8 +7,9 @@ so the tests can check the fast kernels against an independent reference.
 ``centred_fourier`` is the centred transform factored about one DFT; the
 library's QOWE mixer does without it, and the tests check it against
 ``centred_fourier_matrix``. ``scipy_nelder_mead`` is ``nelder_mead`` written
-over ``scipy.optimize.minimize``, which the library's own simplex must
-match bit for bit.
+over ``scipy.optimize.minimize``, and ``scipy_qmoa_walk`` is ``qmoa_walk``
+written over ``scipy.fft``; the library's own simplex and transforms must
+match them bit for bit.
 """
 
 from __future__ import annotations
@@ -16,11 +17,12 @@ from __future__ import annotations
 import json
 
 import numpy as np
+import scipy.fft as sfft
 from scipy import optimize as sciopt
 
 from qvasim.engine import NelderMeadResult, OptimiserOptions
 from qvasim.grid import SolutionGrid
-from qvasim.mixers import CirculantGraph, MomentumGrid
+from qvasim.mixers import CirculantGraph, MomentumGrid, _diagonal_phase
 from qvasim.states import StateVector
 
 DENSE_ORACLE_CAP = 4096
@@ -196,3 +198,17 @@ def scipy_nelder_mead(objective, x0, options=None, trace_path=None) -> NelderMea
         evaluations=int(res.nfev) + 1,
         iterations=counter[0],
     )
+
+
+def scipy_qmoa_walk(
+    tensor: np.ndarray, times, spectra: tuple[np.ndarray, ...], spare: np.ndarray
+) -> np.ndarray:
+    """``qvasim.mixers.qmoa_walk`` through ``scipy.fft``'s unitary n-dimensional transforms.
+
+    The same diagonal phase, between ``fftn`` and ``ifftn`` with
+    ``norm="ortho"``; both overwrite ``tensor``, as the library's walk does.
+    """
+    phase = _diagonal_phase(times, spectra, spare.reshape(tensor.shape))
+    spectrum = sfft.fftn(tensor, norm="ortho", overwrite_x=True)
+    spectrum *= phase
+    return sfft.ifftn(spectrum, norm="ortho", overwrite_x=True)

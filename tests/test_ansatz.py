@@ -230,7 +230,7 @@ def test_evaluation_allocates_less_than_a_few_states(label, limit):
     """The workspace holds every state-sized array an evaluation writes.
 
     What remains is the phase products' small factors, numpy's bounded
-    iteration buffers and scipy's plan and line buffers.
+    iteration buffers and the line buffers of numpy's in-place FFT passes.
     """
     grid, table = problem(2, 64)
     spec = make_spec(label, 2, 64, depth=2)

@@ -1,13 +1,18 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qvasim
 from qvasim.ansatz import Algorithm, AnsatzSpec, Propagator
-from qvasim.grid import make_grid, table_from_values
+from qvasim.grid import along_axis, make_grid, table_from_values
 from qvasim.mixers import (
     CirculantGraph,
     MomentumGrid,
@@ -33,6 +38,7 @@ from oracles import (
     dense_walk_oracle,
     hypercube_adjacency,
     lifted_adjacency,
+    scipy_qmoa_walk,
 )
 
 
@@ -507,3 +513,60 @@ class TestClosedFormAndSpectralKernels:
         flat = qaoa_complete_mixer(state, t).amplitudes
         assert np.array_equal(walk, flat)
         assert np.array_equal(np.signbit(walk.view(float)), np.signbit(flat.view(float)))
+
+
+class TestSpectralWalkAgainstScipy:
+    """The spectral walk's numpy transforms give ``scipy.fft``'s bits, zero signs included."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        mixer=st.sampled_from(["qmoa_cycle", "qmoa_banded", "qowe"]),
+        dims=st.integers(1, 4),
+        data=st.data(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bit_for_bit(self, mixer, dims, data, seed):
+        # every graph on N = 2 vertices is complete, and complete graphs take the closed form
+        smallest = 2 if mixer == "qowe" else 4
+        sizes = [n for n in (2, 4, 8, 16, 32) if n >= smallest and n**dims <= 2**15]
+        n = data.draw(st.sampled_from(sizes))
+        shape, k = (n,) * dims, n**dims
+        time = st.one_of(st.just(0.0), st.floats(-2 * np.pi, 2 * np.pi))
+        times = np.array(data.draw(st.lists(time, min_size=dims, max_size=dims)))
+        if mixer == "qowe":
+            momentum = MomentumGrid.from_grid(make_grid([-1.5] * dims, [2.0] * dims, n))
+            walk, spectra = prepare_qowe(momentum, shape), momentum.kinetic_spectra()
+        else:
+            width = st.just(1) if mixer == "qmoa_cycle" else st.integers(1, n // 2 - 1)
+            graphs = tuple(CirculantGraph.banded(n, data.draw(width)) for _ in range(dims))
+            walk = prepare_qmoa(graphs, shape)
+            spectra = tuple(
+                along_axis(circulant_eigenvalues(g), d, dims) for d, g in enumerate(graphs)
+            )
+        kind = data.draw(st.sampled_from(["random", "equal", "one_hot"]))
+        if kind == "random":
+            amps = random_state(np.random.default_rng(seed), k).amplitudes
+        elif kind == "equal":
+            amps = equal_superposition(k).amplitudes
+        else:
+            amps = np.zeros(k, dtype=complex)
+            amps[data.draw(st.integers(0, k - 1))] = 1.0
+        ours = walk(amps.copy(), times, np.empty_like(amps))
+        theirs = scipy_qmoa_walk(amps.copy().reshape(shape), times, spectra, np.empty_like(amps))
+        assert np.array_equal(ours.view(np.uint64), theirs.ravel().view(np.uint64))
+
+
+def test_package_and_cli_import_without_scipy():
+    src = Path(qvasim.__file__).resolve().parents[1]
+    code = (
+        "import sys, qvasim, qvasim.harness.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert out.stdout.strip() == "[]"
