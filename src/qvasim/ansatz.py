@@ -171,10 +171,6 @@ class Propagator:
     * two K-complex state buffers, used in turn, so a phase shift never
       writes over its own input; the one a layer's phase shift did not write
       is the walk's ``spare``, its only scratch;
-    * two K-float probability buffers: the per-layer norm check writes the
-      probabilities there, and ``expectation`` dots the last layer's with
-      the objective values instead of computing them again (they are
-      recomputed only after a renormalisation);
     * one complex entry per objective level for the phase exponentials.
 
     An evaluation takes the flat, layer-major parameter vector of
@@ -212,14 +208,10 @@ class Propagator:
         else:
             self._walk = prepare_hypercube(k)
         self._states = (np.empty(k, np.complex128), np.empty(k, np.complex128))
-        self._probabilities = (np.empty(k), np.empty(k))
         self._level_phases = np.empty(table.n_unique, np.complex128)
 
     def _evolve(self, flat: np.ndarray, drift_log: list[float] | None) -> np.ndarray:
-        """Run every layer in the workspace and return the final amplitudes.
-
-        Their probabilities are left in ``self._probabilities[0]``.
-        """
+        """Run every layer in the workspace and return the final amplitudes."""
         flat = np.asarray(flat, dtype=float)
         if flat.shape != (self.n_params,):
             raise ValueError(f"expected {self.n_params} parameters, got shape {flat.shape}")
@@ -239,14 +231,22 @@ class Propagator:
                 self._level_phases,
             )
             amps = self._walk(out, flat[start + 1 : start + width], spare)
-            drift = norm_drift_of(probabilities_of(amps, *self._probabilities))
+            drift = norm_drift_of(amps)
             if drift_log is not None:
                 drift_log.append(drift)
-            renormalised = renormalise(amps, drift)
-            if renormalised is not amps:
-                amps = renormalised
-                probabilities_of(amps, *self._probabilities)
+            amps = renormalise(amps, drift)
         return amps
+
+    def _probabilities(self, flat: np.ndarray) -> np.ndarray:
+        """Probabilities of the prepared state, formed in the free state buffer.
+
+        The halves of its ``float64`` view are ``out`` and ``scratch``. A
+        renormalised state lives outside the workspace, leaving both free.
+        """
+        amps = self._evolve(flat, None)
+        free = next(b for b in self._states if not np.may_share_memory(amps, b))
+        pairs = free.view(np.float64)
+        return probabilities_of(amps, pairs[: amps.size], pairs[amps.size :])
 
     def amplitudes(self, flat: np.ndarray, drift_log: list[float] | None = None) -> np.ndarray:
         """Flat amplitudes of the prepared state, copied out of the workspace.
@@ -260,18 +260,16 @@ class Propagator:
 
     def expectation(self, flat: np.ndarray) -> float:
         """<Q> of the prepared state; the quantity the optimiser minimises."""
-        self._evolve(flat, None)
-        return expectation_of(self.table.values, self._probabilities[0])
+        return expectation_of(self.table.values, self._probabilities(flat))
 
     def sample(self, flat: np.ndarray, rng: np.random.Generator, shots: int) -> np.ndarray:
         """``shots`` basis-state draws from the prepared state.
 
-        The draws equal ``states.sample(self.state(flat), rng, shots)``: they
-        read the last layer's probabilities from the workspace instead of
-        copying the state out and squaring it again.
+        The draws equal ``states.sample(self.state(flat), rng, shots)``: the
+        probabilities are formed once, in the workspace, without copying the
+        state out.
         """
-        self._evolve(flat, None)
-        return sample_of(self._probabilities[0], rng, shots)
+        return sample_of(self._probabilities(flat), rng, shots)
 
 
 def apply_ansatz(

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qvasim.ansatz
 import qvasim.mixers
 import qvasim.states
 from qvasim.ansatz import (
@@ -214,6 +215,48 @@ def test_sample_equals_sampling_the_copied_state(label, renormalised, monkeypatc
         draws = propagator.sample(flat, np.random.default_rng(seed), 200)
         expected = sample(propagator.state(flat), np.random.default_rng(seed), 200)
         assert np.array_equal(draws, expected)
+
+
+@pytest.mark.parametrize("label", LABELS)
+def test_probabilities_formed_once_per_evaluation(label, monkeypatch):
+    """Each layer checks the norm on the amplitudes; only ⟨Q⟩ and sampling square the state."""
+    counts = {"probabilities_of": 0, "norm_drift_of": 0}
+
+    def counting(name):
+        original = getattr(qvasim.ansatz, name)
+
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        return call
+
+    for name in counts:
+        monkeypatch.setattr(qvasim.ansatz, name, counting(name))
+    grid, table = problem(2, 8)
+    spec = make_spec(label, 2, 8, depth=3)
+    propagator = Propagator(spec, table, grid)
+    flat = random_params(spec, 2, np.random.default_rng(LABELS.index(label))).flatten()
+    for call, passes in [
+        (lambda: propagator.expectation(flat), 1),
+        (lambda: propagator.sample(flat, np.random.default_rng(0), 10), 1),
+        (lambda: propagator.amplitudes(flat), 0),
+    ]:
+        counts.update(probabilities_of=0, norm_drift_of=0)
+        call()
+        assert counts == {"probabilities_of": passes, "norm_drift_of": 3}
+
+
+def test_workspace_holds_only_the_states():
+    """No K-float array: two K-complex state buffers and one entry per objective level."""
+    grid, table = problem(2, 16)
+    propagator = Propagator(make_spec("qmoa_cycle", 2, 16, depth=2), table, grid)
+    fields = list(vars(propagator).values())
+    fields += [item for v in fields if isinstance(v, tuple) for item in v]
+    arrays = [v for v in fields if isinstance(v, np.ndarray)]
+    workspace = [a for a in arrays if a is not propagator._initial and a.dtype == np.complex128]
+    assert sorted(a.size for a in workspace) == [table.n_unique, 256, 256]
+    assert not any(a.dtype == np.float64 and a.size >= grid.total_points for a in arrays)
 
 
 @pytest.mark.parametrize(

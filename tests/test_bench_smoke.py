@@ -39,6 +39,29 @@ def test_bench_runs_and_reports_declared_metrics(workload):
     assert set(result["metrics"]) == {m["name"] for m in declared}
 
 
+def test_traced_bench_reports_declared_layer_metrics():
+    """The ``--trace 1`` path runs the tracer, the kernel table and their checks."""
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "bench/run.py",
+            "--workload", "sweep_k256",
+            "--seconds", "1",
+            "--seed", "2",
+            "--trace", "1",
+        ],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    assert set(result["metrics"]) == {m["name"] for m in declared}
+
+
 def test_tracer_rebinds_every_name_and_restores_it(monkeypatch):
     """``bench/tracing.py`` finds every name it rebinds and puts each original back.
 

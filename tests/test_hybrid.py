@@ -56,6 +56,21 @@ class TestHybridOptimise:
         assert result.seeds_tried <= result.accounting.fev_qmoa
 
 
+@pytest.mark.parametrize("dims, at_cap", [(2, True), (1, False)])
+def test_sampled_loop_stops_at_the_simplex_cap(dims, at_cap):
+    """``fev_qmoa`` is at most 200 · n_params evaluations plus the starting point.
+
+    At criterion 8's point (D=3, p=5, n_params = 20) a run that reaches the
+    cap costs at least 30 · 6 · 4,001 = 720,180 assisted evaluations,
+    whatever its simplex launches cost.
+    """
+    result = hybrid_optimise("rastrigin", dims=dims, n_points=4, depth=1, seed=0)
+    n_params = 1 + dims  # depth 1: one gamma and one walk time per dimension
+    cap = 200 * n_params + 1
+    assert result.accounting.fev_qmoa <= cap
+    assert (result.accounting.fev_qmoa == cap) == at_cap
+
+
 def _traced_run(monkeypatch, function, n_points, seed, epsilon=1e-4):
     """``hybrid_optimise`` at D=2, p=1 with its sample draws and simplex starts recorded.
 

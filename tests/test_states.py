@@ -11,6 +11,8 @@ from qvasim.states import (
     expectation,
     gaussian_wavepacket,
     grid_superposition,
+    norm_drift_of,
+    probabilities_of,
     sample,
     state_to_csv,
 )
@@ -168,6 +170,22 @@ def test_renormalise_policy():
     fixed = worse.renormalised()
     assert fixed is not worse
     assert fixed.norm_drift() < 1e-15
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    k=st.integers(min_value=1, max_value=2**12),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    delta=st.one_of(st.just(0.0), st.floats(min_value=-1e-6, max_value=1e-6)),
+)
+def test_norm_drift_in_one_pass_matches_the_probability_sum(k, seed, delta):
+    """One dot product of the float64 view gives the drift of summing |a_k|^2."""
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=k) + 1j * rng.normal(size=k)
+    state = StateVector(amps / np.linalg.norm(amps) * (1.0 + delta), (k,))
+    drift = norm_drift_of(state.amplitudes)
+    assert abs(drift - abs(1.0 - probabilities_of(state.amplitudes).sum())) <= 1e-13
+    assert state.norm_drift() == drift
 
 
 def test_csv_export(tmp_path):
