@@ -166,31 +166,42 @@ class Propagator:
     * the mixer's walk, from ``qvasim.mixers.prepare_qmoa`` and its
       siblings, which keeps only the mixer's factors.
 
-    It also allocates, once, the workspace, which holds every buffer an evaluation writes:
+    It evaluates up to ``rows`` parameter vectors in one call
+    (``expectations``), each in its own row of the workspace, which it
+    allocates once and which holds every buffer an evaluation writes:
 
-    * two K-complex state buffers, used in turn, so a phase shift never
-      writes over its own input; the one a layer's phase shift did not write
-      is the walk's ``spare``, its only scratch;
-    * one complex entry per objective level for the phase exponentials.
+    * two ``(rows, K)`` complex state buffers, used in turn, so a phase
+      shift never writes over its own input; the one a layer's phase shift
+      did not write is the walk's ``spare``, its only scratch;
+    * one complex entry per objective level and row for the phase
+      exponentials.
 
-    An evaluation takes the flat, layer-major parameter vector of
-    ``ParameterVector.flatten`` and runs the layer loop on bare arrays. It
-    calls the array-level kernels behind ``phase_shift`` and the public
-    mixers, on the same operands in the same order, and checks the norm
-    drift after every layer under the 1e-12 renormalise policy, so its
-    amplitudes equal, bit for bit, those of composing ``phase_shift``, the
-    mixer and ``StateVector.renormalised`` layer by layer.
+    ``expectation``, ``sample``, ``amplitudes`` and ``state`` evaluate one
+    parameter vector, in the first row. An evaluation takes the flat,
+    layer-major parameter vectors of ``ParameterVector.flatten`` and runs
+    the layer loop on bare arrays. It calls the array-level kernels behind
+    ``phase_shift`` and the public mixers, on the same operands in the same
+    order, and checks each row's norm drift after every layer under the
+    1e-12 renormalise policy, so each row's amplitudes equal, bit for bit,
+    those of composing ``phase_shift``, the mixer and
+    ``StateVector.renormalised`` layer by layer, whatever else shares the
+    call.
 
     Nothing a caller receives aliases the workspace: ``amplitudes`` and
     ``state`` copy the result out once, so it survives later evaluations.
     The workspace makes a Propagator unsafe to share between threads.
     """
 
-    def __init__(self, spec: AnsatzSpec, table: ObjectiveTable, grid: SolutionGrid):
+    def __init__(
+        self, spec: AnsatzSpec, table: ObjectiveTable, grid: SolutionGrid, rows: int = 1
+    ):
         if table.values.size != grid.total_points:
             raise ValueError("objective table does not match the grid")
+        if rows < 1:
+            raise ValueError(f"a Propagator needs at least one row, got {rows}")
         self.spec = spec
         self.table = table
+        self.rows = rows
         self.n_params = spec.total_params(grid.dims)
         self._width = spec.params_per_layer(grid.dims)
         self._shape = grid.tensor_shape
@@ -200,67 +211,113 @@ class Propagator:
         if algorithm is Algorithm.QMOA:
             self._walk = walk = prepare_qmoa(spec.graphs, self._shape)
             if spec.shared_walk_time:  # one time per layer drives every dimension
-                self._walk = lambda amps, times, spare: walk(amps, times.repeat(grid.dims), spare)
+                self._walk = lambda amps, times, spare: walk(
+                    amps, times.repeat(grid.dims, axis=-1), spare
+                )
         elif algorithm is Algorithm.QOWE:
             self._walk = prepare_qowe(MomentumGrid.from_grid(grid), self._shape)
         elif algorithm is Algorithm.QAOA_COMPLETE:
             self._walk = prepare_complete((k,))
         else:
             self._walk = prepare_hypercube(k)
-        self._states = (np.empty(k, np.complex128), np.empty(k, np.complex128))
-        self._level_phases = np.empty(table.n_unique, np.complex128)
+        self._states = (np.empty((rows, k), np.complex128), np.empty((rows, k), np.complex128))
+        self._level_phases = np.empty((rows, table.n_unique), np.complex128)
+        self._blocks = [self._block_views(count) for count in range(1, rows + 1)]
 
-    def _evolve(self, flat: np.ndarray, drift_log: list[float] | None) -> np.ndarray:
-        """Run every layer in the workspace and return the final amplitudes."""
+    def _block_views(self, count: int) -> tuple:
+        """The workspace of a ``count``-row evaluation, as views.
+
+        (first state buffer, second, level phases, each state buffer's rows,
+        and the two halves of each state buffer's ``float64`` view, shaped as
+        its states). One row takes flat views, so it runs on the shapes of a
+        single state.
+        """
+        first, second, level_phases = (
+            b[0] if count == 1 else b[:count] for b in (*self._states, self._level_phases)
+        )
+        rows, halves = [], []
+        for b in (first, second):
+            rows.append([b] if count == 1 else list(b))
+            pairs = b.reshape(-1).view(np.float64)
+            halves.append((pairs[: b.size].reshape(b.shape), pairs[b.size :].reshape(b.shape)))
+        return first, second, level_phases, rows, halves
+
+    def _one(self, flat: np.ndarray) -> np.ndarray:
+        """One parameter vector, checked, as a block of one row."""
         flat = np.asarray(flat, dtype=float)
         if flat.shape != (self.n_params,):
             raise ValueError(f"expected {self.n_params} parameters, got shape {flat.shape}")
-        if not np.isfinite(flat).all():
+        if not np.logical_and.reduce(np.isfinite(flat)):
             raise ValueError("parameters must be finite")
-        table, width = self.table, self._width
-        first, second = self._states
-        amps = self._initial
-        for start in range(0, self.n_params, width):
-            out, spare = (second, first) if np.may_share_memory(amps, first) else (first, second)
-            apply_phase(
-                amps,
-                float(flat[start]),
-                table.unique_sorted_values,
-                table.level_index,
-                out,
-                self._level_phases,
+        return flat.reshape(1, -1)
+
+    def _block(self, points: np.ndarray) -> np.ndarray:
+        """1 to ``rows`` parameter vectors, checked, as the rows of a block."""
+        points = np.asarray(points, dtype=float)
+        shape_ok = points.ndim == 2 and points.shape[1] == self.n_params
+        if not shape_ok or not 1 <= len(points) <= self.rows:
+            raise ValueError(
+                f"expected 1 to {self.rows} rows of {self.n_params} parameters, "
+                f"got shape {points.shape}"
             )
-            amps = self._walk(out, flat[start + 1 : start + width], spare)
-            drift = norm_drift_of(amps)
-            if drift_log is not None:
-                drift_log.append(drift)
-            amps = renormalise(amps, drift)
-        return amps
+        if not np.logical_and.reduce(np.isfinite(points), axis=None):
+            raise ValueError("parameters must be finite")
+        return points
 
-    def _probabilities(self, flat: np.ndarray) -> np.ndarray:
-        """Probabilities of the prepared state, formed in the free state buffer.
+    def _evolve(self, points: np.ndarray, drift_logs: list[list[float]] | None):
+        """Run every layer for each row of a checked block in the workspace.
 
-        The halves of its ``float64`` view are ``out`` and ``scratch``. A
-        renormalised state lives outside the workspace, leaving both free.
+        Returns the final states, flat for one row, and the halves of the
+        other state buffer (see ``_block_views``). ``drift_logs``, one list
+        per row, collects each row's per-layer drifts seen before any
+        correction. A row past the threshold is rescaled in place, so the
+        result always lies in a state buffer.
         """
-        amps = self._evolve(flat, None)
-        free = next(b for b in self._states if not np.may_share_memory(amps, b))
-        pairs = free.view(np.float64)
-        return probabilities_of(amps, pairs[: amps.size], pairs[amps.size :])
+        table, width, count = self.table, self._width, len(points)
+        first, second, level_phases, rows, halves = self._blocks[count - 1]
+        levels, level_index = table.phase_levels, table.level_index
+        gammas = points[:, ::width].T.tolist()
+        amps, out, spare = self._initial, first, second
+        for layer, start in enumerate(range(0, self.n_params, width)):
+            apply_phase(amps, gammas[layer], levels, level_index, out, level_phases)
+            amps = self._walk(out, points[:, start + 1 : start + width], spare)
+            held = int(np.may_share_memory(amps, second))
+            for r, row in enumerate(rows[held]):
+                drift = norm_drift_of(row)
+                if drift_logs is not None:
+                    drift_logs[r].append(drift)
+                renormalise(row, drift, row)
+            out, spare = (first, second) if held else (second, first)
+        return amps, halves[1 - held]
+
+    def _probabilities(self, points: np.ndarray) -> np.ndarray:
+        """The prepared states' probabilities, in the free state buffer; flat for one row."""
+        amps, (out, scratch) = self._evolve(points, None)
+        return probabilities_of(amps, out, scratch)
 
     def amplitudes(self, flat: np.ndarray, drift_log: list[float] | None = None) -> np.ndarray:
         """Flat amplitudes of the prepared state, copied out of the workspace.
 
         ``drift_log`` collects the per-layer drifts seen before any correction.
         """
-        return self._evolve(flat, drift_log).copy()
+        logs = None if drift_log is None else [drift_log]
+        return self._evolve(self._one(flat), logs)[0].copy()
 
     def state(self, flat: np.ndarray, drift_log: list[float] | None = None) -> StateVector:
         return StateVector(self.amplitudes(flat, drift_log), self._shape)
 
     def expectation(self, flat: np.ndarray) -> float:
         """<Q> of the prepared state; the quantity the optimiser minimises."""
-        return expectation_of(self.table.values, self._probabilities(flat))
+        return expectation_of(self.table.values, self._probabilities(self._one(flat)))
+
+    def expectations(self, points: np.ndarray) -> list[float]:
+        """<Q> of the state prepared by each row of ``points``, at most ``rows`` of them.
+
+        Each value is one ``np.dot`` of the objective values with that row's
+        probabilities, as ``expectation`` forms it.
+        """
+        probabilities = self._probabilities(self._block(points)).reshape(len(points), -1)
+        return [expectation_of(self.table.values, p) for p in probabilities]
 
     def sample(self, flat: np.ndarray, rng: np.random.Generator, shots: int) -> np.ndarray:
         """``shots`` basis-state draws from the prepared state.
@@ -269,7 +326,7 @@ class Propagator:
         probabilities are formed once, in the workspace, without copying the
         state out.
         """
-        return sample_of(self._probabilities(flat), rng, shots)
+        return sample_of(self._probabilities(self._one(flat)), rng, shots)
 
 
 def apply_ansatz(

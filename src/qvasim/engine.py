@@ -15,7 +15,12 @@ Protocol implemented here:
 * a "gaussian" initial state gets wavepacket centres drawn per repeat (the
   identity-extension repeat keeps the warm start's), with width 1/sqrt(2); a
   supplied WavepacketSpec is used as given. Either way the centres are
-  reported with the repeat.
+  reported with the repeat;
+* a depth's repeats run in lockstep: each simplex round takes the next
+  point of every active repeat, and the points that share a Propagator are
+  evaluated in one batched call. Each repeat sees the points and values it
+  would see alone, so the results, bit for bit, do not depend on which
+  repeats run together, nor on how they are split over worker processes.
 """
 
 from __future__ import annotations
@@ -23,7 +28,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Sequence
 
@@ -50,6 +54,11 @@ QOWE_GROWTH = 1.2
 QOWE_MAX_HALFWIDTH = 2.0 * np.pi
 QOWE_SIGMA = 1.0 / np.sqrt(2.0)
 BOUND_HIT_TOL = 1e-9
+
+# Cap on rows x K of one batched evaluation. Batching shares numpy's
+# per-call cost between rows, which pays at small K only: measured per-row
+# times (README, "Evaluation cost") fall with rows at K = 2^8 and rise at 2^15.
+BATCH_POINTS = 4096
 
 
 @dataclass
@@ -116,6 +125,21 @@ def nelder_mead(
     JSON line per simplex step, numbered from 1: iteration index, best
     value, parameter vector.
     """
+    steps = _nelder_mead(x0, options, trace_path)
+    try:
+        x = next(steps)
+        while True:
+            x = steps.send(objective(x))
+    except StopIteration as stop:
+        return stop.value
+
+
+def _nelder_mead(x0: Sequence[float], options: OptimiserOptions | None, trace_path=None):
+    """``nelder_mead`` as a generator: it yields each point and is sent its value.
+
+    Returns the ``NelderMeadResult``. The arguments are checked before the
+    first point is yielded.
+    """
     options = options or OptimiserOptions()
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim != 1 or x0.size == 0:
@@ -126,13 +150,13 @@ def nelder_mead(
     start = x0
     if options.bounds is not None:
         lo, hi = _bound_arrays(options.bounds, x0.size)
-        start = np.clip(x0, lo, hi)
-    f0 = float(objective(start))
+        start = x0.clip(lo, hi)
+    f0 = float((yield start))
     if not np.isfinite(f0):
         raise ValueError(f"objective is not finite at the starting point ({f0})")
     trace_file = open(trace_path, "a") if trace_path is not None else None
     try:
-        x, value, calls, steps = _simplex(objective, start, lo, hi, options, trace_file)
+        x, value, calls, steps = yield from _simplex(start, lo, hi, options, trace_file)
     finally:
         if trace_file is not None:
             trace_file.close()
@@ -155,16 +179,22 @@ def _bound_arrays(bounds: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _order(sim: np.ndarray, fsim: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The simplex and its values, best vertex first."""
-    ind = np.argsort(fsim)
-    return np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    ind = fsim.argsort()
+    return sim[ind], fsim[ind]
 
 
-def _simplex(objective, x0, lo, hi, options, trace_file):
+def _spread(a: np.ndarray) -> float:
+    """max |a|, without ``np.max``'s Python-level wrapper."""
+    return np.maximum.reduce(np.absolute(a), axis=None)
+
+
+def _simplex(x0, lo, hi, options, trace_file):
     """Run the simplex from ``x0``; return (best x, best value, calls, steps).
 
-    ``x0`` is already inside the bounds, if any. ``calls`` counts the
-    objective calls made here; ``steps`` the passes through the main loop
-    that did not stop at the convergence test.
+    A generator: it yields a copy of each point to evaluate and is sent the
+    point's value. ``x0`` is already inside the bounds, if any. ``calls``
+    counts the points yielded here; ``steps`` the passes through the main
+    loop that did not stop at the convergence test.
     """
     n = x0.size
     bounded = lo is not None
@@ -177,13 +207,6 @@ def _simplex(objective, x0, lo, hi, options, trace_file):
     xatol, fatol = options.simplex_tolerance, options.value_tolerance
     calls = 0
 
-    def f(x):
-        nonlocal calls
-        if calls >= max_calls:
-            raise _EvaluationCap
-        calls += 1
-        return objective(np.copy(x))
-
     # vertex k + 1 steps coordinate k by 5%, or to 0.00025 from zero
     sim = np.tile(x0, (n + 1, 1))
     for k in range(n):
@@ -191,37 +214,40 @@ def _simplex(objective, x0, lo, hi, options, trace_file):
     if bounded:
         # vertices pushed past an upper bound are reflected back inside, so
         # that clipping cannot collapse the simplex onto the bound
-        sim = np.clip(np.where(sim > hi, 2 * hi - sim, sim), lo, hi)
+        sim = np.where(sim > hi, 2 * hi - sim, sim).clip(lo, hi)
 
     fsim = np.full(n + 1, np.inf)
-    try:
-        for k in range(n + 1):
-            fsim[k] = f(sim[k])
-    except _EvaluationCap:
-        pass
-    # sorted twice as scipy sorts it; np.argsort is not stable, so the second
+    for k in range(n + 1):
+        if calls >= max_calls:
+            break
+        calls += 1
+        fsim[k] = yield sim[k].copy()
+    # sorted twice as scipy sorts it; argsort is not stable, so the second
     # pass may still reorder tied vertices
     sim, fsim = _order(*_order(sim, fsim))
 
+    # Each evaluation below first checks the cap: the point that would pass
+    # it is not evaluated, and the step it falls in ends there.
     iterations = 1  # the initial simplex counts towards max_iterations
     steps = 0
     while calls < max_calls and iterations < options.max_iterations:
         try:
-            if (
-                np.max(np.abs(sim[1:] - sim[0])) <= xatol
-                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol
-            ):
+            if _spread(sim[1:] - sim[0]) <= xatol and _spread(fsim[0] - fsim[1:]) <= fatol:
                 break
             xbar = np.add.reduce(sim[:-1], 0) / n
             xr = (1 + rho) * xbar - rho * sim[-1]
             if bounded:
-                xr = np.clip(xr, lo, hi)
-            fxr = f(xr)
+                xr = xr.clip(lo, hi)
+            calls += 1
+            fxr = yield xr.copy()
             if fxr < fsim[0]:
                 xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
                 if bounded:
-                    xe = np.clip(xe, lo, hi)
-                fxe = f(xe)
+                    xe = xe.clip(lo, hi)
+                if calls >= max_calls:
+                    raise _EvaluationCap
+                calls += 1
+                fxe = yield xe.copy()
                 if fxe < fxr:
                     sim[-1], fsim[-1] = xe, fxe
                 else:
@@ -233,8 +259,11 @@ def _simplex(objective, x0, lo, hi, options, trace_file):
                 if fxr < fsim[-1]:  # outside contraction
                     xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
                     if bounded:
-                        xc = np.clip(xc, lo, hi)
-                    fxc = f(xc)
+                        xc = xc.clip(lo, hi)
+                    if calls >= max_calls:
+                        raise _EvaluationCap
+                    calls += 1
+                    fxc = yield xc.copy()
                     if fxc <= fxr:
                         sim[-1], fsim[-1] = xc, fxc
                     else:
@@ -242,8 +271,11 @@ def _simplex(objective, x0, lo, hi, options, trace_file):
                 else:  # inside contraction
                     xcc = (1 - psi) * xbar + psi * sim[-1]
                     if bounded:
-                        xcc = np.clip(xcc, lo, hi)
-                    fxcc = f(xcc)
+                        xcc = xcc.clip(lo, hi)
+                    if calls >= max_calls:
+                        raise _EvaluationCap
+                    calls += 1
+                    fxcc = yield xcc.copy()
                     if fxcc < fsim[-1]:
                         sim[-1], fsim[-1] = xcc, fxcc
                     else:
@@ -252,8 +284,11 @@ def _simplex(objective, x0, lo, hi, options, trace_file):
                     for j in range(1, n + 1):
                         sim[j] = sim[0] + sigma * (sim[j] - sim[0])
                         if bounded:
-                            sim[j] = np.clip(sim[j], lo, hi)
-                        fsim[j] = f(sim[j])
+                            sim[j] = sim[j].clip(lo, hi)
+                        if calls >= max_calls:
+                            raise _EvaluationCap
+                        calls += 1
+                        fsim[j] = yield sim[j].copy()
             iterations += 1
         except _EvaluationCap:
             pass  # the step ends at the cap, still counted below
@@ -266,7 +301,7 @@ def _simplex(objective, x0, lo, hi, options, trace_file):
                 "params": [float(v) for v in sim[0]],
             }
             trace_file.write(json.dumps(record) + "\n")
-    return sim[0], float(np.min(fsim)), calls, steps
+    return sim[0], float(fsim.min()), calls, steps
 
 
 @dataclass
@@ -377,8 +412,16 @@ def run_single_repeat(
     seed: int,
     options: OptimiserOptions,
     identity_extension: bool,
-) -> RepeatResult:
-    started = time.perf_counter()
+):
+    """One repeat at depth ``spec.depth``, as a generator that ``_run_group`` drives.
+
+    It draws its start, then yields the arguments of the ``Propagator`` it
+    evaluates with, ``(spec, table, grid)``, and is sent that Propagator.
+    From then on it yields each parameter vector its optimisation tries and
+    is sent the vector's <Q>. It returns its ``RepeatResult``, whose
+    ``wall_time`` the driver fills in. ``_run_group([run_single_repeat(...)])``
+    runs one repeat alone.
+    """
     rng = np.random.default_rng(seed)
     centres = None
     if isinstance(spec.initial_state, WavepacketSpec):
@@ -394,28 +437,27 @@ def run_single_repeat(
     params0 = _initial_params(
         spec, grid.dims, warm.params if warm is not None else None, rng, identity_extension
     )
-    propagator = Propagator(spec, table, grid)
+    propagator = yield spec, table, grid
 
     if spec.algorithm is Algorithm.QOWE:
-        result, halfwidth, evaluations = _qowe_expansion_loop(
-            propagator.expectation, params0, spec, grid.dims, warm, options
+        result, halfwidth, evaluations = yield from _qowe_expansion_loop(
+            params0, spec, grid.dims, warm, options
         )
     else:
-        result = nelder_mead(propagator.expectation, params0.flatten(), options)
+        result = yield from _nelder_mead(params0.flatten(), options)
         halfwidth = None
         evaluations = result.evaluations
 
     best_params = ParameterVector.unflatten(
         result.x, spec.depth, spec.walk_times_per_layer(grid.dims)
     )
-    state = propagator.state(result.x)
     return RepeatResult(
         params=best_params,
         expectation=float(result.value),
         evaluations=evaluations,
         seed=seed,
-        state=state,
-        wall_time=time.perf_counter() - started,
+        state=propagator.state(result.x),
+        wall_time=0.0,
         wavepacket_centres=centres,
         bound_halfwidth=halfwidth,
         identity_extension=identity_extension,
@@ -423,18 +465,19 @@ def run_single_repeat(
 
 
 def _qowe_expansion_loop(
-    fn: Callable[[np.ndarray], float],
     params0: ParameterVector,
     spec: AnsatzSpec,
     dims: int,
     warm: RepeatResult | None,
     options: OptimiserOptions,
-) -> tuple[NelderMeadResult, float, int]:
+):
     """Re-run the optimisation with 1.2x wider bounds while the optimum pins.
 
-    The starting half-width carries over from the warm start (and is widened,
-    if necessary, until the warm parameters are feasible) so a warm-started
-    optimisation never clamps its own starting point.
+    A generator over the simplex runs' points, as ``_nelder_mead`` is;
+    returns (result, half-width, evaluations). The starting half-width
+    carries over from the warm start (and is widened, if necessary, until
+    the warm parameters are feasible) so a warm-started optimisation never
+    clamps its own starting point.
     """
     m = spec.walk_times_per_layer(dims)
     halfwidth = QOWE_INITIAL_HALFWIDTH
@@ -445,7 +488,7 @@ def _qowe_expansion_loop(
     evaluations = 0
     while True:
         bounds = _qowe_bounds(spec.depth, m, halfwidth)
-        result = nelder_mead(fn, x0, replace(options, bounds=bounds))
+        result = yield from _nelder_mead(x0, replace(options, bounds=bounds))
         evaluations += result.evaluations
         pinned = np.any(
             (np.abs(result.x - bounds[:, 0]) <= BOUND_HIT_TOL)
@@ -456,8 +499,78 @@ def _qowe_expansion_loop(
         halfwidth = min(halfwidth * QOWE_GROWTH, QOWE_MAX_HALFWIDTH)
 
 
-def _repeat_task(args):
-    return run_single_repeat(*args)
+def _run_group(repeats: list) -> list[RepeatResult]:
+    """Run ``run_single_repeat`` generators in lockstep; return their results in order.
+
+    Repeats that ask for the same spec, table and grid objects form a
+    cohort and share one Propagator of up to ``BATCH_POINTS // K`` rows
+    (at least one); cohorts run one after another, so at most one
+    workspace is alive. Each round takes the pending point of every active
+    repeat in the cohort, evaluates them a Propagator's rows at a time in
+    one ``expectations`` call, and sends each repeat its value. Each
+    repeat's points and values are those it would see alone, so the
+    results do not depend on the grouping. A repeat's ``wall_time`` is the
+    time spent in its own generator plus an equal share of the
+    Propagator's construction and of every call it was evaluated in.
+    """
+    clock = time.perf_counter
+    seconds = [0.0] * len(repeats)
+    results: list[RepeatResult | None] = [None] * len(repeats)
+    pending: dict[int, np.ndarray] = {}
+
+    def advance(i, value):
+        started = clock()
+        try:
+            pending[i] = repeats[i].send(value)
+        except StopIteration as stop:
+            pending.pop(i, None)
+            results[i] = stop.value
+        seconds[i] += clock() - started
+
+    cohorts: dict[tuple, list[int]] = {}
+    requests = []
+    for i in range(len(repeats)):
+        advance(i, None)
+        request = pending.pop(i)
+        requests.append(request)
+        cohorts.setdefault(tuple(map(id, request)), []).append(i)
+    for members in cohorts.values():
+        started = clock()
+        spec, table, grid = requests[members[0]]
+        rows = min(len(members), max(1, BATCH_POINTS // grid.total_points))
+        propagator = Propagator(spec, table, grid, rows)
+        share = (clock() - started) / len(members)
+        for i in members:
+            seconds[i] += share
+            advance(i, propagator)
+        while pending:
+            active = list(pending)
+            for at in range(0, len(active), rows):
+                batch = active[at : at + rows]
+                started = clock()
+                values = propagator.expectations(np.array([pending[i] for i in batch]))
+                share = (clock() - started) / len(batch)
+                for i, value in zip(batch, values):
+                    seconds[i] += share
+                    advance(i, value)
+    for result, spent in zip(results, seconds):
+        result.wall_time = spent
+    return results
+
+
+def _group_task(task) -> list[RepeatResult]:
+    """One ``parallel_map`` task: a group of a depth's repeats, run by ``_run_group``.
+
+    ``firsts`` marks the group's repeat 0, which extends a warm start by an
+    identity layer.
+    """
+    spec, table, grid, warm, seeds, options, firsts = task
+    return _run_group(
+        [
+            run_single_repeat(spec, table, grid, warm, seed, options, warm is not None and first)
+            for seed, first in zip(seeds, firsts)
+        ]
+    )
 
 
 def resolve_workers(workers: int | None = None) -> int:
@@ -482,6 +595,8 @@ def parallel_map(fn: Callable, tasks: Sequence, workers: int | None = None) -> l
     """
     workers = resolve_workers(workers)
     if workers > 1 and len(tasks) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
+
         with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             return list(pool.map(fn, tasks))
     return [fn(t) for t in tasks]
@@ -507,7 +622,10 @@ def optimise_at_depth(
     (repeat j uses base + j) or one seed per repeat. ``done`` maps repeat
     indices to results already known, for example restored from a record
     log; only the other repeats are run, and the known results take their
-    places in repeat order.
+    places in repeat order. The repeats to run are split into ``workers``
+    groups of consecutive repeats, one ``parallel_map`` task each, and each
+    group runs in lockstep (``_run_group``); the results do not depend on
+    the split.
     """
     warm = warm_start
     if warm is not None:
@@ -518,12 +636,13 @@ def optimise_at_depth(
     options = options or OptimiserOptions()
     seed_list = _resolve_seeds(seeds, repeats)
     done = done or {}
+    todo = [j for j in range(repeats) if j not in done]
+    groups = np.array_split(todo, min(resolve_workers(workers), len(todo))) if todo else []
     tasks = [
-        (spec, table, grid, warm, seed_list[j], options, warm is not None and j == 0)
-        for j in range(repeats)
-        if j not in done
+        (spec, table, grid, warm, [seed_list[j] for j in group], options, (group == 0).tolist())
+        for group in groups
     ]
-    fresh = iter(parallel_map(_repeat_task, tasks, workers))
+    fresh = iter(r for group in parallel_map(_group_task, tasks, workers) for r in group)
     results = [done[j] if j in done else next(fresh) for j in range(repeats)]
     return DepthResult(depth=p, repeats=results)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -158,6 +159,15 @@ class ObjectiveTable:
     @property
     def n_unique(self) -> int:
         return self.unique_sorted_values.size
+
+    @cached_property
+    def phase_levels(self) -> np.ndarray:
+        """``unique_sorted_values`` cast to complex once, the phase shift's operand.
+
+        The cast is exact, and the phase shift's product would otherwise
+        repeat it on every call.
+        """
+        return self.unique_sorted_values.astype(np.complex128)
 
     def rank_of(self, value: float) -> int:
         pos = int(np.searchsorted(self.unique_sorted_values, value))

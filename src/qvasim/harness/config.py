@@ -58,8 +58,6 @@ from numbers import Integral, Real
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
-import yaml
-
 from ..ansatz import Algorithm, AnsatzSpec
 from ..functions import FUNCTIONS, get_function
 from ..engine import OptimiserOptions
@@ -309,6 +307,8 @@ def _coerce(raw: dict) -> ExperimentConfig:
 
 def load_config(path, overrides: list[str] | None = None) -> ExperimentConfig:
     """Read a YAML config, applying ``key=value`` overrides from the CLI."""
+    import yaml  # only reading a config file needs it
+
     try:
         raw = yaml.safe_load(Path(path).read_text())
     except FileNotFoundError:

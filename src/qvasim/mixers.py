@@ -12,7 +12,12 @@ Conventions fixed here and relied on everywhere else:
 
 Each unitary has one implementation, an array-level kernel that takes its
 precomputed factors and the buffers it writes into as arguments and
-allocates no state-sized array of its own:
+allocates no state-sized array of its own. Every kernel takes either one
+state or a block of states with a leading row axis, row r with its own
+gamma or walk times. Each row's scalar factors are formed with the scalar
+arithmetic of a single state and enter the block's array operations as a
+column, so each row's amplitudes are the same, bit for bit, whatever rows
+share the block:
 
 * ``apply_phase`` writes the phased amplitudes into an output buffer;
 * ``qmoa_walk`` is the spectral walk ``DFT^-1 exp(-i sum_d t_d v_d) DFT``
@@ -21,16 +26,17 @@ allocates no state-sized array of its own:
 * ``hypercube_walk`` runs M butterfly passes.
 
 The walks overwrite the array they are given and return the array that
-holds the result. Their one scratch is the caller's second flat K-complex
-state buffer ``spare``, which they overwrite too.
+holds the result. Their one scratch is the caller's second state buffer
+``spare``, of the same shape, which they overwrite too.
 
 Each mixer is decided once, by its ``prepare_*`` function, which validates
 its arguments, picks the kernel and builds its factors (spectra, a shape).
 It allocates no buffer: ``walk(amps, times, spare)`` runs the mixer on the
-flat state buffer ``amps`` and returns the array holding the result,
-overwriting ``amps`` and ``spare`` as it goes. QMOA on complete
-graphs takes ``complete_walk``, as QAOA does over one flat axis of K; QMOA
-on other graphs, and QOWE, take ``qmoa_walk``.
+state buffer ``amps``, flat or ``(rows, K)`` with ``times`` one vector or
+one row of times per state, and returns the array holding the result in
+the shape of ``amps``, overwriting ``amps`` and ``spare`` as it goes. QMOA
+on complete graphs takes ``complete_walk``, as QAOA does over one flat axis
+of K; QMOA on other graphs, and QOWE, take ``qmoa_walk``.
 
 QOWE is a circulant walk. The centred transform ``exp(-i kappa_m x_n) / sqrt(N)``
 is ``scalar * post_m * DFT[m, n] * pre_n`` with ``pre_n = exp(-i kappa_0 dx n)``.
@@ -76,8 +82,8 @@ def phase_shift(state: StateVector, gamma: float, table: ObjectiveTable) -> Stat
         )
     amps = apply_phase(
         state.amplitudes,
-        gamma,
-        table.unique_sorted_values,
+        (gamma,),
+        table.phase_levels,
         table.level_index,
         np.empty_like(state.amplitudes),
         np.empty(table.n_unique, dtype=np.complex128),
@@ -87,26 +93,43 @@ def phase_shift(state: StateVector, gamma: float, table: ObjectiveTable) -> Stat
 
 def apply_phase(
     amplitudes: np.ndarray,
-    gamma: float,
+    gammas: Sequence[float],
     levels: np.ndarray,
     level_index: np.ndarray,
     out: np.ndarray,
     level_phases: np.ndarray,
 ) -> np.ndarray:
-    """Write exp(-i*gamma*f_k) * amplitude_k into ``out`` and return it.
+    """Write exp(-i*gamma_r*f_k) * amplitude_rk into ``out`` and return it.
 
-    ``levels[level_index]`` are the objective values f_k (see
-    ``ObjectiveTable``). Each distinct value is exponentiated once, into
-    ``level_phases`` (one complex entry per level), and gathered; the
-    exponential is elementwise, so the result is the same as exponentiating
-    all K values. ``out`` must not overlap ``amplitudes``.
+    ``out`` is flat for one gamma, else ``(rows, K)`` with one gamma per row;
+    ``amplitudes`` is either shape, a flat array being every row's input.
+    ``levels[level_index]`` are the objective values f_k, given as complex
+    numbers (``ObjectiveTable.phase_levels``; a real array gives the same
+    bits, cast on every call). Each distinct value is exponentiated once per
+    row, into ``level_phases`` (one complex entry per level and row), and
+    gathered; the exponential is elementwise, so the result is the same as
+    exponentiating all K values. ``out`` must not overlap ``amplitudes``.
     """
-    np.multiply(levels, -1j * gamma, out=level_phases)
+    np.multiply(levels, _per_row([-1j * gamma for gamma in gammas], 2), out=level_phases)
     np.exp(level_phases, out=level_phases)
     # mode="raise" would gather into a temporary and copy; level_index is in range
-    level_phases.take(level_index, out=out, mode="clip")
+    level_phases.take(level_index, axis=-1, out=out, mode="clip")
     np.multiply(out, amplitudes, out=out)
     return out
+
+
+def _per_row(factors: list, ndim: int):
+    """One scalar factor per row, shaped to broadcast over an ``ndim``-axis row block.
+
+    A single row keeps the bare scalar; several become a ``(rows, 1, ..., 1)``
+    column. Within a row the column is constant, so numpy multiplies each
+    row as it multiplies one state by a scalar, and a row's bits do not
+    depend on its neighbours; not so for rows of a single entry, where
+    numpy's inner loop runs across the rows instead.
+    """
+    if len(factors) == 1:
+        return factors[0]
+    return np.array(factors).reshape((-1,) + (1,) * (ndim - 1))
 
 
 # --------------------------------------------------------------------------
@@ -215,65 +238,76 @@ def _prepare_spectral(spectra: tuple[np.ndarray, ...], shape: tuple[int, ...]) -
     scale = float(1 / np.sqrt(np.longdouble(np.prod(shape))))
 
     def walk(amps, times, spare):
-        return qmoa_walk(amps.reshape(shape), times, spectra, scale, spare).ravel()
+        tensor = amps.reshape(amps.shape[:-1] + shape)
+        return qmoa_walk(tensor, times, spectra, scale, spare).reshape(amps.shape)
 
     return walk
 
 
 def qmoa_walk(
     tensor: np.ndarray,
-    times: Sequence[float],
+    times: np.ndarray,
     spectra: tuple[np.ndarray, ...],
     scale: float,
     spare: np.ndarray,
 ) -> np.ndarray:
     """DFT^-1 exp(-i sum_d t_d spectra_d) DFT on a contiguous (N,)*D tensor it overwrites.
 
-    With circulant eigenvalues as spectra this is exp(-i sum_d t_d L_d); with
-    ``MomentumGrid.kinetic_spectra`` it is the QOWE mixer. ``scale`` is
-    1/sqrt(K) rounded from long double, each transform's unitary factor.
-    Both transforms run in place in ``tensor``'s memory; the diagonal phase
-    goes into ``spare``, a contiguous K-complex buffer that is reshaped to
-    the tensor.
+    ``tensor`` may carry a leading row axis, with ``times`` one row of D
+    times per state. With circulant eigenvalues as spectra this is
+    exp(-i sum_d t_d L_d); with ``MomentumGrid.kinetic_spectra`` it is the
+    QOWE mixer. ``scale`` is 1/sqrt(K) rounded from long double, each
+    transform's unitary factor. Both transforms run in place in
+    ``tensor``'s memory; the diagonal phase goes into ``spare``, a
+    contiguous buffer of ``tensor``'s size that is reshaped to the tensor.
     """
     phase = _diagonal_phase(times, spectra, spare.reshape(tensor.shape))
-    spectrum = _unitary_dft(tensor, scale, inverse=False)
+    first = tensor.ndim - len(spectra)
+    spectrum = _unitary_dft(tensor, first, scale, inverse=False)
     spectrum *= phase
-    return _unitary_dft(spectrum, scale, inverse=True)
+    return _unitary_dft(spectrum, first, scale, inverse=True)
 
 
-def _unitary_dft(tensor: np.ndarray, scale: float, inverse: bool) -> np.ndarray:
-    """The D-dimensional unitary DFT of ``tensor`` (or its inverse), in place.
+def _unitary_dft(tensor: np.ndarray, first: int, scale: float, inverse: bool) -> np.ndarray:
+    """The unitary DFT over axes ``first``, ..., last of ``tensor`` (or its inverse), in place.
 
-    The unscaled 1-D transform runs along axes 0, 1, ..., D-1, and ``scale``
-    multiplies the real and imaginary parts once, right after axis 0. That
-    is where ``scipy.fft.fftn`` with ``norm="ortho"`` applies its factor, so
-    the bits are the same as scipy's; numpy's own ``norm="ortho"`` scales
-    every axis and rounds differently. Returns ``tensor``.
+    The unscaled 1-D transform runs along those axes in order, and ``scale``
+    multiplies the real and imaginary parts once, right after the first.
+    That is where ``scipy.fft.fftn`` with ``norm="ortho"`` applies its
+    factor, so the bits are the same as scipy's; numpy's own ``norm="ortho"``
+    scales every axis and rounds differently. Each 1-D line is transformed
+    on its own, so the axes before ``first`` (a row axis) do not mix.
+    Returns ``tensor``.
     """
     transform, norm = (np.fft.ifft, "forward") if inverse else (np.fft.fft, "backward")
-    for axis in range(tensor.ndim):
+    for axis in range(first, tensor.ndim):
         transform(tensor, axis=axis, norm=norm, out=tensor)
-        if axis == 0:
+        if axis == first:
             parts = tensor.view(np.float64)
             np.multiply(parts, scale, out=parts)
     return tensor
 
 
-def _diagonal_phase(
-    times: Sequence[float], vectors: tuple[np.ndarray, ...], out: np.ndarray
-) -> np.ndarray:
-    """prod_d exp(-i t_d v_d) into ``out``, from D small per-dimension exponentials.
+def _diagonal_phase(times, vectors: tuple[np.ndarray, ...], out: np.ndarray) -> np.ndarray:
+    """prod_d exp(-i t_d v_d) into ``out``, from D small per-dimension exponentials per state.
 
-    Each v_d broadcasts along its own tensor axis, so only the last product
-    is K-sized. The product starts from 1+0j rather than from the first
+    ``out`` is one state of the tensor shape with D ``times``, or a block
+    with a leading row axis and one row of D times per state. Each v_d
+    broadcasts along its own tensor axis, so only the last product is
+    state-sized. The product starts from 1+0j rather than from the first
     factor; where some t_d = 0, that multiplication sets the signs of the
     zero parts.
     """
+    rows = np.asarray(times).reshape(-1, len(vectors))
+    ndim = len(vectors) + 1
+
+    def factor(d):
+        return np.exp(_per_row([-1j * rows[r, d] for r in range(len(rows))], ndim) * vectors[d])
+
     phase = 1 + 0j
-    for t, v in zip(times[:-1], vectors[:-1]):
-        phase = phase * np.exp(-1j * t * v)
-    return np.multiply(phase, np.exp(-1j * times[-1] * vectors[-1]), out=out)
+    for d in range(len(vectors) - 1):
+        phase = phase * factor(d)
+    return np.multiply(phase, factor(-1), out=out)
 
 
 def qaoa_complete_mixer(state: StateVector, t: float) -> StateVector:
@@ -287,37 +321,59 @@ def qaoa_complete_mixer(state: StateVector, t: float) -> StateVector:
 
 def prepare_complete(shape: tuple[int, ...]) -> Walk:
     """``complete_walk`` over the axes of ``shape``: the grid's for QMOA, ``(K,)`` for QAOA."""
+    dims = len(shape)
+    axes = []
+    for d in range(dims):
+        axis = tensor_axis(d, dims)
+        axes.append((axis, shape[axis], shape[:axis] + (1,) + shape[axis + 1 :]))
 
     def walk(amps, times, spare):
-        return complete_walk(amps.reshape(shape), times, spare).ravel()
+        tensor = amps.reshape(amps.shape[:-1] + shape)
+        return complete_walk(tensor, times, axes, spare).reshape(amps.shape)
 
     return walk
 
 
-def complete_walk(tensor: np.ndarray, times: Sequence[float], spare: np.ndarray) -> np.ndarray:
+def complete_walk(
+    tensor: np.ndarray, times: np.ndarray, axes: Sequence[tuple], spare: np.ndarray
+) -> np.ndarray:
     """exp(-i sum_d t_d A_d) for complete graphs A_d, on a contiguous tensor it overwrites.
 
-    Time t_d walks grid dimension d, on tensor axis ``tensor_axis(d, ndim)``;
-    a flat (K,) array with one time is the complete graph on all K states.
-    On N vertices exp(-i t (J - I)) = e^{it} (I + (e^{-itN} - 1) J/N), and J/N
-    replaces each entry by the mean along its axis. So each axis adds
-    (e^{-itN} - 1) times its mean, formed from the axis sums in the first
-    K/N entries of the contiguous buffer ``spare``, and one global phase
-    e^{i sum_d t_d} follows. Returns ``tensor``.
+    ``tensor`` may carry a leading row axis, with ``times`` one row of D
+    times per state. Time t_d walks grid dimension d; ``axes[d]`` is (its
+    tensor axis, its size N, the shape of a state's sums along it), as
+    ``prepare_complete`` lays them out. A flat axis of K with one time is
+    the complete graph on all K states. On N vertices
+    exp(-i t (J - I)) = e^{it} (I + (e^{-itN} - 1) J/N), and J/N replaces
+    each entry by the mean along its axis. So each axis adds (e^{-itN} - 1)
+    times its mean, formed from the axis sums in the first K/N entries per
+    state of the contiguous buffer ``spare``, and one global phase
+    e^{i sum_d t_d} per state follows. Returns ``tensor``.
     """
-    shape, dims = tensor.shape, tensor.ndim
-    total = 0.0
-    for d, t in enumerate(times):
-        axis = tensor_axis(d, dims)
-        n = shape[axis]
-        term = spare[: tensor.size // n].reshape(shape[:axis] + (1,) + shape[axis + 1 :])
-        np.add.reduce(tensor, axis=axis, keepdims=True, out=term)
+    lead = tensor.ndim - len(axes)
+    rows = times.reshape(-1, len(axes))
+    scratch = spare.reshape(-1)
+    totals = [0.0] * len(rows)
+    for d, (axis, n, sums_shape) in enumerate(axes):
+        term = scratch[: tensor.size // n].reshape(tensor.shape[:lead] + sums_shape)
+        np.add.reduce(tensor, axis=lead + axis, keepdims=True, out=term)
+        factors = []
+        for r in range(len(rows)):
+            t = rows[r, d]
+            factors.append((np.exp(-1j * t * n) - 1.0) / n)
+            totals[r] += t
         # Scalar first, in place, N a power of two: this keeps QAOA bit for bit the
         # scalar-mean closed form (numpy's out-of-place product fuses multiply-adds).
-        np.multiply((np.exp(-1j * t * n) - 1.0) / n, term, out=term)
+        # A block's rows go one by one: where a state has a single sum, a column of
+        # factors would take the array-by-array product, which fuses too.
+        if lead:
+            for factor, sums in zip(factors, term):
+                np.multiply(factor, sums, out=sums)
+        else:
+            np.multiply(factors[0], term, out=term)
         np.add(tensor, term, out=tensor)
-        total += t
-    np.multiply(np.exp(1j * total), tensor, out=tensor)
+    phases = [np.exp(1j * total) for total in totals]
+    np.multiply(_per_row(phases, tensor.ndim), tensor, out=tensor)
     return tensor
 
 
@@ -336,29 +392,31 @@ def prepare_hypercube(k: int) -> Walk:
         raise ValueError(f"hypercube mixer needs K = 2^M states, got K={k}")
 
     def walk(amps, times, spare):
-        return hypercube_walk(amps, float(times[0]), spare)
+        return hypercube_walk(amps, np.asarray(times).reshape(-1).tolist(), spare)
 
     return walk
 
 
-def hypercube_walk(amplitudes: np.ndarray, t: float, spare: np.ndarray) -> np.ndarray:
-    """The hypercube walk on a flat contiguous array of 2^M entries.
+def hypercube_walk(amplitudes: np.ndarray, times: Sequence[float], spare: np.ndarray) -> np.ndarray:
+    """The hypercube walk on a flat contiguous array of 2^M entries, or on a (rows, 2^M) block.
 
-    Pass i pairs index k with its partner across qubit i. Viewed as
-    ``x.reshape(-1, 2, 2**i)``, the partners are the same view with its middle
-    axis reversed, so a pass is three whole-array ufuncs on two buffers: the
-    other buffer y gets i*sin(t) times the swapped view, x is scaled by
-    cos(t) in place, and y becomes x minus y. The passes alternate between
-    ``amplitudes`` and ``spare``, overwriting both, and the result ends in
-    ``amplitudes`` when M is even and in ``spare`` when M is odd; the array
-    holding it is returned.
+    State r walks for time ``times[r]``. Pass i pairs index k with its
+    partner across qubit i. Viewed as ``x.reshape(-1, 2, 2**i)`` per state,
+    the partners are the same view with its middle axis reversed, so a pass
+    is three whole-array ufuncs on two buffers: the other buffer y gets
+    i*sin(t) times the swapped view, x is scaled by cos(t) in place, and y
+    becomes x minus y. The passes alternate between ``amplitudes`` and
+    ``spare``, overwriting both, and the result ends in ``amplitudes`` when
+    M is even and in ``spare`` when M is odd; the array holding it is
+    returned.
     """
-    c = np.cos(t)
-    js = 1j * np.sin(t)
-    x, y = amplitudes, spare
-    for i in range(amplitudes.size.bit_length() - 1):
-        pairs = (-1, 2, 1 << i)
-        np.multiply(js, x.reshape(pairs)[:, ::-1, :], out=y.reshape(pairs))
+    lead = amplitudes.shape[:-1]
+    c = _per_row([np.cos(t) for t in times], amplitudes.ndim)
+    js = _per_row([1j * np.sin(t) for t in times], amplitudes.ndim + 2)
+    x, y = amplitudes, spare.reshape(amplitudes.shape)
+    for i in range(amplitudes.shape[-1].bit_length() - 1):
+        pairs = lead + (-1, 2, 1 << i)
+        np.multiply(js, x.reshape(pairs)[..., ::-1, :], out=y.reshape(pairs))
         np.multiply(c, x, out=x)
         np.subtract(x, y, out=y)
         x, y = y, x

@@ -77,19 +77,23 @@ def probabilities_of(
 def norm_drift_of(amplitudes: np.ndarray) -> float:
     """|1 - squared norm|, from one dot product of the ``float64`` view with itself."""
     pairs = amplitudes.view(np.float64)
-    return abs(1.0 - float(np.dot(pairs, pairs)))
+    return abs(1.0 - float(pairs.dot(pairs)))
 
 
-def renormalise(amplitudes: np.ndarray, drift: float) -> np.ndarray:
-    """``amplitudes`` itself if ``drift`` is within the threshold, else rescaled (logged)."""
+def renormalise(amplitudes: np.ndarray, drift: float, out: np.ndarray | None = None) -> np.ndarray:
+    """``amplitudes`` itself if ``drift`` is within the threshold, else rescaled (logged).
+
+    The rescaled state is written into ``out`` when given, which may be
+    ``amplitudes`` itself.
+    """
     if drift <= RENORM_THRESHOLD:
         return amplitudes
     logger.warning("renormalising state with norm drift %.3e", drift)
-    return amplitudes / np.sqrt(np.sum(probabilities_of(amplitudes)))
+    return np.divide(amplitudes, np.sqrt(np.sum(probabilities_of(amplitudes))), out=out)
 
 
 def expectation_of(values: np.ndarray, probabilities: np.ndarray) -> float:
-    return float(np.dot(values, probabilities))
+    return float(values.dot(probabilities))
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import qvasim.ansatz
@@ -324,3 +324,93 @@ def test_propagator_rejects_bad_parameters_and_tables():
     other_grid, _ = problem(2, 8)
     with pytest.raises(ValueError, match="does not match the grid"):
         Propagator(spec, table, other_grid)
+
+
+def same_bits(a, b):
+    return np.array_equal(np.asarray(a).view(np.uint64), np.asarray(b).view(np.uint64))
+
+
+def batched_and_alone(spec, table, grid, points):
+    """(amplitudes, drift logs, <Q>) of each row: from one batched call and from one-row calls."""
+    batch = Propagator(spec, table, grid, rows=len(points))
+    logs = [[] for _ in points]
+    amps = batch._evolve(batch._block(points), logs)[0].reshape(len(points), -1).copy()
+    values = batch.expectations(points)
+    one = Propagator(spec, table, grid)
+    alone = []
+    for flat in points:
+        log = []
+        alone.append((one.amplitudes(flat, log), log, one.expectation(flat)))
+    return list(zip(amps, logs, values)), alone
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    label=st.sampled_from(LABELS),
+    dims=st.sampled_from([1, 2, 3]),
+    n=st.sampled_from([2, 4, 8, 16, 64]),
+    depth=st.sampled_from([1, 2, 3]),
+    seed=st.integers(0, 2**32 - 1),
+    zeros=st.lists(st.sampled_from(["none", "gammas", "times", "all"]), min_size=1, max_size=5),
+)
+def test_batched_rows_equal_one_row_evaluations(label, dims, n, depth, seed, zeros):
+    """Each row of a batched evaluation has the bits of that row evaluated alone.
+
+    Amplitudes, per-layer drift logs and <Q> are compared as raw bits, over
+    1 to 5 rows, some with zero gammas, zero walk times or both.
+    """
+    assume(n**dims <= 2**12)
+    grid, table = problem(dims, n, "styblinski_tang")
+    spec = make_spec(label, dims, n, depth)
+    rng = np.random.default_rng(seed)
+    points = np.array([random_params(spec, dims, rng).flatten() for _ in zeros])
+    width = spec.params_per_layer(dims)
+    for row, zero in zip(points, zeros):
+        if zero in ("gammas", "all"):
+            row[::width] = 0.0
+        if zero in ("times", "all"):
+            row.reshape(depth, width)[:, 1:] = 0.0
+    batched, alone = batched_and_alone(spec, table, grid, points)
+    for (amps, log, value), (amps1, log1, value1) in zip(batched, alone):
+        assert same_bits(amps, amps1)
+        assert same_bits(log, log1)
+        assert same_bits(value, value1)
+
+
+@pytest.mark.parametrize("label", LABELS)
+def test_batched_row_renormalises_alone(label, monkeypatch):
+    """A row past the threshold is rescaled in place; the rows beside it keep their bits."""
+    grid, table = problem(3, 4)
+    spec = make_spec(label, 3, 4, depth=3)
+    rng = np.random.default_rng(20 + LABELS.index(label))
+    points = np.array([random_params(spec, 3, rng).flatten() for _ in range(4)])
+    points[0] = 0.0
+    first = []
+    for flat in points:
+        log = []
+        Propagator(spec, table, grid).amplitudes(flat, log)
+        first.append(log[0])
+    # between the rows' first-layer drifts: some rows renormalise, some do not
+    threshold = (min(first) + max(first)) / 2
+    assert min(first) < threshold < max(first)
+    monkeypatch.setattr(qvasim.states, "RENORM_THRESHOLD", threshold)
+    batched, alone = batched_and_alone(spec, table, grid, points)
+    for (amps, log, value), (amps1, log1, value1) in zip(batched, alone):
+        assert same_bits(amps, amps1)
+        assert log == log1
+        assert value == value1
+    assert {log[0] > threshold for _, log, _ in batched} == {False, True}
+
+
+def test_batched_evaluation_rejects_bad_blocks():
+    grid, table = problem(2, 4)
+    spec = make_spec("qaoa_complete", 2, 4, depth=2)
+    propagator = Propagator(spec, table, grid, rows=3)
+    with pytest.raises(ValueError, match="expected 1 to 3 rows of 4 parameters"):
+        propagator.expectations(np.zeros((4, 4)))
+    with pytest.raises(ValueError, match="expected 1 to 3 rows of 4 parameters"):
+        propagator.expectations(np.zeros((2, 5)))
+    with pytest.raises(ValueError, match="finite"):
+        propagator.expectations(np.array([[0.1] * 4, [0.1, np.inf, 0.1, 0.1]]))
+    with pytest.raises(ValueError, match="at least one row"):
+        Propagator(spec, table, grid, rows=0)

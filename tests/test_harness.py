@@ -2,6 +2,9 @@ import csv
 import json
 import logging
 import os
+import subprocess
+import sys
+import time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -9,6 +12,7 @@ import numpy as np
 import pytest
 import yaml
 
+import qvasim.engine as engine
 import qvasim.mixers
 from qvasim.harness import (
     ConfigError,
@@ -20,6 +24,7 @@ from qvasim.harness import (
     summarise,
 )
 from qvasim.harness.cli import main
+from qvasim.harness.config import ALGORITHM_LABELS, OptimiserConfig
 from qvasim.harness.runner import (
     ExperimentRecord,
     HybridRecord,
@@ -375,6 +380,75 @@ class TestRunner:
                 got.pop(volatile)
                 want.pop(volatile)
             assert got == want, key
+
+    def test_lockstep_records_equal_repeats_run_alone(self, tmp_path, monkeypatch):
+        """Records of repeats run in lockstep equal those of each repeat run as a group of one.
+
+        Two worker processes, and a run resumed from a log that lacks some
+        repeats, give them too. Every wall_time is positive, and a depth's
+        fresh wall_times sum to no more than the depth's elapsed time.
+        """
+        config = tiny_config(
+            tmp_path,
+            algorithms=list(ALGORITHM_LABELS),
+            n_points=16,
+            depth_range=(1, 3),
+            repeats=3,
+            optimiser=OptimiserConfig(max_iterations=25),
+        )
+
+        def without_wall_time(records):
+            return {
+                r.key(): {k: v for k, v in asdict(r).items() if k != "wall_time"}
+                for r in records
+            }
+
+        depths = []
+        real_optimise = engine.optimise_at_depth
+
+        def timed(*args):
+            started = time.perf_counter()
+            result = real_optimise(*args)
+            elapsed = time.perf_counter() - started
+            done = args[9] or {}
+            fresh = [r.wall_time for j, r in enumerate(result.repeats) if j not in done]
+            depths.append((elapsed, fresh))
+            return result
+
+        monkeypatch.setattr(engine, "optimise_at_depth", timed)
+        lockstep = run_experiment(config, workers=1)
+        monkeypatch.undo()
+        assert len(lockstep) == 6 * 3 * 3
+        assert all(r.wall_time > 0 for r in lockstep)
+        assert len(depths) == 6 * 3
+        for elapsed, wall_times in depths:
+            assert len(wall_times) == 3
+            assert sum(wall_times) <= 1.05 * elapsed
+        reference = without_wall_time(lockstep)
+
+        real_group = engine._run_group
+        monkeypatch.setattr(
+            engine, "_run_group", lambda repeats: [r for one in repeats for r in real_group([one])]
+        )
+        alone = run_experiment(replace(config, output_dir=str(tmp_path / "alone")), workers=1)
+        monkeypatch.undo()
+        assert without_wall_time(alone) == reference
+
+        pooled = run_experiment(replace(config, output_dir=str(tmp_path / "pooled")), workers=2)
+        assert all(r.wall_time > 0 for r in pooled)
+        assert without_wall_time(pooled) == reference
+
+        resumed_dir = tmp_path / "resumed"
+        resumed_dir.mkdir()
+        lines = (tmp_path / "out" / "records.jsonl").read_text().splitlines(keepends=True)
+        dropped = {(2, 0), (3, 1), (3, 2)}  # (depth, repeat) in every cell
+        kept = [
+            line for line in lines
+            if (json.loads(line)["depth"], json.loads(line)["repeat"]) not in dropped
+        ]
+        (resumed_dir / "records.jsonl").write_text("".join(kept))
+        resumed = run_experiment(replace(config, output_dir=str(resumed_dir)), workers=1)
+        assert without_wall_time(resumed) == reference
 
     def test_corrupt_line_mid_log_raises(self, tmp_path):
         config = tiny_config(tmp_path)
@@ -963,3 +1037,20 @@ def test_append_records_fsyncs_each_append(tmp_path, monkeypatch):
     _append_records(jsonl, [fake_record(repeat=2)])
     assert len(synced) == 2
     assert [r.repeat for r in load_records(jsonl)] == [0, 1, 2]
+
+
+def test_runner_and_cli_import_without_yaml_or_multiprocessing():
+    """A config file needs yaml and a worker pool needs multiprocessing; importing needs neither."""
+    src = Path(qvasim.mixers.__file__).resolve().parents[1]
+    code = (
+        "import sys, qvasim, qvasim.harness.runner, qvasim.harness.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('yaml', 'multiprocessing')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert out.stdout.strip() == "[]"
