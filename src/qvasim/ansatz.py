@@ -177,7 +177,8 @@ class Propagator:
       exponentials.
 
     ``expectation``, ``sample``, ``amplitudes`` and ``state`` evaluate one
-    parameter vector, in the first row. An evaluation takes the flat,
+    parameter vector, in the first row; ``expectations`` and ``samples``
+    evaluate a block of them. An evaluation takes the flat,
     layer-major parameter vectors of ``ParameterVector.flatten`` and runs
     the layer loop on bare arrays. It calls the array-level kernels behind
     ``phase_shift`` and the public mixers, on the same operands in the same
@@ -326,7 +327,17 @@ class Propagator:
         probabilities are formed once, in the workspace, without copying the
         state out.
         """
-        return sample_of(self._probabilities(self._one(flat)), rng, shots)
+        return self.samples(self._one(flat), rng, shots)[0]
+
+    def samples(self, points: np.ndarray, rng: np.random.Generator, shots: int) -> list:
+        """``sample`` of each row of ``points``, at most ``rows`` of them.
+
+        The states are evolved in one call; the draws are then made row by
+        row with the one ``rng``, so they equal ``sample`` called on each
+        row in turn.
+        """
+        probabilities = self._probabilities(self._block(points)).reshape(len(points), -1)
+        return [sample_of(p, rng, shots) for p in probabilities]
 
 
 def apply_ansatz(

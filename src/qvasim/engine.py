@@ -16,20 +16,29 @@ Protocol implemented here:
   identity-extension repeat keeps the warm start's), with width 1/sqrt(2); a
   supplied WavepacketSpec is used as given. Either way the centres are
   reported with the repeat;
-* a depth's repeats run in lockstep: each simplex round takes the next
-  point of every active repeat, and the points that share a Propagator are
-  evaluated in one batched call. Each repeat sees the points and values it
+* the simplex is a generator of blocks: it yields the points it knows
+  before the first of them is evaluated as one (m, n) array (the start,
+  the n + 1 initial vertices, a shrink's n vertices, or one point) and is
+  sent their m values in order. ``nelder_mead`` evaluates a block's rows
+  one by one; ``nelder_mead_blocks`` hands a caller the whole block;
+* a depth's repeats run in lockstep: each simplex round takes the pending
+  block of every active repeat, and the points that share a Propagator are
+  evaluated in batched calls. Each repeat sees the points and values it
   would see alone, so the results, bit for bit, do not depend on which
-  repeats run together, nor on how they are split over worker processes.
+  repeats run together, nor on how they are split over worker processes;
+* ``nelder_mead_runs`` runs many simplices of one objective in lockstep in
+  one set of arrays, each round evaluating all their points as one block of
+  columns, for the hybrid study's thousands of short classical runs.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -59,6 +68,11 @@ BOUND_HIT_TOL = 1e-9
 # per-call cost between rows, which pays at small K only: measured per-row
 # times (README, "Evaluation cost") fall with rows at K = 2^8 and rise at 2^15.
 BATCH_POINTS = 4096
+
+
+def batch_rows(most: int, grid: SolutionGrid) -> int:
+    """Rows of a Propagator that evaluates up to ``most`` points at a time on ``grid``."""
+    return min(most, max(1, BATCH_POINTS // grid.total_points))
 
 
 @dataclass
@@ -125,33 +139,56 @@ def nelder_mead(
     JSON line per simplex step, numbered from 1: iteration index, best
     value, parameter vector.
     """
+    return nelder_mead_blocks(lambda block: [objective(x) for x in block], x0, options, trace_path)
+
+
+def nelder_mead_blocks(
+    objective_rows: Callable[[np.ndarray], Sequence[float]],
+    x0: Sequence[float],
+    options: OptimiserOptions | None = None,
+    trace_path=None,
+) -> NelderMeadResult:
+    """``nelder_mead`` with the points the simplex knows in advance passed as one block.
+
+    ``objective_rows`` receives each block as an (m, n) array of its own and
+    returns the m values in row order. A block is the starting point, the
+    initial vertices, a shrink's vertices or one point (see ``_simplex``).
+    Evaluating the rows one by one in order is ``nelder_mead``.
+    """
     steps = _nelder_mead(x0, options, trace_path)
     try:
-        x = next(steps)
+        block = next(steps)
         while True:
-            x = steps.send(objective(x))
+            block = steps.send(objective_rows(block))
     except StopIteration as stop:
         return stop.value
 
 
-def _nelder_mead(x0: Sequence[float], options: OptimiserOptions | None, trace_path=None):
-    """``nelder_mead`` as a generator: it yields each point and is sent its value.
-
-    Returns the ``NelderMeadResult``. The arguments are checked before the
-    first point is yielded.
-    """
-    options = options or OptimiserOptions()
+def _check_start(x0: Sequence[float]) -> np.ndarray:
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim != 1 or x0.size == 0:
         raise ValueError(f"starting point must be a non-empty vector, got shape {x0.shape}")
     if not np.all(np.isfinite(x0)):
         raise ValueError("starting point must be finite")
+    return x0
+
+
+def _nelder_mead(x0: Sequence[float], options: OptimiserOptions | None, trace_path=None):
+    """``nelder_mead`` as a generator of blocks, each sent its values (see ``_simplex``).
+
+    Its first block is the starting point alone. Returns the
+    ``NelderMeadResult``. The arguments are checked before the first block
+    is yielded.
+    """
+    options = options or OptimiserOptions()
+    x0 = _check_start(x0)
     lo = hi = None
     start = x0
     if options.bounds is not None:
         lo, hi = _bound_arrays(options.bounds, x0.size)
         start = x0.clip(lo, hi)
-    f0 = float((yield start))
+    (f0,) = yield start.reshape(1, -1).copy()
+    f0 = float(f0)
     if not np.isfinite(f0):
         raise ValueError(f"objective is not finite at the starting point ({f0})")
     trace_file = open(trace_path, "a") if trace_path is not None else None
@@ -177,6 +214,14 @@ def _bound_arrays(bounds: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return b[:, 0], b[:, 1]
 
 
+def _coefficients(n: int, adaptive: bool) -> tuple:
+    """Reflection, expansion, contraction and shrink coefficients (rho, chi, psi, sigma)."""
+    if adaptive:
+        dim = float(n)
+        return 1, 1 + 2 / dim, 0.75 - 1 / (2 * dim), 1 - 1 / dim
+    return 1, 2, 0.5, 0.5
+
+
 def _order(sim: np.ndarray, fsim: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The simplex and its values, best vertex first."""
     ind = fsim.argsort()
@@ -191,21 +236,19 @@ def _spread(a: np.ndarray) -> float:
 def _simplex(x0, lo, hi, options, trace_file):
     """Run the simplex from ``x0``; return (best x, best value, calls, steps).
 
-    A generator: it yields a copy of each point to evaluate and is sent the
-    point's value. ``x0`` is already inside the bounds, if any. ``calls``
-    counts the points yielded here; ``steps`` the passes through the main
-    loop that did not stop at the convergence test.
+    A generator: it yields each block of points that it knows before the
+    first of them is evaluated, as a fresh (m, n) array, and is sent their m
+    values in row order. A block is the initial simplex's n + 1 vertices,
+    a shrink's n vertices, or one point. The evaluation cap cuts a block
+    where a loop over its points would stop. ``x0`` is already inside the
+    bounds, if any. ``calls`` counts the points yielded here; ``steps`` the
+    passes through the main loop that did not stop at the convergence test.
     """
     n = x0.size
     bounded = lo is not None
-    if options.adaptive:
-        dim = float(n)
-        rho, chi, psi, sigma = 1, 1 + 2 / dim, 0.75 - 1 / (2 * dim), 1 - 1 / dim
-    else:
-        rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    rho, chi, psi, sigma = _coefficients(n, options.adaptive)
     max_calls = np.inf if options.max_evaluations is None else options.max_evaluations
     xatol, fatol = options.simplex_tolerance, options.value_tolerance
-    calls = 0
 
     # vertex k + 1 steps coordinate k by 5%, or to 0.00025 from zero
     sim = np.tile(x0, (n + 1, 1))
@@ -217,11 +260,9 @@ def _simplex(x0, lo, hi, options, trace_file):
         sim = np.where(sim > hi, 2 * hi - sim, sim).clip(lo, hi)
 
     fsim = np.full(n + 1, np.inf)
-    for k in range(n + 1):
-        if calls >= max_calls:
-            break
-        calls += 1
-        fsim[k] = yield sim[k].copy()
+    calls = int(min(n + 1, max_calls))
+    if calls:
+        fsim[:calls] = yield sim[:calls].copy()
     # sorted twice as scipy sorts it; argsort is not stable, so the second
     # pass may still reorder tied vertices
     sim, fsim = _order(*_order(sim, fsim))
@@ -239,7 +280,7 @@ def _simplex(x0, lo, hi, options, trace_file):
             if bounded:
                 xr = xr.clip(lo, hi)
             calls += 1
-            fxr = yield xr.copy()
+            (fxr,) = yield xr.reshape(1, -1).copy()
             if fxr < fsim[0]:
                 xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
                 if bounded:
@@ -247,7 +288,7 @@ def _simplex(x0, lo, hi, options, trace_file):
                 if calls >= max_calls:
                     raise _EvaluationCap
                 calls += 1
-                fxe = yield xe.copy()
+                (fxe,) = yield xe.reshape(1, -1).copy()
                 if fxe < fxr:
                     sim[-1], fsim[-1] = xe, fxe
                 else:
@@ -263,7 +304,7 @@ def _simplex(x0, lo, hi, options, trace_file):
                     if calls >= max_calls:
                         raise _EvaluationCap
                     calls += 1
-                    fxc = yield xc.copy()
+                    (fxc,) = yield xc.reshape(1, -1).copy()
                     if fxc <= fxr:
                         sim[-1], fsim[-1] = xc, fxc
                     else:
@@ -275,20 +316,23 @@ def _simplex(x0, lo, hi, options, trace_file):
                     if calls >= max_calls:
                         raise _EvaluationCap
                     calls += 1
-                    fxcc = yield xcc.copy()
+                    (fxcc,) = yield xcc.reshape(1, -1).copy()
                     if fxcc < fsim[-1]:
                         sim[-1], fsim[-1] = xcc, fxcc
                     else:
                         shrink = True
                 if shrink:
-                    for j in range(1, n + 1):
-                        sim[j] = sim[0] + sigma * (sim[j] - sim[0])
-                        if bounded:
-                            sim[j] = sim[j].clip(lo, hi)
-                        if calls >= max_calls:
-                            raise _EvaluationCap
-                        calls += 1
-                        fsim[j] = yield sim[j].copy()
+                    moved = sim[0] + sigma * (sim[1:] - sim[0])
+                    if bounded:
+                        moved = moved.clip(lo, hi)
+                    # a cap inside the shrink moves one vertex more than it evaluates
+                    m = int(min(n, max_calls - calls))
+                    sim[1 : m + 2] = moved[: m + 1]
+                    if m:
+                        calls += m
+                        fsim[1 : m + 1] = yield moved[:m]
+                    if m < n:
+                        raise _EvaluationCap
             iterations += 1
         except _EvaluationCap:
             pass  # the step ends at the cap, still counted below
@@ -302,6 +346,181 @@ def _simplex(x0, lo, hi, options, trace_file):
             }
             trace_file.write(json.dumps(record) + "\n")
     return sim[0], float(fsim.min()), calls, steps
+
+
+def nelder_mead_runs(
+    objective_columns: Callable[[np.ndarray], np.ndarray],
+    starts: Iterable[Sequence[float]],
+    options: OptimiserOptions | None,
+    slots: int,
+) -> Iterator[NelderMeadResult]:
+    """``nelder_mead`` from each start, up to ``slots`` runs at once; yields results in start order.
+
+    The runs advance in lockstep. Each round evaluates the points of every
+    running run in one call of ``objective_columns``, which takes an
+    (n, M) C-ordered block of points as columns and returns their M values.
+    A point's value must not depend on the other columns (``columnwise``
+    catalogue functions qualify). Each phase of a simplex step is one numpy
+    call over the runs that take it, with ``_simplex``'s expressions, so a
+    run's result equals, bit for bit, that of ``nelder_mead`` on the
+    objective that evaluates one point as a column. A start is drawn from
+    ``starts`` only when a slot is free, and a result is yielded as soon as
+    every earlier run's has been: a consumer that stops iterating stops the
+    draws, and runs already started past that point are dropped. Bounds are
+    not supported. The starting-point check is the value of the first
+    vertex, which is the start itself.
+    """
+    options = options or OptimiserOptions()
+    if options.bounds is not None:
+        raise ValueError("nelder_mead_runs does not support bounds")
+    if slots < 1:
+        raise ValueError(f"need at least one slot, got {slots}")
+    return _lockstep_runs(objective_columns, iter(starts), options, slots)
+
+
+def _order_rows(sim: np.ndarray, fsim: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_order`` applied to each run's simplex: (runs, n + 1, n) and (runs, n + 1)."""
+    ind = fsim.argsort(axis=1)
+    return np.take_along_axis(sim, ind[:, :, None], 1), np.take_along_axis(fsim, ind, 1)
+
+
+def _lockstep_runs(objective_columns, starts, options, slots):
+    """The generator behind ``nelder_mead_runs``.
+
+    The running runs' state lives in arrays with one entry per run:
+    simplices, values, calls, iterations, steps and run index. Every round
+    stops the runs that the loop head of ``_simplex`` would stop, yields
+    what it can, fills the free slots, then evaluates the new runs' initial
+    vertices with the others' reflections, the expansions and contractions,
+    and the shrinks' vertices, in at most three calls.
+    """
+    first = next(starts, None)
+    if first is None:
+        return
+    n = _check_start(first).size
+    starts = itertools.chain([first], starts)
+    rho, chi, psi, sigma = _coefficients(n, options.adaptive)
+    max_calls = np.inf if options.max_evaluations is None else options.max_evaluations
+    xatol, fatol = options.simplex_tolerance, options.value_tolerance
+    vertices = int(min(n + 1, max_calls))
+    diagonal = (slice(None), np.arange(1, n + 1), np.arange(n))
+    later = np.arange(1, n + 1)  # the vertices a shrink moves
+
+    def evaluate(points):
+        if not len(points):
+            return np.empty(0)
+        return objective_columns(np.ascontiguousarray(points.T))
+
+    sim, fsim = np.empty((0, n + 1, n)), np.empty((0, n + 1))
+    calls, iterations, steps, ids = (np.empty(0, np.int64) for _ in range(4))
+    finished: dict[int, NelderMeadResult] = {}
+    drawn = yielded = 0
+    while True:
+        # the loop head: the two caps, then the convergence test
+        stop = (calls >= max_calls) | (iterations >= options.max_iterations)
+        go = np.flatnonzero(~stop)
+        s, f = sim[go], fsim[go]
+        stop[go] = (np.absolute(s[:, 1:] - s[:, :1]).max(axis=(1, 2)) <= xatol) & (
+            np.absolute(f[:, :1] - f[:, 1:]).max(axis=1) <= fatol
+        )
+        if stop.any():
+            best = fsim[stop].min(axis=1)
+            for j, i in enumerate(np.flatnonzero(stop)):
+                finished[int(ids[i])] = NelderMeadResult(
+                    sim[i, 0].copy(), float(best[j]), int(calls[i]) + 1, int(steps[i])
+                )
+            keep = ~stop
+            sim, fsim, calls, iterations, steps, ids = (
+                a[keep] for a in (sim, fsim, calls, iterations, steps, ids)
+            )
+        while yielded in finished:
+            yield finished.pop(yielded)
+            yielded += 1
+
+        fresh = []
+        while len(ids) + len(fresh) < slots:
+            x0 = next(starts, None)
+            if x0 is None:
+                break
+            x0 = _check_start(x0)
+            if x0.shape != (n,):
+                raise ValueError(f"every start needs {n} coordinates, got shape {x0.shape}")
+            fresh.append(x0)
+            drawn += 1
+        if not fresh and not len(ids):
+            return
+
+        # new runs' initial simplices, evaluated with the reflections
+        points = []
+        if fresh:
+            starts_now = np.array(fresh)
+            new_sim = np.repeat(starts_now[:, None], n + 1, axis=1)
+            new_sim[diagonal] = np.where(starts_now != 0, (1 + 0.05) * starts_now, 0.00025)
+            points.append(new_sim[:, : max(vertices, 1)].reshape(-1, n))
+        xbar = np.add.reduce(sim[:, :-1], 1) / n
+        worst = sim[:, -1]
+        xr = (1 + rho) * xbar - rho * worst
+        points.append(xr)
+        values = evaluate(np.concatenate(points))
+        fxr = values[len(values) - len(xr) :]
+        if fresh:
+            init = values[: len(values) - len(xr)].reshape(len(fresh), -1)
+            bad = np.flatnonzero(~np.isfinite(init[:, 0]))
+            if bad.size:
+                raise ValueError(
+                    f"objective is not finite at the starting point ({float(init[bad[0], 0])})"
+                )
+            new_f = np.full((len(fresh), n + 1), np.inf)
+            new_f[:, :vertices] = init[:, :vertices]
+            new_sim, new_f = _order_rows(*_order_rows(new_sim, new_f))
+
+        # expansion or contraction: a * xbar - b * worst, one point per run
+        calls += 1
+        expand = fxr < fsim[:, 0]
+        accept = ~expand & (fxr < fsim[:, -2])
+        outside = fxr < fsim[:, -1]
+        second = np.flatnonzero(~accept & (calls < max_calls))
+        e, o = expand[second], outside[second]
+        a = np.where(e, 1 + rho * chi, np.where(o, 1 + psi * rho, 1 - psi))[:, None]
+        b = np.where(e, rho * chi, np.where(o, psi * rho, -psi))[:, None]
+        x2 = a * xbar[second] - b * worst[second]
+        f2 = evaluate(x2)
+        calls[second] += 1
+        # the second point replaces the worst vertex, as does the reflection
+        # when it is accepted or beats a failed expansion
+        taken = np.where(e, f2 < fxr[second], np.where(o, f2 <= fxr[second], f2 < fsim[second, -1]))
+        reflected = accept.copy()
+        reflected[second[e & ~taken]] = True
+        into = second[taken]
+        sim[reflected, -1], fsim[reflected, -1] = xr[reflected], fxr[reflected]
+        sim[into, -1], fsim[into, -1] = x2[taken], f2[taken]
+        completed = reflected  # the steps that end without meeting the cap
+        completed[into] = True
+
+        shrink = second[~e & ~taken]
+        if shrink.size:
+            s = sim[shrink]
+            moved = s[:, :1] + sigma * (s[:, 1:] - s[:, :1])
+            left = (max_calls - calls[shrink])[:, None]
+            s[:, 1:] = np.where((later <= left + 1)[:, :, None], moved, s[:, 1:])
+            sim[shrink] = s
+            scored = later <= left
+            fs = fsim[shrink]
+            fs[:, 1:][scored] = evaluate(moved[scored])
+            fsim[shrink] = fs
+            calls[shrink] += scored.sum(axis=1)
+            completed[shrink[scored[:, -1]]] = True  # unless the cap cut the shrink
+        iterations[completed] += 1
+        sim, fsim = _order_rows(sim, fsim)
+        steps += 1
+
+        if fresh:
+            k = len(fresh)
+            sim, fsim = np.concatenate([sim, new_sim]), np.concatenate([fsim, new_f])
+            calls = np.concatenate([calls, np.full(k, vertices)])
+            iterations = np.concatenate([iterations, np.ones(k, np.int64)])
+            steps = np.concatenate([steps, np.zeros(k, np.int64)])
+            ids = np.concatenate([ids, np.arange(drawn - k, drawn)])
 
 
 @dataclass
@@ -417,9 +636,9 @@ def run_single_repeat(
 
     It draws its start, then yields the arguments of the ``Propagator`` it
     evaluates with, ``(spec, table, grid)``, and is sent that Propagator.
-    From then on it yields each parameter vector its optimisation tries and
-    is sent the vector's <Q>. It returns its ``RepeatResult``, whose
-    ``wall_time`` the driver fills in. ``_run_group([run_single_repeat(...)])``
+    From then on it yields each block of parameter vectors its optimisation
+    tries (see ``_simplex``) and is sent their <Q> values. It returns its
+    ``RepeatResult``, whose ``wall_time`` the driver fills in. ``_run_group([run_single_repeat(...)])``
     runs one repeat alone.
     """
     rng = np.random.default_rng(seed)
@@ -503,25 +722,25 @@ def _run_group(repeats: list) -> list[RepeatResult]:
     """Run ``run_single_repeat`` generators in lockstep; return their results in order.
 
     Repeats that ask for the same spec, table and grid objects form a
-    cohort and share one Propagator of up to ``BATCH_POINTS // K`` rows
-    (at least one); cohorts run one after another, so at most one
-    workspace is alive. Each round takes the pending point of every active
-    repeat in the cohort, evaluates them a Propagator's rows at a time in
-    one ``expectations`` call, and sends each repeat its value. Each
-    repeat's points and values are those it would see alone, so the
-    results do not depend on the grouping. A repeat's ``wall_time`` is the
-    time spent in its own generator plus an equal share of the
-    Propagator's construction and of every call it was evaluated in.
+    cohort and share one Propagator of ``batch_rows`` rows; cohorts run
+    one after another, so at most one workspace is alive. Each round takes
+    the pending block of every active repeat in the cohort, evaluates their
+    points a Propagator's rows at a time in ``expectations`` calls, and
+    sends each repeat its values. Each repeat's points and values are those
+    it would see alone, so the results do not depend on the grouping. A
+    repeat's ``wall_time`` is the time spent in its own generator plus an
+    equal share of the Propagator's construction and, per point, of every
+    call it was evaluated in.
     """
     clock = time.perf_counter
     seconds = [0.0] * len(repeats)
     results: list[RepeatResult | None] = [None] * len(repeats)
     pending: dict[int, np.ndarray] = {}
 
-    def advance(i, value):
+    def advance(i, values):
         started = clock()
         try:
-            pending[i] = repeats[i].send(value)
+            pending[i] = repeats[i].send(values)
         except StopIteration as stop:
             pending.pop(i, None)
             results[i] = stop.value
@@ -537,7 +756,8 @@ def _run_group(repeats: list) -> list[RepeatResult]:
     for members in cohorts.values():
         started = clock()
         spec, table, grid = requests[members[0]]
-        rows = min(len(members), max(1, BATCH_POINTS // grid.total_points))
+        # the largest block is the initial simplex's n + 1 points
+        rows = batch_rows(len(members) * (spec.total_params(grid.dims) + 1), grid)
         propagator = Propagator(spec, table, grid, rows)
         share = (clock() - started) / len(members)
         for i in members:
@@ -545,14 +765,21 @@ def _run_group(repeats: list) -> list[RepeatResult]:
             advance(i, propagator)
         while pending:
             active = list(pending)
-            for at in range(0, len(active), rows):
-                batch = active[at : at + rows]
+            points = np.concatenate([pending[i] for i in active])
+            owners = [i for i in active for _ in range(len(pending[i]))]
+            values = []
+            for at in range(0, len(points), rows):
+                chunk = points[at : at + rows]
                 started = clock()
-                values = propagator.expectations(np.array([pending[i] for i in batch]))
-                share = (clock() - started) / len(batch)
-                for i, value in zip(batch, values):
+                values += propagator.expectations(chunk)
+                share = (clock() - started) / len(chunk)
+                for i in owners[at : at + rows]:
                     seconds[i] += share
-                    advance(i, value)
+            at = 0
+            for i in active:
+                count = len(pending[i])
+                advance(i, values[at : at + count])
+                at += count
     for result, spent in zip(results, seconds):
         result.wall_time = spent
     return results

@@ -1,7 +1,11 @@
 """Benchmark test functions with ground-truth minima and default domains.
 
 Every function accepts ``x`` as an array of shape (D,) for a single point or
-(D, M) for M points at once (all operations broadcast elementwise). The
+(D, M) for M points at once, and every operation acts elementwise. A point
+evaluated as a (D, 1) column gets the value it gets inside any (D, M)
+block. Evaluated as a (D,) vector it may differ in the last bit: numpy's
+scalar ``**`` calls libm ``pow``, while its array ``x**2`` is ``square``
+and its array ``x**4`` a SIMD power (``np.cos`` agrees either way). The
 catalogue is addressed by snake_case name, e.g. ``"styblinski_tang"``.
 """
 

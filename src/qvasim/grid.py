@@ -176,34 +176,52 @@ class ObjectiveTable:
         return pos + 1
 
 
+def columnwise(fn: Callable) -> Callable[[np.ndarray], np.ndarray]:
+    """``fn`` as a map from a (D, M) block of coordinate columns to its M values.
+
+    The first call decides how ``fn`` is evaluated, and every later call
+    evaluates it the same way. ``fn`` is given the whole block and may
+    return the (M,) value vector. A callable that returns another shape, or
+    raises the ``TypeError`` or ``ValueError`` of a scalar-only function
+    given arrays, is evaluated in a loop over single points of shape (D,).
+    The loop costs one Python call per point, so falling back to it is
+    logged once, as a warning. Any other exception propagates.
+    """
+
+    def blockwise(cols):
+        return np.asarray(fn(cols), dtype=float)
+
+    def pointwise(cols):
+        m = cols.shape[1]
+        return np.fromiter((float(fn(cols[:, j])) for j in range(m)), dtype=float, count=m)
+
+    def first(cols):
+        nonlocal evaluate
+        m = cols.shape[1]
+        try:
+            values = blockwise(cols)
+            reason = None if values.shape == (m,) else f"returned shape {values.shape}, not ({m},)"
+        except (TypeError, ValueError) as exc:
+            reason = f"raised {type(exc).__name__}"
+        if reason is None:
+            evaluate = blockwise
+            return values
+        logger.warning(
+            "objective is not vectorised (%s); evaluating K=%d points one at a time", reason, m
+        )
+        evaluate = pointwise
+        return pointwise(cols)
+
+    evaluate = first
+    return lambda cols: evaluate(cols)
+
+
 def build_objective(grid: SolutionGrid, fn: Callable) -> ObjectiveTable:
     """Evaluate ``fn`` on every grid point and collect ranking metadata.
 
-    ``fn`` receives per-dimension coordinate columns of shape (D, K) and may
-    return the full (K,) value vector. A callable that returns another shape,
-    or raises the ``TypeError`` or ``ValueError`` of a scalar-only function
-    given arrays, is evaluated in a loop over single points of shape (D,).
-    The loop costs one Python call per point, so falling back to it is logged
-    as a warning. Any other exception propagates.
+    ``fn`` is evaluated by ``columnwise`` on the (D, K) coordinate columns.
     """
-    cols = grid.coordinate_columns()
-    k_total = grid.total_points
-    try:
-        values = np.asarray(fn(cols), dtype=float)
-        reason = None
-        if values.shape != (k_total,):
-            reason = f"returned shape {values.shape}, not ({k_total},)"
-    except (TypeError, ValueError) as exc:
-        reason = f"raised {type(exc).__name__}"
-    if reason is not None:
-        logger.warning(
-            "objective is not vectorised (%s); evaluating K=%d points one at a time",
-            reason,
-            k_total,
-        )
-        values = np.fromiter(
-            (float(fn(cols[:, k])) for k in range(k_total)), dtype=float, count=k_total
-        )
+    values = columnwise(fn)(grid.coordinate_columns())
     if not np.all(np.isfinite(values)):
         bad = int(np.argmin(np.isfinite(values)))
         raise ValueError(

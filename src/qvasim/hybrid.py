@@ -13,11 +13,23 @@ holds; fev_qmoa is the number of expectation estimations. Sample minima are
 grid points, so most launches repeat an earlier start. Every launch is counted
 in ``fev_nelder_mead``, but the deterministic simplex run from a repeated
 start is not re-run: its evaluation count is reused.
+
+The sampled simplex hands each block of points it knows in advance (its
+initial vertices, a shrink's vertices) to the Propagator as one batched
+evolution. The classical simplex runs, the baseline's restarts and the
+launches from distinct sample minima alike, run ``CLASSICAL_SLOTS`` at a
+time in lockstep (``engine.nelder_mead_runs``), with the test function
+evaluated once per round on a block of columns. Their results are read in
+start order, so the counts are those of running them one after another:
+runs started past the first success, or past the baseline's evaluation
+budget, are discarded and not counted.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -27,20 +39,28 @@ from .engine import (
     WALK_TIME_RANGE,
     NelderMeadResult,
     OptimiserOptions,
-    nelder_mead,
+    batch_rows,
+    nelder_mead_blocks,
+    nelder_mead_runs,
 )
 from .functions import TestFunction, get_function
-from .grid import ObjectiveTable, SolutionGrid, build_objective, make_grid
+from .grid import ObjectiveTable, SolutionGrid, build_objective, columnwise, make_grid
 from .mixers import CirculantGraph
 
 # Importable from this module for the benchmark's tracer (bench/tracing.py),
 # which rebinds them here; the sampled objective evaluates and samples
-# through a Propagator.
+# through a Propagator, and the classical runs go through nelder_mead_runs.
 from .ansatz import apply_ansatz  # noqa: F401
+from .engine import nelder_mead  # noqa: F401
 from .states import sample  # noqa: F401
 
 DEFAULT_SAMPLE_SIZE = 30
 DEFAULT_EPSILON = 1e-4
+
+# Classical simplex runs kept in lockstep. More slots share numpy's per-call
+# cost between more runs but start more runs past the decisive one, which
+# are discarded; README, "Evaluation cost", has the measurements.
+CLASSICAL_SLOTS = 64
 
 
 @dataclass(frozen=True)
@@ -84,9 +104,17 @@ def _scipy_default_options(n_params: int) -> OptimiserOptions:
     )
 
 
-def _classical_search(f: TestFunction, start: np.ndarray) -> NelderMeadResult:
-    """One plain simplex run on ``f`` from ``start`` with the default settings."""
-    return nelder_mead(lambda x: float(f.fn(x)), start, _scipy_default_options(len(start)))
+def _classical_searches(
+    f: TestFunction, dims: int, starts: Iterable[np.ndarray]
+) -> Iterator[NelderMeadResult]:
+    """Plain simplex runs on ``f`` from each start with the default settings, in start order.
+
+    Each run equals ``nelder_mead`` on ``f`` evaluated at one point as a
+    (D, 1) column; ``f`` is evaluated through one ``columnwise`` map, so
+    the search decides once whether it is vectorised.
+    """
+    options = _scipy_default_options(dims)
+    return nelder_mead_runs(columnwise(f.fn), starts, options, CLASSICAL_SLOTS)
 
 
 def hybrid_optimise(
@@ -129,21 +157,26 @@ def hybrid_optimise(
     )
     times_per_layer = spec.walk_times_per_layer(dims)
     coords = grid.coordinate_columns()
-    propagator = Propagator(spec, table, grid)
+    n_params = spec.total_params(dims)
+    rows = batch_rows(n_params + 1, grid)  # the largest block: n_params + 1 vertices
+    propagator = Propagator(spec, table, grid, rows)
 
     sample_minima: list[int] = []  # one entry per estimation
 
-    def sampled_objective(flat: np.ndarray) -> float:
-        ks = propagator.sample(flat, rng, sample_size)
-        values = table.values[ks]
-        sample_minima.append(int(ks[np.argmin(values)]))
-        return float(np.mean(values))
+    def sampled_objective(block: np.ndarray) -> list[float]:
+        estimates = []
+        for at in range(0, len(block), rows):
+            for ks in propagator.samples(block[at : at + rows], rng, sample_size):
+                values = table.values[ks]
+                sample_minima.append(int(ks[values.argmin()]))
+                estimates.append(float(values.sum() / sample_size))
+        return estimates
 
     x0 = ParameterVector(
         rng.uniform(*GAMMA_RANGE, size=depth),
         rng.uniform(*WALK_TIME_RANGE, size=(depth, times_per_layer)),
     ).flatten()
-    nelder_mead(sampled_objective, x0, _scipy_default_options(propagator.n_params))
+    nelder_mead_blocks(sampled_objective, x0, _scipy_default_options(n_params))
 
     threshold = f.known_minimum(dims) + epsilon
     fev_nm = 0
@@ -151,12 +184,13 @@ def hybrid_optimise(
     found_value = None
     seeds_tried = 0
     failed: dict[int, int] = {}  # grid index of a failed start -> its evaluations
+    runs = _classical_searches(f, dims, (coords[:, k] for k in dict.fromkeys(sample_minima)))
     for k in sample_minima:
         seeds_tried += 1
         if k in failed:
             fev_nm += failed[k]
             continue
-        result = _classical_search(f, coords[:, k])
+        result = next(runs)  # the run from k: distinct starts run in first-appearance order
         fev_nm += result.evaluations
         if result.value <= threshold:
             found_x = result.x
@@ -194,17 +228,22 @@ def classical_baseline(
     seed: int = 0,
     max_evaluations: int = 50_000_000,
 ) -> BaselineResult:
-    """Repeated Nelder-Mead from uniform random starts until epsilon-success."""
+    """Repeated Nelder-Mead from uniform random starts until epsilon-success.
+
+    Restart j draws its start with ``rng.uniform(lower, upper)``, in restart
+    order. The counts are those of running the restarts one after another
+    until the first success, or until ``max_evaluations`` is reached.
+    """
     f = get_function(function) if isinstance(function, str) else function
     lower, upper = f.domain(dims)
     rng = np.random.default_rng(seed)
     threshold = f.known_minimum(dims) + epsilon
     fev = 0
     restarts = 0
+    runs = _classical_searches(f, dims, (rng.uniform(lower, upper) for _ in itertools.count()))
     while fev < max_evaluations:
         restarts += 1
-        x0 = rng.uniform(lower, upper)
-        result = _classical_search(f, x0)
+        result = next(runs)
         fev += result.evaluations
         if result.value <= threshold:
             return BaselineResult(fev, True, restarts, result.x)

@@ -9,7 +9,9 @@ library's QOWE mixer does without it, and the tests check it against
 ``centred_fourier_matrix``. ``scipy_nelder_mead`` is ``nelder_mead`` written
 over ``scipy.optimize.minimize``, and ``scipy_qmoa_walk`` is ``qmoa_walk``
 written over ``scipy.fft``; the library's own simplex and transforms must
-match them bit for bit.
+match them bit for bit. ``sequential_baseline`` is ``classical_baseline`` as
+a loop of one simplex run after another, which the lockstep restarts must
+reproduce.
 """
 
 from __future__ import annotations
@@ -20,8 +22,10 @@ import numpy as np
 import scipy.fft as sfft
 from scipy import optimize as sciopt
 
-from qvasim.engine import NelderMeadResult, OptimiserOptions
+from qvasim.engine import NelderMeadResult, OptimiserOptions, nelder_mead
+from qvasim.functions import get_function
 from qvasim.grid import SolutionGrid
+from qvasim.hybrid import BaselineResult
 from qvasim.mixers import CirculantGraph, MomentumGrid, _diagonal_phase
 from qvasim.states import StateVector
 
@@ -212,3 +216,30 @@ def scipy_qmoa_walk(
     spectrum = sfft.fftn(tensor, norm="ortho", overwrite_x=True)
     spectrum *= phase
     return sfft.ifftn(spectrum, norm="ortho", overwrite_x=True)
+
+
+def sequential_baseline(
+    function: str, dims: int, epsilon: float = 1e-4, seed: int = 0, max_evaluations: int = 50_000_000
+) -> BaselineResult:
+    """``qvasim.hybrid.classical_baseline`` as a loop of ``nelder_mead`` runs, one restart at a time.
+
+    Each run evaluates the function at one point as a (D, 1) column, the
+    arithmetic that a point gets inside the lockstep runs' blocks.
+    """
+    f = get_function(function)
+    lower, upper = f.domain(dims)
+    rng = np.random.default_rng(seed)
+    threshold = f.known_minimum(dims) + epsilon
+    options = OptimiserOptions(
+        max_iterations=200 * dims, max_evaluations=200 * dims, adaptive=False
+    )
+    fev = 0
+    restarts = 0
+    while fev < max_evaluations:
+        restarts += 1
+        x0 = rng.uniform(lower, upper)
+        result = nelder_mead(lambda x: float(f.fn(x[:, None])[0]), x0, options)
+        fev += result.evaluations
+        if result.value <= threshold:
+            return BaselineResult(fev, True, restarts, result.x)
+    return BaselineResult(fev, False, restarts, None)

@@ -414,3 +414,29 @@ def test_batched_evaluation_rejects_bad_blocks():
         propagator.expectations(np.array([[0.1] * 4, [0.1, np.inf, 0.1, 0.1]]))
     with pytest.raises(ValueError, match="at least one row"):
         Propagator(spec, table, grid, rows=0)
+
+
+@pytest.mark.parametrize("label", LABELS)
+def test_sixteen_rows_at_k256_equal_one_row_evaluations(label):
+    """The engine's largest block at K = 2^8 (16 rows): each row's <Q> has its bits alone."""
+    grid, table = problem(2, 16)
+    spec = make_spec(label, 2, 16, depth=3)
+    rng = np.random.default_rng(31 + LABELS.index(label))
+    points = np.array([random_params(spec, 2, rng).flatten() for _ in range(16)])
+    batched, alone = batched_and_alone(spec, table, grid, points)
+    for (amps, _, value), (amps1, _, value1) in zip(batched, alone):
+        assert same_bits(amps, amps1)
+        assert same_bits(value, value1)
+
+
+def test_samples_equal_sample_of_each_row_in_turn():
+    """One batched evolution, then each row's draws from the one generator, in row order."""
+    grid, table = problem(2, 8)
+    spec = make_spec("qmoa_complete", 2, 8, depth=2)
+    rng = np.random.default_rng(5)
+    points = np.array([random_params(spec, 2, rng).flatten() for _ in range(7)])
+    batched = Propagator(spec, table, grid, rows=7).samples(points, np.random.default_rng(9), 30)
+    one = Propagator(spec, table, grid)
+    draws = np.random.default_rng(9)
+    for ks, flat in zip(batched, points):
+        assert np.array_equal(ks, one.sample(flat, draws, 30))

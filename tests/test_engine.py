@@ -27,6 +27,8 @@ from qvasim.engine import (
     depth_sweep,
     draw_wavepacket_centres,
     nelder_mead,
+    nelder_mead_blocks,
+    nelder_mead_runs,
     optimise_at_depth,
     parallel_map,
     resolve_workers,
@@ -586,6 +588,138 @@ class TestSimplexMatchesScipy:
             env={**os.environ, "PYTHONPATH": str(src)},
         )
         assert out.stdout.strip() == "[]"
+
+
+@st.composite
+def simplex_cohorts(draw):
+    """(objective, starts, options, slots): ``simplex_runs``' objectives and options, unbounded.
+
+    1 to 20 starts share one objective and one set of options.
+    """
+    dims = draw(st.integers(1, 8))
+
+    def vector(elements):
+        return draw(st.lists(elements, min_size=dims, max_size=dims).map(np.array))
+
+    starts = [
+        vector(st.one_of(st.just(0.0), st.floats(-3.0, 3.0)))
+        for _ in range(draw(st.integers(1, 20)))
+    ]
+    options = OptimiserOptions(
+        max_iterations=draw(st.one_of(st.integers(1, 200), st.just(1_000))),
+        max_evaluations=draw(
+            st.one_of(st.none(), st.integers(0, dims + 1), st.integers(dims + 2, 40 * dims))
+        ),
+        adaptive=draw(st.booleans()),
+    )
+    centre = vector(st.floats(-2.0, 2.0))
+    objective = SIMPLEX_OBJECTIVES[draw(st.sampled_from(sorted(SIMPLEX_OBJECTIVES)))](centre)
+    return objective, starts, options, draw(st.integers(1, 8))
+
+
+def point_by_point(objective):
+    """An ``objective_columns`` for ``nelder_mead_runs`` that calls ``objective`` per column."""
+    return lambda block: np.array([objective(x) for x in block.T.copy()])
+
+
+class TestLockstepSimplex:
+    @settings(max_examples=60, deadline=None)
+    @given(cohort=simplex_cohorts())
+    def test_each_run_matches_scipy_bit_for_bit(self, cohort):
+        """Every run of a lockstep cohort equals scipy's simplex from its start.
+
+        The plateau objective ties vertices, so the ordering of a block of
+        simplices must break ties as the ordering of each one alone does.
+        """
+        objective, starts, options, slots = cohort
+        runs = list(nelder_mead_runs(point_by_point(objective), starts, options, slots))
+        assert len(runs) == len(starts)
+        for x0, ours in zip(starts, runs):
+            theirs = scipy_nelder_mead(objective, x0, options)
+            assert np.array_equal(ours.x, theirs.x)
+            assert ours.value == theirs.value
+            assert ours.evaluations == theirs.evaluations
+            assert ours.iterations == theirs.iterations
+
+    def test_a_start_is_drawn_when_a_slot_frees(self):
+        """With one slot, run j + 1 is not drawn before run j's result is read."""
+        drawn = []
+
+        def starts():
+            for j in range(100):
+                drawn.append(j)
+                yield [float(j), 1.0]
+
+        runs = nelder_mead_runs(point_by_point(lambda x: float(x @ x)), starts(), None, 1)
+        next(runs)
+        assert drawn == [0]
+        next(runs)
+        assert drawn == [0, 1]
+
+    def test_rejects_bounds_and_bad_starts(self):
+        columns = point_by_point(lambda x: float(x @ x))
+        with pytest.raises(ValueError, match="bounds"):
+            nelder_mead_runs(columns, [[0.0]], OptimiserOptions(bounds=np.array([[0.0, 1.0]])), 2)
+        with pytest.raises(ValueError, match="slot"):
+            nelder_mead_runs(columns, [[0.0]], None, 0)
+        with pytest.raises(ValueError, match="2 coordinates"):
+            list(nelder_mead_runs(columns, [[0.0, 1.0], [0.0]], None, 2))
+        with pytest.raises(ValueError, match="finite"):
+            list(nelder_mead_runs(columns, [[0.0, np.nan]], None, 2))
+        with pytest.raises(ValueError, match="not finite at the starting point"):
+            list(nelder_mead_runs(lambda block: np.full(block.shape[1], np.nan), [[1.0]], None, 2))
+        assert list(nelder_mead_runs(columns, [], None, 2)) == []
+
+
+def _block_sizes(objective, x0, options):
+    """``nelder_mead_blocks``' result and the size of each block it evaluated."""
+    sizes = []
+
+    def rows(block):
+        sizes.append(len(block))
+        return [objective(x) for x in block]
+
+    return nelder_mead_blocks(rows, x0, options), sizes
+
+
+class TestSimplexBlocks:
+    # piecewise constant: tied values make contractions fail, so the simplex shrinks
+    PLATEAU = staticmethod(SIMPLEX_OBJECTIVES["plateau"](np.array([0.5, -0.5, 0.2])))
+    X0 = np.array([-1.2, 1.0, 0.3])
+
+    def _matches_scipy(self, result, options):
+        theirs = scipy_nelder_mead(self.PLATEAU, self.X0, options)
+        assert np.array_equal(result.x, theirs.x)
+        assert result.value == theirs.value
+        assert result.evaluations == theirs.evaluations
+        assert result.iterations == theirs.iterations
+
+    def test_start_then_initial_vertices_then_single_points_and_shrinks(self):
+        options = OptimiserOptions(adaptive=False)
+        result, sizes = _block_sizes(self.PLATEAU, self.X0, options)
+        assert sizes[:2] == [1, 4]
+        assert set(sizes[2:]) == {1, 3}  # the shrinks are the blocks of n = 3
+        assert sum(sizes) == result.evaluations
+        self._matches_scipy(result, options)
+
+    @pytest.mark.parametrize("cap", [0, 1, 2, 3])
+    def test_cap_inside_the_initial_simplex(self, cap):
+        options = OptimiserOptions(max_evaluations=cap)
+        result, sizes = _block_sizes(self.PLATEAU, self.X0, options)
+        assert sizes == [1] + ([cap] if cap else [])
+        self._matches_scipy(result, options)
+
+    @pytest.mark.parametrize("cut", [0, 1, 2])
+    def test_cap_inside_a_shrink(self, cut):
+        """The cap leaves ``cut`` of a shrink's 3 vertices evaluated and moves one more."""
+        options = OptimiserOptions(adaptive=False)
+        _, sizes = _block_sizes(self.PLATEAU, self.X0, options)
+        first_shrink = sizes.index(3, 2)
+        cap = sum(sizes[1:first_shrink]) + cut
+        options = OptimiserOptions(adaptive=False, max_evaluations=cap)
+        result, capped = _block_sizes(self.PLATEAU, self.X0, options)
+        assert capped == sizes[:first_shrink] + ([cut] if cut else [])
+        self._matches_scipy(result, options)
 
 
 class TestExactPeriodicity:

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from qvasim.functions import FUNCTIONS, ROUNDED_MINIMUM, evaluate_test_function, get_function
 
@@ -83,6 +86,29 @@ def test_vectorised_evaluation_matches_scalar(name):
     vectorised = np.asarray(f.fn(points))
     for j in range(points.shape[1]):
         assert vectorised[j] == f.fn(points[:, j])
+
+
+@pytest.mark.parametrize("name", sorted(FUNCTIONS))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_block_equals_each_column(name, data):
+    """``fn`` on a (D, M) block equals ``fn`` on each (D, 1) column, bit for bit.
+
+    The lockstep classical simplex evaluates many runs' points as one block,
+    and its results equal those of runs evaluated one point at a time only
+    if a column's value does not depend on the block around it. A (D,) point
+    need not agree: numpy's scalar ``**`` calls libm ``pow``, its array
+    ``**`` does not.
+    """
+    f = FUNCTIONS[name]
+    dims = f.dims or data.draw(st.integers(f.min_dims, 4), label="dims")
+    count = data.draw(st.integers(1, 40), label="count")
+    unit = data.draw(arrays(np.float64, (dims, count), elements=st.floats(0.0, 1.0)), label="unit")
+    lower, upper = f.domain(dims)
+    points = lower[:, None] + unit * (upper - lower)[:, None]
+    block = np.asarray(f.fn(points))
+    columns = np.concatenate([f.fn(points[:, [j]]) for j in range(count)])
+    assert block.tobytes() == columns.tobytes()
 
 
 def test_minimum_scales_per_dimension():

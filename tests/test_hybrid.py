@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import qvasim.hybrid
 from qvasim.ansatz import Propagator
@@ -12,6 +15,8 @@ from qvasim.hybrid import (
     hybrid_optimise,
     speedup,
 )
+
+from oracles import sequential_baseline
 
 
 class TestAccounting:
@@ -84,23 +89,35 @@ def _traced_run(monkeypatch, function, n_points, seed, epsilon=1e-4):
     minima: list[int] = []
     starts: list[tuple] = []
 
-    draw = Propagator.sample
+    draw = Propagator.samples
 
-    def recording_sample(propagator, flat, rng, shots):
-        ks = draw(propagator, flat, rng, shots)
-        minima.append(int(ks[np.argmin(table.values[ks])]))
-        return ks
+    def recording_samples(propagator, points, rng, shots):
+        drawn = draw(propagator, points, rng, shots)
+        for ks in drawn:
+            minima.append(int(ks[np.argmin(table.values[ks])]))
+        return drawn
 
-    def counting_nelder_mead(objective, x0, options=None, trace_path=None):
-        starts.append(tuple(np.asarray(x0, dtype=float)))
-        return nelder_mead(objective, x0, options, trace_path)
+    runs = qvasim.hybrid.nelder_mead_runs
 
-    monkeypatch.setattr(Propagator, "sample", recording_sample)
-    monkeypatch.setattr(qvasim.hybrid, "nelder_mead", counting_nelder_mead)
+    def counting_runs(objective_columns, run_starts, options, slots):
+        """Record the start of each run whose result is read; later runs are discarded."""
+        drawn = []
+
+        def recording_starts():
+            for x0 in run_starts:
+                drawn.append(tuple(np.asarray(x0, dtype=float)))
+                yield x0
+
+        for i, result in enumerate(runs(objective_columns, recording_starts(), options, slots)):
+            starts.append(drawn[i])
+            yield result
+
+    monkeypatch.setattr(Propagator, "samples", recording_samples)
+    monkeypatch.setattr(qvasim.hybrid, "nelder_mead_runs", counting_runs)
     result = hybrid_optimise(
         f, 2, n_points, depth=1, epsilon=epsilon, seed=seed, grid=grid, table=table
     )
-    return result, grid, table, minima, starts[1:]
+    return result, grid, table, minima, starts
 
 
 def _rerun_every_start(function, grid, minima, epsilon=1e-4):
@@ -174,3 +191,38 @@ class TestClassicalBaseline:
     def test_gives_up_at_evaluation_cap(self):
         result = classical_baseline("rastrigin", dims=2, seed=1, max_evaluations=50)
         assert not result.success or result.evaluations <= 500
+
+    @pytest.mark.parametrize(
+        "function,dims,seed,max_evaluations",
+        [
+            ("sphere", 2, 5, 50_000_000),  # succeeds at an early restart
+            ("rastrigin", 2, 1, 50),  # the first restart passes the budget
+            ("rastrigin", 2, 3, 3_000),  # exhausts its budget
+            ("rastrigin", 2, 8, 50_000_000),  # succeeds after more restarts than slots
+            ("styblinski_tang", 3, 2, 50_000_000),
+        ],
+    )
+    @pytest.mark.parametrize("slots", [1, 3, qvasim.hybrid.CLASSICAL_SLOTS])
+    def test_lockstep_restarts_equal_the_sequential_loop(
+        self, monkeypatch, function, dims, seed, max_evaluations, slots
+    ):
+        monkeypatch.setattr(qvasim.hybrid, "CLASSICAL_SLOTS", slots)
+        ours = classical_baseline(function, dims, seed=seed, max_evaluations=max_evaluations)
+        reference = sequential_baseline(function, dims, seed=seed, max_evaluations=max_evaluations)
+        assert (ours.evaluations, ours.success, ours.restarts) == (
+            reference.evaluations,
+            reference.success,
+            reference.restarts,
+        )
+        assert np.array_equal(ours.found_x, reference.found_x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    values=arrays(np.float64, st.integers(1, 64), elements=st.floats(-1e12, 1e12)),
+)
+def test_sampled_estimate_keeps_numpy_mean_and_argmin_bits(values):
+    """The sampled objective's sum / size and ``argmin`` method equal ``np.mean`` and ``np.argmin``."""
+    estimate = float(values.sum() / len(values))
+    assert np.float64(estimate).tobytes() == np.float64(np.mean(values)).tobytes()
+    assert values.argmin() == np.argmin(values)
