@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
+from typing import Iterator
 
 import numpy as np
 
@@ -39,6 +40,12 @@ from .states import (
     renormalise,
     sample_of,
 )
+
+
+# Cap on rows x K of one Propagator's workspace. Batching shares numpy's
+# per-call cost between rows, which pays at small K only: measured per-row
+# times (README, "Evaluation cost") fall with rows at K = 2^8 and rise at 2^15.
+BATCH_POINTS = 4096
 
 
 class Algorithm(enum.Enum):
@@ -166,9 +173,9 @@ class Propagator:
     * the mixer's walk, from ``qvasim.mixers.prepare_qmoa`` and its
       siblings, which keeps only the mixer's factors.
 
-    It evaluates up to ``rows`` parameter vectors in one call
-    (``expectations``), each in its own row of the workspace, which it
-    allocates once and which holds every buffer an evaluation writes:
+    It evolves up to ``rows = max(1, BATCH_POINTS // K)`` parameter vectors
+    at a time, each in its own row of the workspace, which it allocates once
+    and which holds every buffer an evaluation writes:
 
     * two ``(rows, K)`` complex state buffers, used in turn, so a phase
       shift never writes over its own input; the one a layer's phase shift
@@ -176,38 +183,36 @@ class Propagator:
     * one complex entry per objective level and row for the phase
       exponentials.
 
+    The views of an evaluation of each row count are built on its first use.
+
     ``expectation``, ``sample``, ``amplitudes`` and ``state`` evaluate one
     parameter vector, in the first row; ``expectations`` and ``samples``
-    evaluate a block of them. An evaluation takes the flat,
-    layer-major parameter vectors of ``ParameterVector.flatten`` and runs
-    the layer loop on bare arrays. It calls the array-level kernels behind
-    ``phase_shift`` and the public mixers, on the same operands in the same
-    order, and checks each row's norm drift after every layer under the
-    1e-12 renormalise policy, so each row's amplitudes equal, bit for bit,
-    those of composing ``phase_shift``, the mixer and
-    ``StateVector.renormalised`` layer by layer, whatever else shares the
-    call.
+    take any number of them and evolve them ``rows`` at a time, in row
+    order. An evaluation takes the flat, layer-major parameter vectors of
+    ``ParameterVector.flatten`` and runs the layer loop on bare arrays. It
+    calls the array-level kernels behind ``phase_shift`` and the public
+    mixers, on the same operands in the same order, and checks each row's
+    norm drift after every layer under the 1e-12 renormalise policy, so each
+    row's amplitudes equal, bit for bit, those of composing ``phase_shift``,
+    the mixer and ``StateVector.renormalised`` layer by layer, whatever else
+    shares the call.
 
     Nothing a caller receives aliases the workspace: ``amplitudes`` and
     ``state`` copy the result out once, so it survives later evaluations.
     The workspace makes a Propagator unsafe to share between threads.
     """
 
-    def __init__(
-        self, spec: AnsatzSpec, table: ObjectiveTable, grid: SolutionGrid, rows: int = 1
-    ):
+    def __init__(self, spec: AnsatzSpec, table: ObjectiveTable, grid: SolutionGrid):
         if table.values.size != grid.total_points:
             raise ValueError("objective table does not match the grid")
-        if rows < 1:
-            raise ValueError(f"a Propagator needs at least one row, got {rows}")
+        k = grid.total_points
         self.spec = spec
         self.table = table
-        self.rows = rows
+        self.rows = rows = max(1, BATCH_POINTS // k)
         self.n_params = spec.total_params(grid.dims)
         self._width = spec.params_per_layer(grid.dims)
         self._shape = grid.tensor_shape
         self._initial = initial_state(spec, grid).amplitudes
-        k = grid.total_points
         algorithm = spec.algorithm
         if algorithm is Algorithm.QMOA:
             self._walk = walk = prepare_qmoa(spec.graphs, self._shape)
@@ -223,16 +228,19 @@ class Propagator:
             self._walk = prepare_hypercube(k)
         self._states = (np.empty((rows, k), np.complex128), np.empty((rows, k), np.complex128))
         self._level_phases = np.empty((rows, table.n_unique), np.complex128)
-        self._blocks = [self._block_views(count) for count in range(1, rows + 1)]
+        self._views: dict[int, tuple] = {}
 
     def _block_views(self, count: int) -> tuple:
-        """The workspace of a ``count``-row evaluation, as views.
+        """The workspace of a ``count``-row evaluation, as views, built on first use.
 
         (first state buffer, second, level phases, each state buffer's rows,
         and the two halves of each state buffer's ``float64`` view, shaped as
         its states). One row takes flat views, so it runs on the shapes of a
         single state.
         """
+        views = self._views.get(count)
+        if views is not None:
+            return views
         first, second, level_phases = (
             b[0] if count == 1 else b[:count] for b in (*self._states, self._level_phases)
         )
@@ -241,32 +249,23 @@ class Propagator:
             rows.append([b] if count == 1 else list(b))
             pairs = b.reshape(-1).view(np.float64)
             halves.append((pairs[: b.size].reshape(b.shape), pairs[b.size :].reshape(b.shape)))
-        return first, second, level_phases, rows, halves
+        views = self._views[count] = (first, second, level_phases, rows, halves)
+        return views
 
-    def _one(self, flat: np.ndarray) -> np.ndarray:
-        """One parameter vector, checked, as a block of one row."""
-        flat = np.asarray(flat, dtype=float)
-        if flat.shape != (self.n_params,):
-            raise ValueError(f"expected {self.n_params} parameters, got shape {flat.shape}")
-        if not np.logical_and.reduce(np.isfinite(flat)):
-            raise ValueError("parameters must be finite")
-        return flat.reshape(1, -1)
+    def _block(self, points: np.ndarray, ndim: int = 2) -> np.ndarray:
+        """Parameter vectors, checked, as the rows of a block.
 
-    def _block(self, points: np.ndarray) -> np.ndarray:
-        """1 to ``rows`` parameter vectors, checked, as the rows of a block."""
+        ``points`` is one vector (``ndim`` 1) or a block of any number of them.
+        """
         points = np.asarray(points, dtype=float)
-        shape_ok = points.ndim == 2 and points.shape[1] == self.n_params
-        if not shape_ok or not 1 <= len(points) <= self.rows:
-            raise ValueError(
-                f"expected 1 to {self.rows} rows of {self.n_params} parameters, "
-                f"got shape {points.shape}"
-            )
+        if points.ndim != ndim or points.shape[-1] != self.n_params:
+            raise ValueError(f"expected {self.n_params} parameters, got shape {points.shape}")
         if not np.logical_and.reduce(np.isfinite(points), axis=None):
             raise ValueError("parameters must be finite")
-        return points
+        return points.reshape(-1, self.n_params)
 
     def _evolve(self, points: np.ndarray, drift_logs: list[list[float]] | None):
-        """Run every layer for each row of a checked block in the workspace.
+        """Run every layer for each row of a checked block of at most ``rows`` rows.
 
         Returns the final states, flat for one row, and the halves of the
         other state buffer (see ``_block_views``). ``drift_logs``, one list
@@ -275,7 +274,7 @@ class Propagator:
         result always lies in a state buffer.
         """
         table, width, count = self.table, self._width, len(points)
-        first, second, level_phases, rows, halves = self._blocks[count - 1]
+        first, second, level_phases, rows, halves = self._block_views(count)
         levels, level_index = table.phase_levels, table.level_index
         gammas = points[:, ::width].T.tolist()
         amps, out, spare = self._initial, first, second
@@ -291,10 +290,15 @@ class Propagator:
             out, spare = (first, second) if held else (second, first)
         return amps, halves[1 - held]
 
-    def _probabilities(self, points: np.ndarray) -> np.ndarray:
-        """The prepared states' probabilities, in the free state buffer; flat for one row."""
-        amps, (out, scratch) = self._evolve(points, None)
-        return probabilities_of(amps, out, scratch)
+    def _probabilities(self, points: np.ndarray) -> Iterator[np.ndarray]:
+        """Each row's probabilities, in row order, evolved a workspace at a time.
+
+        A row is a view of the free state buffer, valid until the next is drawn.
+        """
+        for at in range(0, len(points), self.rows):
+            chunk = points[at : at + self.rows]
+            amps, (out, scratch) = self._evolve(chunk, None)
+            yield from probabilities_of(amps, out, scratch).reshape(len(chunk), -1)
 
     def amplitudes(self, flat: np.ndarray, drift_log: list[float] | None = None) -> np.ndarray:
         """Flat amplitudes of the prepared state, copied out of the workspace.
@@ -302,23 +306,28 @@ class Propagator:
         ``drift_log`` collects the per-layer drifts seen before any correction.
         """
         logs = None if drift_log is None else [drift_log]
-        return self._evolve(self._one(flat), logs)[0].copy()
+        return self._evolve(self._block(flat, 1), logs)[0].copy()
 
     def state(self, flat: np.ndarray, drift_log: list[float] | None = None) -> StateVector:
         return StateVector(self.amplitudes(flat, drift_log), self._shape)
 
     def expectation(self, flat: np.ndarray) -> float:
         """<Q> of the prepared state; the quantity the optimiser minimises."""
-        return expectation_of(self.table.values, self._probabilities(self._one(flat)))
+        return self.expectations(self._block(flat, 1))[0]
 
     def expectations(self, points: np.ndarray) -> list[float]:
-        """<Q> of the state prepared by each row of ``points``, at most ``rows`` of them.
+        """<Q> of the state prepared by each row of ``points``, in row order.
 
-        Each value is one ``np.dot`` of the objective values with that row's
+        Rows with equal bytes are evolved once, at the first of them. Each
+        value is one ``np.dot`` of the objective values with that row's
         probabilities, as ``expectation`` forms it.
         """
-        probabilities = self._probabilities(self._block(points)).reshape(len(points), -1)
-        return [expectation_of(self.table.values, p) for p in probabilities]
+        points = self._block(points)
+        keys = [row.tobytes() for row in points]
+        distinct = dict(zip(keys, points))
+        probabilities = self._probabilities(np.array(list(distinct.values())))
+        values = dict(zip(distinct, (expectation_of(self.table.values, p) for p in probabilities)))
+        return [values[key] for key in keys]
 
     def sample(self, flat: np.ndarray, rng: np.random.Generator, shots: int) -> np.ndarray:
         """``shots`` basis-state draws from the prepared state.
@@ -327,17 +336,15 @@ class Propagator:
         probabilities are formed once, in the workspace, without copying the
         state out.
         """
-        return self.samples(self._one(flat), rng, shots)[0]
+        return self.samples(self._block(flat, 1), rng, shots)[0]
 
     def samples(self, points: np.ndarray, rng: np.random.Generator, shots: int) -> list:
-        """``sample`` of each row of ``points``, at most ``rows`` of them.
+        """``sample`` of each row of ``points``, in row order.
 
-        The states are evolved in one call; the draws are then made row by
-        row with the one ``rng``, so they equal ``sample`` called on each
-        row in turn.
+        The draws are made row by row with the one ``rng``, so they equal
+        ``sample`` called on each row in turn; equal rows draw again.
         """
-        probabilities = self._probabilities(self._block(points)).reshape(len(points), -1)
-        return [sample_of(p, rng, shots) for p in probabilities]
+        return [sample_of(p, rng, shots) for p in self._probabilities(self._block(points))]
 
 
 def apply_ansatz(

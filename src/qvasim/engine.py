@@ -23,9 +23,10 @@ Protocol implemented here:
   one by one; ``nelder_mead_blocks`` hands a caller the whole block;
 * a depth's repeats run in lockstep: each simplex round takes the pending
   block of every active repeat, and the points that share a Propagator are
-  evaluated in batched calls. Each repeat sees the points and values it
-  would see alone, so the results, bit for bit, do not depend on which
-  repeats run together, nor on how they are split over worker processes;
+  evaluated in one ``expectations`` call, which sizes its own batches. Each
+  repeat sees the points and values it would see alone, so the results, bit
+  for bit, do not depend on which repeats run together, nor on how they are
+  split over worker processes;
 * ``nelder_mead_runs`` runs many simplices of one objective in lockstep in
   one set of arrays, each round evaluating all their points as one block of
   columns, for the hybrid study's thousands of short classical runs.
@@ -63,17 +64,6 @@ QOWE_GROWTH = 1.2
 QOWE_MAX_HALFWIDTH = 2.0 * np.pi
 QOWE_SIGMA = 1.0 / np.sqrt(2.0)
 BOUND_HIT_TOL = 1e-9
-
-# Cap on rows x K of one batched evaluation. Batching shares numpy's
-# per-call cost between rows, which pays at small K only: measured per-row
-# times (README, "Evaluation cost") fall with rows at K = 2^8 and rise at 2^15.
-BATCH_POINTS = 4096
-
-
-def batch_rows(most: int, grid: SolutionGrid) -> int:
-    """Rows of a Propagator that evaluates up to ``most`` points at a time on ``grid``."""
-    return min(most, max(1, BATCH_POINTS // grid.total_points))
-
 
 @dataclass
 class OptimiserOptions:
@@ -722,15 +712,14 @@ def _run_group(repeats: list) -> list[RepeatResult]:
     """Run ``run_single_repeat`` generators in lockstep; return their results in order.
 
     Repeats that ask for the same spec, table and grid objects form a
-    cohort and share one Propagator of ``batch_rows`` rows; cohorts run
-    one after another, so at most one workspace is alive. Each round takes
-    the pending block of every active repeat in the cohort, evaluates their
-    points a Propagator's rows at a time in ``expectations`` calls, and
-    sends each repeat its values. Each repeat's points and values are those
-    it would see alone, so the results do not depend on the grouping. A
-    repeat's ``wall_time`` is the time spent in its own generator plus an
-    equal share of the Propagator's construction and, per point, of every
-    call it was evaluated in.
+    cohort and share one Propagator; cohorts run one after another, so at
+    most one workspace is alive. Each round takes the pending block of every
+    active repeat in the cohort, evaluates all their points in one
+    ``expectations`` call, and sends each repeat its values. Each repeat's
+    points and values are those it would see alone, so the results do not
+    depend on the grouping. A repeat's ``wall_time`` is the time spent in
+    its own generator plus an equal share of the Propagator's construction
+    and, per point, of every call it was evaluated in.
     """
     clock = time.perf_counter
     seconds = [0.0] * len(repeats)
@@ -755,10 +744,7 @@ def _run_group(repeats: list) -> list[RepeatResult]:
         cohorts.setdefault(tuple(map(id, request)), []).append(i)
     for members in cohorts.values():
         started = clock()
-        spec, table, grid = requests[members[0]]
-        # the largest block is the initial simplex's n + 1 points
-        rows = batch_rows(len(members) * (spec.total_params(grid.dims) + 1), grid)
-        propagator = Propagator(spec, table, grid, rows)
+        propagator = Propagator(*requests[members[0]])
         share = (clock() - started) / len(members)
         for i in members:
             seconds[i] += share
@@ -766,18 +752,13 @@ def _run_group(repeats: list) -> list[RepeatResult]:
         while pending:
             active = list(pending)
             points = np.concatenate([pending[i] for i in active])
-            owners = [i for i in active for _ in range(len(pending[i]))]
-            values = []
-            for at in range(0, len(points), rows):
-                chunk = points[at : at + rows]
-                started = clock()
-                values += propagator.expectations(chunk)
-                share = (clock() - started) / len(chunk)
-                for i in owners[at : at + rows]:
-                    seconds[i] += share
+            started = clock()
+            values = propagator.expectations(points)
+            share = (clock() - started) / len(points)
             at = 0
             for i in active:
                 count = len(pending[i])
+                seconds[i] += share * count
                 advance(i, values[at : at + count])
                 at += count
     for result, spent in zip(results, seconds):

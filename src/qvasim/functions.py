@@ -5,8 +5,9 @@ Every function accepts ``x`` as an array of shape (D,) for a single point or
 evaluated as a (D, 1) column gets the value it gets inside any (D, M)
 block. Evaluated as a (D,) vector it may differ in the last bit: numpy's
 scalar ``**`` calls libm ``pow``, while its array ``x**2`` is ``square``
-and its array ``x**4`` a SIMD power (``np.cos`` agrees either way). The
-catalogue is addressed by snake_case name, e.g. ``"styblinski_tang"``.
+and its array ``x**4`` a SIMD power (``np.cos`` agrees either way), so
+``evaluate_test_function`` evaluates its point as a column. The catalogue
+is addressed by snake_case name, e.g. ``"styblinski_tang"``.
 """
 
 from __future__ import annotations
@@ -323,11 +324,15 @@ def get_function(name: str) -> TestFunction:
 
 
 def evaluate_test_function(name: str, x: Sequence[float]) -> float:
-    """Evaluate a catalogue function at a point, checking dimensionality."""
+    """Evaluate a catalogue function at a point, checking dimensionality.
+
+    The point is evaluated as a (D, 1) column, so its value equals the one
+    ``build_objective`` stores for it in a grid's table.
+    """
     f = get_function(name)
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise ValueError(f"expected a single point, got shape {x.shape}")
     if not f.supports(len(x)):
         raise ValueError(f"{name} is not defined for D={len(x)}")
-    return float(f.fn(x))
+    return float(f.fn(x[:, None])[0])

@@ -15,14 +15,14 @@ in ``fev_nelder_mead``, but the deterministic simplex run from a repeated
 start is not re-run: its evaluation count is reused.
 
 The sampled simplex hands each block of points it knows in advance (its
-initial vertices, a shrink's vertices) to the Propagator as one batched
-evolution. The classical simplex runs, the baseline's restarts and the
-launches from distinct sample minima alike, run ``CLASSICAL_SLOTS`` at a
-time in lockstep (``engine.nelder_mead_runs``), with the test function
-evaluated once per round on a block of columns. Their results are read in
-start order, so the counts are those of running them one after another:
-runs started past the first success, or past the baseline's evaluation
-budget, are discarded and not counted.
+initial vertices, a shrink's vertices) to one ``Propagator.samples`` call,
+which evolves it a workspace at a time. The classical simplex runs, the
+baseline's restarts and the launches from distinct sample minima alike, run
+``CLASSICAL_SLOTS`` at a time in lockstep (``engine.nelder_mead_runs``),
+with the test function evaluated once per round on a block of columns.
+Their results are read in start order, so the counts are those of running
+them one after another: runs started past the first success, or past the
+baseline's evaluation budget, are discarded and not counted.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from .engine import (
     WALK_TIME_RANGE,
     NelderMeadResult,
     OptimiserOptions,
-    batch_rows,
     nelder_mead_blocks,
     nelder_mead_runs,
 )
@@ -158,18 +157,16 @@ def hybrid_optimise(
     times_per_layer = spec.walk_times_per_layer(dims)
     coords = grid.coordinate_columns()
     n_params = spec.total_params(dims)
-    rows = batch_rows(n_params + 1, grid)  # the largest block: n_params + 1 vertices
-    propagator = Propagator(spec, table, grid, rows)
+    propagator = Propagator(spec, table, grid)
 
     sample_minima: list[int] = []  # one entry per estimation
 
     def sampled_objective(block: np.ndarray) -> list[float]:
         estimates = []
-        for at in range(0, len(block), rows):
-            for ks in propagator.samples(block[at : at + rows], rng, sample_size):
-                values = table.values[ks]
-                sample_minima.append(int(ks[values.argmin()]))
-                estimates.append(float(values.sum() / sample_size))
+        for ks in propagator.samples(block, rng, sample_size):
+            values = table.values[ks]
+            sample_minima.append(int(ks[values.argmin()]))
+            estimates.append(float(values.sum() / sample_size))
         return estimates
 
     x0 = ParameterVector(

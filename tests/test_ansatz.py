@@ -255,7 +255,8 @@ def test_workspace_holds_only_the_states():
     fields += [item for v in fields if isinstance(v, tuple) for item in v]
     arrays = [v for v in fields if isinstance(v, np.ndarray)]
     workspace = [a for a in arrays if a is not propagator._initial and a.dtype == np.complex128]
-    assert sorted(a.size for a in workspace) == [table.n_unique, 256, 256]
+    rows = propagator.rows
+    assert sorted(a.size for a in workspace) == [table.n_unique * rows, 256 * rows, 256 * rows]
     assert not any(a.dtype == np.float64 and a.size >= grid.total_points for a in arrays)
 
 
@@ -332,9 +333,13 @@ def same_bits(a, b):
 
 def batched_and_alone(spec, table, grid, points):
     """(amplitudes, drift logs, <Q>) of each row: from one batched call and from one-row calls."""
-    batch = Propagator(spec, table, grid, rows=len(points))
+    batch = Propagator(spec, table, grid)
     logs = [[] for _ in points]
-    amps = batch._evolve(batch._block(points), logs)[0].reshape(len(points), -1).copy()
+    amps = []
+    for at in range(0, len(points), batch.rows):
+        chunk = batch._block(points[at : at + batch.rows])
+        states = batch._evolve(chunk, logs[at : at + batch.rows])[0]
+        amps += list(states.reshape(len(chunk), -1).copy())
     values = batch.expectations(points)
     one = Propagator(spec, table, grid)
     alone = []
@@ -405,15 +410,66 @@ def test_batched_row_renormalises_alone(label, monkeypatch):
 def test_batched_evaluation_rejects_bad_blocks():
     grid, table = problem(2, 4)
     spec = make_spec("qaoa_complete", 2, 4, depth=2)
-    propagator = Propagator(spec, table, grid, rows=3)
-    with pytest.raises(ValueError, match="expected 1 to 3 rows of 4 parameters"):
-        propagator.expectations(np.zeros((4, 4)))
-    with pytest.raises(ValueError, match="expected 1 to 3 rows of 4 parameters"):
+    propagator = Propagator(spec, table, grid)
+    with pytest.raises(ValueError, match=r"expected 4 parameters, got shape \(2, 5\)"):
         propagator.expectations(np.zeros((2, 5)))
+    with pytest.raises(ValueError, match=r"expected 4 parameters, got shape \(4,\)"):
+        propagator.expectations(np.zeros(4))
     with pytest.raises(ValueError, match="finite"):
         propagator.expectations(np.array([[0.1] * 4, [0.1, np.inf, 0.1, 0.1]]))
-    with pytest.raises(ValueError, match="at least one row"):
-        Propagator(spec, table, grid, rows=0)
+
+
+@pytest.mark.parametrize("k", [2**2, 2**8, 2**12, 2**15])
+def test_rows_fill_the_batch_cap(k):
+    """A Propagator takes ``max(1, 4096 // K)`` rows and builds no views until it evaluates."""
+    grid, table = problem(1, k)
+    propagator = Propagator(make_spec("qaoa_hypercube", 1, k, depth=1), table, grid)
+    assert propagator.rows == max(1, 4096 // k)
+    assert propagator._views == {}
+
+
+@pytest.mark.parametrize("label", LABELS)
+@pytest.mark.parametrize("dims, n, count", [(2, 16, 40), (3, 32, 3)], ids=["k256", "k32k"])
+def test_more_points_than_rows_equal_row_by_row_evaluation(label, dims, n, count):
+    """A block longer than the workspace is evolved a workspace at a time, in row order."""
+    grid, table = problem(dims, n, "styblinski_tang")
+    spec = make_spec(label, dims, n, depth=2)
+    propagator = Propagator(spec, table, grid)
+    assert count > propagator.rows
+    rng = np.random.default_rng(41 + LABELS.index(label))
+    points = np.array([random_params(spec, dims, rng).flatten() for _ in range(count)])
+    values = propagator.expectations(points)
+    draws = propagator.samples(points, np.random.default_rng(3), 20)
+    one = Propagator(spec, table, grid)
+    rng = np.random.default_rng(3)
+    for flat, value, ks in zip(points, values, draws, strict=True):
+        assert same_bits(value, one.expectation(flat))
+        assert np.array_equal(ks, one.sample(flat, rng, 20))
+
+
+def test_repeated_rows_are_evolved_once(monkeypatch):
+    """Rows with equal bytes are evolved once and get the one-row value; samples draw for each."""
+    evolved = []
+    original = Propagator._evolve
+
+    def counting(self, points, drift_logs):
+        evolved.extend(row.tobytes() for row in points)
+        return original(self, points, drift_logs)
+
+    monkeypatch.setattr(Propagator, "_evolve", counting)
+    grid, table = problem(2, 16)
+    spec = make_spec("qowe_equal", 2, 16, depth=2)
+    propagator = Propagator(spec, table, grid)
+    rng = np.random.default_rng(8)
+    distinct = np.array([random_params(spec, 2, rng).flatten() for _ in range(3)])
+    points = distinct[[0, 1, 0, 2, 1, 0] * 4]  # 24 rows, more than the 16 of the workspace
+    values = propagator.expectations(points)
+    assert evolved == [row.tobytes() for row in distinct]
+    alone = [Propagator(spec, table, grid).expectation(flat) for flat in distinct]
+    assert [v.hex() for v in values] == [alone[i].hex() for i in [0, 1, 0, 2, 1, 0] * 4]
+    evolved.clear()
+    propagator.samples(points, np.random.default_rng(0), 5)
+    assert len(evolved) == len(points)
 
 
 @pytest.mark.parametrize("label", LABELS)
@@ -435,7 +491,7 @@ def test_samples_equal_sample_of_each_row_in_turn():
     spec = make_spec("qmoa_complete", 2, 8, depth=2)
     rng = np.random.default_rng(5)
     points = np.array([random_params(spec, 2, rng).flatten() for _ in range(7)])
-    batched = Propagator(spec, table, grid, rows=7).samples(points, np.random.default_rng(9), 30)
+    batched = Propagator(spec, table, grid).samples(points, np.random.default_rng(9), 30)
     one = Propagator(spec, table, grid)
     draws = np.random.default_rng(9)
     for ks, flat in zip(batched, points):

@@ -16,7 +16,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["sweep_k256", "hybrid_k256"])
+@pytest.mark.parametrize("workload", ["sweep_k32k", "sweep_k256", "hybrid_k256"])
 def test_bench_runs_and_reports_declared_metrics(workload):
     proc = subprocess.run(
         [

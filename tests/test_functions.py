@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from qvasim.functions import FUNCTIONS, ROUNDED_MINIMUM, evaluate_test_function, get_function
+from qvasim.grid import build_objective, make_grid
 
 
 def test_catalogue_has_twenty_functions():
@@ -109,6 +110,18 @@ def test_block_equals_each_column(name, data):
     block = np.asarray(f.fn(points))
     columns = np.concatenate([f.fn(points[:, [j]]) for j in range(count)])
     assert block.tobytes() == columns.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(FUNCTIONS))
+def test_point_value_equals_table_value(name):
+    """``evaluate_test_function`` gives each grid point its table value, bit for bit."""
+    f = FUNCTIONS[name]
+    dims, n = (2, 16) if f.dims == 2 else (3, 8)
+    grid = make_grid(*f.domain(dims), n)
+    table = build_objective(grid, f.fn)
+    columns = grid.coordinate_columns()
+    values = [evaluate_test_function(name, columns[:, k]) for k in range(grid.total_points)]
+    assert np.array(values).tobytes() == table.values.tobytes()
 
 
 def test_minimum_scales_per_dimension():
