@@ -31,7 +31,6 @@ from .mixers import (  # noqa: F401
 from .states import (
     StateVector,
     WavepacketSpec,
-    expectation,
     expectation_of,
     gaussian_wavepacket,
     grid_superposition,
@@ -361,12 +360,16 @@ def apply_ansatz(
     collect the per-layer drifts seen before any correction. Evaluating many
     parameter vectors is cheaper through one ``Propagator``.
     """
+    _check_layout(spec, params, grid)
+    return Propagator(spec, table, grid).state(params.flatten(), drift_log)
+
+
+def _check_layout(spec: AnsatzSpec, params: ParameterVector, grid: SolutionGrid) -> None:
     if not params.matches(spec, grid.dims):
         raise ValueError(
             f"parameter layout {params.walk_times.shape} does not match "
             f"{spec.algorithm.value} at depth {spec.depth} in D={grid.dims}"
         )
-    return Propagator(spec, table, grid).state(params.flatten(), drift_log)
 
 
 def objective_value(
@@ -376,4 +379,5 @@ def objective_value(
     grid: SolutionGrid,
 ) -> float:
     """<Q> of the prepared ansatz state; the quantity the optimiser minimises."""
-    return expectation(apply_ansatz(spec, params, table, grid), table)
+    _check_layout(spec, params, grid)
+    return Propagator(spec, table, grid).expectation(params.flatten())

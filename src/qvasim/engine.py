@@ -17,10 +17,10 @@ Protocol implemented here:
   supplied WavepacketSpec is used as given. Either way the centres are
   reported with the repeat;
 * the simplex is a generator of blocks: it yields the points it knows
-  before the first of them is evaluated as one (m, n) array (the start,
-  the n + 1 initial vertices, a shrink's n vertices, or one point) and is
-  sent their m values in order. ``nelder_mead`` evaluates a block's rows
-  one by one; ``nelder_mead_blocks`` hands a caller the whole block;
+  before the first of them is evaluated as one (m, n) array (the start
+  with the n + 1 initial vertices, a shrink's n vertices, or one point)
+  and is sent their m values in order. ``nelder_mead`` evaluates a block's
+  rows one by one; ``nelder_mead_blocks`` hands a caller the whole block;
 * a depth's repeats run in lockstep: each simplex round takes the pending
   block of every active repeat, and the points that share a Propagator are
   evaluated in one ``expectations`` call, which sizes its own batches. Each
@@ -105,10 +105,6 @@ class NelderMeadResult:
     iterations: int
 
 
-class _EvaluationCap(Exception):
-    """The simplex asked for an evaluation past ``max_evaluations``."""
-
-
 def nelder_mead(
     objective: Callable[[np.ndarray], float],
     x0: Sequence[float],
@@ -141,9 +137,10 @@ def nelder_mead_blocks(
     """``nelder_mead`` with the points the simplex knows in advance passed as one block.
 
     ``objective_rows`` receives each block as an (m, n) array of its own and
-    returns the m values in row order. A block is the starting point, the
-    initial vertices, a shrink's vertices or one point (see ``_simplex``).
-    Evaluating the rows one by one in order is ``nelder_mead``.
+    returns the m values in row order. A block is the starting point with
+    the initial vertices, a shrink's vertices or one point (see
+    ``_nelder_mead``). Evaluating the rows one by one in order is
+    ``nelder_mead``.
     """
     steps = _nelder_mead(x0, options, trace_path)
     try:
@@ -163,38 +160,6 @@ def _check_start(x0: Sequence[float]) -> np.ndarray:
     return x0
 
 
-def _nelder_mead(x0: Sequence[float], options: OptimiserOptions | None, trace_path=None):
-    """``nelder_mead`` as a generator of blocks, each sent its values (see ``_simplex``).
-
-    Its first block is the starting point alone. Returns the
-    ``NelderMeadResult``. The arguments are checked before the first block
-    is yielded.
-    """
-    options = options or OptimiserOptions()
-    x0 = _check_start(x0)
-    lo = hi = None
-    start = x0
-    if options.bounds is not None:
-        lo, hi = _bound_arrays(options.bounds, x0.size)
-        start = x0.clip(lo, hi)
-    (f0,) = yield start.reshape(1, -1).copy()
-    f0 = float(f0)
-    if not np.isfinite(f0):
-        raise ValueError(f"objective is not finite at the starting point ({f0})")
-    trace_file = open(trace_path, "a") if trace_path is not None else None
-    try:
-        x, value, calls, steps = yield from _simplex(start, lo, hi, options, trace_file)
-    finally:
-        if trace_file is not None:
-            trace_file.close()
-    return NelderMeadResult(
-        x=x,
-        value=value,
-        evaluations=calls + 1,  # +1 for the starting-point check above
-        iterations=steps,
-    )
-
-
 def _bound_arrays(bounds: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     b = np.asarray(bounds, dtype=float)
     if b.shape != (n, 2):
@@ -205,11 +170,35 @@ def _bound_arrays(bounds: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _coefficients(n: int, adaptive: bool) -> tuple:
-    """Reflection, expansion, contraction and shrink coefficients (rho, chi, psi, sigma)."""
+    """Reflection and shrink coefficients (rho, sigma), and the second points' table.
+
+    A step's second point is a * xbar - b * worst, with (a, b) from row 0
+    for the expansion, 1 for the outside contraction and 2 for the inside
+    contraction. The inside row's b = -psi gives (1 - psi) * xbar + psi *
+    worst exactly.
+    """
     if adaptive:
         dim = float(n)
-        return 1, 1 + 2 / dim, 0.75 - 1 / (2 * dim), 1 - 1 / dim
-    return 1, 2, 0.5, 0.5
+        rho, chi, psi, sigma = 1, 1 + 2 / dim, 0.75 - 1 / (2 * dim), 1 - 1 / dim
+    else:
+        rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    return rho, sigma, ((1 + rho * chi, rho * chi), (1 + psi * rho, psi * rho), (1 - psi, -psi))
+
+
+def _initial_simplices(starts: np.ndarray, lo=None, hi=None) -> np.ndarray:
+    """The initial simplex of each row of ``starts``, as (runs, n + 1, n).
+
+    Vertex 0 is the start; vertex k + 1 steps coordinate k by 5%, or to
+    0.00025 from zero. With bounds, vertices pushed past an upper bound are
+    reflected back inside, so that clipping cannot collapse the simplex
+    onto the bound.
+    """
+    n = starts.shape[1]
+    sim = np.repeat(starts[:, None], n + 1, axis=1)
+    sim[:, np.arange(1, n + 1), np.arange(n)] = np.where(starts != 0, (1 + 0.05) * starts, 0.00025)
+    if lo is not None:
+        sim = np.where(sim > hi, 2 * hi - sim, sim).clip(lo, hi)
+    return sim
 
 
 def _order(sim: np.ndarray, fsim: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -223,46 +212,48 @@ def _spread(a: np.ndarray) -> float:
     return np.maximum.reduce(np.absolute(a), axis=None)
 
 
-def _simplex(x0, lo, hi, options, trace_file):
-    """Run the simplex from ``x0``; return (best x, best value, calls, steps).
+def _nelder_mead(x0: Sequence[float], options: OptimiserOptions | None, trace_path=None):
+    """``nelder_mead`` as a generator of blocks; returns the ``NelderMeadResult``.
 
-    A generator: it yields each block of points that it knows before the
-    first of them is evaluated, as a fresh (m, n) array, and is sent their m
-    values in row order. A block is the initial simplex's n + 1 vertices,
-    a shrink's n vertices, or one point. The evaluation cap cuts a block
-    where a loop over its points would stop. ``x0`` is already inside the
-    bounds, if any. ``calls`` counts the points yielded here; ``steps`` the
-    passes through the main loop that did not stop at the convergence test.
+    It yields each block of points that it knows before the first of them
+    is evaluated, as a fresh (m, n) array, and is sent their m values in
+    row order. The first block is the start, clipped onto the bounds if
+    any, followed by the initial simplex's n + 1 vertices; the start's value
+    is the starting-point check. Later blocks are a shrink's n vertices or
+    one point. The evaluation cap cuts a block where a loop over its points
+    would stop. The arguments are checked before the first block is yielded.
     """
+    options = options or OptimiserOptions()
+    x0 = _check_start(x0)
     n = x0.size
+    lo = hi = None
+    if options.bounds is not None:
+        lo, hi = _bound_arrays(options.bounds, n)
+        x0 = x0.clip(lo, hi)
     bounded = lo is not None
-    rho, chi, psi, sigma = _coefficients(n, options.adaptive)
+    rho, sigma, second = _coefficients(n, options.adaptive)
     max_calls = np.inf if options.max_evaluations is None else options.max_evaluations
     xatol, fatol = options.simplex_tolerance, options.value_tolerance
 
-    # vertex k + 1 steps coordinate k by 5%, or to 0.00025 from zero
-    sim = np.tile(x0, (n + 1, 1))
-    for k in range(n):
-        sim[k + 1, k] = (1 + 0.05) * x0[k] if x0[k] != 0 else 0.00025
-    if bounded:
-        # vertices pushed past an upper bound are reflected back inside, so
-        # that clipping cannot collapse the simplex onto the bound
-        sim = np.where(sim > hi, 2 * hi - sim, sim).clip(lo, hi)
-
+    sim = _initial_simplices(x0[None], lo, hi)[0]
     fsim = np.full(n + 1, np.inf)
     calls = int(min(n + 1, max_calls))
-    if calls:
-        fsim[:calls] = yield sim[:calls].copy()
+    values = yield np.concatenate([x0[None], sim[:calls]])
+    f0 = float(values[0])
+    if not np.isfinite(f0):
+        raise ValueError(f"objective is not finite at the starting point ({f0})")
+    fsim[:calls] = values[1:]
     # sorted twice as scipy sorts it; argsort is not stable, so the second
     # pass may still reorder tied vertices
     sim, fsim = _order(*_order(sim, fsim))
 
-    # Each evaluation below first checks the cap: the point that would pass
-    # it is not evaluated, and the step it falls in ends there.
-    iterations = 1  # the initial simplex counts towards max_iterations
+    # The initial simplex counts towards max_iterations. A step cut short by
+    # the evaluation cap ends the loop, so the loop head sees steps + 1
+    # iterations.
     steps = 0
-    while calls < max_calls and iterations < options.max_iterations:
-        try:
+    trace_file = open(trace_path, "a") if trace_path is not None else None
+    try:
+        while calls < max_calls and steps + 1 < options.max_iterations:
             if _spread(sim[1:] - sim[0]) <= xatol and _spread(fsim[0] - fsim[1:]) <= fatol:
                 break
             xbar = np.add.reduce(sim[:-1], 0) / n
@@ -271,47 +262,22 @@ def _simplex(x0, lo, hi, options, trace_file):
                 xr = xr.clip(lo, hi)
             calls += 1
             (fxr,) = yield xr.reshape(1, -1).copy()
-            if fxr < fsim[0]:
-                xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
-                if bounded:
-                    xe = xe.clip(lo, hi)
-                if calls >= max_calls:
-                    raise _EvaluationCap
-                calls += 1
-                (fxe,) = yield xe.reshape(1, -1).copy()
-                if fxe < fxr:
-                    sim[-1], fsim[-1] = xe, fxe
-                else:
-                    sim[-1], fsim[-1] = xr, fxr
-            elif fxr < fsim[-2]:
+            expand = fxr < fsim[0]
+            if not expand and fxr < fsim[-2]:
                 sim[-1], fsim[-1] = xr, fxr
-            else:
-                shrink = False
-                if fxr < fsim[-1]:  # outside contraction
-                    xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
-                    if bounded:
-                        xc = xc.clip(lo, hi)
-                    if calls >= max_calls:
-                        raise _EvaluationCap
-                    calls += 1
-                    (fxc,) = yield xc.reshape(1, -1).copy()
-                    if fxc <= fxr:
-                        sim[-1], fsim[-1] = xc, fxc
-                    else:
-                        shrink = True
-                else:  # inside contraction
-                    xcc = (1 - psi) * xbar + psi * sim[-1]
-                    if bounded:
-                        xcc = xcc.clip(lo, hi)
-                    if calls >= max_calls:
-                        raise _EvaluationCap
-                    calls += 1
-                    (fxcc,) = yield xcc.reshape(1, -1).copy()
-                    if fxcc < fsim[-1]:
-                        sim[-1], fsim[-1] = xcc, fxcc
-                    else:
-                        shrink = True
-                if shrink:
+            elif calls < max_calls:  # else the cap ends the step here
+                kind = 0 if expand else 1 if fxr < fsim[-1] else 2
+                a, b = second[kind]
+                x2 = a * xbar - b * sim[-1]
+                if bounded:
+                    x2 = x2.clip(lo, hi)
+                calls += 1
+                (f2,) = yield x2.reshape(1, -1).copy()
+                if (f2 < fxr, f2 <= fxr, f2 < fsim[-1])[kind]:
+                    sim[-1], fsim[-1] = x2, f2
+                elif expand:
+                    sim[-1], fsim[-1] = xr, fxr
+                else:  # shrink towards the best vertex
                     moved = sim[0] + sigma * (sim[1:] - sim[0])
                     if bounded:
                         moved = moved.clip(lo, hi)
@@ -321,21 +287,24 @@ def _simplex(x0, lo, hi, options, trace_file):
                     if m:
                         calls += m
                         fsim[1 : m + 1] = yield moved[:m]
-                    if m < n:
-                        raise _EvaluationCap
-            iterations += 1
-        except _EvaluationCap:
-            pass  # the step ends at the cap, still counted below
-        sim, fsim = _order(sim, fsim)
-        steps += 1
+            sim, fsim = _order(sim, fsim)
+            steps += 1
+            if trace_file is not None:
+                record = {
+                    "iteration": steps,
+                    "expectation": float(fsim[0]),
+                    "params": [float(v) for v in sim[0]],
+                }
+                trace_file.write(json.dumps(record) + "\n")
+    finally:
         if trace_file is not None:
-            record = {
-                "iteration": steps,
-                "expectation": float(fsim[0]),
-                "params": [float(v) for v in sim[0]],
-            }
-            trace_file.write(json.dumps(record) + "\n")
-    return sim[0], float(fsim.min()), calls, steps
+            trace_file.close()
+    return NelderMeadResult(
+        x=sim[0],
+        value=float(fsim.min()),
+        evaluations=calls + 1,  # +1 for the starting-point check
+        iterations=steps,
+    )
 
 
 def nelder_mead_runs(
@@ -351,8 +320,8 @@ def nelder_mead_runs(
     (n, M) C-ordered block of points as columns and returns their M values.
     A point's value must not depend on the other columns (``columnwise``
     catalogue functions qualify). Each phase of a simplex step is one numpy
-    call over the runs that take it, with ``_simplex``'s expressions, so a
-    run's result equals, bit for bit, that of ``nelder_mead`` on the
+    call over the runs that take it, with ``_nelder_mead``'s expressions, so
+    a run's result equals, bit for bit, that of ``nelder_mead`` on the
     objective that evaluates one point as a column. A start is drawn from
     ``starts`` only when a slot is free, and a result is yielded as soon as
     every earlier run's has been: a consumer that stops iterating stops the
@@ -378,22 +347,23 @@ def _lockstep_runs(objective_columns, starts, options, slots):
     """The generator behind ``nelder_mead_runs``.
 
     The running runs' state lives in arrays with one entry per run:
-    simplices, values, calls, iterations, steps and run index. Every round
-    stops the runs that the loop head of ``_simplex`` would stop, yields
-    what it can, fills the free slots, then evaluates the new runs' initial
-    vertices with the others' reflections, the expansions and contractions,
-    and the shrinks' vertices, in at most three calls.
+    simplices, values, calls, steps and run index. Every round stops the
+    runs that the loop head of ``_nelder_mead`` would stop, yields what it
+    can, fills the free slots, then evaluates the new runs' initial
+    vertices with the others' reflections, the second points from
+    ``_coefficients``' table, and the shrinks' vertices, in at most three
+    calls.
     """
     first = next(starts, None)
     if first is None:
         return
     n = _check_start(first).size
     starts = itertools.chain([first], starts)
-    rho, chi, psi, sigma = _coefficients(n, options.adaptive)
+    rho, sigma, second_points = _coefficients(n, options.adaptive)
+    second_points = np.array(second_points)
     max_calls = np.inf if options.max_evaluations is None else options.max_evaluations
     xatol, fatol = options.simplex_tolerance, options.value_tolerance
     vertices = int(min(n + 1, max_calls))
-    diagonal = (slice(None), np.arange(1, n + 1), np.arange(n))
     later = np.arange(1, n + 1)  # the vertices a shrink moves
 
     def evaluate(points):
@@ -402,12 +372,12 @@ def _lockstep_runs(objective_columns, starts, options, slots):
         return objective_columns(np.ascontiguousarray(points.T))
 
     sim, fsim = np.empty((0, n + 1, n)), np.empty((0, n + 1))
-    calls, iterations, steps, ids = (np.empty(0, np.int64) for _ in range(4))
+    calls, steps, ids = (np.empty(0, np.int64) for _ in range(3))
     finished: dict[int, NelderMeadResult] = {}
     drawn = yielded = 0
     while True:
         # the loop head: the two caps, then the convergence test
-        stop = (calls >= max_calls) | (iterations >= options.max_iterations)
+        stop = (calls >= max_calls) | (steps + 1 >= options.max_iterations)
         go = np.flatnonzero(~stop)
         s, f = sim[go], fsim[go]
         stop[go] = (np.absolute(s[:, 1:] - s[:, :1]).max(axis=(1, 2)) <= xatol) & (
@@ -420,9 +390,7 @@ def _lockstep_runs(objective_columns, starts, options, slots):
                     sim[i, 0].copy(), float(best[j]), int(calls[i]) + 1, int(steps[i])
                 )
             keep = ~stop
-            sim, fsim, calls, iterations, steps, ids = (
-                a[keep] for a in (sim, fsim, calls, iterations, steps, ids)
-            )
+            sim, fsim, calls, steps, ids = (a[keep] for a in (sim, fsim, calls, steps, ids))
         while yielded in finished:
             yield finished.pop(yielded)
             yielded += 1
@@ -443,9 +411,7 @@ def _lockstep_runs(objective_columns, starts, options, slots):
         # new runs' initial simplices, evaluated with the reflections
         points = []
         if fresh:
-            starts_now = np.array(fresh)
-            new_sim = np.repeat(starts_now[:, None], n + 1, axis=1)
-            new_sim[diagonal] = np.where(starts_now != 0, (1 + 0.05) * starts_now, 0.00025)
+            new_sim = _initial_simplices(np.array(fresh))
             points.append(new_sim[:, : max(vertices, 1)].reshape(-1, n))
         xbar = np.add.reduce(sim[:, :-1], 1) / n
         worst = sim[:, -1]
@@ -464,16 +430,15 @@ def _lockstep_runs(objective_columns, starts, options, slots):
             new_f[:, :vertices] = init[:, :vertices]
             new_sim, new_f = _order_rows(*_order_rows(new_sim, new_f))
 
-        # expansion or contraction: a * xbar - b * worst, one point per run
+        # the second point, one per run that takes it
         calls += 1
         expand = fxr < fsim[:, 0]
         accept = ~expand & (fxr < fsim[:, -2])
         outside = fxr < fsim[:, -1]
         second = np.flatnonzero(~accept & (calls < max_calls))
         e, o = expand[second], outside[second]
-        a = np.where(e, 1 + rho * chi, np.where(o, 1 + psi * rho, 1 - psi))[:, None]
-        b = np.where(e, rho * chi, np.where(o, psi * rho, -psi))[:, None]
-        x2 = a * xbar[second] - b * worst[second]
+        ab = second_points[np.where(e, 0, np.where(o, 1, 2))]
+        x2 = ab[:, :1] * xbar[second] - ab[:, 1:] * worst[second]
         f2 = evaluate(x2)
         calls[second] += 1
         # the second point replaces the worst vertex, as does the reflection
@@ -484,8 +449,6 @@ def _lockstep_runs(objective_columns, starts, options, slots):
         into = second[taken]
         sim[reflected, -1], fsim[reflected, -1] = xr[reflected], fxr[reflected]
         sim[into, -1], fsim[into, -1] = x2[taken], f2[taken]
-        completed = reflected  # the steps that end without meeting the cap
-        completed[into] = True
 
         shrink = second[~e & ~taken]
         if shrink.size:
@@ -499,8 +462,6 @@ def _lockstep_runs(objective_columns, starts, options, slots):
             fs[:, 1:][scored] = evaluate(moved[scored])
             fsim[shrink] = fs
             calls[shrink] += scored.sum(axis=1)
-            completed[shrink[scored[:, -1]]] = True  # unless the cap cut the shrink
-        iterations[completed] += 1
         sim, fsim = _order_rows(sim, fsim)
         steps += 1
 
@@ -508,7 +469,6 @@ def _lockstep_runs(objective_columns, starts, options, slots):
             k = len(fresh)
             sim, fsim = np.concatenate([sim, new_sim]), np.concatenate([fsim, new_f])
             calls = np.concatenate([calls, np.full(k, vertices)])
-            iterations = np.concatenate([iterations, np.ones(k, np.int64)])
             steps = np.concatenate([steps, np.zeros(k, np.int64)])
             ids = np.concatenate([ids, np.arange(drawn - k, drawn)])
 
@@ -599,8 +559,8 @@ def _qowe_bounds(p: int, times_per_layer: int, halfwidth: float) -> np.ndarray:
 
 def _expand_halfwidth_to_cover(halfwidth: float, params: ParameterVector) -> float:
     """Smallest halfwidth in the 0.1 * 1.2^n ladder covering the warm params."""
-    needed_gamma = float(np.max(np.abs(params.gammas - QOWE_GAMMA0))) if params.depth else 0.0
-    needed_t = float(np.max(params.walk_times - QOWE_T0)) if params.walk_times.size else 0.0
+    needed_gamma = float(np.max(np.abs(params.gammas - QOWE_GAMMA0)))
+    needed_t = float(np.max(params.walk_times - QOWE_T0))
     needed = max(needed_gamma, needed_t)
     while halfwidth < needed and halfwidth < QOWE_MAX_HALFWIDTH:
         halfwidth *= QOWE_GROWTH
@@ -627,9 +587,9 @@ def run_single_repeat(
     It draws its start, then yields the arguments of the ``Propagator`` it
     evaluates with, ``(spec, table, grid)``, and is sent that Propagator.
     From then on it yields each block of parameter vectors its optimisation
-    tries (see ``_simplex``) and is sent their <Q> values. It returns its
-    ``RepeatResult``, whose ``wall_time`` the driver fills in. ``_run_group([run_single_repeat(...)])``
-    runs one repeat alone.
+    tries (see ``_nelder_mead``) and is sent their <Q> values. It returns
+    its ``RepeatResult``, whose ``wall_time`` the driver fills in.
+    ``_run_group([run_single_repeat(...)])`` runs one repeat alone.
     """
     rng = np.random.default_rng(seed)
     centres = None

@@ -21,6 +21,7 @@ A config file describes one experiment. Keys (YAML):
     grid_sizes: [16, 32]         # scaling_study only
     epsilon: 1.0e-4              # hybrid_study
     sample_size: 30              # hybrid_study
+    qubit_cap: 26                # most qubits D * log2(N) a grid may take
 
 A list key that the kind does not read must be empty or absent. The aliases
 ``algorithm: x``, ``function: f`` and ``depth: p`` stand for ``algorithms:

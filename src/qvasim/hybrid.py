@@ -15,11 +15,13 @@ in ``fev_nelder_mead``, but the deterministic simplex run from a repeated
 start is not re-run: its evaluation count is reused.
 
 The sampled simplex hands each block of points it knows in advance (its
-initial vertices, a shrink's vertices) to one ``Propagator.samples`` call,
-which evolves it a workspace at a time. The classical simplex runs, the
-baseline's restarts and the launches from distinct sample minima alike, run
-``CLASSICAL_SLOTS`` at a time in lockstep (``engine.nelder_mead_runs``),
-with the test function evaluated once per round on a block of columns.
+start with its initial vertices, a shrink's vertices) to one
+``Propagator.samples`` call, which evolves it a workspace at a time and
+draws for each row, so the start and the vertex that repeats it both count
+as estimations. The classical simplex runs, the baseline's restarts and the
+launches from distinct sample minima alike, run ``CLASSICAL_SLOTS`` at a
+time in lockstep (``engine.nelder_mead_runs``), with the test function
+evaluated once per round on a block of columns.
 Their results are read in start order, so the counts are those of running
 them one after another: runs started past the first success, or past the
 baseline's evaluation budget, are discarded and not counted.

@@ -23,6 +23,7 @@ from qvasim.ansatz import (
     Propagator,
     apply_ansatz,
     initial_state,
+    objective_value,
 )
 from qvasim.engine import GAMMA_RANGE, WALK_TIME_RANGE
 from qvasim.functions import get_function
@@ -445,6 +446,30 @@ def test_more_points_than_rows_equal_row_by_row_evaluation(label, dims, n, count
     for flat, value, ks in zip(points, values, draws, strict=True):
         assert same_bits(value, one.expectation(flat))
         assert np.array_equal(ks, one.sample(flat, rng, 20))
+
+
+@pytest.mark.parametrize("depth", [1, 3])
+@pytest.mark.parametrize("name", ["rastrigin", "styblinski_tang", "ackley"])
+@pytest.mark.parametrize("label", LABELS)
+def test_objective_value_has_the_bits_of_the_copied_state_expectation(label, name, depth):
+    """``objective_value`` evaluates in the workspace; the copied state's <Q> has the same bits."""
+    grid, table = problem(2, 16, name)
+    spec = make_spec(label, 2, 16, depth)
+    rng = np.random.default_rng(depth + LABELS.index(label))
+    for _ in range(3):
+        params = random_params(spec, 2, rng)
+        value = objective_value(spec, params, table, grid)
+        assert same_bits(value, expectation(apply_ansatz(spec, params, table, grid), table))
+
+
+def test_objective_value_checks_the_layout():
+    """Three layers of one walk time flatten as two of two do; the layout tells them apart."""
+    grid, table = problem(2, 16)
+    spec = make_spec("qmoa_complete", 2, 16, depth=2)
+    params = ParameterVector([0.1, 0.2, 0.3], [[0.4], [0.5], [0.6]])
+    assert params.flatten().size == spec.total_params(2)
+    with pytest.raises(ValueError, match="layout"):
+        objective_value(spec, params, table, grid)
 
 
 def test_repeated_rows_are_evolved_once(monkeypatch):

@@ -16,6 +16,7 @@ from qvasim.ansatz import (
     Algorithm,
     AnsatzSpec,
     ParameterVector,
+    Propagator,
     apply_ansatz,
     initial_state,
     objective_value,
@@ -697,8 +698,8 @@ class TestSimplexBlocks:
     def test_start_then_initial_vertices_then_single_points_and_shrinks(self):
         options = OptimiserOptions(adaptive=False)
         result, sizes = _block_sizes(self.PLATEAU, self.X0, options)
-        assert sizes[:2] == [1, 4]
-        assert set(sizes[2:]) == {1, 3}  # the shrinks are the blocks of n = 3
+        assert sizes[0] == 5  # the start and the 4 initial vertices
+        assert set(sizes[1:]) == {1, 3}  # the shrinks are the blocks of n = 3
         assert sum(sizes) == result.evaluations
         self._matches_scipy(result, options)
 
@@ -706,7 +707,7 @@ class TestSimplexBlocks:
     def test_cap_inside_the_initial_simplex(self, cap):
         options = OptimiserOptions(max_evaluations=cap)
         result, sizes = _block_sizes(self.PLATEAU, self.X0, options)
-        assert sizes == [1] + ([cap] if cap else [])
+        assert sizes == [1 + cap]
         self._matches_scipy(result, options)
 
     @pytest.mark.parametrize("cut", [0, 1, 2])
@@ -714,12 +715,46 @@ class TestSimplexBlocks:
         """The cap leaves ``cut`` of a shrink's 3 vertices evaluated and moves one more."""
         options = OptimiserOptions(adaptive=False)
         _, sizes = _block_sizes(self.PLATEAU, self.X0, options)
-        first_shrink = sizes.index(3, 2)
-        cap = sum(sizes[1:first_shrink]) + cut
+        first_shrink = sizes.index(3, 1)
+        cap = sum(sizes[:first_shrink]) - 1 + cut  # the start is not capped
         options = OptimiserOptions(adaptive=False, max_evaluations=cap)
         result, capped = _block_sizes(self.PLATEAU, self.X0, options)
         assert capped == sizes[:first_shrink] + ([cut] if cut else [])
         self._matches_scipy(result, options)
+
+    def test_nonfinite_start_value_raises_after_the_first_block(self):
+        sizes = []
+
+        def rows(block):
+            sizes.append(len(block))
+            return [np.nan] + [0.0] * (len(block) - 1)
+
+        with pytest.raises(ValueError, match="not finite at the starting point"):
+            nelder_mead_blocks(rows, self.X0)
+        assert sizes == [5]
+
+    @pytest.mark.parametrize("algorithm", [Algorithm.QMOA, Algorithm.QOWE])
+    def test_a_lone_repeat_evolves_its_start_once(self, monkeypatch, algorithm):
+        """A repeat's first block is its start and n + 1 vertices; vertex 0 is the start."""
+        log = []  # [points, rows evolved] per expectations call
+        expectations, evolve = Propagator.expectations, Propagator._evolve
+
+        def recording_expectations(propagator, points):
+            log.append([len(points), 0])
+            return expectations(propagator, points)
+
+        def counting_evolve(propagator, points, drift_logs):
+            log[-1][1] += len(points)
+            return evolve(propagator, points, drift_logs)
+
+        monkeypatch.setattr(Propagator, "expectations", recording_expectations)
+        monkeypatch.setattr(Propagator, "_evolve", counting_evolve)
+        grid, table = small_problem()
+        spec = qmoa_spec(2, 4) if algorithm is Algorithm.QMOA else AnsatzSpec(algorithm, 1)
+        n = spec.at_depth(2).total_params(2)
+        options = OptimiserOptions(max_iterations=5)
+        optimise_at_depth(spec, table, grid, 2, repeats=1, options=options)
+        assert log[0] == [n + 2, n + 1]
 
 
 class TestExactPeriodicity:

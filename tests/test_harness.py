@@ -275,6 +275,17 @@ class TestConfig:
         with pytest.raises(ConfigError, match="bandwidth"):
             build_ansatz_spec("qmoa_banded_9", 2, 8)
 
+    def test_docstring_lists_every_key(self):
+        import re
+        from dataclasses import fields
+
+        import qvasim.harness.config as config_module
+
+        listing = config_module.__doc__.split("Keys (YAML):\n\n")[1].split("\n\n")[0]
+        listed = set(re.findall(r"(\w+):", listing))
+        for cls in (ExperimentConfig, OptimiserConfig):
+            assert {f.name for f in fields(cls)} <= listed, cls.__name__
+
 
 class TestRunner:
     def test_record_counts_and_ranges(self, tmp_path):

@@ -76,6 +76,22 @@ def test_sampled_loop_stops_at_the_simplex_cap(dims, at_cap):
     assert (result.accounting.fev_qmoa == cap) == at_cap
 
 
+def test_first_sampled_block_is_the_start_and_the_initial_simplex(monkeypatch):
+    """One ``samples`` call draws for the start and the n + 1 initial vertices, vertex 0 included."""
+    blocks = []
+    draw = Propagator.samples
+
+    def recording_samples(propagator, points, rng, shots):
+        blocks.append(len(points))
+        return draw(propagator, points, rng, shots)
+
+    monkeypatch.setattr(Propagator, "samples", recording_samples)
+    result = hybrid_optimise("rastrigin", dims=2, n_points=4, depth=1, seed=0)
+    n_params = 3
+    assert blocks[0] == n_params + 2
+    assert sum(blocks) == result.accounting.fev_qmoa == 200 * n_params + 1
+
+
 def _traced_run(monkeypatch, function, n_points, seed, epsilon=1e-4):
     """``hybrid_optimise`` at D=2, p=1 with its sample draws and simplex starts recorded.
 
