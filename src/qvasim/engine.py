@@ -512,12 +512,6 @@ def _resolve_seeds(seeds, repeats: int) -> list[int]:
     return seeds
 
 
-def _draw_layer(rng: np.random.Generator, times_per_layer: int) -> tuple[float, np.ndarray]:
-    gamma = rng.uniform(*GAMMA_RANGE)
-    times = rng.uniform(*WALK_TIME_RANGE, size=times_per_layer)
-    return gamma, times
-
-
 def _initial_params(
     spec: AnsatzSpec,
     dims: int,
@@ -544,7 +538,8 @@ def _initial_params(
         elif spec.algorithm is Algorithm.QOWE:
             gammas[layer], times[layer] = QOWE_GAMMA0, np.full(m, QOWE_T0)
         else:
-            gammas[layer], times[layer] = _draw_layer(rng, m)
+            gammas[layer] = rng.uniform(*GAMMA_RANGE)
+            times[layer] = rng.uniform(*WALK_TIME_RANGE, size=m)
     return ParameterVector(gammas, times)
 
 
@@ -555,16 +550,6 @@ def _qowe_bounds(p: int, times_per_layer: int, halfwidth: float) -> np.ndarray:
         rows.append((QOWE_GAMMA0 - halfwidth, QOWE_GAMMA0 + halfwidth))
         rows.extend([(0.0, QOWE_T0 + halfwidth)] * times_per_layer)
     return np.asarray(rows)
-
-
-def _expand_halfwidth_to_cover(halfwidth: float, params: ParameterVector) -> float:
-    """Smallest halfwidth in the 0.1 * 1.2^n ladder covering the warm params."""
-    needed_gamma = float(np.max(np.abs(params.gammas - QOWE_GAMMA0)))
-    needed_t = float(np.max(params.walk_times - QOWE_T0))
-    needed = max(needed_gamma, needed_t)
-    while halfwidth < needed and halfwidth < QOWE_MAX_HALFWIDTH:
-        halfwidth *= QOWE_GROWTH
-    return min(halfwidth, QOWE_MAX_HALFWIDTH)
 
 
 def draw_wavepacket_centres(grid: SolutionGrid, rng: np.random.Generator) -> np.ndarray:
@@ -590,6 +575,10 @@ def run_single_repeat(
     tries (see ``_nelder_mead``) and is sent their <Q> values. It returns
     its ``RepeatResult``, whose ``wall_time`` the driver fills in.
     ``_run_group([run_single_repeat(...)])`` runs one repeat alone.
+
+    Every family runs one loop of simplex passes from the same start, whose
+    ``evaluations`` add up. Only QOWE goes round again, with its bounds 1.2x
+    wider, while its optimum pins against them below a half-width of 2*pi.
     """
     rng = np.random.default_rng(seed)
     centres = None
@@ -608,18 +597,37 @@ def run_single_repeat(
     )
     propagator = yield spec, table, grid
 
+    m = spec.walk_times_per_layer(grid.dims)
+    bounds, halfwidth = options.bounds, None
     if spec.algorithm is Algorithm.QOWE:
-        result, halfwidth, evaluations = yield from _qowe_expansion_loop(
-            params0, spec, grid.dims, warm, options
+        halfwidth = QOWE_INITIAL_HALFWIDTH
+        if warm is not None and warm.bound_halfwidth is not None:
+            halfwidth = warm.bound_halfwidth
+        # widen until the warm parameters fit, so that a warm-started run
+        # never clamps its own start
+        needed = max(
+            np.max(np.abs(params0.gammas - QOWE_GAMMA0)), np.max(params0.walk_times - QOWE_T0)
         )
-    else:
-        result = yield from _nelder_mead(params0.flatten(), options)
-        halfwidth = None
-        evaluations = result.evaluations
+        while halfwidth < needed and halfwidth < QOWE_MAX_HALFWIDTH:
+            halfwidth *= QOWE_GROWTH
+        halfwidth = min(halfwidth, QOWE_MAX_HALFWIDTH)
+    evaluations = 0
+    while True:
+        if halfwidth is not None:
+            bounds = _qowe_bounds(spec.depth, m, halfwidth)
+        result = yield from _nelder_mead(params0.flatten(), replace(options, bounds=bounds))
+        evaluations += result.evaluations
+        if halfwidth is None or halfwidth >= QOWE_MAX_HALFWIDTH:
+            break
+        pinned = np.any(
+            (np.abs(result.x - bounds[:, 0]) <= BOUND_HIT_TOL)
+            | (np.abs(result.x - bounds[:, 1]) <= BOUND_HIT_TOL)
+        )
+        if not pinned:
+            break
+        halfwidth = min(halfwidth * QOWE_GROWTH, QOWE_MAX_HALFWIDTH)
 
-    best_params = ParameterVector.unflatten(
-        result.x, spec.depth, spec.walk_times_per_layer(grid.dims)
-    )
+    best_params = ParameterVector.unflatten(result.x, spec.depth, m)
     return RepeatResult(
         params=best_params,
         expectation=float(result.value),
@@ -631,41 +639,6 @@ def run_single_repeat(
         bound_halfwidth=halfwidth,
         identity_extension=identity_extension,
     )
-
-
-def _qowe_expansion_loop(
-    params0: ParameterVector,
-    spec: AnsatzSpec,
-    dims: int,
-    warm: RepeatResult | None,
-    options: OptimiserOptions,
-):
-    """Re-run the optimisation with 1.2x wider bounds while the optimum pins.
-
-    A generator over the simplex runs' points, as ``_nelder_mead`` is;
-    returns (result, half-width, evaluations). The starting half-width
-    carries over from the warm start (and is widened, if necessary, until
-    the warm parameters are feasible) so a warm-started optimisation never
-    clamps its own starting point.
-    """
-    m = spec.walk_times_per_layer(dims)
-    halfwidth = QOWE_INITIAL_HALFWIDTH
-    if warm is not None and warm.bound_halfwidth is not None:
-        halfwidth = warm.bound_halfwidth
-    halfwidth = _expand_halfwidth_to_cover(halfwidth, params0)
-    x0 = params0.flatten()
-    evaluations = 0
-    while True:
-        bounds = _qowe_bounds(spec.depth, m, halfwidth)
-        result = yield from _nelder_mead(x0, replace(options, bounds=bounds))
-        evaluations += result.evaluations
-        pinned = np.any(
-            (np.abs(result.x - bounds[:, 0]) <= BOUND_HIT_TOL)
-            | (np.abs(result.x - bounds[:, 1]) <= BOUND_HIT_TOL)
-        )
-        if not pinned or halfwidth >= QOWE_MAX_HALFWIDTH:
-            return result, halfwidth, evaluations
-        halfwidth = min(halfwidth * QOWE_GROWTH, QOWE_MAX_HALFWIDTH)
 
 
 def _run_group(repeats: list) -> list[RepeatResult]:

@@ -179,23 +179,18 @@ def hybrid_optimise(
 
     threshold = f.known_minimum(dims) + epsilon
     fev_nm = 0
-    found_x = None
-    found_value = None
     seeds_tried = 0
-    failed: dict[int, int] = {}  # grid index of a failed start -> its evaluations
+    found = None
+    launched: dict[int, NelderMeadResult] = {}  # grid index of a start -> its run
     runs = _classical_searches(f, dims, (coords[:, k] for k in dict.fromkeys(sample_minima)))
     for k in sample_minima:
         seeds_tried += 1
-        if k in failed:
-            fev_nm += failed[k]
-            continue
-        result = next(runs)  # the run from k: distinct starts run in first-appearance order
-        fev_nm += result.evaluations
-        if result.value <= threshold:
-            found_x = result.x
-            found_value = result.value
+        if k not in launched:
+            launched[k] = next(runs)  # distinct starts run in first-appearance order
+        fev_nm += launched[k].evaluations
+        if launched[k].value <= threshold:
+            found = launched[k]
             break
-        failed[k] = result.evaluations
     accounting = HybridAccounting(
         fev_qmoa=len(sample_minima),
         fev_nelder_mead=fev_nm,
@@ -203,12 +198,12 @@ def hybrid_optimise(
         depth=depth,
     )
     return HybridRunResult(
-        found_x=found_x,
-        found_value=found_value,
-        success=found_x is not None,
+        found_x=None if found is None else found.x,
+        found_value=None if found is None else found.value,
+        success=found is not None,
         accounting=accounting,
         seeds_tried=seeds_tried,
-        distinct_starts=len(failed) + (found_x is not None),
+        distinct_starts=len(launched),
     )
 
 

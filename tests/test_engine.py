@@ -803,6 +803,78 @@ class TestQoweProtocol:
             else:
                 assert b == pytest.approx(2 * np.pi)
 
+    @staticmethod
+    def record_passes(monkeypatch):
+        """Wrap ``engine._nelder_mead``; each pass appends [start, options, evaluations]."""
+        passes = []
+        simplex = engine._nelder_mead
+
+        def recording(x0, options, trace_path=None):
+            record = [np.array(x0, dtype=float), options]
+            passes.append(record)
+            result = yield from simplex(x0, options, trace_path)
+            record.append(result.evaluations)
+            return result
+
+        monkeypatch.setattr(engine, "_nelder_mead", recording)
+        return passes
+
+    def test_each_pass_restarts_on_the_next_rung(self, monkeypatch):
+        grid, table = small_problem(dims=1, n=8, name="rastrigin")
+        spec = AnsatzSpec(Algorithm.QOWE, 1, initial_state=WavepacketSpec([0.0], [1.0]))
+        for seed in (3, 4):
+            passes = self.record_passes(monkeypatch)
+            (repeat,) = optimise_at_depth(
+                spec, table, grid, 1, repeats=1, seeds=seed, workers=1
+            ).repeats
+            assert len(passes) == 4
+            halfwidth = engine.QOWE_INITIAL_HALFWIDTH
+            for start, options, _ in passes:
+                assert np.array_equal(start, passes[0][0])
+                assert np.array_equal(options.bounds, engine._qowe_bounds(1, 1, halfwidth))
+                last, halfwidth = halfwidth, halfwidth * engine.QOWE_GROWTH
+            assert [o.bounds[0, 1] - engine.QOWE_GAMMA0 for _, o, _ in passes] == pytest.approx(
+                [0.1, 0.12, 0.144, 0.1728]
+            )
+            assert repeat.evaluations == sum(count for _, _, count in passes)
+            assert repeat.bound_halfwidth == last
+
+    def test_warm_start_opens_on_its_rung_and_other_families_pass_once(self, monkeypatch):
+        grid, table = small_problem(dims=1, n=8, name="rastrigin")
+        spec = AnsatzSpec(Algorithm.QOWE, 1, initial_state=WavepacketSpec([0.0], [1.0]))
+        warm_params = ParameterVector(np.array([0.1]), np.array([[0.9]]))
+        warm = RepeatResult(warm_params, 0.0, 1, 0, None, 0.0, bound_halfwidth=0.1)
+        assert warm_params.walk_times.max() > engine.QOWE_T0 + warm.bound_halfwidth
+        needed = 0.9 - engine.QOWE_T0
+        rung = warm.bound_halfwidth
+        while rung < needed:
+            rung *= engine.QOWE_GROWTH
+        assert rung / engine.QOWE_GROWTH < needed
+        for identity in (True, False):
+            passes = self.record_passes(monkeypatch)
+            repeat = engine.run_single_repeat(
+                spec.at_depth(2), table, grid, warm, 0, OptimiserOptions(), identity
+            )
+            engine._run_group([repeat])
+            start, options, _ = passes[0]
+            last_layer = [0.0, 0.0] if identity else [engine.QOWE_GAMMA0, engine.QOWE_T0]
+            assert np.array_equal(start, [0.1, 0.9, *last_layer])
+            assert np.array_equal(options.bounds, engine._qowe_bounds(2, 1, rung))
+            assert np.all((options.bounds[:, 0] <= start) & (start <= options.bounds[:, 1]))
+
+        qmoa = qmoa_spec(1, 8)
+        caller = OptimiserOptions(max_iterations=40, bounds=np.array([[-7.0, 7.0], [0.0, 7.0]]))
+        passes = self.record_passes(monkeypatch)
+        (repeat,) = optimise_at_depth(
+            qmoa, table, grid, 1, repeats=1, seeds=5, options=caller, workers=1
+        ).repeats
+        assert len(passes) == 1
+        (_, options, count) = passes[0]
+        assert options.bounds is caller.bounds
+        assert replace(options, bounds=None) == replace(caller, bounds=None)
+        assert repeat.evaluations == count
+        assert repeat.bound_halfwidth is None
+
     def test_wavepacket_repeats_redraw_centres(self):
         grid, table = small_problem(dims=2, n=8)
         spec = AnsatzSpec(Algorithm.QOWE, 1, initial_state="gaussian")
