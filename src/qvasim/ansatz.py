@@ -184,20 +184,21 @@ class Propagator:
 
     The views of an evaluation of each row count are built on its first use.
 
-    ``expectation``, ``sample``, ``amplitudes`` and ``state`` evaluate one
-    parameter vector, in the first row; ``expectations`` and ``samples``
-    take any number of them and evolve them ``rows`` at a time, in row
-    order. An evaluation takes the flat, layer-major parameter vectors of
-    ``ParameterVector.flatten`` and runs the layer loop on bare arrays. It
-    calls the array-level kernels behind ``phase_shift`` and the public
-    mixers, on the same operands in the same order, and checks each row's
-    norm drift after every layer under the 1e-12 renormalise policy, so each
-    row's amplitudes equal, bit for bit, those of composing ``phase_shift``,
-    the mixer and ``StateVector.renormalised`` layer by layer, whatever else
-    shares the call.
+    It has three evaluation methods. ``expectations`` and ``samples`` take
+    a block of any number of parameter vectors, one per row, and evolve
+    them ``rows`` at a time, in row order; ``state`` evolves one vector, in
+    the first row, and returns its state. An evaluation takes the flat,
+    layer-major parameter vectors of ``ParameterVector.flatten`` and runs
+    the layer loop on bare arrays. It calls the array-level kernels behind
+    ``phase_shift`` and the public mixers, on the same operands in the same
+    order, and checks each row's norm drift after every layer under the
+    1e-12 renormalise policy, so each row's amplitudes equal, bit for bit,
+    those of composing ``phase_shift``, the mixer and
+    ``StateVector.renormalised`` layer by layer, whatever else shares the
+    call.
 
-    Nothing a caller receives aliases the workspace: ``amplitudes`` and
-    ``state`` copy the result out once, so it survives later evaluations.
+    Nothing a caller receives aliases the workspace: ``state`` copies the
+    result out once, so it survives later evaluations.
     The workspace makes a Propagator unsafe to share between threads.
     """
 
@@ -205,7 +206,6 @@ class Propagator:
         if table.values.size != grid.total_points:
             raise ValueError("objective table does not match the grid")
         k = grid.total_points
-        self.spec = spec
         self.table = table
         self.rows = rows = max(1, BATCH_POINTS // k)
         self.n_params = spec.total_params(grid.dims)
@@ -235,7 +235,9 @@ class Propagator:
         (first state buffer, second, level phases, each state buffer's rows,
         and the two halves of each state buffer's ``float64`` view, shaped as
         its states). One row takes flat views, so it runs on the shapes of a
-        single state.
+        single state: as a (1, K) block it took 3-12% longer per ``expectations``
+        or ``samples`` call (K = 2^8, p = 3, complete-graph QMOA and hypercube;
+        flat faster in 7 to 10 of ten alternating pairs), so keep the special case.
         """
         views = self._views.get(count)
         if views is not None:
@@ -251,17 +253,14 @@ class Propagator:
         views = self._views[count] = (first, second, level_phases, rows, halves)
         return views
 
-    def _block(self, points: np.ndarray, ndim: int = 2) -> np.ndarray:
-        """Parameter vectors, checked, as the rows of a block.
-
-        ``points`` is one vector (``ndim`` 1) or a block of any number of them.
-        """
+    def _block(self, points: np.ndarray) -> np.ndarray:
+        """A 2-D block of parameter vectors, one per row, checked."""
         points = np.asarray(points, dtype=float)
-        if points.ndim != ndim or points.shape[-1] != self.n_params:
+        if points.ndim != 2 or points.shape[1] != self.n_params:
             raise ValueError(f"expected {self.n_params} parameters, got shape {points.shape}")
         if not np.logical_and.reduce(np.isfinite(points), axis=None):
             raise ValueError("parameters must be finite")
-        return points.reshape(-1, self.n_params)
+        return points
 
     def _evolve(self, points: np.ndarray, drift_logs: list[list[float]] | None):
         """Run every layer for each row of a checked block of at most ``rows`` rows.
@@ -299,27 +298,22 @@ class Propagator:
             amps, (out, scratch) = self._evolve(chunk, None)
             yield from probabilities_of(amps, out, scratch).reshape(len(chunk), -1)
 
-    def amplitudes(self, flat: np.ndarray, drift_log: list[float] | None = None) -> np.ndarray:
-        """Flat amplitudes of the prepared state, copied out of the workspace.
+    def state(self, flat: np.ndarray, drift_log: list[float] | None = None) -> StateVector:
+        """The state prepared by one parameter vector, copied out of the workspace.
 
         ``drift_log`` collects the per-layer drifts seen before any correction.
         """
         logs = None if drift_log is None else [drift_log]
-        return self._evolve(self._block(flat, 1), logs)[0].copy()
-
-    def state(self, flat: np.ndarray, drift_log: list[float] | None = None) -> StateVector:
-        return StateVector(self.amplitudes(flat, drift_log), self._shape)
-
-    def expectation(self, flat: np.ndarray) -> float:
-        """<Q> of the prepared state; the quantity the optimiser minimises."""
-        return self.expectations(self._block(flat, 1))[0]
+        amps = self._evolve(self._block(np.asarray(flat, dtype=float)[None]), logs)[0].copy()
+        return StateVector(amps, self._shape)
 
     def expectations(self, points: np.ndarray) -> list[float]:
         """<Q> of the state prepared by each row of ``points``, in row order.
 
-        Rows with equal bytes are evolved once, at the first of them. Each
-        value is one ``np.dot`` of the objective values with that row's
-        probabilities, as ``expectation`` forms it.
+        <Q> is the quantity the optimiser minimises. Rows with equal bytes are
+        evolved once, at the first of them. Each value is one ``np.dot`` of
+        the objective values with that row's probabilities, as
+        ``states.expectation`` of ``state`` forms it.
         """
         points = self._block(points)
         keys = [row.tobytes() for row in points]
@@ -328,20 +322,13 @@ class Propagator:
         values = dict(zip(distinct, (expectation_of(self.table.values, p) for p in probabilities)))
         return [values[key] for key in keys]
 
-    def sample(self, flat: np.ndarray, rng: np.random.Generator, shots: int) -> np.ndarray:
-        """``shots`` basis-state draws from the prepared state.
-
-        The draws equal ``states.sample(self.state(flat), rng, shots)``: the
-        probabilities are formed once, in the workspace, without copying the
-        state out.
-        """
-        return self.samples(self._block(flat, 1), rng, shots)[0]
-
     def samples(self, points: np.ndarray, rng: np.random.Generator, shots: int) -> list:
-        """``sample`` of each row of ``points``, in row order.
+        """``shots`` basis-state draws from the state prepared by each row of ``points``.
 
-        The draws are made row by row with the one ``rng``, so they equal
-        ``sample`` called on each row in turn; equal rows draw again.
+        The draws are made row by row, in row order, with the one ``rng``;
+        equal rows draw again. Each row's draws equal
+        ``states.sample(self.state(row), rng, shots)``: its probabilities are
+        formed once, in the workspace, without copying the state out.
         """
         return [sample_of(p, rng, shots) for p in self._probabilities(self._block(points))]
 
@@ -380,4 +367,4 @@ def objective_value(
 ) -> float:
     """<Q> of the prepared ansatz state; the quantity the optimiser minimises."""
     _check_layout(spec, params, grid)
-    return Propagator(spec, table, grid).expectation(params.flatten())
+    return Propagator(spec, table, grid).expectations(params.flatten()[None])[0]

@@ -105,15 +105,14 @@ def make_grid(
         )
     if n_points < 2 or n_points & (n_points - 1) != 0:
         raise GridError(f"points per dimension must be a power of two >= 2, got {n_points}")
-    dims = lower.size
-    qubits = dims * int(np.log2(n_points))
-    if qubits > qubit_cap:
+    spacing = (upper - lower) / (n_points - 1)
+    grid = SolutionGrid(lower.size, n_points, lower, upper, spacing)
+    if grid.qubits > qubit_cap:
         raise GridError(
-            f"grid needs {qubits} qubits (D={dims}, N={n_points}), "
+            f"grid needs {grid.qubits} qubits (D={grid.dims}, N={n_points}), "
             f"exceeding the cap of {qubit_cap}; raise qubit_cap to override"
         )
-    spacing = (upper - lower) / (n_points - 1)
-    return SolutionGrid(dims, n_points, lower, upper, spacing)
+    return grid
 
 
 def index_to_coords(grid: SolutionGrid, k: int) -> np.ndarray:

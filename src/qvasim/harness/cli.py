@@ -68,7 +68,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args) -> int:
     overrides = list(args.overrides)
-    if args.output_dir:
+    if args.output_dir is not None:
         overrides.append(f"output_dir={args.output_dir}")
     config = load_config(args.config, overrides)
     records = run_experiment(config, workers=args.workers)

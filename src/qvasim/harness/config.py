@@ -42,7 +42,7 @@ cells a config runs, in run order. ``validate()`` checks each field against its
 annotation: ``int`` admits an integer >= 1, ``float`` a number > 0 (a ``bool``
 is neither), ``bool`` and ``str`` themselves, ``list[T]`` a list or tuple of
 T's and ``tuple[int, int]`` two such integers; only ``base_seed`` (any integer)
-and ``output_dir`` (also a path) differ. It then rejects no cells, a hybrid
+and ``output_dir`` (non-empty, or a path) differ. It then rejects no cells, a hybrid
 study over more than one depth, a list key the kind does not read, and any cell
 the runner could not set up (function undefined at D, grid off the
 power-of-two or qubit-cap rules, unknown or out-of-range algorithm label), so a
@@ -201,7 +201,8 @@ _RULES = {
 # The only fields that admit more than their annotation's rule.
 _FIELD_RULES = {
     "base_seed": (lambda v: _is_number(v, Integral), "an integer"),
-    "output_dir": (lambda v: isinstance(v, (str, os.PathLike)), "a string or path"),
+    "output_dir": (lambda v: isinstance(v, os.PathLike) or isinstance(v, str) and v != "",
+                   "a non-empty string or path"),
 }
 
 
@@ -307,7 +308,7 @@ def _coerce(raw: dict) -> ExperimentConfig:
 
 
 def load_config(path, overrides: list[str] | None = None) -> ExperimentConfig:
-    """Read a YAML config, applying ``key=value`` overrides from the CLI."""
+    """Read a YAML config, applying ``key=value`` overrides, ``output_dir``'s as written."""
     import yaml  # only reading a config file needs it
 
     try:
@@ -328,7 +329,7 @@ def load_config(path, overrides: list[str] | None = None) -> ExperimentConfig:
                 raw.pop(alias, None)
                 raw.pop(full, None)
         try:
-            raw[key] = yaml.safe_load(value)
+            raw[key] = value if key == "output_dir" else yaml.safe_load(value)
         except yaml.YAMLError as exc:
             raise ConfigError(f"override of {key} is not valid YAML: {exc}") from exc
     return _coerce(raw)

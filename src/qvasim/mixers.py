@@ -449,10 +449,6 @@ class MomentumGrid:
         values = k0[:, None] + np.arange(n)[None, :] * dk[:, None]
         return cls(k0, dk, values)
 
-    @property
-    def dims(self) -> int:
-        return self.kappa_0.size
-
     def kinetic_spectra(self) -> tuple[np.ndarray, ...]:
         """Each dimension's kappa^2 in DFT frequency order, shaped for its tensor axis.
 

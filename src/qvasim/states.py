@@ -49,9 +49,6 @@ class StateVector:
         """|1 - squared norm|."""
         return norm_drift_of(self.amplitudes)
 
-    def copy(self) -> "StateVector":
-        return StateVector(self.amplitudes.copy(), self.tensor_shape)
-
     def renormalised(self) -> "StateVector":
         """Rescale to unit norm if drift exceeds the threshold (logged)."""
         amps = renormalise(self.amplitudes, self.norm_drift())

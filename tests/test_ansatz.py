@@ -133,11 +133,11 @@ def test_propagator_equals_composed_public_kernels(label, dims):
         params = random_params(spec, dims, rng)
         expected, expected_drifts = composed(spec, params, table, grid)
         drifts = []
-        amps = propagator.amplitudes(params.flatten(), drifts)
+        amps = propagator.state(params.flatten(), drifts).amplitudes
         assert np.array_equal(amps, expected.amplitudes)
         assert drifts == expected_drifts
         assert np.array_equal(apply_ansatz(spec, params, table, grid).amplitudes, amps)
-        assert propagator.expectation(params.flatten()) == float(
+        assert propagator.expectations([params.flatten()])[0] == float(
             np.dot(table.values, expected.probabilities())
         )
 
@@ -174,14 +174,14 @@ def test_propagator_property(dims, n, depth, label, seed, zero_gammas, zero_time
     assert len(drifts) == depth
     assert max(drifts) < 1e-12
     assert state.norm_drift() < 1e-12
-    assert propagator.expectation(params.flatten()) == expectation(expected, table)
+    assert propagator.expectations([params.flatten()])[0] == expectation(expected, table)
 
     kept = state.amplitudes.copy()
-    amps = propagator.amplitudes(params.flatten())
+    amps = propagator.state(params.flatten()).amplitudes
     for _ in range(2):
         other = random_params(spec, dims, rng).flatten()
-        propagator.expectation(other)
-        propagator.amplitudes(other)
+        propagator.expectations([other])[0]
+        propagator.state(other).amplitudes
     assert_same_bits(state.amplitudes, kept)
     assert_same_bits(amps, kept)
 
@@ -197,8 +197,8 @@ def test_renormalised_layers_match_composed_kernels(label, monkeypatch):
     for _ in range(3):
         params = random_params(spec, 2, rng)
         expected, _ = composed(spec, params, table, grid)
-        assert_same_bits(propagator.amplitudes(params.flatten()), expected.amplitudes)
-        assert propagator.expectation(params.flatten()) == expectation(expected, table)
+        assert_same_bits(propagator.state(params.flatten()).amplitudes, expected.amplitudes)
+        assert propagator.expectations([params.flatten()])[0] == expectation(expected, table)
 
 
 @pytest.mark.parametrize("renormalised", [False, True], ids=["unit_norm", "renormalised"])
@@ -213,7 +213,7 @@ def test_sample_equals_sampling_the_copied_state(label, renormalised, monkeypatc
     rng = np.random.default_rng(LABELS.index(label))
     for seed in range(3):
         flat = random_params(spec, 2, rng).flatten()
-        draws = propagator.sample(flat, np.random.default_rng(seed), 200)
+        draws = propagator.samples([flat], np.random.default_rng(seed), 200)[0]
         expected = sample(propagator.state(flat), np.random.default_rng(seed), 200)
         assert np.array_equal(draws, expected)
 
@@ -239,9 +239,9 @@ def test_probabilities_formed_once_per_evaluation(label, monkeypatch):
     propagator = Propagator(spec, table, grid)
     flat = random_params(spec, 2, np.random.default_rng(LABELS.index(label))).flatten()
     for call, passes in [
-        (lambda: propagator.expectation(flat), 1),
-        (lambda: propagator.sample(flat, np.random.default_rng(0), 10), 1),
-        (lambda: propagator.amplitudes(flat), 0),
+        (lambda: propagator.expectations([flat])[0], 1),
+        (lambda: propagator.samples([flat], np.random.default_rng(0), 10)[0], 1),
+        (lambda: propagator.state(flat).amplitudes, 0),
     ]:
         counts.update(probabilities_of=0, norm_drift_of=0)
         call()
@@ -281,10 +281,10 @@ def test_evaluation_allocates_less_than_a_few_states(label, limit):
     spec = make_spec(label, 2, 64, depth=2)
     propagator = Propagator(spec, table, grid)
     flat = random_params(spec, 2, np.random.default_rng(9)).flatten()
-    propagator.expectation(flat)
+    propagator.expectations([flat])[0]
     tracemalloc.start()
     try:
-        propagator.expectation(flat)
+        propagator.expectations([flat])[0]
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -310,7 +310,7 @@ def test_circulant_eigenvalues_computed_once_per_propagator(
     assert len(calls) == calls_at_construction
     rng = np.random.default_rng(5)
     for _ in range(10):
-        propagator.expectation(random_params(spec, 3, rng).flatten())
+        propagator.expectations([random_params(spec, 3, rng).flatten()])[0]
     assert len(calls) == calls_at_construction
 
 
@@ -320,9 +320,9 @@ def test_propagator_rejects_bad_parameters_and_tables():
     propagator = Propagator(spec, table, grid)
     assert propagator.n_params == 6
     with pytest.raises(ValueError, match="expected 6 parameters"):
-        propagator.expectation(np.zeros(5))
+        propagator.expectations([np.zeros(5)])[0]
     with pytest.raises(ValueError, match="finite"):
-        propagator.expectation(np.array([0.1, 0.1, np.nan, 0.1, 0.1, 0.1]))
+        propagator.expectations([np.array([0.1, 0.1, np.nan, 0.1, 0.1, 0.1])])[0]
     other_grid, _ = problem(2, 8)
     with pytest.raises(ValueError, match="does not match the grid"):
         Propagator(spec, table, other_grid)
@@ -346,7 +346,7 @@ def batched_and_alone(spec, table, grid, points):
     alone = []
     for flat in points:
         log = []
-        alone.append((one.amplitudes(flat, log), log, one.expectation(flat)))
+        alone.append((one.state(flat, log).amplitudes, log, one.expectations([flat])[0]))
     return list(zip(amps, logs, values)), alone
 
 
@@ -394,7 +394,7 @@ def test_batched_row_renormalises_alone(label, monkeypatch):
     first = []
     for flat in points:
         log = []
-        Propagator(spec, table, grid).amplitudes(flat, log)
+        Propagator(spec, table, grid).state(flat, log).amplitudes
         first.append(log[0])
     # between the rows' first-layer drifts: some rows renormalise, some do not
     threshold = (min(first) + max(first)) / 2
@@ -444,8 +444,8 @@ def test_more_points_than_rows_equal_row_by_row_evaluation(label, dims, n, count
     one = Propagator(spec, table, grid)
     rng = np.random.default_rng(3)
     for flat, value, ks in zip(points, values, draws, strict=True):
-        assert same_bits(value, one.expectation(flat))
-        assert np.array_equal(ks, one.sample(flat, rng, 20))
+        assert same_bits(value, one.expectations([flat])[0])
+        assert np.array_equal(ks, one.samples([flat], rng, 20)[0])
 
 
 @pytest.mark.parametrize("depth", [1, 3])
@@ -490,7 +490,7 @@ def test_repeated_rows_are_evolved_once(monkeypatch):
     points = distinct[[0, 1, 0, 2, 1, 0] * 4]  # 24 rows, more than the 16 of the workspace
     values = propagator.expectations(points)
     assert evolved == [row.tobytes() for row in distinct]
-    alone = [Propagator(spec, table, grid).expectation(flat) for flat in distinct]
+    alone = [Propagator(spec, table, grid).expectations([flat])[0] for flat in distinct]
     assert [v.hex() for v in values] == [alone[i].hex() for i in [0, 1, 0, 2, 1, 0] * 4]
     evolved.clear()
     propagator.samples(points, np.random.default_rng(0), 5)
@@ -520,4 +520,4 @@ def test_samples_equal_sample_of_each_row_in_turn():
     one = Propagator(spec, table, grid)
     draws = np.random.default_rng(9)
     for ks, flat in zip(batched, points):
-        assert np.array_equal(ks, one.sample(flat, draws, 30))
+        assert np.array_equal(ks, one.samples([flat], draws, 30)[0])

@@ -782,6 +782,17 @@ class TestCli:
         assert main(["summarise", log, "--group-by", "algorithm"]) == 3
         assert "unknown group-by key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args, directory", [
+        (["--output-dir", "2024"], "2024"), (["--set", "output_dir=no"], "no"),
+    ], ids=["output_dir_flag_of_digits", "output_dir_override_of_yaml_bool"])
+    def test_output_dir_override_is_taken_as_written(
+        self, tmp_path, monkeypatch, args, directory
+    ):
+        cfg, _ = write_small_config(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", str(cfg), *args]) == 0
+        assert (tmp_path / directory / "records.jsonl").exists()
+
     def test_config_error_exit_code(self, tmp_path):
         cfg = tmp_path / "bad.yaml"
         cfg.write_text("kind: nope\n")
@@ -849,6 +860,8 @@ class TestCli:
         ({"optimiser": 5}, []),
         ({}, ["--set", "optimiser=5"]),
         ({}, ["--set", "optimiser="]),
+        ({}, ["--set", "output_dir="]),
+        ({}, ["--output-dir", ""]),
     ], ids=[
         "bandwidth_over_half_n", "function_undefined_at_later_dims", "n_not_power_of_two",
         "hybrid_function_undefined_at_dims", "non_integer_bandwidth", "no_algorithms",
@@ -865,7 +878,8 @@ class TestCli:
         "scalar_grid_sizes", "scalar_bandwidths", "string_algorithms", "string_functions",
         "list_algorithm_alias", "nested_functions", "integer_output_dir",
         "override_not_yaml", "scalar_optimiser", "scalar_optimiser_override",
-        "empty_optimiser_override",
+        "empty_optimiser_override", "empty_output_dir_override",
+        "empty_output_dir_flag",
     ])
     def test_invalid_config_exits_before_running(self, tmp_path, capsys, overrides, args):
         cfg, out = write_small_config(tmp_path, **overrides)
