@@ -176,9 +176,8 @@ class Propagator:
     at a time, each in its own row of the workspace, which it allocates once
     and which holds every buffer an evaluation writes:
 
-    * two ``(rows, K)`` complex state buffers, used in turn, so a phase
-      shift never writes over its own input; the one a layer's phase shift
-      did not write is the walk's ``spare``, its only scratch;
+    * a ``(rows, K)`` complex state buffer, which every kernel updates in place;
+    * a second one, the kernels' ``spare``, their only scratch;
     * one complex entry per objective level and row for the phase
       exponentials.
 
@@ -232,25 +231,22 @@ class Propagator:
     def _block_views(self, count: int) -> tuple:
         """The workspace of a ``count``-row evaluation, as views, built on first use.
 
-        (first state buffer, second, level phases, each state buffer's rows,
-        and the two halves of each state buffer's ``float64`` view, shaped as
-        its states). One row takes flat views, so it runs on the shapes of a
-        single state: as a (1, K) block it took 3-12% longer per ``expectations``
-        or ``samples`` call (K = 2^8, p = 3, complete-graph QMOA and hypercube;
+        (state buffer, spare, level phases, the state buffer's rows, and the
+        two halves of the spare's ``float64`` view, shaped as its states).
+        One row takes flat views, so it runs on the shapes of a single state:
+        as a (1, K) block it took 3-12% longer per ``expectations`` or
+        ``samples`` call (K = 2^8, p = 3, complete-graph QMOA and hypercube;
         flat faster in 7 to 10 of ten alternating pairs), so keep the special case.
         """
         views = self._views.get(count)
         if views is not None:
             return views
-        first, second, level_phases = (
+        state, spare, level_phases = (
             b[0] if count == 1 else b[:count] for b in (*self._states, self._level_phases)
         )
-        rows, halves = [], []
-        for b in (first, second):
-            rows.append([b] if count == 1 else list(b))
-            pairs = b.reshape(-1).view(np.float64)
-            halves.append((pairs[: b.size].reshape(b.shape), pairs[b.size :].reshape(b.shape)))
-        views = self._views[count] = (first, second, level_phases, rows, halves)
+        halves = spare.reshape(-1).view(np.float64).reshape((2,) + spare.shape)
+        rows = [state] if count == 1 else list(state)
+        views = self._views[count] = (state, spare, level_phases, rows, halves)
         return views
 
     def _block(self, points: np.ndarray) -> np.ndarray:
@@ -265,33 +261,30 @@ class Propagator:
     def _evolve(self, points: np.ndarray, drift_logs: list[list[float]] | None):
         """Run every layer for each row of a checked block of at most ``rows`` rows.
 
-        Returns the final states, flat for one row, and the halves of the
-        other state buffer (see ``_block_views``). ``drift_logs``, one list
-        per row, collects each row's per-layer drifts seen before any
-        correction. A row past the threshold is rescaled in place, so the
-        result always lies in a state buffer.
+        Returns the state buffer, flat for one row, and the halves of the
+        spare (see ``_block_views``). ``drift_logs``, one list per row,
+        collects each row's per-layer drifts seen before any correction. A
+        row past the threshold is rescaled in place.
         """
         table, width, count = self.table, self._width, len(points)
-        first, second, level_phases, rows, halves = self._block_views(count)
+        state, spare, level_phases, rows, halves = self._block_views(count)
         levels, level_index = table.phase_levels, table.level_index
         gammas = points[:, ::width].T.tolist()
-        amps, out, spare = self._initial, first, second
+        np.copyto(state, self._initial)
         for layer, start in enumerate(range(0, self.n_params, width)):
-            apply_phase(amps, gammas[layer], levels, level_index, out, level_phases)
-            amps = self._walk(out, points[:, start + 1 : start + width], spare)
-            held = int(np.may_share_memory(amps, second))
-            for r, row in enumerate(rows[held]):
+            apply_phase(state, gammas[layer], levels, level_index, spare, level_phases)
+            self._walk(state, points[:, start + 1 : start + width], spare)
+            for r, row in enumerate(rows):
                 drift = norm_drift_of(row)
                 if drift_logs is not None:
                     drift_logs[r].append(drift)
                 renormalise(row, drift, row)
-            out, spare = (first, second) if held else (second, first)
-        return amps, halves[1 - held]
+        return state, halves
 
     def _probabilities(self, points: np.ndarray) -> Iterator[np.ndarray]:
         """Each row's probabilities, in row order, evolved a workspace at a time.
 
-        A row is a view of the free state buffer, valid until the next is drawn.
+        A row is a view of the spare, valid until the next is drawn.
         """
         for at in range(0, len(points), self.rows):
             chunk = points[at : at + self.rows]

@@ -728,18 +728,33 @@ def resolve_workers(workers: int | None = None) -> int:
     return workers
 
 
+# Read by BLAS and OpenMP when they load; a pool worker gets 1 for each the caller leaves unset.
+_THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def parallel_map(fn: Callable, tasks: Sequence, workers: int | None = None) -> list:
     """``[fn(t) for t in tasks]``, in a process pool when workers and tasks exceed one.
 
     ``workers`` is resolved by ``resolve_workers``. In a pool, ``fn``, the
-    tasks and the results are pickled; otherwise everything runs in this process.
+    tasks and the results are pickled, and each worker is a fresh
+    interpreter (``spawn``) whose environment sets every ``_THREAD_VARIABLES``
+    entry that this process's leaves unset to 1; otherwise everything runs
+    in this process.
     """
     workers = resolve_workers(workers)
     if workers > 1 and len(tasks) > 1:
-        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
+        import multiprocessing  # loaded only for a pool
+        from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-            return list(pool.map(fn, tasks))
+        unset = [name for name in _THREAD_VARIABLES if name not in os.environ]
+        os.environ.update(dict.fromkeys(unset, "1"))  # inherited by the workers as they start
+        try:
+            context = multiprocessing.get_context("spawn")
+            with ProcessPoolExecutor(min(workers, len(tasks)), mp_context=context) as pool:
+                return list(pool.map(fn, tasks))
+        finally:
+            for name in unset:
+                os.environ.pop(name, None)
     return [fn(t) for t in tasks]
 
 

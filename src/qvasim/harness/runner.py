@@ -310,7 +310,7 @@ def _emit_scaling_fits(config: ExperimentConfig, records: list[ExperimentRecord]
 
 def _hybrid_repeat(task: tuple) -> HybridRecord:
     """One assisted run and its classical baseline, as a record."""
-    config, chash, function_name, grid, repeat = task
+    config, chash, function_name, grid, table, repeat = task
     dims = grid.dims
     depth = config.depth_range[0]
     seed = seed_for(config.base_seed, 1000 * dims + depth, repeat)
@@ -325,6 +325,7 @@ def _hybrid_repeat(task: tuple) -> HybridRecord:
         seed=seed,
         sample_size=config.sample_size,
         grid=grid,
+        table=table,
     )
     base = classical_baseline(
         function_name, dims, epsilon=config.epsilon, seed=baseline_seed
@@ -360,14 +361,17 @@ def _hybrid_kind(config: ExperimentConfig, workers: int) -> list[HybridRecord]:
     for _, function_name, dims, n_points in config.cells():
         grid = config.cell_grid(function_name, dims, n_points)
         todo = [
-            (config, chash, function_name, grid, repeat)
+            repeat
             for repeat in range(config.repeats)
             if (function_name, dims, n_points, depth, repeat) not in existing
         ]
-        fresh = parallel_map(_hybrid_repeat, todo, workers)
-        if fresh:
-            _append_records(path, fresh)
-            records.extend(fresh)
+        if not todo:
+            continue
+        table = build_objective(grid, get_function(function_name).fn)
+        tasks = [(config, chash, function_name, grid, table, repeat) for repeat in todo]
+        fresh = parallel_map(_hybrid_repeat, tasks, workers)
+        _append_records(path, fresh)
+        records.extend(fresh)
     return records
 
 

@@ -19,24 +19,23 @@ arithmetic of a single state and enter the block's array operations as a
 column, so each row's amplitudes are the same, bit for bit, whatever rows
 share the block:
 
-* ``apply_phase`` writes the phased amplitudes into an output buffer;
+* ``apply_phase`` multiplies the phases into the amplitudes;
 * ``qmoa_walk`` is the spectral walk ``DFT^-1 exp(-i sum_d t_d v_d) DFT``
   for per-dimension spectra v_d in DFT frequency order;
 * ``complete_walk`` is the complete-graph walk in closed form, axis by axis;
 * ``hypercube_walk`` runs M butterfly passes.
 
-The walks overwrite the array they are given and return the array that
-holds the result. Their one scratch is the caller's second state buffer
-``spare``, of the same shape, which they overwrite too.
+Every kernel leaves its result in the array it is given. Its one scratch
+is the caller's second state buffer ``spare``, of the same shape, which it
+overwrites.
 
 Each mixer is decided once, by its ``prepare_*`` function, which validates
 its arguments, picks the kernel and builds its factors (spectra, a shape).
-It allocates no buffer: ``walk(amps, times, spare)`` runs the mixer on the
-state buffer ``amps``, flat or ``(rows, K)`` with ``times`` one vector or
-one row of times per state, and returns the array holding the result in
-the shape of ``amps``, overwriting ``amps`` and ``spare`` as it goes. QMOA
-on complete graphs takes ``complete_walk``, as QAOA does over one flat axis
-of K; QMOA on other graphs, and QOWE, take ``qmoa_walk``.
+It allocates no buffer: ``walk(amps, times, spare)`` runs the mixer in
+place on the state buffer ``amps``, flat or ``(rows, K)`` with ``times``
+one vector or one row of times per state. QMOA on complete graphs takes
+``complete_walk``, as QAOA does over one flat axis of K; QMOA on other
+graphs, and QOWE, take ``qmoa_walk``.
 
 QOWE is a circulant walk. The centred transform ``exp(-i kappa_m x_n) / sqrt(N)``
 is ``scalar * post_m * DFT[m, n] * pre_n`` with ``pre_n = exp(-i kappa_0 dx n)``.
@@ -69,7 +68,7 @@ from .states import StateVector
 # it into the config hash, so a resumed run never mixes records across kernels.
 KERNEL_VERSION = 2
 
-Walk = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+Walk = Callable[[np.ndarray, np.ndarray, np.ndarray], None]
 
 
 def phase_shift(state: StateVector, gamma: float, table: ObjectiveTable) -> StateVector:
@@ -80,14 +79,10 @@ def phase_shift(state: StateVector, gamma: float, table: ObjectiveTable) -> Stat
         raise ValueError(
             f"table has {table.values.size} values, state has {state.total_points}"
         )
-    amps = apply_phase(
-        state.amplitudes,
-        (gamma,),
-        table.phase_levels,
-        table.level_index,
-        np.empty_like(state.amplitudes),
-        np.empty(table.n_unique, dtype=np.complex128),
-    )
+    amps = state.amplitudes.copy()
+    level_phases = np.empty(table.n_unique, dtype=np.complex128)
+    levels, level_index = table.phase_levels, table.level_index
+    apply_phase(amps, (gamma,), levels, level_index, np.empty_like(amps), level_phases)
     return StateVector(amps, state.tensor_shape)
 
 
@@ -96,26 +91,26 @@ def apply_phase(
     gammas: Sequence[float],
     levels: np.ndarray,
     level_index: np.ndarray,
-    out: np.ndarray,
+    spare: np.ndarray,
     level_phases: np.ndarray,
-) -> np.ndarray:
-    """Write exp(-i*gamma_r*f_k) * amplitude_rk into ``out`` and return it.
+) -> None:
+    """Multiply amplitude_rk by exp(-i*gamma_r*f_k) in place.
 
-    ``out`` is flat for one gamma, else ``(rows, K)`` with one gamma per row;
-    ``amplitudes`` is either shape, a flat array being every row's input.
+    ``amplitudes`` is flat for one gamma, else ``(rows, K)`` with one gamma
+    per row, and ``spare`` is a scratch buffer of its shape.
     ``levels[level_index]`` are the objective values f_k, given as complex
     numbers (``ObjectiveTable.phase_levels``; a real array gives the same
     bits, cast on every call). Each distinct value is exponentiated once per
     row, into ``level_phases`` (one complex entry per level and row), and
-    gathered; the exponential is elementwise, so the result is the same as
-    exponentiating all K values. ``out`` must not overlap ``amplitudes``.
+    gathered into ``spare``; the exponential is elementwise, so the result
+    is the same as exponentiating all K values.
     """
     np.multiply(levels, _per_row([-1j * gamma for gamma in gammas], 2), out=level_phases)
     np.exp(level_phases, out=level_phases)
     # mode="raise" would gather into a temporary and copy; level_index is in range
-    level_phases.take(level_index, axis=-1, out=out, mode="clip")
-    np.multiply(out, amplitudes, out=out)
-    return out
+    level_phases.take(level_index, axis=-1, out=spare, mode="clip")
+    # phases first: numpy's complex loops round differently with the operands swapped
+    np.multiply(spare, amplitudes, out=amplitudes)
 
 
 def _per_row(factors: list, ndim: int):
@@ -203,7 +198,8 @@ def _per_dimension(times, dims: int) -> np.ndarray:
 def _mixed(state: StateVector, walk: Walk, times: np.ndarray) -> StateVector:
     """A new state: ``walk`` run on a copy of ``state``'s amplitudes."""
     amps = state.amplitudes.copy()
-    return StateVector(walk(amps, times, np.empty_like(amps)), state.tensor_shape)
+    walk(amps, times, np.empty_like(amps))
+    return StateVector(amps, state.tensor_shape)
 
 
 def qmoa_mixer(
@@ -238,8 +234,7 @@ def _prepare_spectral(spectra: tuple[np.ndarray, ...], shape: tuple[int, ...]) -
     scale = float(1 / np.sqrt(np.longdouble(np.prod(shape))))
 
     def walk(amps, times, spare):
-        tensor = amps.reshape(amps.shape[:-1] + shape)
-        return qmoa_walk(tensor, times, spectra, scale, spare).reshape(amps.shape)
+        qmoa_walk(amps.reshape(amps.shape[:-1] + shape), times, spectra, scale, spare)
 
     return walk
 
@@ -250,25 +245,24 @@ def qmoa_walk(
     spectra: tuple[np.ndarray, ...],
     scale: float,
     spare: np.ndarray,
-) -> np.ndarray:
-    """DFT^-1 exp(-i sum_d t_d spectra_d) DFT on a contiguous (N,)*D tensor it overwrites.
+) -> None:
+    """DFT^-1 exp(-i sum_d t_d spectra_d) DFT, in place, on a contiguous (N,)*D tensor.
 
     ``tensor`` may carry a leading row axis, with ``times`` one row of D
     times per state. With circulant eigenvalues as spectra this is
     exp(-i sum_d t_d L_d); with ``MomentumGrid.kinetic_spectra`` it is the
     QOWE mixer. ``scale`` is 1/sqrt(K) rounded from long double, each
-    transform's unitary factor. Both transforms run in place in
-    ``tensor``'s memory; the diagonal phase goes into ``spare``, a
+    transform's unitary factor. The diagonal phase goes into ``spare``, a
     contiguous buffer of ``tensor``'s size that is reshaped to the tensor.
     """
     phase = _diagonal_phase(times, spectra, spare.reshape(tensor.shape))
     first = tensor.ndim - len(spectra)
-    spectrum = _unitary_dft(tensor, first, scale, inverse=False)
-    spectrum *= phase
-    return _unitary_dft(spectrum, first, scale, inverse=True)
+    _unitary_dft(tensor, first, scale, inverse=False)
+    tensor *= phase
+    _unitary_dft(tensor, first, scale, inverse=True)
 
 
-def _unitary_dft(tensor: np.ndarray, first: int, scale: float, inverse: bool) -> np.ndarray:
+def _unitary_dft(tensor: np.ndarray, first: int, scale: float, inverse: bool) -> None:
     """The unitary DFT over axes ``first``, ..., last of ``tensor`` (or its inverse), in place.
 
     The unscaled 1-D transform runs along those axes in order, and ``scale``
@@ -277,7 +271,6 @@ def _unitary_dft(tensor: np.ndarray, first: int, scale: float, inverse: bool) ->
     factor, so the bits are the same as scipy's; numpy's own ``norm="ortho"``
     scales every axis and rounds differently. Each 1-D line is transformed
     on its own, so the axes before ``first`` (a row axis) do not mix.
-    Returns ``tensor``.
     """
     transform, norm = (np.fft.ifft, "forward") if inverse else (np.fft.fft, "backward")
     for axis in range(first, tensor.ndim):
@@ -285,7 +278,6 @@ def _unitary_dft(tensor: np.ndarray, first: int, scale: float, inverse: bool) ->
         if axis == first:
             parts = tensor.view(np.float64)
             np.multiply(parts, scale, out=parts)
-    return tensor
 
 
 def _diagonal_phase(times, vectors: tuple[np.ndarray, ...], out: np.ndarray) -> np.ndarray:
@@ -328,16 +320,15 @@ def prepare_complete(shape: tuple[int, ...]) -> Walk:
         axes.append((axis, shape[axis], shape[:axis] + (1,) + shape[axis + 1 :]))
 
     def walk(amps, times, spare):
-        tensor = amps.reshape(amps.shape[:-1] + shape)
-        return complete_walk(tensor, times, axes, spare).reshape(amps.shape)
+        complete_walk(amps.reshape(amps.shape[:-1] + shape), times, axes, spare)
 
     return walk
 
 
 def complete_walk(
     tensor: np.ndarray, times: np.ndarray, axes: Sequence[tuple], spare: np.ndarray
-) -> np.ndarray:
-    """exp(-i sum_d t_d A_d) for complete graphs A_d, on a contiguous tensor it overwrites.
+) -> None:
+    """exp(-i sum_d t_d A_d) for complete graphs A_d, in place, on a contiguous tensor.
 
     ``tensor`` may carry a leading row axis, with ``times`` one row of D
     times per state. Time t_d walks grid dimension d; ``axes[d]`` is (its
@@ -348,7 +339,7 @@ def complete_walk(
     each entry by the mean along its axis. So each axis adds (e^{-itN} - 1)
     times its mean, formed from the axis sums in the first K/N entries per
     state of the contiguous buffer ``spare``, and one global phase
-    e^{i sum_d t_d} per state follows. Returns ``tensor``.
+    e^{i sum_d t_d} per state follows.
     """
     lead = tensor.ndim - len(axes)
     rows = times.reshape(-1, len(axes))
@@ -374,7 +365,6 @@ def complete_walk(
         np.add(tensor, term, out=tensor)
     phases = [np.exp(1j * total) for total in totals]
     np.multiply(_per_row(phases, tensor.ndim), tensor, out=tensor)
-    return tensor
 
 
 def hypercube_mixer(state: StateVector, t: float) -> StateVector:
@@ -392,35 +382,30 @@ def prepare_hypercube(k: int) -> Walk:
         raise ValueError(f"hypercube mixer needs K = 2^M states, got K={k}")
 
     def walk(amps, times, spare):
-        return hypercube_walk(amps, np.asarray(times).reshape(-1).tolist(), spare)
+        hypercube_walk(amps, np.asarray(times).reshape(-1).tolist(), spare)
 
     return walk
 
 
-def hypercube_walk(amplitudes: np.ndarray, times: Sequence[float], spare: np.ndarray) -> np.ndarray:
-    """The hypercube walk on a flat contiguous array of 2^M entries, or on a (rows, 2^M) block.
+def hypercube_walk(amplitudes: np.ndarray, times: Sequence[float], spare: np.ndarray) -> None:
+    """The hypercube walk, in place, on a contiguous flat array of 2^M entries or (rows, 2^M) block.
 
     State r walks for time ``times[r]``. Pass i pairs index k with its
     partner across qubit i. Viewed as ``x.reshape(-1, 2, 2**i)`` per state,
     the partners are the same view with its middle axis reversed, so a pass
-    is three whole-array ufuncs on two buffers: the other buffer y gets
-    i*sin(t) times the swapped view, x is scaled by cos(t) in place, and y
-    becomes x minus y. The passes alternate between ``amplitudes`` and
-    ``spare``, overwriting both, and the result ends in ``amplitudes`` when
-    M is even and in ``spare`` when M is odd; the array holding it is
-    returned.
+    is three whole-array ufuncs on the amplitudes x: ``spare`` gets i*sin(t)
+    times x, x is scaled by cos(t), and x less the swapped ``spare`` goes into x.
     """
     lead = amplitudes.shape[:-1]
     c = _per_row([np.cos(t) for t in times], amplitudes.ndim)
-    js = _per_row([1j * np.sin(t) for t in times], amplitudes.ndim + 2)
-    x, y = amplitudes, spare.reshape(amplitudes.shape)
+    js = _per_row([1j * np.sin(t) for t in times], amplitudes.ndim)
+    y = spare.reshape(amplitudes.shape)
     for i in range(amplitudes.shape[-1].bit_length() - 1):
         pairs = lead + (-1, 2, 1 << i)
-        np.multiply(js, x.reshape(pairs)[..., ::-1, :], out=y.reshape(pairs))
-        np.multiply(c, x, out=x)
-        np.subtract(x, y, out=y)
-        x, y = y, x
-    return x
+        np.multiply(js, amplitudes, out=y)
+        np.multiply(c, amplitudes, out=amplitudes)
+        x = amplitudes.reshape(pairs)
+        np.subtract(x, y.reshape(pairs)[..., ::-1, :], out=x)
 
 
 # --------------------------------------------------------------------------

@@ -11,7 +11,10 @@ over ``scipy.optimize.minimize``, and ``scipy_qmoa_walk`` is ``qmoa_walk``
 written over ``scipy.fft``; the library's own simplex and transforms must
 match them bit for bit. ``sequential_baseline`` is ``classical_baseline`` as
 a loop of one simplex run after another, which the lockstep restarts must
-reproduce.
+reproduce. ``ping_pong_hypercube_walk`` and ``out_of_place_phase`` are the
+hypercube walk and the phase shift in an earlier form, which wrote each
+pass or product into the other of two buffers; the in-place kernels must
+give their bits.
 """
 
 from __future__ import annotations
@@ -216,6 +219,44 @@ def scipy_qmoa_walk(
     spectrum = sfft.fftn(tensor, norm="ortho", overwrite_x=True)
     spectrum *= phase
     return sfft.ifftn(spectrum, norm="ortho", overwrite_x=True)
+
+
+def _column(factors: list, ndim: int):
+    """One scalar per row as ``qvasim.mixers._per_row`` shapes it: bare for one row."""
+    if len(factors) == 1:
+        return factors[0]
+    return np.array(factors).reshape((-1,) + (1,) * (ndim - 1))
+
+
+def ping_pong_hypercube_walk(amplitudes: np.ndarray, times, spare: np.ndarray) -> np.ndarray:
+    """The hypercube walk with each pass written into the other buffer; returns the result's.
+
+    Pass i writes i*sin(t) times the partners into the other buffer, scales
+    the current one by cos(t) and writes their difference into the other.
+    The result ends in ``amplitudes`` when M is even and in ``spare`` when odd.
+    """
+    lead = amplitudes.shape[:-1]
+    c = _column([np.cos(t) for t in times], amplitudes.ndim)
+    js = _column([1j * np.sin(t) for t in times], amplitudes.ndim + 2)
+    x, y = amplitudes, spare.reshape(amplitudes.shape)
+    for i in range(amplitudes.shape[-1].bit_length() - 1):
+        pairs = lead + (-1, 2, 1 << i)
+        np.multiply(js, x.reshape(pairs)[..., ::-1, :], out=y.reshape(pairs))
+        np.multiply(c, x, out=x)
+        np.subtract(x, y, out=y)
+        x, y = y, x
+    return x
+
+
+def out_of_place_phase(
+    amplitudes: np.ndarray, gammas, levels, level_index, out: np.ndarray, level_phases
+) -> np.ndarray:
+    """exp(-i*gamma_r*f_k) * amplitude_rk written into ``out``, which must not overlap the input."""
+    np.multiply(levels, _column([-1j * gamma for gamma in gammas], 2), out=level_phases)
+    np.exp(level_phases, out=level_phases)
+    level_phases.take(level_index, axis=-1, out=out, mode="clip")
+    np.multiply(out, amplitudes, out=out)
+    return out
 
 
 def sequential_baseline(

@@ -349,6 +349,16 @@ class TestOptimiseAtDepth:
         monkeypatch.setenv("QVASIM_WORKERS", "")
         assert resolve_workers() == 1
 
+    def test_pool_workers_pin_their_threads_unless_set(self, monkeypatch):
+        names = ["OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"]
+        for name in names:
+            monkeypatch.delenv(name, raising=False)
+        assert parallel_map(os.getenv, names, 2) == ["1", "1", "1"]
+        assert not any(name in os.environ for name in names)  # this process's are left unset
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        assert parallel_map(os.getenv, names, 2) == ["1", "3", "1"]
+        assert os.environ["OPENBLAS_NUM_THREADS"] == "3"
+
     def test_done_repeats_are_kept_and_not_rerun(self, monkeypatch):
         grid, table = small_problem()
         spec = qmoa_spec(2, 4)

@@ -13,6 +13,8 @@ import pytest
 import yaml
 
 import qvasim.engine as engine
+import qvasim.harness.runner
+import qvasim.hybrid
 import qvasim.mixers
 from qvasim.harness import (
     ConfigError,
@@ -595,6 +597,45 @@ class TestRunner:
             got.pop("wall_time")
             want.pop("wall_time")
             assert got == want
+
+    def test_hybrid_study_builds_each_cells_table_once(self, tmp_path, monkeypatch):
+        config = tiny_config(
+            tmp_path,
+            kind="hybrid_study",
+            algorithms=[],
+            functions=["sphere"],
+            dims_list=[1, 2],
+            n_points=8,
+            depth_range=(1, 1),
+            repeats=3,
+        )
+        builds = []
+        for module in (qvasim.harness.runner, qvasim.hybrid):
+
+            def counting(grid, fn, original=module.build_objective):
+                builds.append(grid.dims)
+                return original(grid, fn)
+
+            monkeypatch.setattr(module, "build_objective", counting)
+        records = run_experiment(config, workers=1)
+        assert sorted(builds) == [1, 2]
+        assert len(records) == 6
+        for r in records:  # each record as its repeat building its own table gives it
+            alone = qvasim.hybrid.hybrid_optimise(
+                "sphere",
+                r.dims,
+                8,
+                1,
+                epsilon=config.epsilon,
+                seed=r.seed,
+                sample_size=config.sample_size,
+                grid=config.cell_grid("sphere", r.dims, 8),
+            )
+            assert (r.success, r.seeds_tried) == (alone.success, alone.seeds_tried)
+            assert (r.fev_qmoa, r.fev_nelder_mead) == (
+                alone.accounting.fev_qmoa,
+                alone.accounting.fev_nelder_mead,
+            )
 
 
 class TestSummarise:

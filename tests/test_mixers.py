@@ -16,8 +16,10 @@ from qvasim.grid import along_axis, make_grid, table_from_values
 from qvasim.mixers import (
     CirculantGraph,
     MomentumGrid,
+    apply_phase,
     circulant_eigenvalues,
     hypercube_mixer,
+    hypercube_walk,
     phase_shift,
     prepare_complete,
     prepare_hypercube,
@@ -38,6 +40,8 @@ from oracles import (
     dense_walk_oracle,
     hypercube_adjacency,
     lifted_adjacency,
+    out_of_place_phase,
+    ping_pong_hypercube_walk,
     scipy_qmoa_walk,
 )
 
@@ -283,8 +287,96 @@ def test_prepared_walks_keep_no_state_sized_buffer(mixer):
     assert retained - before < 0.1 * 16 * k
     amps = random_state(np.random.default_rng(13), k).amplitudes.copy()
     times = np.array([0.4] if mixer in ("qaoa_complete", "hypercube") else [0.4, 0.7])
-    out = walk(amps, times, np.empty_like(amps))
-    assert np.linalg.norm(out) == pytest.approx(1.0)
+    walk(amps, times, np.empty_like(amps))
+    assert np.linalg.norm(amps) == pytest.approx(1.0)
+
+
+def same_bits(a, b):
+    return np.array_equal(np.asarray(a).view(np.uint64), np.asarray(b).view(np.uint64))
+
+
+def random_block(rng, rows, k):
+    """``rows`` random states of K amplitudes; one row is returned flat."""
+    block = np.array([random_state(rng, k).amplitudes for _ in range(rows)])
+    return block[0] if rows == 1 else block
+
+
+SPECIAL_TIMES = (0.0, np.pi / 2, -np.pi / 2, -np.pi)
+
+
+class TestInPlaceKernels:
+    """Every kernel leaves its result in the array it is given, with the two-buffer bits."""
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 4])
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_hypercube_bits_equal_ping_pong(self, m, rows):
+        k = 1 << m
+        rng = np.random.default_rng(100 * m + rows)
+        for first in (*SPECIAL_TIMES, rng.uniform(-2 * np.pi, 2 * np.pi)):
+            times = [first] + list(rng.uniform(-2 * np.pi, 2 * np.pi, rows - 1))
+            amps = random_block(rng, rows, k)
+            ours = amps.copy()
+            hypercube_walk(ours, times, np.empty_like(amps))
+            theirs = ping_pong_hypercube_walk(amps.copy(), times, np.empty_like(amps))
+            assert same_bits(ours, theirs)
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 4])
+    def test_phase_bits_equal_out_of_place(self, rows):
+        rng = np.random.default_rng(rows)
+        table = table_from_values(rng.integers(-40, 40, 512) * rng.uniform(0.5, 2.0))
+        levels, level_index = table.phase_levels, table.level_index
+        for first in (*SPECIAL_TIMES, rng.uniform(-2 * np.pi, 2 * np.pi)):
+            gammas = [first] + list(rng.uniform(-2 * np.pi, 2 * np.pi, rows - 1))
+            amps = random_block(rng, rows, 512)
+            ours = amps.copy()
+            level_phases = np.empty(amps.shape[:-1] + (table.n_unique,), complex)
+            apply_phase(ours, gammas, levels, level_index, np.empty_like(amps), level_phases)
+            theirs = out_of_place_phase(
+                amps, gammas, levels, level_index, np.empty_like(amps), level_phases
+            )
+            assert same_bits(ours, theirs)
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    @pytest.mark.parametrize(
+        "kernel",
+        ["phase", "qmoa_cycle", "qmoa_complete", "qowe", "qaoa_complete"]
+        + ["hypercube_even", "hypercube_odd"],
+    )
+    def test_result_lies_in_the_array_passed_in(self, kernel, rows):
+        """Each row of the buffer after the call is the public kernel's result on that row."""
+        n, dims = 8, 1 if kernel == "hypercube_odd" else 2
+        grid = make_grid([-1.0] * dims, [2.0] * dims, n)
+        shape, k = grid.tensor_shape, grid.total_points
+        momentum = MomentumGrid.from_grid(grid)
+        rng = np.random.default_rng(rows)
+        table = table_from_values(rng.uniform(-3.0, 3.0, k))
+        per_row = 1 if kernel in ("phase", "qaoa_complete") or "hypercube" in kernel else dims
+        times = rng.uniform(-2.0, 2.0, (rows, per_row))
+        cycle, complete = (CirculantGraph.cycle(n),) * dims, (CirculantGraph.complete(n),) * dims
+        walk, public = {
+            "phase": (None, lambda s, t: phase_shift(s, t[0], table)),
+            "qmoa_cycle": (prepare_qmoa(cycle, shape), lambda s, t: qmoa_mixer(s, t, cycle)),
+            "qmoa_complete": (
+                prepare_qmoa(complete, shape),
+                lambda s, t: qmoa_mixer(s, t, complete),
+            ),
+            "qowe": (prepare_qowe(momentum, shape), lambda s, t: qowe_mixer(s, t, momentum, grid)),
+            "qaoa_complete": (prepare_complete((k,)), lambda s, t: qaoa_complete_mixer(s, t[0])),
+            "hypercube_even": (prepare_hypercube(k), lambda s, t: hypercube_mixer(s, t[0])),
+            "hypercube_odd": (prepare_hypercube(k), lambda s, t: hypercube_mixer(s, t[0])),
+        }[kernel]
+        assert kernel != "hypercube_odd" or k.bit_length() % 2 == 0  # M = log2 K is odd
+        amps = random_block(rng, rows, k)
+        buffer = amps.copy()
+        spare = np.empty_like(amps)
+        if walk is None:
+            level_phases = np.empty(amps.shape[:-1] + (table.n_unique,), complex)
+            gammas = times[:, 0].tolist()
+            apply_phase(buffer, gammas, table.phase_levels, table.level_index, spare, level_phases)
+        else:
+            walk(buffer, times[0] if rows == 1 else times, spare)
+        for row, out, t in zip(amps.reshape(rows, k), buffer.reshape(rows, k), times):
+            assert same_bits(out, public(StateVector(row, shape), t).amplitudes)
 
 
 class TestCentredFourier:
@@ -551,7 +643,8 @@ class TestSpectralWalkAgainstScipy:
         else:
             amps = np.zeros(k, dtype=complex)
             amps[data.draw(st.integers(0, k - 1))] = 1.0
-        ours = walk(amps.copy(), times, np.empty_like(amps))
+        ours = amps.copy()
+        walk(ours, times, np.empty_like(amps))
         theirs = scipy_qmoa_walk(amps.copy().reshape(shape), times, spectra, np.empty_like(amps))
         assert np.array_equal(ours.view(np.uint64), theirs.ravel().view(np.uint64))
 
