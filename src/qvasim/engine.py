@@ -544,12 +544,11 @@ def _initial_params(
 
 
 def _qowe_bounds(p: int, times_per_layer: int, halfwidth: float) -> np.ndarray:
-    """Layer-major bounds matching ParameterVector.flatten()."""
-    rows = []
-    for _ in range(p):
-        rows.append((QOWE_GAMMA0 - halfwidth, QOWE_GAMMA0 + halfwidth))
-        rows.extend([(0.0, QOWE_T0 + halfwidth)] * times_per_layer)
-    return np.asarray(rows)
+    """(lower, upper) rows in ``ParameterVector.flatten()``'s layer-major order."""
+    times = np.full((p, times_per_layer), QOWE_T0 + halfwidth)
+    lower = ParameterVector(np.full(p, QOWE_GAMMA0 - halfwidth), np.zeros_like(times))
+    upper = ParameterVector(np.full(p, QOWE_GAMMA0 + halfwidth), times)
+    return np.stack([lower.flatten(), upper.flatten()], axis=1)
 
 
 def draw_wavepacket_centres(grid: SolutionGrid, rng: np.random.Generator) -> np.ndarray:
@@ -560,7 +559,6 @@ def draw_wavepacket_centres(grid: SolutionGrid, rng: np.random.Generator) -> np.
 
 def run_single_repeat(
     spec: AnsatzSpec,
-    table: ObjectiveTable,
     grid: SolutionGrid,
     warm: RepeatResult | None,
     seed: int,
@@ -569,12 +567,13 @@ def run_single_repeat(
 ):
     """One repeat at depth ``spec.depth``, as a generator that ``_run_group`` drives.
 
-    It draws its start, then yields the arguments of the ``Propagator`` it
-    evaluates with, ``(spec, table, grid)``, and is sent that Propagator.
-    From then on it yields each block of parameter vectors its optimisation
-    tries (see ``_nelder_mead``) and is sent their <Q> values. It returns
-    its ``RepeatResult``, whose ``wall_time`` the driver fills in.
-    ``_run_group([run_single_repeat(...)])`` runs one repeat alone.
+    It draws its start, then yields its start spec (``spec``, or for a
+    "gaussian" start ``spec`` with the drawn wavepacket) and is sent a
+    ``Propagator`` of that spec on the driver's table and ``grid``. From
+    then on it yields each block of parameter vectors its optimisation tries
+    (see ``_nelder_mead``) and is sent their <Q> values. It returns its
+    ``RepeatResult``, whose ``wall_time`` the driver fills in.
+    ``_run_group([run_single_repeat(...)], table, grid)`` runs one repeat alone.
 
     Every family runs one loop of simplex passes from the same start, whose
     ``evaluations`` add up. Only QOWE goes round again, with its bounds 1.2x
@@ -595,7 +594,7 @@ def run_single_repeat(
     params0 = _initial_params(
         spec, grid.dims, warm.params if warm is not None else None, rng, identity_extension
     )
-    propagator = yield spec, table, grid
+    propagator = yield spec
 
     m = spec.walk_times_per_layer(grid.dims)
     bounds, halfwidth = options.bounds, None
@@ -641,18 +640,19 @@ def run_single_repeat(
     )
 
 
-def _run_group(repeats: list) -> list[RepeatResult]:
-    """Run ``run_single_repeat`` generators in lockstep; return their results in order.
+def _run_group(repeats: list, table: ObjectiveTable, grid: SolutionGrid) -> list[RepeatResult]:
+    """Run ``run_single_repeat`` generators on one table and grid in lockstep.
 
-    Repeats that ask for the same spec, table and grid objects form a
-    cohort and share one Propagator; cohorts run one after another, so at
-    most one workspace is alive. Each round takes the pending block of every
-    active repeat in the cohort, evaluates all their points in one
-    ``expectations`` call, and sends each repeat its values. Each repeat's
-    points and values are those it would see alone, so the results do not
-    depend on the grouping. A repeat's ``wall_time`` is the time spent in
-    its own generator plus an equal share of the Propagator's construction
-    and, per point, of every call it was evaluated in.
+    Returns their results in order. Repeats that yield the same start spec
+    object form a cohort and share one Propagator of it on ``table`` and
+    ``grid``; cohorts run one after another, so at most one workspace is
+    alive. Each round takes the pending block of every active repeat in the
+    cohort, evaluates all their points in one ``expectations`` call, and
+    sends each repeat its values. Each repeat's points and values are those
+    it would see alone, so the results do not depend on the grouping. A
+    repeat's ``wall_time`` is the time spent in its own generator plus an
+    equal share of the Propagator's construction and, per point, of every
+    call it was evaluated in.
     """
     clock = time.perf_counter
     seconds = [0.0] * len(repeats)
@@ -668,16 +668,15 @@ def _run_group(repeats: list) -> list[RepeatResult]:
             results[i] = stop.value
         seconds[i] += clock() - started
 
-    cohorts: dict[tuple, list[int]] = {}
-    requests = []
+    cohorts: dict[int, list[int]] = {}
+    specs = []
     for i in range(len(repeats)):
         advance(i, None)
-        request = pending.pop(i)
-        requests.append(request)
-        cohorts.setdefault(tuple(map(id, request)), []).append(i)
+        specs.append(pending.pop(i))
+        cohorts.setdefault(id(specs[i]), []).append(i)
     for members in cohorts.values():
         started = clock()
-        propagator = Propagator(*requests[members[0]])
+        propagator = Propagator(specs[members[0]], table, grid)
         share = (clock() - started) / len(members)
         for i in members:
             seconds[i] += share
@@ -706,12 +705,11 @@ def _group_task(task) -> list[RepeatResult]:
     identity layer.
     """
     spec, table, grid, warm, seeds, options, firsts = task
-    return _run_group(
-        [
-            run_single_repeat(spec, table, grid, warm, seed, options, warm is not None and first)
-            for seed, first in zip(seeds, firsts)
-        ]
-    )
+    repeats = [
+        run_single_repeat(spec, grid, warm, seed, options, warm is not None and first)
+        for seed, first in zip(seeds, firsts)
+    ]
+    return _run_group(repeats, table, grid)
 
 
 def resolve_workers(workers: int | None = None) -> int:
@@ -732,30 +730,38 @@ def resolve_workers(workers: int | None = None) -> int:
 _THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def parallel_map(fn: Callable, tasks: Sequence, workers: int | None = None) -> list:
-    """``[fn(t) for t in tasks]``, in a process pool when workers and tasks exceed one.
+def parallel_map(fn: Callable, tasks: Sequence, workers: int | None = None) -> Iterator:
+    """An iterator over ``fn(t) for t in tasks``: the results in task order, each once ready.
 
-    ``workers`` is resolved by ``resolve_workers``. In a pool, ``fn``, the
-    tasks and the results are pickled, and each worker is a fresh
-    interpreter (``spawn``) whose environment sets every ``_THREAD_VARIABLES``
-    entry that this process's leaves unset to 1; otherwise everything runs
-    in this process.
+    ``workers`` is resolved by ``resolve_workers`` at the call. With one
+    worker or one task this is ``map(fn, tasks)``, run in this process as it
+    is iterated. Otherwise the first ``next`` submits every task to a
+    process pool: ``fn``, the tasks and the results are pickled, and each
+    worker is a fresh interpreter (``spawn``) whose environment sets every
+    ``_THREAD_VARIABLES`` entry that this process's leaves unset to 1. The
+    pool shuts down once the iterator is drained or closed.
     """
     workers = resolve_workers(workers)
-    if workers > 1 and len(tasks) > 1:
-        import multiprocessing  # loaded only for a pool
-        from concurrent.futures import ProcessPoolExecutor
+    if workers < 2 or len(tasks) < 2:
+        return map(fn, tasks)
+    return _pool_map(fn, tasks, min(workers, len(tasks)))
 
+
+def _pool_map(fn: Callable, tasks: Sequence, workers: int) -> Iterator:
+    """``parallel_map``'s pool path, a generator so that the pool lives in one ``with``."""
+    import multiprocessing  # loaded only for a pool
+    from concurrent.futures import ProcessPoolExecutor
+
+    context = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(workers, mp_context=context) as pool:
         unset = [name for name in _THREAD_VARIABLES if name not in os.environ]
         os.environ.update(dict.fromkeys(unset, "1"))  # inherited by the workers as they start
         try:
-            context = multiprocessing.get_context("spawn")
-            with ProcessPoolExecutor(min(workers, len(tasks)), mp_context=context) as pool:
-                return list(pool.map(fn, tasks))
+            results = pool.map(fn, tasks)  # submits every task, which starts every worker
         finally:
             for name in unset:
                 os.environ.pop(name, None)
-    return [fn(t) for t in tasks]
+        yield from results
 
 
 def optimise_at_depth(
@@ -798,7 +804,7 @@ def optimise_at_depth(
         (spec, table, grid, warm, [seed_list[j] for j in group], options, (group == 0).tolist())
         for group in groups
     ]
-    fresh = iter(r for group in parallel_map(_group_task, tasks, workers) for r in group)
+    fresh = iter([r for group in parallel_map(_group_task, tasks, workers) for r in group])
     results = [done[j] if j in done else next(fresh) for j in range(repeats)]
     return DepthResult(depth=p, repeats=results)
 

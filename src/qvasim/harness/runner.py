@@ -1,13 +1,18 @@
-"""Experiment execution: seeded repeats, warm-start chaining, persistence.
+"""Experiment execution: one loop over a config's cells, persistence, resumption.
 
-Sweeps run through ``qvasim.engine.depth_sweep``, and records are appended to
-``records.jsonl`` as each depth completes. An interrupted run resumes from
-what is on disk: stored records go back to the engine through its ``done``
-hook, so completed (algorithm, function, depth, repeat) combinations are never
-recomputed and the next depth's warm start chains from the best repeat. Each
-append is fsynced; a line torn by a run killed mid-write is cut off before the
-next run appends. A consolidated ``records.csv`` (sorted, reproducible modulo
-wall-time columns) is rewritten at the end of every run.
+``run_experiment`` hands each of ``config.cells()`` to its kind's cell
+runner. A sweep cell runs through ``qvasim.engine.depth_sweep``, and its
+records are appended to ``records.jsonl`` as each depth completes; a
+hybrid-study cell appends each repeat's record as soon as it returns. An
+interrupted run resumes from what is on disk: stored sweep records go back
+to the engine through its ``done`` hook, so completed (algorithm, function,
+depth, repeat) combinations are never recomputed and the next depth's warm
+start chains from the best repeat, and stored hybrid repeats are skipped.
+Each append is fsynced; a line torn by a run killed mid-write is cut off
+before the next run appends. A run holds an exclusive lock on its
+``output_dir``, so a second run on the same directory fails instead of
+appending beside it. A consolidated ``records.csv`` (sorted, reproducible
+modulo wall-time columns) is rewritten at the end of every run.
 
 Hybrid-study repeats use the seed formula with the depth slot set to
 ``1000 * dims + depth``; their classical baselines use the repeat slot offset
@@ -17,6 +22,7 @@ by 10**6. Sweep and hybrid repeats alike are spread over ``workers`` processes.
 from __future__ import annotations
 
 import csv
+import fcntl
 import json
 import logging
 import os
@@ -49,6 +55,7 @@ logger = logging.getLogger(__name__)
 
 RECORDS_NAME = "records.jsonl"
 CSV_NAME = "records.csv"
+LOCK_NAME = ".lock"  # flocked by the run that owns the directory
 _JSON_FIELDS = ("params", "wavepacket_centres")  # JSON-encoded in records.csv
 
 
@@ -106,16 +113,6 @@ class HybridRecord:
 
 def _records_path(config: ExperimentConfig) -> Path:
     return Path(config.output_dir) / RECORDS_NAME
-
-
-def _existing(config: ExperimentConfig, cls: type) -> dict[tuple, object]:
-    """Stored records of ``cls`` written under this config, by key."""
-    chash = config_hash(config)
-    return {
-        r.key(): r
-        for r in load_records(_records_path(config))
-        if isinstance(r, cls) and r.config_hash == chash
-    }
 
 
 def _append_records(path: Path, records) -> None:
@@ -194,15 +191,15 @@ def _repeat_from_record(record: ExperimentRecord, times_per_layer: int) -> Repea
 
 
 def _run_sweep_cell(
-    config: ExperimentConfig,
-    label: str,
-    function_name: str,
-    dims: int,
-    n_points: int,
-    existing: dict[tuple, ExperimentRecord],
-    workers: int,
+    config: ExperimentConfig, cell: tuple, existing: dict[tuple, ExperimentRecord], workers: int
 ) -> list[ExperimentRecord]:
-    """Warm-start-chained depth sweep for one (algorithm, function, D, N)."""
+    """The warm-start-chained depth sweep of one (algorithm, function, D, N) cell.
+
+    Repeats stored in ``existing`` go back to the engine through its ``done``
+    hook and are not rerun. Each depth's fresh records are appended to the
+    log as that depth completes, and returned.
+    """
+    label, function_name, dims, n_points = cell
     grid = config.cell_grid(function_name, dims, n_points)
     table = build_objective(grid, get_function(function_name).fn)
     spec = build_ansatz_spec(label, dims, n_points, config.shared_walk_time)
@@ -211,7 +208,6 @@ def _run_sweep_cell(
     chash = config_hash(config)
     path = _records_path(config)
     new_records: list[ExperimentRecord] = []
-    cell = (label, function_name, dims, n_points)
 
     def done(depth: int) -> dict[int, RepeatResult]:
         return {
@@ -268,18 +264,6 @@ def _run_sweep_cell(
         done=done,
     )
     return new_records
-
-
-def _sweep_kind(config: ExperimentConfig, workers: int) -> list[ExperimentRecord]:
-    existing = _existing(config, ExperimentRecord)
-    records = list(existing.values())
-    for label, function_name, dims, n_points in config.cells():
-        records.extend(
-            _run_sweep_cell(config, label, function_name, dims, n_points, existing, workers)
-        )
-    if config.kind == "scaling_study":
-        _emit_scaling_fits(config, records)
-    return records
 
 
 def scaling_fits(records: list[ExperimentRecord]) -> dict[tuple, ScalingFit]:
@@ -352,27 +336,27 @@ def _hybrid_repeat(task: tuple) -> HybridRecord:
     )
 
 
-def _hybrid_kind(config: ExperimentConfig, workers: int) -> list[HybridRecord]:
-    chash = config_hash(config)
-    existing = _existing(config, HybridRecord)
-    records = list(existing.values())
+def _run_hybrid_cell(
+    config: ExperimentConfig, cell: tuple, existing: dict[tuple, HybridRecord], workers: int
+) -> list[HybridRecord]:
+    """The repeats of one hybrid-study (function, D, N) cell that ``existing`` lacks.
+
+    The cell's objective table is built once for all of them. Each record is
+    appended to the log as soon as it returns, in repeat order, and returned.
+    """
+    _, function_name, dims, n_points = cell
     depth = config.depth_range[0]
-    path = _records_path(config)
-    for _, function_name, dims, n_points in config.cells():
-        grid = config.cell_grid(function_name, dims, n_points)
-        todo = [
-            repeat
-            for repeat in range(config.repeats)
-            if (function_name, dims, n_points, depth, repeat) not in existing
-        ]
-        if not todo:
-            continue
-        table = build_objective(grid, get_function(function_name).fn)
-        tasks = [(config, chash, function_name, grid, table, repeat) for repeat in todo]
-        fresh = parallel_map(_hybrid_repeat, tasks, workers)
-        _append_records(path, fresh)
-        records.extend(fresh)
-    return records
+    todo = [j for j in range(config.repeats) if cell[1:] + (depth, j) not in existing]
+    if not todo:
+        return []
+    grid = config.cell_grid(function_name, dims, n_points)
+    table = build_objective(grid, get_function(function_name).fn)
+    tasks = [(config, config_hash(config), function_name, grid, table, j) for j in todo]
+    path, fresh = _records_path(config), []
+    for record in parallel_map(_hybrid_repeat, tasks, workers):
+        _append_records(path, [record])
+        fresh.append(record)
+    return fresh
 
 
 def write_csv(records: list, path) -> None:
@@ -394,10 +378,15 @@ def write_csv(records: list, path) -> None:
 
 
 def run_experiment(config: ExperimentConfig, workers: int | None = None) -> list:
-    """Execute a validated config; returns every record (existing + new).
+    """Execute a validated config cell by cell; returns every record (existing + new).
 
     The config and the worker count (``workers``, else ``QVASIM_WORKERS``) are
     checked before ``output_dir`` is created; either fails with ``ConfigError``.
+    The run then holds an exclusive lock on ``output_dir`` until it returns or
+    raises; a run that finds the directory locked by another raises
+    ``ConfigError`` before it touches the log. Each of ``config.cells()`` goes
+    to its kind's cell runner with the records stored under this config, and
+    the scaling fits and ``records.csv`` are written after the last cell.
     """
     config.validate()
     try:
@@ -406,10 +395,24 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None) -> list
         raise ConfigError(str(exc)) from None
     outdir = Path(config.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    _truncate_torn_tail(outdir / RECORDS_NAME)
-    if config.kind == "hybrid_study":
-        records = _hybrid_kind(config, workers)
-    else:
-        records = _sweep_kind(config, workers)
-    write_csv(records, outdir / CSV_NAME)
+    with (outdir / LOCK_NAME).open("a") as lock:  # closing it releases the lock
+        try:
+            fcntl.flock(lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise ConfigError(f"output_dir {str(outdir)!r} is locked by another run") from None
+        _truncate_torn_tail(outdir / RECORDS_NAME)
+        cls = HybridRecord if config.kind == "hybrid_study" else ExperimentRecord
+        run_cell = _run_hybrid_cell if cls is HybridRecord else _run_sweep_cell
+        chash = config_hash(config)
+        existing = {
+            r.key(): r
+            for r in load_records(outdir / RECORDS_NAME)
+            if isinstance(r, cls) and r.config_hash == chash
+        }
+        records = list(existing.values())
+        for cell in config.cells():
+            records.extend(run_cell(config, cell, existing, workers))
+        if config.kind == "scaling_study":
+            _emit_scaling_fits(config, records)
+        write_csv(records, outdir / CSV_NAME)
     return records

@@ -353,10 +353,10 @@ class TestOptimiseAtDepth:
         names = ["OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"]
         for name in names:
             monkeypatch.delenv(name, raising=False)
-        assert parallel_map(os.getenv, names, 2) == ["1", "1", "1"]
+        assert list(parallel_map(os.getenv, names, 2)) == ["1", "1", "1"]
         assert not any(name in os.environ for name in names)  # this process's are left unset
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
-        assert parallel_map(os.getenv, names, 2) == ["1", "3", "1"]
+        assert list(parallel_map(os.getenv, names, 2)) == ["1", "3", "1"]
         assert os.environ["OPENBLAS_NUM_THREADS"] == "3"
 
     def test_done_repeats_are_kept_and_not_rerun(self, monkeypatch):
@@ -373,9 +373,9 @@ class TestOptimiseAtDepth:
         run_seeds = []
         real = engine.run_single_repeat
 
-        def spy(spec, table, grid, warm, seed, options, identity):
+        def spy(spec, grid, warm, seed, options, identity):
             run_seeds.append(seed)
-            return real(spec, table, grid, warm, seed, options, identity)
+            return real(spec, grid, warm, seed, options, identity)
 
         monkeypatch.setattr(engine, "run_single_repeat", spy)
         result = optimise_at_depth(spec, table, grid, 1, repeats=3, seeds=5, done={1: known})
@@ -441,9 +441,9 @@ class TestDepthSweep:
         calls = []
         real = engine.run_single_repeat
 
-        def spy(spec, table, grid, warm, seed, options, identity):
+        def spy(spec, grid, warm, seed, options, identity):
             calls.append((spec.depth, warm))
-            return real(spec, table, grid, warm, seed, options, identity)
+            return real(spec, grid, warm, seed, options, identity)
 
         monkeypatch.setattr(engine, "run_single_repeat", spy)
         results = depth_sweep(
@@ -790,6 +790,18 @@ class TestExactPeriodicity:
 
 
 class TestQoweProtocol:
+    @pytest.mark.parametrize(
+        "p, times_per_layer, halfwidth",
+        [(1, 1, 0.1), (2, 3, 0.12), (3, 2, 0.75), (8, 1, 2 * np.pi)],
+    )
+    def test_bounds_rows_are_layer_major(self, p, times_per_layer, halfwidth):
+        """Per layer: (0.1 - h, 0.1 + h) for gamma, then (0, 0.1 + h) for each walk time."""
+        bounds = engine._qowe_bounds(p, times_per_layer, halfwidth)
+        gamma = [engine.QOWE_GAMMA0 - halfwidth, engine.QOWE_GAMMA0 + halfwidth]
+        time = [0.0, engine.QOWE_T0 + halfwidth]
+        assert bounds.dtype == np.float64
+        assert bounds.tolist() == ([gamma] + [time] * times_per_layer) * p
+
     def test_interior_optimum_keeps_initial_halfwidth(self):
         # a constant objective terminates immediately at the interior start
         grid = make_grid([-1.0], [1.0], 8)
@@ -863,9 +875,9 @@ class TestQoweProtocol:
         for identity in (True, False):
             passes = self.record_passes(monkeypatch)
             repeat = engine.run_single_repeat(
-                spec.at_depth(2), table, grid, warm, 0, OptimiserOptions(), identity
+                spec.at_depth(2), grid, warm, 0, OptimiserOptions(), identity
             )
-            engine._run_group([repeat])
+            engine._run_group([repeat], table, grid)
             start, options, _ = passes[0]
             last_layer = [0.0, 0.0] if identity else [engine.QOWE_GAMMA0, engine.QOWE_T0]
             assert np.array_equal(start, [0.1, 0.9, *last_layer])

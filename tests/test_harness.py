@@ -28,6 +28,7 @@ from qvasim.harness import (
 from qvasim.harness.cli import main
 from qvasim.harness.config import ALGORITHM_LABELS, OptimiserConfig
 from qvasim.harness.runner import (
+    LOCK_NAME,
     ExperimentRecord,
     HybridRecord,
     build_ansatz_spec,
@@ -441,7 +442,11 @@ class TestRunner:
 
         real_group = engine._run_group
         monkeypatch.setattr(
-            engine, "_run_group", lambda repeats: [r for one in repeats for r in real_group([one])]
+            engine,
+            "_run_group",
+            lambda repeats, table, grid: [
+                r for one in repeats for r in real_group([one], table, grid)
+            ],
         )
         alone = run_experiment(replace(config, output_dir=str(tmp_path / "alone")), workers=1)
         monkeypatch.undo()
@@ -772,6 +777,43 @@ class TestPlotData:
     def test_empty_records_diagnostic(self, tmp_path, kind):
         with pytest.raises(ValueError, match="no records"):
             emit_plot_data([], kind, tmp_path)
+    def test_hybrid_repeats_persist_as_they_return(self, tmp_path, monkeypatch):
+        config = tiny_config(
+            tmp_path,
+            kind="hybrid_study",
+            algorithms=[],
+            functions=["sphere"],
+            dims=2,
+            n_points=8,
+            depth_range=(1, 1),
+            repeats=4,
+        )
+        whole_dir = tmp_path / "whole"
+        run_experiment(replace(config, output_dir=str(whole_dir)), workers=1)
+        whole = load_records(whole_dir / "records.jsonl")
+        seeds = []
+        real = qvasim.harness.runner.hybrid_optimise
+
+        def third_fails(*args, seed, **kwargs):
+            seeds.append(seed)
+            if len(seeds) == 3:
+                raise RuntimeError("repeat 2 killed")
+            return real(*args, seed=seed, **kwargs)
+
+        monkeypatch.setattr(qvasim.harness.runner, "hybrid_optimise", third_fails)
+        with pytest.raises(RuntimeError, match="repeat 2 killed"):
+            run_experiment(config, workers=1)
+        log = tmp_path / "out" / "records.jsonl"
+        assert [r.repeat for r in load_records(log)] == [0, 1]
+
+        seeds.clear()
+        run_experiment(config, workers=1)
+        assert seeds == [r.seed for r in whole[2:]]  # only the missing repeats ran
+
+        def without_wall_time(records):
+            return [{k: v for k, v in asdict(r).items() if k != "wall_time"} for r in records]
+
+        assert without_wall_time(load_records(log)) == without_wall_time(whole)
 
 
 def write_small_config(tmp_path, **overrides):
@@ -833,6 +875,32 @@ class TestCli:
         monkeypatch.chdir(tmp_path)
         assert main(["run", str(cfg), *args]) == 0
         assert (tmp_path / directory / "records.jsonl").exists()
+
+    def test_locked_output_dir_exits_2_and_leaves_the_log(self, tmp_path, capsys):
+        cfg, out = write_small_config(tmp_path, depth_range=[1, 2])
+        assert main(["run", str(cfg)]) == 0
+        log = out / "records.jsonl"
+        first, second = log.read_bytes().splitlines(keepends=True)
+        log.write_bytes(first + second[:40])  # a torn line the next run would cut off
+        torn = log.read_bytes()
+        holder = (
+            "import fcntl, sys; lock = open(sys.argv[1], 'a'); "
+            "fcntl.flock(lock, fcntl.LOCK_EX); print('locked', flush=True); sys.stdin.read()"
+        )
+        with subprocess.Popen(
+            [sys.executable, "-c", holder, str(out / LOCK_NAME)],
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            text=True,
+        ) as child:
+            assert child.stdout.readline() == "locked\n"
+            assert main(["run", str(cfg)]) == 2
+            assert log.read_bytes() == torn
+            child.stdin.close()  # the holder exits and its lock goes with it
+            assert child.wait(timeout=30) == 0
+        assert f"output_dir {str(out)!r} is locked by another run" in capsys.readouterr().err
+        assert main(["run", str(cfg)]) == 0
+        assert [(r.depth, r.repeat) for r in load_records(log)] == [(1, 0), (2, 0)]
 
     def test_config_error_exit_code(self, tmp_path):
         cfg = tmp_path / "bad.yaml"
