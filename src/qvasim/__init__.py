@@ -16,8 +16,10 @@ from .ansatz import (
     Algorithm,
     AnsatzSpec,
     ParameterVector,
+    ProductPropagator,
     Propagator,
     apply_ansatz,
+    evaluator,
     objective_value,
 )
 from .engine import (

@@ -1,4 +1,11 @@
-"""Ansatz composition: alternating phase-shift and mixer layers."""
+"""Ansatz composition: alternating phase-shift and mixer layers.
+
+Two evaluators prepare the ansatz state: the full ``Propagator``, over all
+K amplitudes, and the ``ProductPropagator``, over D vectors of N entries,
+for QMOA and QOWE on an additive objective. ``evaluator`` picks between
+them from the spec's family and the table alone. ``apply_ansatz`` and
+``objective_value`` always take the full path.
+"""
 
 from __future__ import annotations
 
@@ -8,11 +15,14 @@ from typing import Iterator
 
 import numpy as np
 
-from .grid import ObjectiveTable, SolutionGrid
+from . import states
+from .grid import ObjectiveTable, SolutionGrid, additive_parts
 from .mixers import (
     CirculantGraph,
     MomentumGrid,
     apply_phase,
+    prepare_axis_qmoa,
+    prepare_axis_qowe,
     prepare_complete,
     prepare_hypercube,
     prepare_qmoa,
@@ -38,12 +48,14 @@ from .states import (
     probabilities_of,
     renormalise,
     sample_of,
+    wavepacket_axes,
 )
 
 
-# Cap on rows x K of one Propagator's workspace. Batching shares numpy's
-# per-call cost between rows, which pays at small K only: measured per-row
-# times (README, "Evaluation cost") fall with rows at K = 2^8 and rise at 2^15.
+# Cap on rows x K of one Propagator's workspace, and on rows x D x N of a
+# ProductPropagator's. Batching shares numpy's per-call cost between rows,
+# which pays at small K only: measured per-row times (README, "Evaluation
+# cost") fall with rows at K = 2^8 and rise at 2^15.
 BATCH_POINTS = 4096
 
 
@@ -151,16 +163,72 @@ class ParameterVector:
 def initial_state(spec: AnsatzSpec, grid: SolutionGrid) -> StateVector:
     if isinstance(spec.initial_state, WavepacketSpec):
         return gaussian_wavepacket(grid, spec.initial_state)
+    _check_drawn(spec)
+    return grid_superposition(grid)
+
+
+def _initial_axes(spec: AnsatzSpec, grid: SolutionGrid) -> np.ndarray:
+    """``initial_state`` as a product state: a (D, N) block of per-dimension vectors."""
+    if isinstance(spec.initial_state, WavepacketSpec):
+        return wavepacket_axes(grid, spec.initial_state).astype(np.complex128)
+    _check_drawn(spec)
+    n = grid.points_per_dim
+    return np.full((grid.dims, n), 1.0 / np.sqrt(n), dtype=np.complex128)
+
+
+def _check_drawn(spec: AnsatzSpec) -> None:
     if spec.initial_state == "gaussian":
         raise ValueError(
             "a 'gaussian' initial state has no centres yet; the optimiser draws "
             "them, or pass a WavepacketSpec"
         )
-    return grid_superposition(grid)
 
 
-class Propagator:
-    """Prepares |t, gamma> for one ansatz on one objective table and grid.
+class _Evaluator:
+    """What both evaluators share: the checked block of parameter vectors and the two measurements.
+
+    A subclass sets ``n_params`` and ``rows`` and yields, for a checked
+    block of parameter vectors evolved ``rows`` at a time in row order, each
+    row's <Q> from ``_expectations`` and each row's K probabilities, in grid
+    layout, from ``_probabilities``.
+    """
+
+    n_params: int
+    rows: int
+
+    def _block(self, points: np.ndarray) -> np.ndarray:
+        """A 2-D block of parameter vectors, one per row, checked."""
+        points = np.asarray(points, dtype=float)
+        if points.ndim != 2 or points.shape[1] != self.n_params:
+            raise ValueError(f"expected {self.n_params} parameters, got shape {points.shape}")
+        if not np.logical_and.reduce(np.isfinite(points), axis=None):
+            raise ValueError("parameters must be finite")
+        return points
+
+    def expectations(self, points: np.ndarray) -> list[float]:
+        """<Q> of the state prepared by each row of ``points``, in row order.
+
+        <Q> is the quantity the optimiser minimises. Rows with equal bytes are
+        evolved once, at the first of them.
+        """
+        points = self._block(points)
+        keys = [row.tobytes() for row in points]
+        distinct = dict(zip(keys, points))
+        values = dict(zip(distinct, self._expectations(np.array(list(distinct.values())))))
+        return [values[key] for key in keys]
+
+    def samples(self, points: np.ndarray, rng: np.random.Generator, shots: int) -> list:
+        """``shots`` basis-state draws from the state prepared by each row of ``points``.
+
+        The draws are made row by row, in row order, with the one ``rng``;
+        equal rows draw again. Each row's draws are ``states.sample_of`` on
+        its K probabilities, as ``states.sample`` of ``state(row)`` draws.
+        """
+        return [sample_of(p, rng, shots) for p in self._probabilities(self._block(points))]
+
+
+class Propagator(_Evaluator):
+    """Prepares |t, gamma> for one ansatz on one objective table and grid: the full path.
 
     Built once per (spec at a fixed depth, table, grid) and then called for
     every parameter vector an optimiser tries. Construction validates the
@@ -194,7 +262,8 @@ class Propagator:
     1e-12 renormalise policy, so each row's amplitudes equal, bit for bit,
     those of composing ``phase_shift``, the mixer and
     ``StateVector.renormalised`` layer by layer, whatever else shares the
-    call.
+    call. Each <Q> is one ``np.dot`` of the objective values with that row's
+    probabilities, as ``states.expectation`` of ``state`` forms it.
 
     Nothing a caller receives aliases the workspace: ``state`` copies the
     result out once, so it survives later evaluations.
@@ -249,15 +318,6 @@ class Propagator:
         views = self._views[count] = (state, spare, level_phases, rows, halves)
         return views
 
-    def _block(self, points: np.ndarray) -> np.ndarray:
-        """A 2-D block of parameter vectors, one per row, checked."""
-        points = np.asarray(points, dtype=float)
-        if points.ndim != 2 or points.shape[1] != self.n_params:
-            raise ValueError(f"expected {self.n_params} parameters, got shape {points.shape}")
-        if not np.logical_and.reduce(np.isfinite(points), axis=None):
-            raise ValueError("parameters must be finite")
-        return points
-
     def _evolve(self, points: np.ndarray, drift_logs: list[list[float]] | None):
         """Run every layer for each row of a checked block of at most ``rows`` rows.
 
@@ -291,6 +351,9 @@ class Propagator:
             amps, (out, scratch) = self._evolve(chunk, None)
             yield from probabilities_of(amps, out, scratch).reshape(len(chunk), -1)
 
+    def _expectations(self, points: np.ndarray) -> Iterator[float]:
+        return (expectation_of(self.table.values, p) for p in self._probabilities(points))
+
     def state(self, flat: np.ndarray, drift_log: list[float] | None = None) -> StateVector:
         """The state prepared by one parameter vector, copied out of the workspace.
 
@@ -300,30 +363,140 @@ class Propagator:
         amps = self._evolve(self._block(np.asarray(flat, dtype=float)[None]), logs)[0].copy()
         return StateVector(amps, self._shape)
 
-    def expectations(self, points: np.ndarray) -> list[float]:
-        """<Q> of the state prepared by each row of ``points``, in row order.
 
-        <Q> is the quantity the optimiser minimises. Rows with equal bytes are
-        evolved once, at the first of them. Each value is one ``np.dot`` of
-        the objective values with that row's probabilities, as
-        ``states.expectation`` of ``state`` forms it.
+class ProductPropagator(_Evaluator):
+    """A ``Propagator`` for an additive objective, evolving one N-vector per grid dimension.
+
+    For f = c + sum_d a_d(x_d) (``grid.additive_parts``) the phase shift
+    exp(-i gamma f) is the product of the per-dimension phases
+    exp(-i gamma a_d) and the global phase exp(-i gamma c). QMOA's walk on
+    any circulant graphs and QOWE's kinetic walk act on each dimension
+    alone, and the equal superposition and the Gaussian wavepacket are
+    products too. So the state stays the outer product of D vectors of N
+    entries, and an evaluation costs O(p D N) instead of O(p K).
+
+    Its workspace is a ``(rows, D, N)`` complex block of
+    ``rows = max(1, BATCH_POINTS // (D N))`` product states, entry (r, d)
+    dimension d's vector of row r. An evaluation forms the phases and walk
+    factors of all its layers at once. A layer multiplies each vector by its
+    phases (dimension 0's also carry exp(-i gamma c), so that the outer
+    product is the state itself, global phase included), then walks it
+    (``qvasim.mixers.prepare_axis_qmoa`` or ``prepare_axis_qowe``), and then
+    checks each vector's norm drift under the 1e-12 renormalise policy.
+    Every operation acts on each vector alone, so a row's bits do not depend
+    on what else shares the call.
+
+    <Q> is c + sum_d <|phi_d|^2, a_d>, one dot product per row. ``samples``
+    draws with ``states.sample_of`` from the outer product of the
+    per-dimension probabilities, so for one ``rng`` its draws are those of
+    the full path on the same state. ``state`` builds the K amplitudes once,
+    as an outer product. The results agree with ``Propagator``'s to within
+    rounding, not bit for bit.
+    """
+
+    def __init__(self, spec: AnsatzSpec, grid: SolutionGrid, parts: tuple[float, np.ndarray]):
+        """``parts`` is the table's (c, a) from ``grid.additive_parts``."""
+        dims, n = grid.dims, grid.points_per_dim
+        offset, terms = parts
+        self.rows = max(1, BATCH_POINTS // (dims * n))
+        self.n_params = spec.total_params(dims)
+        self._width = spec.params_per_layer(dims)
+        self._shape = grid.tensor_shape
+        self._initial = _initial_axes(spec, grid)
+        if spec.algorithm is Algorithm.QMOA:
+            self._factors, self._walk = prepare_axis_qmoa(spec.graphs, self._shape)
+        elif spec.algorithm is Algorithm.QOWE:
+            momentum = MomentumGrid.from_grid(grid)
+            self._factors, self._walk = prepare_axis_qowe(momentum, self._shape)
+        else:
+            raise ValueError(f"{spec.algorithm.value} does not keep a product state")
+        self._offset, self._terms = offset, terms.reshape(-1)
+        self._levels = terms.astype(np.complex128)
+        self._levels[0] += offset
+        self._state = np.empty((self.rows, dims, n), np.complex128)
+        self._probs, self._scratch = (np.empty((self.rows, dims, n)) for _ in range(2))
+
+    def _evolve(self, points: np.ndarray, drift_logs: list[list[float]] | None) -> np.ndarray:
+        """Run every layer for each row of a checked block of at most ``rows`` rows.
+
+        Returns the ``(count, D, N)`` view of the state buffer. ``drift_logs``,
+        one list per row, collects each row's per-layer drift
+        |1 - prod_d |phi_d|^2| seen before any correction. A vector past the
+        threshold is rescaled in place.
         """
-        points = self._block(points)
-        keys = [row.tobytes() for row in points]
-        distinct = dict(zip(keys, points))
-        probabilities = self._probabilities(np.array(list(distinct.values())))
-        values = dict(zip(distinct, (expectation_of(self.table.values, p) for p in probabilities)))
-        return [values[key] for key in keys]
+        count, dims = len(points), self._state.shape[1]
+        state = self._state[:count]
+        pairs = state.view(np.float64)
+        layers = points.reshape(count, -1, self._width)
+        phases = np.exp((-1j * layers[:, :, 0, None, None]) * self._levels)
+        times = layers[:, :, 1:]
+        if times.shape[-1] != dims:  # one shared time per layer drives every dimension
+            times = times.repeat(dims, axis=-1)
+        walks = self._factors(times)
+        np.copyto(state, self._initial)
+        for layer in range(layers.shape[1]):
+            np.multiply(phases[:, layer], state, out=state)
+            self._walk(state, *(f[:, layer] for f in walks))
+            norms = np.vecdot(pairs, pairs)
+            drifts = np.abs(norms - 1.0)
+            if drift_logs is not None:
+                for log, row in zip(drift_logs, norms):
+                    log.append(abs(1.0 - float(np.prod(row))))
+            for r, d in zip(*np.nonzero(drifts > states.RENORM_THRESHOLD)):
+                renormalise(state[r, d], drifts[r, d], state[r, d])
+        return state
 
-    def samples(self, points: np.ndarray, rng: np.random.Generator, shots: int) -> list:
-        """``shots`` basis-state draws from the state prepared by each row of ``points``.
+    def _axis_probabilities(self, points: np.ndarray) -> Iterator[np.ndarray]:
+        """Each chunk's ``(count, D, N)`` per-dimension probabilities, a workspace at a time."""
+        for at in range(0, len(points), self.rows):
+            chunk = points[at : at + self.rows]
+            count = len(chunk)
+            amps = self._evolve(chunk, None)
+            yield probabilities_of(amps, self._probs[:count], self._scratch[:count])
 
-        The draws are made row by row, in row order, with the one ``rng``;
-        equal rows draw again. Each row's draws equal
-        ``states.sample(self.state(row), rng, shots)``: its probabilities are
-        formed once, in the workspace, without copying the state out.
+    def _expectations(self, points: np.ndarray) -> Iterator[float]:
+        for probs in self._axis_probabilities(points):
+            values = self._offset + np.vecdot(probs.reshape(len(probs), -1), self._terms)
+            yield from values.tolist()
+
+    def _probabilities(self, points: np.ndarray) -> Iterator[np.ndarray]:
+        for probs in self._axis_probabilities(points):
+            yield from map(_outer, probs)
+
+    def state(self, flat: np.ndarray, drift_log: list[float] | None = None) -> StateVector:
+        """The state prepared by one parameter vector, built once as an outer product.
+
+        ``drift_log`` collects the per-layer drifts seen before any correction.
         """
-        return [sample_of(p, rng, shots) for p in self._probabilities(self._block(points))]
+        logs = None if drift_log is None else [drift_log]
+        axes = self._evolve(self._block(np.asarray(flat, dtype=float)[None]), logs)[0]
+        return StateVector(_outer(axes), self._shape)
+
+
+def _outer(axes: np.ndarray) -> np.ndarray:
+    """The flat outer product of D per-dimension vectors, dimension 0 fastest, in a new array."""
+    flat = axes[-1].copy()
+    for vector in axes[-2::-1]:
+        flat = np.multiply.outer(flat, vector).ravel()
+    return flat
+
+
+def evaluator(
+    spec: AnsatzSpec, table: ObjectiveTable, grid: SolutionGrid
+) -> Propagator | ProductPropagator:
+    """The evaluator of ``spec`` on ``table`` and ``grid``; the engine and hybrid build through it.
+
+    QMOA and QOWE from the equal superposition or a given wavepacket keep a
+    product state when ``grid.additive_parts`` finds the table additive, and
+    get a ``ProductPropagator``. Every other cell gets the full
+    ``Propagator``: QAOA on the complete graph or the hypercube, and any
+    table that is not a sum of one-coordinate terms.
+    """
+    if spec.algorithm in (Algorithm.QMOA, Algorithm.QOWE):
+        parts = additive_parts(table, grid)
+        if parts is not None:
+            return ProductPropagator(spec, grid, parts)
+    return Propagator(spec, table, grid)
 
 
 def apply_ansatz(
@@ -337,8 +510,9 @@ def apply_ansatz(
 
     Norm drift is checked after every layer; drifts beyond the renormalise
     threshold are corrected (and logged by the state). Pass ``drift_log`` to
-    collect the per-layer drifts seen before any correction. Evaluating many
-    parameter vectors is cheaper through one ``Propagator``.
+    collect the per-layer drifts seen before any correction. This is the
+    full path; evaluating many parameter vectors is cheaper through one
+    ``evaluator``.
     """
     _check_layout(spec, params, grid)
     return Propagator(spec, table, grid).state(params.flatten(), drift_log)
@@ -358,6 +532,12 @@ def objective_value(
     table: ObjectiveTable,
     grid: SolutionGrid,
 ) -> float:
-    """<Q> of the prepared ansatz state; the quantity the optimiser minimises."""
+    """<Q> of the prepared ansatz state; the quantity the optimiser minimises.
+
+    This is the full path, a ``Propagator``, whatever the table. The
+    engine's evaluator (``evaluator``) agrees with it to within 1e-12 of
+    the table's range: bit for bit where it is a ``Propagator``, to
+    rounding where it is a ``ProductPropagator``.
+    """
     _check_layout(spec, params, grid)
     return Propagator(spec, table, grid).expectations(params.flatten()[None])[0]

@@ -22,11 +22,13 @@ Protocol implemented here:
   and is sent their m values in order. ``nelder_mead`` evaluates a block's
   rows one by one; ``nelder_mead_blocks`` hands a caller the whole block;
 * a depth's repeats run in lockstep: each simplex round takes the pending
-  block of every active repeat, and the points that share a Propagator are
+  block of every active repeat, and the points that share an evaluator are
   evaluated in one ``expectations`` call, which sizes its own batches. Each
   repeat sees the points and values it would see alone, so the results, bit
   for bit, do not depend on which repeats run together, nor on how they are
   split over worker processes;
+* evaluators are built by ``ansatz.evaluator``: a ``ProductPropagator``
+  for QMOA and QOWE on an additive table, the full ``Propagator`` otherwise;
 * ``nelder_mead_runs`` runs many simplices of one objective in lockstep in
   one set of arrays, each round evaluating all their points as one block of
   columns, for the hybrid study's thousands of short classical runs.
@@ -43,12 +45,12 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .ansatz import Algorithm, AnsatzSpec, ParameterVector, Propagator
+from .ansatz import Algorithm, AnsatzSpec, ParameterVector, evaluator
 from .grid import ObjectiveTable, SolutionGrid
 from .states import StateVector, WavepacketSpec
 
 # Importable from this module for the benchmark's tracer (bench/tracing.py),
-# which rebinds them here; the engine evaluates through a Propagator.
+# which rebinds them here; the engine evaluates through ``ansatz.evaluator``.
 from .ansatz import apply_ansatz  # noqa: F401
 from .states import expectation  # noqa: F401
 
@@ -568,8 +570,8 @@ def run_single_repeat(
     """One repeat at depth ``spec.depth``, as a generator that ``_run_group`` drives.
 
     It draws its start, then yields its start spec (``spec``, or for a
-    "gaussian" start ``spec`` with the drawn wavepacket) and is sent a
-    ``Propagator`` of that spec on the driver's table and ``grid``. From
+    "gaussian" start ``spec`` with the drawn wavepacket) and is sent the
+    ``ansatz.evaluator`` of that spec on the driver's table and ``grid``. From
     then on it yields each block of parameter vectors its optimisation tries
     (see ``_nelder_mead``) and is sent their <Q> values. It returns its
     ``RepeatResult``, whose ``wall_time`` the driver fills in.
@@ -644,14 +646,14 @@ def _run_group(repeats: list, table: ObjectiveTable, grid: SolutionGrid) -> list
     """Run ``run_single_repeat`` generators on one table and grid in lockstep.
 
     Returns their results in order. Repeats that yield the same start spec
-    object form a cohort and share one Propagator of it on ``table`` and
-    ``grid``; cohorts run one after another, so at most one workspace is
+    object form a cohort and share one ``ansatz.evaluator`` of it on ``table``
+    and ``grid``; cohorts run one after another, so at most one workspace is
     alive. Each round takes the pending block of every active repeat in the
     cohort, evaluates all their points in one ``expectations`` call, and
     sends each repeat its values. Each repeat's points and values are those
     it would see alone, so the results do not depend on the grouping. A
     repeat's ``wall_time`` is the time spent in its own generator plus an
-    equal share of the Propagator's construction and, per point, of every
+    equal share of the evaluator's construction and, per point, of every
     call it was evaluated in.
     """
     clock = time.perf_counter
@@ -676,7 +678,7 @@ def _run_group(repeats: list, table: ObjectiveTable, grid: SolutionGrid) -> list
         cohorts.setdefault(id(specs[i]), []).append(i)
     for members in cohorts.values():
         started = clock()
-        propagator = Propagator(specs[members[0]], table, grid)
+        propagator = evaluator(specs[members[0]], table, grid)
         share = (clock() - started) / len(members)
         for i in members:
             seconds[i] += share

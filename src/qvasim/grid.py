@@ -19,6 +19,10 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_QUBIT_CAP = 26
 
+# ``additive_parts`` accepts a per-axis decomposition that rebuilds the table
+# to this fraction of its range.
+ADDITIVE_RTOL = 1e-12
+
 
 class GridError(ValueError):
     """Raised for invalid grid geometry or indexing requests."""
@@ -251,6 +255,29 @@ def _table(values: np.ndarray) -> ObjectiveTable:
         unique_sorted_values=levels,
         level_index=level_index,
     )
+
+
+def additive_parts(table: ObjectiveTable, grid: SolutionGrid) -> tuple[float, np.ndarray] | None:
+    """(c, a) with f = c + sum_d a_d(x_d) on the grid, or None if the table is not such a sum.
+
+    c is the grand mean of the table and row d of the (D, N) array ``a``
+    is dimension d's marginal mean less c. They are returned only if they
+    rebuild every value to within ``ADDITIVE_RTOL`` of the table's range.
+    """
+    if table.values.size != grid.total_points:
+        return None
+    dims = grid.dims
+    tensor = table.values.reshape(grid.tensor_shape)
+    c = float(tensor.mean())
+    a = np.empty((dims, grid.points_per_dim))
+    error = np.full(grid.tensor_shape, c)  # the rebuilt table, then its error in place
+    for d in range(dims):
+        others = tuple(ax for ax in range(dims) if ax != tensor_axis(d, dims))
+        a[d] = tensor.mean(axis=others) - c
+        error += along_axis(a[d], d, dims)
+    error -= tensor
+    np.abs(error, out=error)
+    return (c, a) if error.max() <= ADDITIVE_RTOL * (table.max_value - table.min_value) else None
 
 
 def objective_to_csv(table: ObjectiveTable, grid: SolutionGrid, path) -> None:

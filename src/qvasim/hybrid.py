@@ -15,10 +15,12 @@ in ``fev_nelder_mead``, but the deterministic simplex run from a repeated
 start is not re-run: its evaluation count is reused.
 
 The sampled simplex hands each block of points it knows in advance (its
-start with its initial vertices, a shrink's vertices) to one
-``Propagator.samples`` call, which evolves it a workspace at a time and
-draws for each row, so the start and the vertex that repeats it both count
-as estimations. The classical simplex runs, the baseline's restarts and the
+start with its initial vertices, a shrink's vertices) to one ``samples``
+call of the evaluator that ``ansatz.evaluator`` builds (a
+``ProductPropagator`` on the additive test functions, else the full
+``Propagator``), which evolves it a workspace at a time and draws for each
+row, so the start and the vertex that repeats it both count as
+estimations. The classical simplex runs, the baseline's restarts and the
 launches from distinct sample minima alike, run ``CLASSICAL_SLOTS`` at a
 time in lockstep (``engine.nelder_mead_runs``), with the test function
 evaluated once per round on a block of columns.
@@ -35,7 +37,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .ansatz import Algorithm, AnsatzSpec, ParameterVector, Propagator
+from .ansatz import Algorithm, AnsatzSpec, ParameterVector, evaluator
 from .engine import (
     GAMMA_RANGE,
     WALK_TIME_RANGE,
@@ -49,8 +51,8 @@ from .grid import ObjectiveTable, SolutionGrid, build_objective, columnwise, mak
 from .mixers import CirculantGraph
 
 # Importable from this module for the benchmark's tracer (bench/tracing.py),
-# which rebinds them here; the sampled objective evaluates and samples
-# through a Propagator, and the classical runs go through nelder_mead_runs.
+# which rebinds them here; the sampled objective samples through
+# ``ansatz.evaluator``, and the classical runs go through nelder_mead_runs.
 from .ansatz import apply_ansatz  # noqa: F401
 from .engine import nelder_mead  # noqa: F401
 from .states import sample  # noqa: F401
@@ -159,7 +161,7 @@ def hybrid_optimise(
     times_per_layer = spec.walk_times_per_layer(dims)
     coords = grid.coordinate_columns()
     n_params = spec.total_params(dims)
-    propagator = Propagator(spec, table, grid)
+    propagator = evaluator(spec, table, grid)
 
     sample_minima: list[int] = []  # one entry per estimation
 

@@ -52,6 +52,13 @@ the walk and run it on a copy of the state's amplitudes;
 ``qvasim.ansatz.Propagator`` prepares its walk once and runs it in its
 workspace for every evaluation. Both therefore call the same kernels with
 the same operands in the same order.
+
+A product state (``qvasim.ansatz.ProductPropagator``) holds one N-vector per
+grid dimension. ``prepare_axis_qmoa`` and ``prepare_axis_qowe`` walk each
+vector with the same closed form or spectrum that the full kernels apply
+along its axis: ``complete_axis_walk`` for complete graphs,
+``spectral_axis_walk`` over the circulant eigenvalues or kappa^2 otherwise.
+They agree with the full kernels to rounding, not bit for bit.
 """
 
 from __future__ import annotations
@@ -66,7 +73,7 @@ from .states import StateVector
 
 # Bumped whenever a kernel's floating-point results change; the harness folds
 # it into the config hash, so a resumed run never mixes records across kernels.
-KERNEL_VERSION = 2
+KERNEL_VERSION = 3
 
 Walk = Callable[[np.ndarray, np.ndarray, np.ndarray], None]
 
@@ -217,6 +224,15 @@ def prepare_qmoa(graphs: tuple[CirculantGraph, ...], shape: tuple[int, ...]) -> 
     any other choice runs spectrally: forward DFT along every dimension,
     multiply by exp(-i * sum_d t_d * eigenvalue_d), inverse DFT.
     """
+    if _all_complete(graphs, shape):
+        return prepare_complete(shape)
+    dims = len(shape)
+    spectra = tuple(along_axis(circulant_eigenvalues(g), d, dims) for d, g in enumerate(graphs))
+    return _prepare_spectral(spectra, shape)
+
+
+def _all_complete(graphs: tuple[CirculantGraph, ...], shape: tuple[int, ...]) -> bool:
+    """Whether every graph is complete, once each is checked against its dimension of ``shape``."""
     dims = len(shape)
     if len(graphs) != dims:
         raise ValueError(f"need one graph per dimension (D={dims}), got {len(graphs)}")
@@ -224,10 +240,7 @@ def prepare_qmoa(graphs: tuple[CirculantGraph, ...], shape: tuple[int, ...]) -> 
         n = shape[tensor_axis(d, dims)]
         if g.size != n:
             raise ValueError(f"graph for dimension {d} has {g.size} vertices, grid has {n}")
-    if all(len(g.connection_set) == g.size // 2 for g in graphs):  # every offset
-        return prepare_complete(shape)
-    spectra = tuple(along_axis(circulant_eigenvalues(g), d, dims) for d, g in enumerate(graphs))
-    return _prepare_spectral(spectra, shape)
+    return all(len(g.connection_set) == g.size // 2 for g in graphs)  # every offset
 
 
 def _prepare_spectral(spectra: tuple[np.ndarray, ...], shape: tuple[int, ...]) -> Walk:
@@ -470,3 +483,73 @@ def prepare_qowe(momentum: MomentumGrid, shape: tuple[int, ...]) -> Walk:
     if momentum.values.shape != (len(shape), shape[0]):
         raise ValueError(f"momentum grid of shape {momentum.values.shape} does not fit {shape}")
     return _prepare_spectral(momentum.kinetic_spectra(), shape)
+
+
+# --------------------------------------------------------------------------
+# Product states: one N-vector per grid dimension
+# --------------------------------------------------------------------------
+#
+# A product state is a (rows, D, N) block, entry (r, d) dimension d's vector
+# of state r. Its walks are prepared as a pair (factors, walk): ``factors``
+# maps the walk times of every layer, shape (rows, p, D), to the arrays one
+# layer's ``walk(block, *layer_factors)`` takes, each with a layer axis at
+# position 1, so that the exponentials of all layers are formed in one call.
+
+
+def prepare_axis_qmoa(graphs: tuple[CirculantGraph, ...], shape: tuple[int, ...]) -> tuple:
+    """QMOA's walk on product states of the grid ``shape``: each dimension walks its own graph.
+
+    As in ``prepare_qmoa``, complete graphs on every dimension take
+    ``complete_axis_walk`` and any other choice ``spectral_axis_walk`` over
+    the circulant eigenvalues.
+    """
+    if _all_complete(graphs, shape):
+        n = shape[0]
+        return (lambda times: complete_axis_factors(times, n)), complete_axis_walk
+    spectra = np.array([circulant_eigenvalues(g) for g in graphs])
+    return (lambda times: spectral_axis_factors(times, spectra)), spectral_axis_walk
+
+
+def prepare_axis_qowe(momentum: MomentumGrid, shape: tuple[int, ...]) -> tuple:
+    """QOWE's kinetic walk on product states: ``spectral_axis_walk`` over each kappa_d^2."""
+    if momentum.values.shape != (len(shape), shape[0]):
+        raise ValueError(f"momentum grid of shape {momentum.values.shape} does not fit {shape}")
+    spectra = np.array([v.ravel() for v in momentum.kinetic_spectra()])
+    return (lambda times: spectral_axis_factors(times, spectra)), spectral_axis_walk
+
+
+def complete_axis_factors(times: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(e^{-itN} - 1) / N and e^{it} of every walk time t, each with a trailing axis of one."""
+    times = times[..., None]
+    return (np.exp(-1j * n * times) - 1.0) / n, np.exp(1j * times)
+
+
+def complete_axis_walk(block: np.ndarray, factors: np.ndarray, phases: np.ndarray) -> None:
+    """``complete_walk``'s closed form on every vector of a (rows, D, N) block, in place.
+
+    Each vector gains its factor (e^{-itN} - 1) / N times its sum, then
+    takes its phase e^{it}. The product of the factors and the sums goes
+    into a new array: numpy rounds an in-place product of single entries
+    differently, which would give a row alone other bits, at D = 1, than
+    in a block.
+    """
+    sums = np.add.reduce(block, axis=-1, keepdims=True)
+    np.add(block, factors * sums, out=block)
+    np.multiply(phases, block, out=block)
+
+
+def spectral_axis_factors(times: np.ndarray, spectra: np.ndarray) -> tuple[np.ndarray]:
+    """exp(-i t_d v_d) for every row of D walk times, over the (D, N) ``spectra``."""
+    return (np.exp((-1j * times)[..., None] * spectra),)
+
+
+def spectral_axis_walk(block: np.ndarray, phases: np.ndarray) -> None:
+    """DFT^-1 diag(phases) DFT on every vector of a (rows, D, N) block, in place.
+
+    Row d of ``spectra`` in ``spectral_axis_factors`` is the spectrum
+    ``qmoa_walk`` takes for dimension d, in DFT frequency order. Each vector
+    is transformed by the unitary DFT along the last axis.
+    """
+    np.fft.fft(block, axis=-1, norm="ortho", out=block)
+    np.multiply(phases, block, out=block)
+    np.fft.ifft(block, axis=-1, norm="ortho", out=block)

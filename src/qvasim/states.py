@@ -121,22 +121,41 @@ def grid_superposition(grid: SolutionGrid) -> StateVector:
     return equal_superposition(grid.total_points, grid.tensor_shape)
 
 
-def gaussian_wavepacket(grid: SolutionGrid, spec: WavepacketSpec) -> StateVector:
-    """Normalised separable Gaussian over the grid, real positive amplitudes."""
+def _wavepacket_profiles(grid: SolutionGrid, spec: WavepacketSpec) -> np.ndarray:
+    """Each dimension's unnormalised Gaussian over its axis, as a (D, N) array."""
     if spec.centres.shape != (grid.dims,):
         raise ValueError(
             f"wavepacket has {spec.centres.size} dimensions, grid has {grid.dims}"
         )
-    amps = np.ones(grid.tensor_shape)
+    profiles = np.empty((grid.dims, grid.points_per_dim))
     for d in range(grid.dims):
         x = grid.axis_coords(d)
-        profile = np.exp(-((x - spec.centres[d]) ** 2) / (2.0 * spec.widths[d] ** 2))
+        profiles[d] = np.exp(-((x - spec.centres[d]) ** 2) / (2.0 * spec.widths[d] ** 2))
+    return profiles
+
+
+def _normalised(values: np.ndarray, norm) -> np.ndarray:
+    if np.any(norm == 0.0):
+        raise ValueError("wavepacket underflowed to zero on this grid; widen sigma")
+    return values / norm
+
+
+def gaussian_wavepacket(grid: SolutionGrid, spec: WavepacketSpec) -> StateVector:
+    """Normalised separable Gaussian over the grid, real positive amplitudes."""
+    amps = np.ones(grid.tensor_shape)
+    for d, profile in enumerate(_wavepacket_profiles(grid, spec)):
         amps = amps * along_axis(profile, d, grid.dims)
     flat = amps.ravel()
-    norm = np.sqrt(np.sum(flat**2))
-    if norm == 0.0:
-        raise ValueError("wavepacket underflowed to zero on this grid; widen sigma")
-    return StateVector(flat / norm, grid.tensor_shape)
+    return StateVector(_normalised(flat, np.sqrt(np.sum(flat**2))), grid.tensor_shape)
+
+
+def wavepacket_axes(grid: SolutionGrid, spec: WavepacketSpec) -> np.ndarray:
+    """The wavepacket as D normalised per-dimension vectors, a (D, N) array.
+
+    Their outer product is ``gaussian_wavepacket`` up to rounding.
+    """
+    profiles = _wavepacket_profiles(grid, spec)
+    return _normalised(profiles, np.sqrt(np.sum(profiles**2, axis=1, keepdims=True)))
 
 
 def expectation(state: StateVector, table: ObjectiveTable) -> float:

@@ -16,8 +16,9 @@ from qvasim.ansatz import (
     Algorithm,
     AnsatzSpec,
     ParameterVector,
-    Propagator,
+    ProductPropagator,
     apply_ansatz,
+    evaluator,
     initial_state,
     objective_value,
 )
@@ -747,7 +748,7 @@ class TestSimplexBlocks:
     def test_a_lone_repeat_evolves_its_start_once(self, monkeypatch, algorithm):
         """A repeat's first block is its start and n + 1 vertices; vertex 0 is the start."""
         log = []  # [points, rows evolved] per expectations call
-        expectations, evolve = Propagator.expectations, Propagator._evolve
+        expectations, evolve = ProductPropagator.expectations, ProductPropagator._evolve
 
         def recording_expectations(propagator, points):
             log.append([len(points), 0])
@@ -757,8 +758,8 @@ class TestSimplexBlocks:
             log[-1][1] += len(points)
             return evolve(propagator, points, drift_logs)
 
-        monkeypatch.setattr(Propagator, "expectations", recording_expectations)
-        monkeypatch.setattr(Propagator, "_evolve", counting_evolve)
+        monkeypatch.setattr(ProductPropagator, "expectations", recording_expectations)
+        monkeypatch.setattr(ProductPropagator, "_evolve", counting_evolve)
         grid, table = small_problem()
         spec = qmoa_spec(2, 4) if algorithm is Algorithm.QMOA else AnsatzSpec(algorithm, 1)
         n = spec.at_depth(2).total_params(2)
@@ -924,7 +925,7 @@ class TestQoweProtocol:
         result = optimise_at_depth(spec, table, grid, 1, repeats=2, seeds=11)
         for repeat in result.repeats:
             assert np.array_equal(repeat.wavepacket_centres, [1.5, -1.5])
-            replayed = objective_value(spec, repeat.params, table, grid)
+            replayed = evaluator(spec, table, grid).expectations(repeat.params.flatten()[None])[0]
             assert replayed == repeat.expectation
 
     def test_gaussian_mode_needs_drawn_centres(self):

@@ -242,11 +242,11 @@ class TestConfig:
         assert load_config(path).cells()
 
     @pytest.mark.parametrize("name, expected", [
-        ("degree_sweep", "b7b91ed0968ef269"),
-        ("hybrid_study", "7c523d6c6f99f2e8"),
-        ("rf_depth_sweep", "b291b38a32ae9102"),
-        ("scaling_study", "238ea14fd17814ce"),
-        ("stf_depth_sweep", "9213977a5b8f9712"),
+        ("degree_sweep", "cc10b81b51963884"),
+        ("hybrid_study", "016024ae84959981"),
+        ("rf_depth_sweep", "dc80359500b011d6"),
+        ("scaling_study", "b43cd6f8516993d1"),
+        ("stf_depth_sweep", "2a332bf8a2406fe8"),
     ])
     def test_shipped_config_hashes_are_pinned(self, name, expected):
         # a changed hash makes every resumed run start afresh; a kernel-version

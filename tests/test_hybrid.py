@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import qvasim.hybrid
-from qvasim.ansatz import Propagator
+from qvasim.ansatz import ProductPropagator
 from qvasim.engine import OptimiserOptions, nelder_mead
 from qvasim.functions import get_function
 from qvasim.grid import build_objective, make_grid
@@ -79,13 +79,13 @@ def test_sampled_loop_stops_at_the_simplex_cap(dims, at_cap):
 def test_first_sampled_block_is_the_start_and_the_initial_simplex(monkeypatch):
     """One ``samples`` call draws for the start and the n + 1 initial vertices, vertex 0 included."""
     blocks = []
-    draw = Propagator.samples
+    draw = ProductPropagator.samples
 
     def recording_samples(propagator, points, rng, shots):
         blocks.append(len(points))
         return draw(propagator, points, rng, shots)
 
-    monkeypatch.setattr(Propagator, "samples", recording_samples)
+    monkeypatch.setattr(ProductPropagator, "samples", recording_samples)
     result = hybrid_optimise("rastrigin", dims=2, n_points=4, depth=1, seed=0)
     n_params = 3
     assert blocks[0] == n_params + 2
@@ -105,7 +105,7 @@ def _traced_run(monkeypatch, function, n_points, seed, epsilon=1e-4):
     minima: list[int] = []
     starts: list[tuple] = []
 
-    draw = Propagator.samples
+    draw = ProductPropagator.samples
 
     def recording_samples(propagator, points, rng, shots):
         drawn = draw(propagator, points, rng, shots)
@@ -128,7 +128,7 @@ def _traced_run(monkeypatch, function, n_points, seed, epsilon=1e-4):
             starts.append(drawn[i])
             yield result
 
-    monkeypatch.setattr(Propagator, "samples", recording_samples)
+    monkeypatch.setattr(ProductPropagator, "samples", recording_samples)
     monkeypatch.setattr(qvasim.hybrid, "nelder_mead_runs", counting_runs)
     result = hybrid_optimise(
         f, 2, n_points, depth=1, epsilon=epsilon, seed=seed, grid=grid, table=table
