@@ -2,9 +2,11 @@
 
 Two evaluators prepare the ansatz state: the full ``Propagator``, over all
 K amplitudes, and the ``ProductPropagator``, over D vectors of N entries,
-for QMOA and QOWE on an additive objective. ``evaluator`` picks between
-them from the spec's family and the table alone. ``apply_ansatz`` and
-``objective_value`` always take the full path.
+for QMOA and QOWE on an additive objective. Both evolve a block of
+parameter vectors, one per row of their workspace, on the skeleton of
+``_Evaluator``. ``evaluator`` picks between them from the spec's family
+and the table alone. ``apply_ansatz`` and ``objective_value`` always take
+the full path.
 """
 
 from __future__ import annotations
@@ -53,9 +55,9 @@ from .states import (
 
 
 # Cap on rows x K of one Propagator's workspace, and on rows x D x N of a
-# ProductPropagator's. Batching shares numpy's per-call cost between rows,
-# which pays at small K only: measured per-row times (README, "Evaluation
-# cost") fall with rows at K = 2^8 and rise at 2^15.
+# ProductPropagator's; either has at least one row. Batching shares numpy's
+# per-call cost between rows, which pays at small K only: measured per-row
+# times (README, "Evaluation cost") fall with rows at K = 2^8 and rise at 2^15.
 BATCH_POINTS = 4096
 
 
@@ -185,16 +187,26 @@ def _check_drawn(spec: AnsatzSpec) -> None:
 
 
 class _Evaluator:
-    """What both evaluators share: the checked block of parameter vectors and the two measurements.
+    """What both evaluators share: the row-block skeleton, the two measurements and ``state``.
 
-    A subclass sets ``n_params`` and ``rows`` and yields, for a checked
-    block of parameter vectors evolved ``rows`` at a time in row order, each
-    row's <Q> from ``_expectations`` and each row's K probabilities, in grid
-    layout, from ``_probabilities``.
+    The constructor fixes the fields both need, among them
+    ``rows = max(1, BATCH_POINTS // size)`` for ``size`` entries in one row
+    of the workspace. A subclass supplies three things:
+
+    * ``_evolve(points, drift_logs)``, which evolves a checked block of at
+      most ``rows`` parameter vectors, one per row, and returns the state
+      block and two float buffers of its shape;
+    * ``_expectations`` and ``_probabilities``, each row's <Q> and its K
+      probabilities in grid layout, formed from the blocks of ``_chunk_probabilities``;
+    * ``_amplitudes``, which turns one row of the state block into the K
+      amplitudes, in a new array.
     """
 
-    n_params: int
-    rows: int
+    def __init__(self, spec: AnsatzSpec, grid: SolutionGrid, size: int):
+        self.rows = max(1, BATCH_POINTS // size)
+        self.n_params = spec.total_params(grid.dims)
+        self._width = spec.params_per_layer(grid.dims)
+        self._shape = grid.tensor_shape
 
     def _block(self, points: np.ndarray) -> np.ndarray:
         """A 2-D block of parameter vectors, one per row, checked."""
@@ -204,6 +216,14 @@ class _Evaluator:
         if not np.logical_and.reduce(np.isfinite(points), axis=None):
             raise ValueError("parameters must be finite")
         return points
+
+    def _chunk_probabilities(self, points: np.ndarray) -> Iterator[np.ndarray]:
+        """The probabilities of each chunk of ``rows`` rows, in row order, one row per state.
+
+        A block is a view of the workspace, valid until the next is drawn.
+        """
+        for at in range(0, len(points), self.rows):
+            yield probabilities_of(*self._evolve(points[at : at + self.rows], None))
 
     def expectations(self, points: np.ndarray) -> list[float]:
         """<Q> of the state prepared by each row of ``points``, in row order.
@@ -225,6 +245,15 @@ class _Evaluator:
         its K probabilities, as ``states.sample`` of ``state(row)`` draws.
         """
         return [sample_of(p, rng, shots) for p in self._probabilities(self._block(points))]
+
+    def state(self, flat: np.ndarray, drift_log: list[float] | None = None) -> StateVector:
+        """The state prepared by one parameter vector, in a new array.
+
+        ``drift_log`` collects the per-layer drifts seen before any correction.
+        """
+        logs = None if drift_log is None else [drift_log]
+        block = self._evolve(self._block(np.asarray(flat, dtype=float)[None]), logs)[0]
+        return StateVector(self._amplitudes(block[0]), self._shape)
 
 
 class Propagator(_Evaluator):
@@ -249,12 +278,9 @@ class Propagator(_Evaluator):
     * one complex entry per objective level and row for the phase
       exponentials.
 
-    The views of an evaluation of each row count are built on its first use.
-
-    It has three evaluation methods. ``expectations`` and ``samples`` take
-    a block of any number of parameter vectors, one per row, and evolve
-    them ``rows`` at a time, in row order; ``state`` evolves one vector, in
-    the first row, and returns its state. An evaluation takes the flat,
+    An evaluation of ``count`` parameter vectors runs on the first ``count``
+    rows of each buffer, a ``(count, K)`` block even for one vector; the
+    views of each row count are built on its first use. It takes the flat,
     layer-major parameter vectors of ``ParameterVector.flatten`` and runs
     the layer loop on bare arrays. It calls the array-level kernels behind
     ``phase_shift`` and the public mixers, on the same operands in the same
@@ -265,8 +291,8 @@ class Propagator(_Evaluator):
     call. Each <Q> is one ``np.dot`` of the objective values with that row's
     probabilities, as ``states.expectation`` of ``state`` forms it.
 
-    Nothing a caller receives aliases the workspace: ``state`` copies the
-    result out once, so it survives later evaluations.
+    Nothing a caller receives aliases the workspace: ``state`` copies its
+    row out, so it survives later evaluations.
     The workspace makes a Propagator unsafe to share between threads.
     """
 
@@ -274,11 +300,8 @@ class Propagator(_Evaluator):
         if table.values.size != grid.total_points:
             raise ValueError("objective table does not match the grid")
         k = grid.total_points
+        super().__init__(spec, grid, k)
         self.table = table
-        self.rows = rows = max(1, BATCH_POINTS // k)
-        self.n_params = spec.total_params(grid.dims)
-        self._width = spec.params_per_layer(grid.dims)
-        self._shape = grid.tensor_shape
         self._initial = initial_state(spec, grid).amplitudes
         algorithm = spec.algorithm
         if algorithm is Algorithm.QMOA:
@@ -293,41 +316,35 @@ class Propagator(_Evaluator):
             self._walk = prepare_complete((k,))
         else:
             self._walk = prepare_hypercube(k)
-        self._states = (np.empty((rows, k), np.complex128), np.empty((rows, k), np.complex128))
-        self._level_phases = np.empty((rows, table.n_unique), np.complex128)
+        shape = (self.rows, k)
+        self._states = (np.empty(shape, np.complex128), np.empty(shape, np.complex128))
+        self._level_phases = np.empty((self.rows, table.n_unique), np.complex128)
         self._views: dict[int, tuple] = {}
 
     def _block_views(self, count: int) -> tuple:
         """The workspace of a ``count``-row evaluation, as views, built on first use.
 
         (state buffer, spare, level phases, the state buffer's rows, and the
-        two halves of the spare's ``float64`` view, shaped as its states).
-        One row takes flat views, so it runs on the shapes of a single state:
-        as a (1, K) block it took 3-12% longer per ``expectations`` or
-        ``samples`` call (K = 2^8, p = 3, complete-graph QMOA and hypercube;
-        flat faster in 7 to 10 of ten alternating pairs), so keep the special case.
+        two halves of the spare's ``float64`` view, each shaped as the state
+        buffer).
         """
         views = self._views.get(count)
-        if views is not None:
-            return views
-        state, spare, level_phases = (
-            b[0] if count == 1 else b[:count] for b in (*self._states, self._level_phases)
-        )
-        halves = spare.reshape(-1).view(np.float64).reshape((2,) + spare.shape)
-        rows = [state] if count == 1 else list(state)
-        views = self._views[count] = (state, spare, level_phases, rows, halves)
+        if views is None:
+            state, spare, level_phases = (b[:count] for b in (*self._states, self._level_phases))
+            halves = spare.reshape(-1).view(np.float64).reshape((2,) + spare.shape)
+            views = self._views[count] = (state, spare, level_phases, list(state), *halves)
         return views
 
     def _evolve(self, points: np.ndarray, drift_logs: list[list[float]] | None):
         """Run every layer for each row of a checked block of at most ``rows`` rows.
 
-        Returns the state buffer, flat for one row, and the halves of the
-        spare (see ``_block_views``). ``drift_logs``, one list per row,
-        collects each row's per-layer drifts seen before any correction. A
-        row past the threshold is rescaled in place.
+        Returns the ``(count, K)`` state buffer and the halves of the spare
+        (see ``_block_views``). ``drift_logs``, one list per row, collects
+        each row's per-layer drifts seen before any correction. A row past
+        the threshold is rescaled in place.
         """
-        table, width, count = self.table, self._width, len(points)
-        state, spare, level_phases, rows, halves = self._block_views(count)
+        table, width = self.table, self._width
+        state, spare, level_phases, rows, out, scratch = self._block_views(len(points))
         levels, level_index = table.phase_levels, table.level_index
         gammas = points[:, ::width].T.tolist()
         np.copyto(state, self._initial)
@@ -339,29 +356,23 @@ class Propagator(_Evaluator):
                 if drift_logs is not None:
                     drift_logs[r].append(drift)
                 renormalise(row, drift, row)
-        return state, halves
+        return state, out, scratch
 
     def _probabilities(self, points: np.ndarray) -> Iterator[np.ndarray]:
-        """Each row's probabilities, in row order, evolved a workspace at a time.
-
-        A row is a view of the spare, valid until the next is drawn.
-        """
-        for at in range(0, len(points), self.rows):
-            chunk = points[at : at + self.rows]
-            amps, (out, scratch) = self._evolve(chunk, None)
-            yield from probabilities_of(amps, out, scratch).reshape(len(chunk), -1)
+        return (p for probs in self._chunk_probabilities(points) for p in probs)
 
     def _expectations(self, points: np.ndarray) -> Iterator[float]:
         return (expectation_of(self.table.values, p) for p in self._probabilities(points))
 
-    def state(self, flat: np.ndarray, drift_log: list[float] | None = None) -> StateVector:
-        """The state prepared by one parameter vector, copied out of the workspace.
+    _amplitudes = staticmethod(np.copy)
 
-        ``drift_log`` collects the per-layer drifts seen before any correction.
-        """
-        logs = None if drift_log is None else [drift_log]
-        amps = self._evolve(self._block(np.asarray(flat, dtype=float)[None]), logs)[0].copy()
-        return StateVector(amps, self._shape)
+
+def _outer(axes: np.ndarray) -> np.ndarray:
+    """The flat outer product of D per-dimension vectors, dimension 0 fastest, in a new array."""
+    flat = axes[-1].copy()
+    for vector in axes[-2::-1]:
+        flat = np.multiply.outer(flat, vector).ravel()
+    return flat
 
 
 class ProductPropagator(_Evaluator):
@@ -398,10 +409,7 @@ class ProductPropagator(_Evaluator):
         """``parts`` is the table's (c, a) from ``grid.additive_parts``."""
         dims, n = grid.dims, grid.points_per_dim
         offset, terms = parts
-        self.rows = max(1, BATCH_POINTS // (dims * n))
-        self.n_params = spec.total_params(dims)
-        self._width = spec.params_per_layer(dims)
-        self._shape = grid.tensor_shape
+        super().__init__(spec, grid, dims * n)
         self._initial = _initial_axes(spec, grid)
         if spec.algorithm is Algorithm.QMOA:
             self._factors, self._walk = prepare_axis_qmoa(spec.graphs, self._shape)
@@ -416,13 +424,13 @@ class ProductPropagator(_Evaluator):
         self._state = np.empty((self.rows, dims, n), np.complex128)
         self._probs, self._scratch = (np.empty((self.rows, dims, n)) for _ in range(2))
 
-    def _evolve(self, points: np.ndarray, drift_logs: list[list[float]] | None) -> np.ndarray:
+    def _evolve(self, points: np.ndarray, drift_logs: list[list[float]] | None) -> tuple:
         """Run every layer for each row of a checked block of at most ``rows`` rows.
 
-        Returns the ``(count, D, N)`` view of the state buffer. ``drift_logs``,
-        one list per row, collects each row's per-layer drift
-        |1 - prod_d |phi_d|^2| seen before any correction. A vector past the
-        threshold is rescaled in place.
+        Returns the ``(count, D, N)`` view of the state buffer and of the two
+        probability buffers. ``drift_logs``, one list per row, collects each
+        row's per-layer drift |1 - prod_d |phi_d|^2| seen before any
+        correction. A vector past the threshold is rescaled in place.
         """
         count, dims = len(points), self._state.shape[1]
         state = self._state[:count]
@@ -444,41 +452,17 @@ class ProductPropagator(_Evaluator):
                     log.append(abs(1.0 - float(np.prod(row))))
             for r, d in zip(*np.nonzero(drifts > states.RENORM_THRESHOLD)):
                 renormalise(state[r, d], drifts[r, d], state[r, d])
-        return state
-
-    def _axis_probabilities(self, points: np.ndarray) -> Iterator[np.ndarray]:
-        """Each chunk's ``(count, D, N)`` per-dimension probabilities, a workspace at a time."""
-        for at in range(0, len(points), self.rows):
-            chunk = points[at : at + self.rows]
-            count = len(chunk)
-            amps = self._evolve(chunk, None)
-            yield probabilities_of(amps, self._probs[:count], self._scratch[:count])
+        return state, self._probs[:count], self._scratch[:count]
 
     def _expectations(self, points: np.ndarray) -> Iterator[float]:
-        for probs in self._axis_probabilities(points):
+        for probs in self._chunk_probabilities(points):
             values = self._offset + np.vecdot(probs.reshape(len(probs), -1), self._terms)
             yield from values.tolist()
 
     def _probabilities(self, points: np.ndarray) -> Iterator[np.ndarray]:
-        for probs in self._axis_probabilities(points):
-            yield from map(_outer, probs)
+        return (_outer(p) for probs in self._chunk_probabilities(points) for p in probs)
 
-    def state(self, flat: np.ndarray, drift_log: list[float] | None = None) -> StateVector:
-        """The state prepared by one parameter vector, built once as an outer product.
-
-        ``drift_log`` collects the per-layer drifts seen before any correction.
-        """
-        logs = None if drift_log is None else [drift_log]
-        axes = self._evolve(self._block(np.asarray(flat, dtype=float)[None]), logs)[0]
-        return StateVector(_outer(axes), self._shape)
-
-
-def _outer(axes: np.ndarray) -> np.ndarray:
-    """The flat outer product of D per-dimension vectors, dimension 0 fastest, in a new array."""
-    flat = axes[-1].copy()
-    for vector in axes[-2::-1]:
-        flat = np.multiply.outer(flat, vector).ravel()
-    return flat
+    _amplitudes = staticmethod(_outer)
 
 
 def evaluator(

@@ -12,12 +12,12 @@ Conventions fixed here and relied on everywhere else:
 
 Each unitary has one implementation, an array-level kernel that takes its
 precomputed factors and the buffers it writes into as arguments and
-allocates no state-sized array of its own. Every kernel takes either one
-state or a block of states with a leading row axis, row r with its own
-gamma or walk times. Each row's scalar factors are formed with the scalar
-arithmetic of a single state and enter the block's array operations as a
-column, so each row's amplitudes are the same, bit for bit, whatever rows
-share the block:
+allocates no state-sized array of its own. Every kernel takes a block of
+states with a leading row axis, row r with its own gamma or walk times.
+Each row's scalar factors are formed with the scalar arithmetic of a
+single state and enter the block's array operations as a column (a bare
+scalar for one row), so each row's amplitudes are the same, bit for bit,
+whatever rows share the block:
 
 * ``apply_phase`` multiplies the phases into the amplitudes;
 * ``qmoa_walk`` is the spectral walk ``DFT^-1 exp(-i sum_d t_d v_d) DFT``
@@ -32,10 +32,10 @@ overwrites.
 Each mixer is decided once, by its ``prepare_*`` function, which validates
 its arguments, picks the kernel and builds its factors (spectra, a shape).
 It allocates no buffer: ``walk(amps, times, spare)`` runs the mixer in
-place on the state buffer ``amps``, flat or ``(rows, K)`` with ``times``
-one vector or one row of times per state. QMOA on complete graphs takes
-``complete_walk``, as QAOA does over one flat axis of K; QMOA on other
-graphs, and QOWE, take ``qmoa_walk``.
+place on the ``(rows, K)`` state buffer ``amps``, with one row of times
+per state. A flat state with one vector of times is walked as a block of
+one row. QMOA on complete graphs takes ``complete_walk``, as QAOA does
+over one axis of K; QMOA on other graphs, and QOWE, take ``qmoa_walk``.
 
 QOWE is a circulant walk. The centred transform ``exp(-i kappa_m x_n) / sqrt(N)``
 is ``scalar * post_m * DFT[m, n] * pre_n`` with ``pre_n = exp(-i kappa_0 dx n)``.
@@ -103,8 +103,8 @@ def apply_phase(
 ) -> None:
     """Multiply amplitude_rk by exp(-i*gamma_r*f_k) in place.
 
-    ``amplitudes`` is flat for one gamma, else ``(rows, K)`` with one gamma
-    per row, and ``spare`` is a scratch buffer of its shape.
+    ``amplitudes`` is a ``(rows, K)`` block with one gamma per row (a flat
+    state takes one gamma), and ``spare`` is a scratch buffer of its shape.
     ``levels[level_index]`` are the objective values f_k, given as complex
     numbers (``ObjectiveTable.phase_levels``; a real array gives the same
     bits, cast on every call). Each distinct value is exponentiated once per
@@ -247,7 +247,7 @@ def _prepare_spectral(spectra: tuple[np.ndarray, ...], shape: tuple[int, ...]) -
     scale = float(1 / np.sqrt(np.longdouble(np.prod(shape))))
 
     def walk(amps, times, spare):
-        qmoa_walk(amps.reshape(amps.shape[:-1] + shape), times, spectra, scale, spare)
+        qmoa_walk(amps.reshape((-1,) + shape), times, spectra, scale, spare)
 
     return walk
 
@@ -259,36 +259,35 @@ def qmoa_walk(
     scale: float,
     spare: np.ndarray,
 ) -> None:
-    """DFT^-1 exp(-i sum_d t_d spectra_d) DFT, in place, on a contiguous (N,)*D tensor.
+    """DFT^-1 exp(-i sum_d t_d spectra_d) DFT, in place, on a contiguous (rows,) + (N,)*D block.
 
-    ``tensor`` may carry a leading row axis, with ``times`` one row of D
-    times per state. With circulant eigenvalues as spectra this is
-    exp(-i sum_d t_d L_d); with ``MomentumGrid.kinetic_spectra`` it is the
-    QOWE mixer. ``scale`` is 1/sqrt(K) rounded from long double, each
-    transform's unitary factor. The diagonal phase goes into ``spare``, a
-    contiguous buffer of ``tensor``'s size that is reshaped to the tensor.
+    ``times`` holds one row of D times per state. With circulant
+    eigenvalues as spectra this is exp(-i sum_d t_d L_d); with
+    ``MomentumGrid.kinetic_spectra`` it is the QOWE mixer. ``scale`` is
+    1/sqrt(K) rounded from long double, each transform's unitary factor.
+    The diagonal phase goes into ``spare``, a contiguous buffer of
+    ``tensor``'s size that is reshaped to the tensor.
     """
     phase = _diagonal_phase(times, spectra, spare.reshape(tensor.shape))
-    first = tensor.ndim - len(spectra)
-    _unitary_dft(tensor, first, scale, inverse=False)
+    _unitary_dft(tensor, scale, inverse=False)
     tensor *= phase
-    _unitary_dft(tensor, first, scale, inverse=True)
+    _unitary_dft(tensor, scale, inverse=True)
 
 
-def _unitary_dft(tensor: np.ndarray, first: int, scale: float, inverse: bool) -> None:
-    """The unitary DFT over axes ``first``, ..., last of ``tensor`` (or its inverse), in place.
+def _unitary_dft(tensor: np.ndarray, scale: float, inverse: bool) -> None:
+    """The unitary DFT over every axis of ``tensor`` after its row axis (or its inverse), in place.
 
     The unscaled 1-D transform runs along those axes in order, and ``scale``
     multiplies the real and imaginary parts once, right after the first.
     That is where ``scipy.fft.fftn`` with ``norm="ortho"`` applies its
     factor, so the bits are the same as scipy's; numpy's own ``norm="ortho"``
     scales every axis and rounds differently. Each 1-D line is transformed
-    on its own, so the axes before ``first`` (a row axis) do not mix.
+    on its own, so the rows do not mix.
     """
     transform, norm = (np.fft.ifft, "forward") if inverse else (np.fft.fft, "backward")
-    for axis in range(first, tensor.ndim):
+    for axis in range(1, tensor.ndim):
         transform(tensor, axis=axis, norm=norm, out=tensor)
-        if axis == first:
+        if axis == 1:
             parts = tensor.view(np.float64)
             np.multiply(parts, scale, out=parts)
 
@@ -296,12 +295,12 @@ def _unitary_dft(tensor: np.ndarray, first: int, scale: float, inverse: bool) ->
 def _diagonal_phase(times, vectors: tuple[np.ndarray, ...], out: np.ndarray) -> np.ndarray:
     """prod_d exp(-i t_d v_d) into ``out``, from D small per-dimension exponentials per state.
 
-    ``out`` is one state of the tensor shape with D ``times``, or a block
-    with a leading row axis and one row of D times per state. Each v_d
-    broadcasts along its own tensor axis, so only the last product is
-    state-sized. The product starts from 1+0j rather than from the first
-    factor; where some t_d = 0, that multiplication sets the signs of the
-    zero parts.
+    ``out`` is a block with a leading row axis before the tensor shape, and
+    ``times`` one row of D times per state; one row may also come as D times
+    and a bare tensor. Each v_d broadcasts along its own tensor axis, so
+    only the last product is state-sized. The product starts from 1+0j
+    rather than from the first factor; where some t_d = 0, that
+    multiplication sets the signs of the zero parts.
     """
     rows = np.asarray(times).reshape(-1, len(vectors))
     ndim = len(vectors) + 1
@@ -333,7 +332,7 @@ def prepare_complete(shape: tuple[int, ...]) -> Walk:
         axes.append((axis, shape[axis], shape[:axis] + (1,) + shape[axis + 1 :]))
 
     def walk(amps, times, spare):
-        complete_walk(amps.reshape(amps.shape[:-1] + shape), times, axes, spare)
+        complete_walk(amps.reshape((-1,) + shape), times, axes, spare)
 
     return walk
 
@@ -341,12 +340,12 @@ def prepare_complete(shape: tuple[int, ...]) -> Walk:
 def complete_walk(
     tensor: np.ndarray, times: np.ndarray, axes: Sequence[tuple], spare: np.ndarray
 ) -> None:
-    """exp(-i sum_d t_d A_d) for complete graphs A_d, in place, on a contiguous tensor.
+    """exp(-i sum_d t_d A_d) for complete graphs A_d, in place, on a contiguous block of tensors.
 
-    ``tensor`` may carry a leading row axis, with ``times`` one row of D
-    times per state. Time t_d walks grid dimension d; ``axes[d]`` is (its
-    tensor axis, its size N, the shape of a state's sums along it), as
-    ``prepare_complete`` lays them out. A flat axis of K with one time is
+    ``tensor`` has a leading row axis, with ``times`` one row of D times per
+    state. Time t_d walks grid dimension d; ``axes[d]`` is (its tensor axis
+    after the row axis, its size N, the shape of a state's sums along it),
+    as ``prepare_complete`` lays them out. One axis of K with one time is
     the complete graph on all K states. On N vertices
     exp(-i t (J - I)) = e^{it} (I + (e^{-itN} - 1) J/N), and J/N replaces
     each entry by the mean along its axis. So each axis adds (e^{-itN} - 1)
@@ -354,13 +353,12 @@ def complete_walk(
     state of the contiguous buffer ``spare``, and one global phase
     e^{i sum_d t_d} per state follows.
     """
-    lead = tensor.ndim - len(axes)
     rows = times.reshape(-1, len(axes))
     scratch = spare.reshape(-1)
     totals = [0.0] * len(rows)
     for d, (axis, n, sums_shape) in enumerate(axes):
-        term = scratch[: tensor.size // n].reshape(tensor.shape[:lead] + sums_shape)
-        np.add.reduce(tensor, axis=lead + axis, keepdims=True, out=term)
+        term = scratch[: tensor.size // n].reshape(tensor.shape[:1] + sums_shape)
+        np.add.reduce(tensor, axis=1 + axis, keepdims=True, out=term)
         factors = []
         for r in range(len(rows)):
             t = rows[r, d]
@@ -368,13 +366,10 @@ def complete_walk(
             totals[r] += t
         # Scalar first, in place, N a power of two: this keeps QAOA bit for bit the
         # scalar-mean closed form (numpy's out-of-place product fuses multiply-adds).
-        # A block's rows go one by one: where a state has a single sum, a column of
-        # factors would take the array-by-array product, which fuses too.
-        if lead:
-            for factor, sums in zip(factors, term):
-                np.multiply(factor, sums, out=sums)
-        else:
-            np.multiply(factors[0], term, out=term)
+        # Rows go one by one: where a state has a single sum, a column of factors
+        # would take the array-by-array product, which fuses too.
+        for factor, sums in zip(factors, term):
+            np.multiply(factor, sums, out=sums)
         np.add(tensor, term, out=tensor)
     phases = [np.exp(1j * total) for total in totals]
     np.multiply(_per_row(phases, tensor.ndim), tensor, out=tensor)
@@ -401,7 +396,7 @@ def prepare_hypercube(k: int) -> Walk:
 
 
 def hypercube_walk(amplitudes: np.ndarray, times: Sequence[float], spare: np.ndarray) -> None:
-    """The hypercube walk, in place, on a contiguous flat array of 2^M entries or (rows, 2^M) block.
+    """The hypercube walk, in place, on a contiguous (rows, 2^M) block (a flat state is one row).
 
     State r walks for time ``times[r]``. Pass i pairs index k with its
     partner across qubit i. Viewed as ``x.reshape(-1, 2, 2**i)`` per state,

@@ -295,10 +295,19 @@ def same_bits(a, b):
     return np.array_equal(np.asarray(a).view(np.uint64), np.asarray(b).view(np.uint64))
 
 
-def random_block(rng, rows, k):
-    """``rows`` random states of K amplitudes; one row is returned flat."""
+def random_block(rng, rows, k, flat):
+    """``rows`` random states of K amplitudes as a ``(rows, K)`` block; with ``flat``, one row."""
     block = np.array([random_state(rng, k).amplitudes for _ in range(rows)])
-    return block[0] if rows == 1 else block
+    return block[0] if flat else block
+
+
+def layouts(*counts):
+    """(rows, flat) cases for ``counts``; one row comes both flat and as a ``(1, K)`` block.
+
+    The public mixers pass a flat state, a ``Propagator`` a block whatever its row count.
+    """
+    cases = [pytest.param(rows, rows == 1, id=str(rows)) for rows in counts]
+    return cases[:1] + [pytest.param(1, False, id="1-block")] + cases[1:]
 
 
 SPECIAL_TIMES = (0.0, np.pi / 2, -np.pi / 2, -np.pi)
@@ -307,27 +316,27 @@ SPECIAL_TIMES = (0.0, np.pi / 2, -np.pi / 2, -np.pi)
 class TestInPlaceKernels:
     """Every kernel leaves its result in the array it is given, with the two-buffer bits."""
 
-    @pytest.mark.parametrize("rows", [1, 2, 3, 4])
+    @pytest.mark.parametrize("rows, flat", layouts(1, 2, 3, 4))
     @pytest.mark.parametrize("m", range(1, 13))
-    def test_hypercube_bits_equal_ping_pong(self, m, rows):
+    def test_hypercube_bits_equal_ping_pong(self, m, rows, flat):
         k = 1 << m
         rng = np.random.default_rng(100 * m + rows)
         for first in (*SPECIAL_TIMES, rng.uniform(-2 * np.pi, 2 * np.pi)):
             times = [first] + list(rng.uniform(-2 * np.pi, 2 * np.pi, rows - 1))
-            amps = random_block(rng, rows, k)
+            amps = random_block(rng, rows, k, flat)
             ours = amps.copy()
             hypercube_walk(ours, times, np.empty_like(amps))
             theirs = ping_pong_hypercube_walk(amps.copy(), times, np.empty_like(amps))
             assert same_bits(ours, theirs)
 
-    @pytest.mark.parametrize("rows", [1, 2, 3, 4])
-    def test_phase_bits_equal_out_of_place(self, rows):
+    @pytest.mark.parametrize("rows, flat", layouts(1, 2, 3, 4))
+    def test_phase_bits_equal_out_of_place(self, rows, flat):
         rng = np.random.default_rng(rows)
         table = table_from_values(rng.integers(-40, 40, 512) * rng.uniform(0.5, 2.0))
         levels, level_index = table.phase_levels, table.level_index
         for first in (*SPECIAL_TIMES, rng.uniform(-2 * np.pi, 2 * np.pi)):
             gammas = [first] + list(rng.uniform(-2 * np.pi, 2 * np.pi, rows - 1))
-            amps = random_block(rng, rows, 512)
+            amps = random_block(rng, rows, 512, flat)
             ours = amps.copy()
             level_phases = np.empty(amps.shape[:-1] + (table.n_unique,), complex)
             apply_phase(ours, gammas, levels, level_index, np.empty_like(amps), level_phases)
@@ -336,13 +345,13 @@ class TestInPlaceKernels:
             )
             assert same_bits(ours, theirs)
 
-    @pytest.mark.parametrize("rows", [1, 3])
+    @pytest.mark.parametrize("rows, flat", layouts(1, 3))
     @pytest.mark.parametrize(
         "kernel",
         ["phase", "qmoa_cycle", "qmoa_complete", "qowe", "qaoa_complete"]
         + ["hypercube_even", "hypercube_odd"],
     )
-    def test_result_lies_in_the_array_passed_in(self, kernel, rows):
+    def test_result_lies_in_the_array_passed_in(self, kernel, rows, flat):
         """Each row of the buffer after the call is the public kernel's result on that row."""
         n, dims = 8, 1 if kernel == "hypercube_odd" else 2
         grid = make_grid([-1.0] * dims, [2.0] * dims, n)
@@ -366,7 +375,7 @@ class TestInPlaceKernels:
             "hypercube_odd": (prepare_hypercube(k), lambda s, t: hypercube_mixer(s, t[0])),
         }[kernel]
         assert kernel != "hypercube_odd" or k.bit_length() % 2 == 0  # M = log2 K is odd
-        amps = random_block(rng, rows, k)
+        amps = random_block(rng, rows, k, flat)
         buffer = amps.copy()
         spare = np.empty_like(amps)
         if walk is None:
@@ -374,7 +383,7 @@ class TestInPlaceKernels:
             gammas = times[:, 0].tolist()
             apply_phase(buffer, gammas, table.phase_levels, table.level_index, spare, level_phases)
         else:
-            walk(buffer, times[0] if rows == 1 else times, spare)
+            walk(buffer, times[0] if flat else times, spare)
         for row, out, t in zip(amps.reshape(rows, k), buffer.reshape(rows, k), times):
             assert same_bits(out, public(StateVector(row, shape), t).amplitudes)
 
