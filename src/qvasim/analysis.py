@@ -29,24 +29,24 @@ def mean_error(q_expectation: float, table: ObjectiveTable) -> float:
 
 
 def statistical_distance(
-    state: StateVector, grid: SolutionGrid, table: ObjectiveTable
+    probabilities: np.ndarray, grid: SolutionGrid, table: ObjectiveTable
 ) -> float:
     """Probability-weighted Euclidean distance from the grid minimiser.
 
-    Normalised by the distance of the farthest grid point, so a delta at the
-    minimiser scores 0 and a delta at the farthest point scores 1.
+    ``probabilities`` are a state's K probabilities. Normalised by the
+    distance of the farthest grid point, so a delta at the minimiser scores
+    0 and a delta at the farthest point scores 1.
     """
     target = index_to_coords(grid, table.argmin_index)
     deltas = grid.coordinate_columns() - target[:, None]
     distances = np.sqrt(np.sum(deltas**2, axis=0))
-    return float(np.dot(distances, state.probabilities()) / np.max(distances))
+    return float(np.dot(distances, probabilities) / np.max(distances))
 
 
-def max_amplification(state: StateVector) -> tuple[float, int]:
-    """Largest probability relative to the uniform 1/K, with its index."""
-    probs = state.probabilities()
-    idx = int(np.argmax(probs))
-    return float(probs[idx] * state.total_points), idx
+def max_amplification(probabilities: np.ndarray) -> tuple[float, int]:
+    """Largest of a state's K probabilities relative to the uniform 1/K, with its index."""
+    idx = int(np.argmax(probabilities))
+    return float(probabilities[idx] * probabilities.size), idx
 
 
 def metrics_for_state(
@@ -57,10 +57,11 @@ def metrics_for_state(
 ) -> MetricsRecord:
     if q_expectation is None:
         q_expectation = expectation(state, table)
-    amplification, idx = max_amplification(state)
+    probabilities = state.probabilities()
+    amplification, idx = max_amplification(probabilities)
     return MetricsRecord(
         mean_error=mean_error(q_expectation, table),
-        statistical_distance=statistical_distance(state, grid, table),
+        statistical_distance=statistical_distance(probabilities, grid, table),
         max_amplification=amplification,
         max_amplified_index=idx,
         max_amplified_rank=table.rank_of(float(table.values[idx])),

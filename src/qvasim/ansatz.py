@@ -43,10 +43,8 @@ from .mixers import (  # noqa: F401
 from .states import (
     StateVector,
     WavepacketSpec,
-    expectation_of,
     gaussian_wavepacket,
     grid_superposition,
-    norm_drift_of,
     probabilities_of,
     renormalise,
     sample_of,
@@ -191,7 +189,8 @@ class _Evaluator:
 
     The constructor fixes the fields both need, among them
     ``rows = max(1, BATCH_POINTS // size)`` for ``size`` entries in one row
-    of the workspace. A subclass supplies three things:
+    of the workspace. ``_layers`` splits parameters into layers and
+    ``_check_norms`` is the norm check after each layer. A subclass supplies:
 
     * ``_evolve(points, drift_logs)``, which evolves a checked block of at
       most ``rows`` parameter vectors, one per row, and returns the state
@@ -207,6 +206,33 @@ class _Evaluator:
         self.n_params = spec.total_params(grid.dims)
         self._width = spec.params_per_layer(grid.dims)
         self._shape = grid.tensor_shape
+        shared = spec.algorithm is Algorithm.QMOA and spec.shared_walk_time
+        self._shared_dims = grid.dims if shared else None  # one walk time drives every dimension
+
+    def _layers(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's gammas, ``(count, p)``, and walk times, ``(count, p, times)``."""
+        layers = points.reshape(len(points), -1, self._width)
+        times = layers[:, :, 1:]
+        if self._shared_dims is not None:
+            times = times.repeat(self._shared_dims, axis=-1)
+        return layers[:, :, 0], times
+
+    @staticmethod
+    def _check_norms(block: np.ndarray, drift_logs: list[list[float]] | None) -> None:
+        """The norm check of a ``(rows, vectors, entries)`` block, one ``np.vecdot`` over its pairs.
+
+        ``drift_logs``, one list per row, collects |1 - prod of the row's
+        squared norms|; a vector past the 1e-12 threshold is rescaled in place.
+        """
+        pairs = block.view(np.float64)
+        norms = np.vecdot(pairs, pairs)
+        drifts = np.abs(norms - 1.0)
+        if drift_logs is not None:
+            for log, row in zip(drift_logs, norms):
+                log.append(abs(1.0 - float(np.prod(row))))
+        if drifts.max() > states.RENORM_THRESHOLD:  # seldom: one reduction decides
+            for r, v in zip(*np.nonzero(drifts > states.RENORM_THRESHOLD)):
+                renormalise(block[r, v], drifts[r, v], block[r, v])
 
     def _block(self, points: np.ndarray) -> np.ndarray:
         """A 2-D block of parameter vectors, one per row, checked."""
@@ -284,12 +310,13 @@ class Propagator(_Evaluator):
     layer-major parameter vectors of ``ParameterVector.flatten`` and runs
     the layer loop on bare arrays. It calls the array-level kernels behind
     ``phase_shift`` and the public mixers, on the same operands in the same
-    order, and checks each row's norm drift after every layer under the
-    1e-12 renormalise policy, so each row's amplitudes equal, bit for bit,
-    those of composing ``phase_shift``, the mixer and
-    ``StateVector.renormalised`` layer by layer, whatever else shares the
-    call. Each <Q> is one ``np.dot`` of the objective values with that row's
-    probabilities, as ``states.expectation`` of ``state`` forms it.
+    order, and checks the norm drift of every row after every layer under
+    the 1e-12 renormalise policy, with ``_check_norms`` on the block viewed
+    as ``(count, 1, K)``, so each row's amplitudes equal, bit for bit, those
+    of composing ``phase_shift``, the mixer and ``StateVector.renormalised``
+    layer by layer, whatever else shares the call. The <Q> of a chunk are one
+    ``np.vecdot`` of its probabilities with the objective values, each row
+    with the bits of ``states.expectation`` of its ``state``.
 
     Nothing a caller receives aliases the workspace: ``state`` copies its
     row out, so it survives later evaluations.
@@ -305,11 +332,7 @@ class Propagator(_Evaluator):
         self._initial = initial_state(spec, grid).amplitudes
         algorithm = spec.algorithm
         if algorithm is Algorithm.QMOA:
-            self._walk = walk = prepare_qmoa(spec.graphs, self._shape)
-            if spec.shared_walk_time:  # one time per layer drives every dimension
-                self._walk = lambda amps, times, spare: walk(
-                    amps, times.repeat(grid.dims, axis=-1), spare
-                )
+            self._walk = prepare_qmoa(spec.graphs, self._shape)
         elif algorithm is Algorithm.QOWE:
             self._walk = prepare_qowe(MomentumGrid.from_grid(grid), self._shape)
         elif algorithm is Algorithm.QAOA_COMPLETE:
@@ -324,15 +347,15 @@ class Propagator(_Evaluator):
     def _block_views(self, count: int) -> tuple:
         """The workspace of a ``count``-row evaluation, as views, built on first use.
 
-        (state buffer, spare, level phases, the state buffer's rows, and the
-        two halves of the spare's ``float64`` view, each shaped as the state
-        buffer).
+        (state buffer, spare, level phases, the state buffer as a
+        ``(count, 1, K)`` block for ``_check_norms``, and the two halves of
+        the spare's ``float64`` view, each shaped as the state buffer).
         """
         views = self._views.get(count)
         if views is None:
             state, spare, level_phases = (b[:count] for b in (*self._states, self._level_phases))
             halves = spare.reshape(-1).view(np.float64).reshape((2,) + spare.shape)
-            views = self._views[count] = (state, spare, level_phases, list(state), *halves)
+            views = self._views[count] = (state, spare, level_phases, state[:, None], *halves)
         return views
 
     def _evolve(self, points: np.ndarray, drift_logs: list[list[float]] | None):
@@ -343,26 +366,23 @@ class Propagator(_Evaluator):
         each row's per-layer drifts seen before any correction. A row past
         the threshold is rescaled in place.
         """
-        table, width = self.table, self._width
-        state, spare, level_phases, rows, out, scratch = self._block_views(len(points))
+        table = self.table
+        state, spare, level_phases, block, out, scratch = self._block_views(len(points))
         levels, level_index = table.phase_levels, table.level_index
-        gammas = points[:, ::width].T.tolist()
+        gammas, times = self._layers(points)
         np.copyto(state, self._initial)
-        for layer, start in enumerate(range(0, self.n_params, width)):
-            apply_phase(state, gammas[layer], levels, level_index, spare, level_phases)
-            self._walk(state, points[:, start + 1 : start + width], spare)
-            for r, row in enumerate(rows):
-                drift = norm_drift_of(row)
-                if drift_logs is not None:
-                    drift_logs[r].append(drift)
-                renormalise(row, drift, row)
+        for layer in range(gammas.shape[1]):
+            apply_phase(state, gammas[:, layer], levels, level_index, spare, level_phases)
+            self._walk(state, times[:, layer], spare)
+            self._check_norms(block, drift_logs)
         return state, out, scratch
 
     def _probabilities(self, points: np.ndarray) -> Iterator[np.ndarray]:
         return (p for probs in self._chunk_probabilities(points) for p in probs)
 
     def _expectations(self, points: np.ndarray) -> Iterator[float]:
-        return (expectation_of(self.table.values, p) for p in self._probabilities(points))
+        for probs in self._chunk_probabilities(points):
+            yield from np.vecdot(probs, self.table.values).tolist()
 
     _amplitudes = staticmethod(np.copy)
 
@@ -393,7 +413,8 @@ class ProductPropagator(_Evaluator):
     phases (dimension 0's also carry exp(-i gamma c), so that the outer
     product is the state itself, global phase included), then walks it
     (``qvasim.mixers.prepare_axis_qmoa`` or ``prepare_axis_qowe``), and then
-    checks each vector's norm drift under the 1e-12 renormalise policy.
+    checks each vector's norm drift under the 1e-12 renormalise policy
+    (``_check_norms``).
     Every operation acts on each vector alone, so a row's bits do not depend
     on what else shares the call.
 
@@ -432,26 +453,16 @@ class ProductPropagator(_Evaluator):
         row's per-layer drift |1 - prod_d |phi_d|^2| seen before any
         correction. A vector past the threshold is rescaled in place.
         """
-        count, dims = len(points), self._state.shape[1]
+        count = len(points)
         state = self._state[:count]
-        pairs = state.view(np.float64)
-        layers = points.reshape(count, -1, self._width)
-        phases = np.exp((-1j * layers[:, :, 0, None, None]) * self._levels)
-        times = layers[:, :, 1:]
-        if times.shape[-1] != dims:  # one shared time per layer drives every dimension
-            times = times.repeat(dims, axis=-1)
+        gammas, times = self._layers(points)
+        phases = np.exp((-1j * gammas[:, :, None, None]) * self._levels)
         walks = self._factors(times)
         np.copyto(state, self._initial)
-        for layer in range(layers.shape[1]):
+        for layer in range(gammas.shape[1]):
             np.multiply(phases[:, layer], state, out=state)
             self._walk(state, *(f[:, layer] for f in walks))
-            norms = np.vecdot(pairs, pairs)
-            drifts = np.abs(norms - 1.0)
-            if drift_logs is not None:
-                for log, row in zip(drift_logs, norms):
-                    log.append(abs(1.0 - float(np.prod(row))))
-            for r, d in zip(*np.nonzero(drifts > states.RENORM_THRESHOLD)):
-                renormalise(state[r, d], drifts[r, d], state[r, d])
+            self._check_norms(state, drift_logs)
         return state, self._probs[:count], self._scratch[:count]
 
     def _expectations(self, points: np.ndarray) -> Iterator[float]:

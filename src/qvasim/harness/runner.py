@@ -23,12 +23,14 @@ from __future__ import annotations
 
 import csv
 import fcntl
+import functools
 import json
 import logging
 import os
 import time
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -190,8 +192,14 @@ def _repeat_from_record(record: ExperimentRecord, times_per_layer: int) -> Repea
     )
 
 
+def _objective(config: ExperimentConfig, function_name: str, dims: int, n_points: int) -> tuple:
+    """The grid and objective table of a (function, D, N) cell."""
+    grid = config.cell_grid(function_name, dims, n_points)
+    return grid, build_objective(grid, get_function(function_name).fn)
+
+
 def _run_sweep_cell(
-    config: ExperimentConfig, cell: tuple, existing: dict[tuple, ExperimentRecord], workers: int
+    config: ExperimentConfig, cell: tuple, existing: dict, workers: int, objective: Callable
 ) -> list[ExperimentRecord]:
     """The warm-start-chained depth sweep of one (algorithm, function, D, N) cell.
 
@@ -200,8 +208,7 @@ def _run_sweep_cell(
     log as that depth completes, and returned.
     """
     label, function_name, dims, n_points = cell
-    grid = config.cell_grid(function_name, dims, n_points)
-    table = build_objective(grid, get_function(function_name).fn)
+    grid, table = objective(function_name, dims, n_points)
     spec = build_ansatz_spec(label, dims, n_points, config.shared_walk_time)
     times_per_layer = spec.walk_times_per_layer(dims)
     options = OptimiserOptions(**asdict(config.optimiser))
@@ -337,7 +344,7 @@ def _hybrid_repeat(task: tuple) -> HybridRecord:
 
 
 def _run_hybrid_cell(
-    config: ExperimentConfig, cell: tuple, existing: dict[tuple, HybridRecord], workers: int
+    config: ExperimentConfig, cell: tuple, existing: dict, workers: int, objective: Callable
 ) -> list[HybridRecord]:
     """The repeats of one hybrid-study (function, D, N) cell that ``existing`` lacks.
 
@@ -349,8 +356,7 @@ def _run_hybrid_cell(
     todo = [j for j in range(config.repeats) if cell[1:] + (depth, j) not in existing]
     if not todo:
         return []
-    grid = config.cell_grid(function_name, dims, n_points)
-    table = build_objective(grid, get_function(function_name).fn)
+    grid, table = objective(function_name, dims, n_points)
     tasks = [(config, config_hash(config), function_name, grid, table, j) for j in todo]
     path, fresh = _records_path(config), []
     for record in parallel_map(_hybrid_repeat, tasks, workers):
@@ -410,8 +416,10 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None) -> list
             if isinstance(r, cls) and r.config_hash == chash
         }
         records = list(existing.values())
+        # consecutive cells on one (function, D, N), a sweep's algorithms, share one build
+        objective = functools.lru_cache(maxsize=1)(functools.partial(_objective, config))
         for cell in config.cells():
-            records.extend(run_cell(config, cell, existing, workers))
+            records.extend(run_cell(config, cell, existing, workers, objective))
         if config.kind == "scaling_study":
             _emit_scaling_fits(config, records)
         write_csv(records, outdir / CSV_NAME)

@@ -14,9 +14,9 @@ Each unitary has one implementation, an array-level kernel that takes its
 precomputed factors and the buffers it writes into as arguments and
 allocates no state-sized array of its own. Every kernel takes a block of
 states with a leading row axis, row r with its own gamma or walk times.
-Each row's scalar factors are formed with the scalar arithmetic of a
-single state and enter the block's array operations as a column (a bare
-scalar for one row), so each row's amplitudes are the same, bit for bit,
+Each row's scalar factors are formed as array expressions over the rows
+and enter the block's array operations as a ``(rows, 1, ...)`` column,
+for any row count, so each row's amplitudes are the same, bit for bit,
 whatever rows share the block:
 
 * ``apply_phase`` multiplies the phases into the amplitudes;
@@ -112,7 +112,7 @@ def apply_phase(
     gathered into ``spare``; the exponential is elementwise, so the result
     is the same as exponentiating all K values.
     """
-    np.multiply(levels, _per_row([-1j * gamma for gamma in gammas], 2), out=level_phases)
+    np.multiply(levels, _per_row(-1j * np.asarray(gammas), level_phases.ndim), out=level_phases)
     np.exp(level_phases, out=level_phases)
     # mode="raise" would gather into a temporary and copy; level_index is in range
     level_phases.take(level_index, axis=-1, out=spare, mode="clip")
@@ -120,18 +120,13 @@ def apply_phase(
     np.multiply(spare, amplitudes, out=amplitudes)
 
 
-def _per_row(factors: list, ndim: int):
-    """One scalar factor per row, shaped to broadcast over an ``ndim``-axis row block.
+def _per_row(factors: np.ndarray, ndim: int) -> np.ndarray:
+    """One scalar factor per row, as a ``(rows, 1, ..., 1)`` column of ``ndim`` axes.
 
-    A single row keeps the bare scalar; several become a ``(rows, 1, ..., 1)``
-    column. Within a row the column is constant, so numpy multiplies each
-    row as it multiplies one state by a scalar, and a row's bits do not
-    depend on its neighbours; not so for rows of a single entry, where
-    numpy's inner loop runs across the rows instead.
+    numpy multiplies each row by its constant as one state by a scalar, so a
+    row's bits do not depend on its neighbours, unless each row has one entry.
     """
-    if len(factors) == 1:
-        return factors[0]
-    return np.array(factors).reshape((-1,) + (1,) * (ndim - 1))
+    return factors.reshape((-1,) + (1,) * (ndim - 1))
 
 
 # --------------------------------------------------------------------------
@@ -297,21 +292,18 @@ def _diagonal_phase(times, vectors: tuple[np.ndarray, ...], out: np.ndarray) -> 
 
     ``out`` is a block with a leading row axis before the tensor shape, and
     ``times`` one row of D times per state; one row may also come as D times
-    and a bare tensor. Each v_d broadcasts along its own tensor axis, so
-    only the last product is state-sized. The product starts from 1+0j
-    rather than from the first factor; where some t_d = 0, that
-    multiplication sets the signs of the zero parts.
+    and a bare tensor, so the columns take their rank from ``out``. Each v_d
+    broadcasts along its own tensor axis, so only the last product is
+    state-sized. The product starts from 1+0j rather than from the first
+    factor; where some t_d = 0, that multiplication sets the signs of the
+    zero parts.
     """
-    rows = np.asarray(times).reshape(-1, len(vectors))
-    ndim = len(vectors) + 1
-
-    def factor(d):
-        return np.exp(_per_row([-1j * rows[r, d] for r in range(len(rows))], ndim) * vectors[d])
-
+    exponents = -1j * np.asarray(times).reshape(-1, len(vectors))
+    *factors, last = (np.exp(_per_row(e, out.ndim) * v) for e, v in zip(exponents.T, vectors))
     phase = 1 + 0j
-    for d in range(len(vectors) - 1):
-        phase = phase * factor(d)
-    return np.multiply(phase, factor(-1), out=out)
+    for factor in factors:
+        phase = phase * factor
+    return np.multiply(phase, last, out=out)
 
 
 def qaoa_complete_mixer(state: StateVector, t: float) -> StateVector:
@@ -355,24 +347,19 @@ def complete_walk(
     """
     rows = times.reshape(-1, len(axes))
     scratch = spare.reshape(-1)
-    totals = [0.0] * len(rows)
+    totals = np.zeros(len(rows))
     for d, (axis, n, sums_shape) in enumerate(axes):
         term = scratch[: tensor.size // n].reshape(tensor.shape[:1] + sums_shape)
         np.add.reduce(tensor, axis=1 + axis, keepdims=True, out=term)
-        factors = []
-        for r in range(len(rows)):
-            t = rows[r, d]
-            factors.append((np.exp(-1j * t * n) - 1.0) / n)
-            totals[r] += t
+        totals += rows[:, d]
         # Scalar first, in place, N a power of two: this keeps QAOA bit for bit the
         # scalar-mean closed form (numpy's out-of-place product fuses multiply-adds).
         # Rows go one by one: where a state has a single sum, a column of factors
         # would take the array-by-array product, which fuses too.
-        for factor, sums in zip(factors, term):
+        for factor, sums in zip((np.exp(-1j * rows[:, d] * n) - 1.0) / n, term):
             np.multiply(factor, sums, out=sums)
         np.add(tensor, term, out=tensor)
-    phases = [np.exp(1j * total) for total in totals]
-    np.multiply(_per_row(phases, tensor.ndim), tensor, out=tensor)
+    np.multiply(_per_row(np.exp(1j * totals), tensor.ndim), tensor, out=tensor)
 
 
 def hypercube_mixer(state: StateVector, t: float) -> StateVector:
@@ -388,25 +375,21 @@ def prepare_hypercube(k: int) -> Walk:
     """``hypercube_walk`` on K = 2^M states."""
     if k & (k - 1) or k < 1:
         raise ValueError(f"hypercube mixer needs K = 2^M states, got K={k}")
-
-    def walk(amps, times, spare):
-        hypercube_walk(amps, np.asarray(times).reshape(-1).tolist(), spare)
-
-    return walk
+    return hypercube_walk
 
 
-def hypercube_walk(amplitudes: np.ndarray, times: Sequence[float], spare: np.ndarray) -> None:
+def hypercube_walk(amplitudes: np.ndarray, times: np.ndarray, spare: np.ndarray) -> None:
     """The hypercube walk, in place, on a contiguous (rows, 2^M) block (a flat state is one row).
 
-    State r walks for time ``times[r]``. Pass i pairs index k with its
+    State r walks for time ``times.flat[r]``. Pass i pairs index k with its
     partner across qubit i. Viewed as ``x.reshape(-1, 2, 2**i)`` per state,
     the partners are the same view with its middle axis reversed, so a pass
     is three whole-array ufuncs on the amplitudes x: ``spare`` gets i*sin(t)
     times x, x is scaled by cos(t), and x less the swapped ``spare`` goes into x.
     """
     lead = amplitudes.shape[:-1]
-    c = _per_row([np.cos(t) for t in times], amplitudes.ndim)
-    js = _per_row([1j * np.sin(t) for t in times], amplitudes.ndim)
+    c = _per_row(np.cos(times), amplitudes.ndim)
+    js = _per_row(1j * np.sin(times), amplitudes.ndim)
     y = spare.reshape(amplitudes.shape)
     for i in range(amplitudes.shape[-1].bit_length() - 1):
         pairs = lead + (-1, 2, 1 << i)

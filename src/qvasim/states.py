@@ -89,10 +89,6 @@ def renormalise(amplitudes: np.ndarray, drift: float, out: np.ndarray | None = N
     return np.divide(amplitudes, np.sqrt(np.sum(probabilities_of(amplitudes))), out=out)
 
 
-def expectation_of(values: np.ndarray, probabilities: np.ndarray) -> float:
-    return float(values.dot(probabilities))
-
-
 @dataclass(frozen=True)
 class WavepacketSpec:
     """Centres and widths of a separable Gaussian initial state."""
@@ -164,7 +160,7 @@ def expectation(state: StateVector, table: ObjectiveTable) -> float:
         raise ValueError(
             f"table has {table.values.size} values, state has {state.total_points}"
         )
-    return expectation_of(table.values, state.probabilities())
+    return float(table.values.dot(state.probabilities()))
 
 
 def sample(state: StateVector, rng: np.random.Generator, shots: int) -> np.ndarray:

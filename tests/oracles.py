@@ -222,7 +222,7 @@ def scipy_qmoa_walk(
 
 
 def _column(factors: list, ndim: int):
-    """One scalar per row as ``qvasim.mixers._per_row`` shapes it: bare for one row."""
+    """One scalar per row, bare for one row and a column for several; the kernels now take columns."""
     if len(factors) == 1:
         return factors[0]
     return np.array(factors).reshape((-1,) + (1,) * (ndim - 1))

@@ -35,14 +35,14 @@ class TestStatisticalDistance:
         table = build_objective(grid, lambda x: x[0])
         amps = np.zeros(4, dtype=complex)
         amps[0] = 1.0
-        assert statistical_distance(StateVector(amps, (4,)), grid, table) == 0.0
+        assert statistical_distance(StateVector(amps, (4,)).probabilities(), grid, table) == 0.0
 
     def test_delta_at_farthest_point(self):
         grid = make_grid([0.0], [3.0], 4)
         table = build_objective(grid, lambda x: x[0])
         amps = np.zeros(4, dtype=complex)
         amps[3] = 1.0
-        assert statistical_distance(StateVector(amps, (4,)), grid, table) == 1.0
+        assert statistical_distance(StateVector(amps, (4,)).probabilities(), grid, table) == 1.0
 
     def test_uniform_state_hand_sum(self):
         # literal three-point example: distances (0, 1, 2) from the minimiser,
@@ -50,12 +50,13 @@ class TestStatisticalDistance:
         grid = SolutionGrid(1, 3, np.array([0.0]), np.array([2.0]), np.array([1.0]))
         table = table_from_values([0.0, 1.0, 2.0])
         state = StateVector(np.full(3, 1 / np.sqrt(3), dtype=complex), (3,))
-        assert statistical_distance(state, grid, table) == pytest.approx(0.5)
+        assert statistical_distance(state.probabilities(), grid, table) == pytest.approx(0.5)
 
     def test_uniform_state_power_of_two_grid(self):
         grid = make_grid([0.0], [3.0], 4)
         table = build_objective(grid, lambda x: x[0])
-        assert statistical_distance(equal_superposition(4), grid, table) == pytest.approx(0.5)
+        probabilities = equal_superposition(4).probabilities()
+        assert statistical_distance(probabilities, grid, table) == pytest.approx(0.5)
 
     def test_bounded_unit_interval(self):
         rng = np.random.default_rng(0)
@@ -64,31 +65,31 @@ class TestStatisticalDistance:
         for _ in range(20):
             amps = rng.normal(size=64) + 1j * rng.normal(size=64)
             amps /= np.linalg.norm(amps)
-            d = statistical_distance(StateVector(amps, (8, 8)), grid, table)
+            d = statistical_distance(StateVector(amps, (8, 8)).probabilities(), grid, table)
             assert 0.0 <= d <= 1.0
 
 
 class TestMaxAmplification:
     def test_uniform_is_one(self):
-        amplification, _ = max_amplification(equal_superposition(64))
+        amplification, _ = max_amplification(equal_superposition(64).probabilities())
         assert amplification == pytest.approx(1.0)
 
     def test_delta_is_k(self):
         amps = np.zeros(8, dtype=complex)
         amps[2] = 1.0
-        amplification, index = max_amplification(StateVector(amps, (8,)))
+        amplification, index = max_amplification(StateVector(amps, (8,)).probabilities())
         assert amplification == pytest.approx(8.0)
         assert index == 2
 
     def test_example_distribution(self):
         amps = np.sqrt([0.5, 0.25, 0.25, 0.0]).astype(complex)
-        amplification, index = max_amplification(StateVector(amps, (4,)))
+        amplification, index = max_amplification(StateVector(amps, (4,)).probabilities())
         assert amplification == pytest.approx(2.0)
         assert index == 0
 
     def test_ties_take_smallest_index(self):
         amps = np.sqrt([0.25, 0.25, 0.25, 0.25]).astype(complex)
-        _, index = max_amplification(StateVector(amps, (4,)))
+        _, index = max_amplification(StateVector(amps, (4,)).probabilities())
         assert index == 0
 
 

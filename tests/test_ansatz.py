@@ -21,6 +21,7 @@ from qvasim.ansatz import (
     AnsatzSpec,
     ParameterVector,
     Propagator,
+    _Evaluator,
     apply_ansatz,
     initial_state,
     objective_value,
@@ -37,7 +38,7 @@ from qvasim.mixers import (
     qmoa_mixer,
     qowe_mixer,
 )
-from qvasim.states import WavepacketSpec, expectation, sample
+from qvasim.states import WavepacketSpec, expectation, probabilities_of, sample
 
 LABELS = (
     "qmoa_complete",
@@ -221,19 +222,20 @@ def test_sample_equals_sampling_the_copied_state(label, renormalised, monkeypatc
 @pytest.mark.parametrize("label", LABELS)
 def test_probabilities_formed_once_per_evaluation(label, monkeypatch):
     """Each layer checks the norm on the amplitudes; only ⟨Q⟩ and sampling square the state."""
-    counts = {"probabilities_of": 0, "norm_drift_of": 0}
+    counts = {"probabilities_of": 0, "_check_norms": 0}
 
-    def counting(name):
-        original = getattr(qvasim.ansatz, name)
-
+    def counting(name, original):
         def call(*args, **kwargs):
             counts[name] += 1
             return original(*args, **kwargs)
 
         return call
 
-    for name in counts:
-        monkeypatch.setattr(qvasim.ansatz, name, counting(name))
+    monkeypatch.setattr(
+        qvasim.ansatz, "probabilities_of", counting("probabilities_of", probabilities_of)
+    )
+    check = staticmethod(counting("_check_norms", _Evaluator._check_norms))
+    monkeypatch.setattr(_Evaluator, "_check_norms", check)
     grid, table = problem(2, 8)
     spec = make_spec(label, 2, 8, depth=3)
     propagator = Propagator(spec, table, grid)
@@ -243,9 +245,9 @@ def test_probabilities_formed_once_per_evaluation(label, monkeypatch):
         (lambda: propagator.samples([flat], np.random.default_rng(0), 10)[0], 1),
         (lambda: propagator.state(flat).amplitudes, 0),
     ]:
-        counts.update(probabilities_of=0, norm_drift_of=0)
+        counts.update(probabilities_of=0, _check_norms=0)
         call()
-        assert counts == {"probabilities_of": passes, "norm_drift_of": 3}
+        assert counts == {"probabilities_of": passes, "_check_norms": 3}
 
 
 def test_workspace_holds_only_the_states():
@@ -357,13 +359,16 @@ def batched_and_alone(spec, table, grid, points):
     n=st.sampled_from([2, 4, 8, 16, 64]),
     depth=st.sampled_from([1, 2, 3]),
     seed=st.integers(0, 2**32 - 1),
-    zeros=st.lists(st.sampled_from(["none", "gammas", "times", "all"]), min_size=1, max_size=5),
+    zeros=st.lists(
+        st.sampled_from(["none", "gammas", "times", "all", "negative_zero"]), min_size=1, max_size=5
+    ),
 )
 def test_batched_rows_equal_one_row_evaluations(label, dims, n, depth, seed, zeros):
     """Each row of a batched evaluation has the bits of that row evaluated alone.
 
     Amplitudes, per-layer drift logs and <Q> are compared as raw bits, over
-    1 to 5 rows, some with zero gammas, zero walk times or both.
+    1 to 5 rows, some with zero gammas, zero walk times or both, and some
+    with every gamma and walk time -0.0.
     """
     assume(n**dims <= 2**12)
     grid, table = problem(dims, n, "styblinski_tang")
@@ -376,6 +381,8 @@ def test_batched_rows_equal_one_row_evaluations(label, dims, n, depth, seed, zer
             row[::width] = 0.0
         if zero in ("times", "all"):
             row.reshape(depth, width)[:, 1:] = 0.0
+        if zero == "negative_zero":
+            row[:] = -0.0
     batched, alone = batched_and_alone(spec, table, grid, points)
     for (amps, log, value), (amps1, log1, value1) in zip(batched, alone):
         assert same_bits(amps, amps1)

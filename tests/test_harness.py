@@ -642,6 +642,29 @@ class TestRunner:
                 alone.accounting.fev_nelder_mead,
             )
 
+    def test_sweep_cells_on_one_objective_share_its_table(self, tmp_path, monkeypatch):
+        """Consecutive cells on one (function, D, N) build its table once; a new N builds anew."""
+        config = tiny_config(
+            tmp_path,
+            kind="scaling_study",
+            functions=["sphere"],
+            dims_list=[1],
+            grid_sizes=[4, 8],
+            depth_range=(1, 3),
+            repeats=1,
+        )
+        builds = []
+        original = qvasim.harness.runner.build_objective
+
+        def counting(grid, fn):
+            builds.append(grid.points_per_dim)
+            return original(grid, fn)
+
+        monkeypatch.setattr(qvasim.harness.runner, "build_objective", counting)
+        records = run_experiment(config, workers=1)
+        assert [cell[3] for cell in config.cells()] == [4, 4, 8, 8]
+        assert builds == [4, 8]
+        assert len(records) == 4 * 3
 
 class TestSummarise:
     def test_population_statistics(self):
