@@ -2,11 +2,12 @@
 
 Two evaluators prepare the ansatz state: the full ``Propagator``, over all
 K amplitudes, and the ``ProductPropagator``, over D vectors of N entries,
-for QMOA and QOWE on an additive objective. Both evolve a block of
-parameter vectors, one per row of their workspace, on the skeleton of
-``_Evaluator``. ``evaluator`` picks between them from the spec's family
-and the table alone. ``apply_ansatz`` and ``objective_value`` always take
-the full path.
+for QMOA and QOWE on an additive objective. Each holds two prepared
+``(factors, step)`` pairs of ``qvasim.mixers``, its phase shift and its
+walk, and both run one layer loop, ``_Evaluator._evolve``, on a block of
+parameter vectors, one per row of their workspace. ``evaluator`` picks
+between them from the spec's family and the table alone. ``apply_ansatz``
+and ``objective_value`` always take the full path.
 """
 
 from __future__ import annotations
@@ -22,11 +23,12 @@ from .grid import ObjectiveTable, SolutionGrid, additive_parts
 from .mixers import (
     CirculantGraph,
     MomentumGrid,
-    apply_phase,
+    prepare_axis_phase,
     prepare_axis_qmoa,
     prepare_axis_qowe,
     prepare_complete,
     prepare_hypercube,
+    prepare_phase,
     prepare_qmoa,
     prepare_qowe,
 )
@@ -185,16 +187,21 @@ def _check_drawn(spec: AnsatzSpec) -> None:
 
 
 class _Evaluator:
-    """What both evaluators share: the row-block skeleton, the two measurements and ``state``.
+    """What both evaluators share: the layer loop, the row blocks, the measurements and ``state``.
 
     The constructor fixes the fields both need, among them
     ``rows = max(1, BATCH_POINTS // size)`` for ``size`` entries in one row
-    of the workspace. ``_layers`` splits parameters into layers and
-    ``_check_norms`` is the norm check after each layer. A subclass supplies:
+    of the workspace. ``_layers`` splits parameters into layers, ``_evolve``
+    runs them and ``_check_norms`` is the norm check after each layer. A
+    subclass supplies:
 
-    * ``_evolve(points, drift_logs)``, which evolves a checked block of at
-      most ``rows`` parameter vectors, one per row, and returns the state
-      block and two float buffers of its shape;
+    * ``_initial``, the state block's first row, which every evaluation
+      starts from;
+    * ``_phase`` and ``_walk``, its two ``(factors, step)`` pairs from
+      ``qvasim.mixers``;
+    * ``_workspace(count)``, the views of a ``count``-row evaluation: the
+      state block, the steps' ``spare``, the state block as ``_check_norms``
+      takes it, and two float buffers of the state block's shape;
     * ``_expectations`` and ``_probabilities``, each row's <Q> and its K
       probabilities in grid layout, formed from the blocks of ``_chunk_probabilities``;
     * ``_amplitudes``, which turns one row of the state block into the K
@@ -208,14 +215,39 @@ class _Evaluator:
         self._shape = grid.tensor_shape
         shared = spec.algorithm is Algorithm.QMOA and spec.shared_walk_time
         self._shared_dims = grid.dims if shared else None  # one walk time drives every dimension
+        self._views: dict[int, tuple] = {}
 
     def _layers(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Each row's gammas, ``(count, p)``, and walk times, ``(count, p, times)``."""
+        """Each row's gammas, ``(count, p, 1)``, and walk times, ``(count, p, times)``."""
         layers = points.reshape(len(points), -1, self._width)
         times = layers[:, :, 1:]
         if self._shared_dims is not None:
             times = times.repeat(self._shared_dims, axis=-1)
-        return layers[:, :, 0], times
+        return layers[:, :, :1], times
+
+    def _evolve(self, points: np.ndarray, drift_logs: list[list[float]] | None) -> tuple:
+        """Run every layer for each row of a checked block of at most ``rows`` rows.
+
+        Each pair's factors are formed once, for all layers; a layer is the
+        phase step, the walk step and the norm check. Returns the state block
+        and the two float buffers of ``_workspace``. ``drift_logs``, one list
+        per row, collects each row's per-layer drifts seen before any
+        correction. A vector past the threshold is rescaled in place.
+        """
+        count = len(points)
+        views = self._views.get(count)
+        if views is None:  # built on a row count's first use
+            views = self._views[count] = self._workspace(count)
+        state, spare, norm_block, *buffers = views
+        gammas, times = self._layers(points)
+        (phase_factors, phase), (walk_factors, walk) = self._phase, self._walk
+        phases, walks = phase_factors(gammas), walk_factors(times)
+        np.copyto(state, self._initial)
+        for layer in range(gammas.shape[1]):
+            phase(state, spare, *(f[:, layer] for f in phases))
+            walk(state, spare, *(f[:, layer] for f in walks))
+            self._check_norms(norm_block, drift_logs)
+        return (state, *buffers)
 
     @staticmethod
     def _check_norms(block: np.ndarray, drift_logs: list[list[float]] | None) -> None:
@@ -290,30 +322,32 @@ class Propagator(_Evaluator):
     inputs once and caches what they fix:
 
     * the initial amplitudes;
-    * the table's distinct values and each point's index into them, so a
+    * the phase shift's pair, ``qvasim.mixers.prepare_phase``, which keeps
+      the table's distinct values and each point's index into them, so a
       phase shift exponentiates each distinct value once and gathers;
-    * the mixer's walk, from ``qvasim.mixers.prepare_qmoa`` and its
-      siblings, which keeps only the mixer's factors.
+    * the mixer's pair, from ``qvasim.mixers.prepare_qmoa`` and its
+      siblings, which keeps only what the mixer fixes.
 
     It evolves up to ``rows = max(1, BATCH_POINTS // K)`` parameter vectors
     at a time, each in its own row of the workspace, which it allocates once
     and which holds every buffer an evaluation writes:
 
-    * a ``(rows, K)`` complex state buffer, which every kernel updates in place;
-    * a second one, the kernels' ``spare``, their only scratch;
-    * one complex entry per objective level and row for the phase
-      exponentials.
+    * a ``(rows, K)`` complex state buffer, which every step updates in place;
+    * a second one, the steps' ``spare``, their only scratch;
+    * one complex entry per objective level and row, the phase step's
+      buffer for its level exponentials.
 
     An evaluation of ``count`` parameter vectors runs on the first ``count``
     rows of each buffer, a ``(count, K)`` block even for one vector; the
     views of each row count are built on its first use. It takes the flat,
-    layer-major parameter vectors of ``ParameterVector.flatten`` and runs
-    the layer loop on bare arrays. It calls the array-level kernels behind
-    ``phase_shift`` and the public mixers, on the same operands in the same
-    order, and checks the norm drift of every row after every layer under
-    the 1e-12 renormalise policy, with ``_check_norms`` on the block viewed
-    as ``(count, 1, K)``, so each row's amplitudes equal, bit for bit, those
-    of composing ``phase_shift``, the mixer and ``StateVector.renormalised``
+    layer-major parameter vectors of ``ParameterVector.flatten``, forms each
+    pair's factors for all layers at once and runs the layer loop of
+    ``_Evaluator._evolve``. Its steps are those behind ``phase_shift`` and
+    the public mixers, on the same operands in the same order, and it checks
+    the norm drift of every row after every layer under the 1e-12
+    renormalise policy, with ``_check_norms`` on the block viewed as
+    ``(count, 1, K)``, so each row's amplitudes equal, bit for bit, those of
+    composing ``phase_shift``, the mixer and ``StateVector.renormalised``
     layer by layer, whatever else shares the call. The <Q> of a chunk are one
     ``np.vecdot`` of its probabilities with the objective values, each row
     with the bits of ``states.expectation`` of its ``state``.
@@ -342,40 +376,16 @@ class Propagator(_Evaluator):
         shape = (self.rows, k)
         self._states = (np.empty(shape, np.complex128), np.empty(shape, np.complex128))
         self._level_phases = np.empty((self.rows, table.n_unique), np.complex128)
-        self._views: dict[int, tuple] = {}
+        self._phase = prepare_phase(table, self._level_phases)
 
-    def _block_views(self, count: int) -> tuple:
-        """The workspace of a ``count``-row evaluation, as views, built on first use.
-
-        (state buffer, spare, level phases, the state buffer as a
+    def _workspace(self, count: int) -> tuple:
+        """The ``count``-row views: state buffer, spare, the state buffer as a
         ``(count, 1, K)`` block for ``_check_norms``, and the two halves of
-        the spare's ``float64`` view, each shaped as the state buffer).
+        the spare's ``float64`` view, each shaped as the state buffer.
         """
-        views = self._views.get(count)
-        if views is None:
-            state, spare, level_phases = (b[:count] for b in (*self._states, self._level_phases))
-            halves = spare.reshape(-1).view(np.float64).reshape((2,) + spare.shape)
-            views = self._views[count] = (state, spare, level_phases, state[:, None], *halves)
-        return views
-
-    def _evolve(self, points: np.ndarray, drift_logs: list[list[float]] | None):
-        """Run every layer for each row of a checked block of at most ``rows`` rows.
-
-        Returns the ``(count, K)`` state buffer and the halves of the spare
-        (see ``_block_views``). ``drift_logs``, one list per row, collects
-        each row's per-layer drifts seen before any correction. A row past
-        the threshold is rescaled in place.
-        """
-        table = self.table
-        state, spare, level_phases, block, out, scratch = self._block_views(len(points))
-        levels, level_index = table.phase_levels, table.level_index
-        gammas, times = self._layers(points)
-        np.copyto(state, self._initial)
-        for layer in range(gammas.shape[1]):
-            apply_phase(state, gammas[:, layer], levels, level_index, spare, level_phases)
-            self._walk(state, times[:, layer], spare)
-            self._check_norms(block, drift_logs)
-        return state, out, scratch
+        state, spare = (b[:count] for b in self._states)
+        halves = spare.reshape(-1).view(np.float64).reshape((2,) + spare.shape)
+        return state, spare, state[:, None], *halves
 
     def _probabilities(self, points: np.ndarray) -> Iterator[np.ndarray]:
         return (p for probs in self._chunk_probabilities(points) for p in probs)
@@ -408,13 +418,14 @@ class ProductPropagator(_Evaluator):
 
     Its workspace is a ``(rows, D, N)`` complex block of
     ``rows = max(1, BATCH_POINTS // (D N))`` product states, entry (r, d)
-    dimension d's vector of row r. An evaluation forms the phases and walk
-    factors of all its layers at once. A layer multiplies each vector by its
-    phases (dimension 0's also carry exp(-i gamma c), so that the outer
-    product is the state itself, global phase included), then walks it
-    (``qvasim.mixers.prepare_axis_qmoa`` or ``prepare_axis_qowe``), and then
-    checks each vector's norm drift under the 1e-12 renormalise policy
-    (``_check_norms``).
+    dimension d's vector of row r. Its phase pair
+    (``qvasim.mixers.prepare_axis_phase``) multiplies each vector by its
+    phases; dimension 0's also carry exp(-i gamma c), so that the outer
+    product is the state itself, global phase included. Its walk pair
+    (``prepare_axis_qmoa`` or ``prepare_axis_qowe``) walks each vector.
+    ``_Evaluator._evolve`` forms both pairs' factors for all layers at once
+    and checks each vector's norm drift after every layer under the 1e-12
+    renormalise policy; the steps need no scratch, so its ``spare`` is None.
     Every operation acts on each vector alone, so a row's bits do not depend
     on what else shares the call.
 
@@ -433,37 +444,22 @@ class ProductPropagator(_Evaluator):
         super().__init__(spec, grid, dims * n)
         self._initial = _initial_axes(spec, grid)
         if spec.algorithm is Algorithm.QMOA:
-            self._factors, self._walk = prepare_axis_qmoa(spec.graphs, self._shape)
+            self._walk = prepare_axis_qmoa(spec.graphs, self._shape)
         elif spec.algorithm is Algorithm.QOWE:
-            momentum = MomentumGrid.from_grid(grid)
-            self._factors, self._walk = prepare_axis_qowe(momentum, self._shape)
+            self._walk = prepare_axis_qowe(MomentumGrid.from_grid(grid), self._shape)
         else:
             raise ValueError(f"{spec.algorithm.value} does not keep a product state")
         self._offset, self._terms = offset, terms.reshape(-1)
-        self._levels = terms.astype(np.complex128)
-        self._levels[0] += offset
+        levels = terms.astype(np.complex128)
+        levels[0] += offset
+        self._phase = prepare_axis_phase(levels)
         self._state = np.empty((self.rows, dims, n), np.complex128)
         self._probs, self._scratch = (np.empty((self.rows, dims, n)) for _ in range(2))
 
-    def _evolve(self, points: np.ndarray, drift_logs: list[list[float]] | None) -> tuple:
-        """Run every layer for each row of a checked block of at most ``rows`` rows.
-
-        Returns the ``(count, D, N)`` view of the state buffer and of the two
-        probability buffers. ``drift_logs``, one list per row, collects each
-        row's per-layer drift |1 - prod_d |phi_d|^2| seen before any
-        correction. A vector past the threshold is rescaled in place.
-        """
-        count = len(points)
+    def _workspace(self, count: int) -> tuple:
+        """``(count, D, N)`` views: state, no spare, state again, the two probability buffers."""
         state = self._state[:count]
-        gammas, times = self._layers(points)
-        phases = np.exp((-1j * gammas[:, :, None, None]) * self._levels)
-        walks = self._factors(times)
-        np.copyto(state, self._initial)
-        for layer in range(gammas.shape[1]):
-            np.multiply(phases[:, layer], state, out=state)
-            self._walk(state, *(f[:, layer] for f in walks))
-            self._check_norms(state, drift_logs)
-        return state, self._probs[:count], self._scratch[:count]
+        return state, None, state, self._probs[:count], self._scratch[:count]
 
     def _expectations(self, points: np.ndarray) -> Iterator[float]:
         for probs in self._chunk_probabilities(points):

@@ -10,32 +10,27 @@ Conventions fixed here and relied on everywhere else:
 * The public mixers are pure: they return a new state, leave their input
   unchanged and never renormalise.
 
-Each unitary has one implementation, an array-level kernel that takes its
-precomputed factors and the buffers it writes into as arguments and
-allocates no state-sized array of its own. Every kernel takes a block of
-states with a leading row axis, row r with its own gamma or walk times.
-Each row's scalar factors are formed as array expressions over the rows
-and enter the block's array operations as a ``(rows, 1, ...)`` column,
-for any row count, so each row's amplitudes are the same, bit for bit,
-whatever rows share the block:
+Every operator, the two phase shifts and the six walks, is prepared once by
+its ``prepare_*`` function, which validates its arguments and keeps what the
+operator fixes (levels, spectra, a shape) but no state-sized buffer. It
+returns a pair ``(factors, step)``:
 
-* ``apply_phase`` multiplies the phases into the amplitudes;
-* ``qmoa_walk`` is the spectral walk ``DFT^-1 exp(-i sum_d t_d v_d) DFT``
-  for per-dimension spectra v_d in DFT frequency order;
-* ``complete_walk`` is the complete-graph walk in closed form, axis by axis;
-* ``hypercube_walk`` runs M butterfly passes.
+* ``factors(params)`` takes the ``(rows, p, ·)`` gammas or walk times of
+  every layer of a block of states at once and returns the arrays a step
+  takes, each with the layer on axis 1;
+* ``step(state, spare, *layer_factors)`` applies one layer in place to the
+  block ``state``, given ``f[:, layer]`` of each array ``f``.
 
-Every kernel leaves its result in the array it is given. Its one scratch
-is the caller's second state buffer ``spare``, of the same shape, which it
-overwrites.
-
-Each mixer is decided once, by its ``prepare_*`` function, which validates
-its arguments, picks the kernel and builds its factors (spectra, a shape).
-It allocates no buffer: ``walk(amps, times, spare)`` runs the mixer in
-place on the ``(rows, K)`` state buffer ``amps``, with one row of times
-per state. A flat state with one vector of times is walked as a block of
-one row. QMOA on complete graphs takes ``complete_walk``, as QAOA does
-over one axis of K; QMOA on other graphs, and QOWE, take ``qmoa_walk``.
+So an evaluation forms the exponentials of all its layers in one call per
+operator. Each row's scalar factors enter as a ``(rows, 1, ...)`` column,
+so each row's amplitudes are the same, bit for bit, whatever rows share
+the block. A full state is a ``(rows, K)`` block, and each step's one
+scratch is ``spare``, a second buffer of its shape. The full steps are
+``apply_phase``; ``complete_walk``, the complete-graph walk in closed form,
+which QMOA on complete graphs takes as QAOA does over one axis of K;
+``qmoa_walk``, the spectral walk ``DFT^-1 exp(-i sum_d t_d v_d) DFT`` for
+per-dimension spectra v_d in DFT frequency order, which QMOA on other
+graphs and QOWE take; and ``hypercube_walk``, M butterfly passes.
 
 QOWE is a circulant walk. The centred transform ``exp(-i kappa_m x_n) / sqrt(N)``
 is ``scalar * post_m * DFT[m, n] * pre_n`` with ``pre_n = exp(-i kappa_0 dx n)``.
@@ -47,24 +42,23 @@ So the QOWE mixer is ``qmoa_walk`` with the spectra ``kappa_d[(j - s) % N] ** 2`
 of ``MomentumGrid.kinetic_spectra``: the kinetic step of the split-operator
 Fourier method (Feit, Fleck & Steiger, J. Comput. Phys. 47, 412 (1982)).
 
-The public mixers taking a ``StateVector`` check the walk times, prepare
-the walk and run it on a copy of the state's amplitudes;
-``qvasim.ansatz.Propagator`` prepares its walk once and runs it in its
-workspace for every evaluation. Both therefore call the same kernels with
-the same operands in the same order.
+``phase_shift`` and the public mixers take a ``StateVector``, check their
+parameters and run one step of the prepared pair on a ``(1, K)`` copy of
+its amplitudes, so they and ``qvasim.ansatz.Propagator`` call the same
+steps with the same operands in the same order.
 
-A product state (``qvasim.ansatz.ProductPropagator``) holds one N-vector per
-grid dimension. ``prepare_axis_qmoa`` and ``prepare_axis_qowe`` walk each
-vector with the same closed form or spectrum that the full kernels apply
-along its axis: ``complete_axis_walk`` for complete graphs,
-``spectral_axis_walk`` over the circulant eigenvalues or kappa^2 otherwise.
-They agree with the full kernels to rounding, not bit for bit.
+A product state (``qvasim.ansatz.ProductPropagator``) is a ``(rows, D, N)``
+block, one N-vector per grid dimension and row. The pairs of
+``prepare_axis_phase``, ``prepare_axis_qmoa`` and ``prepare_axis_qowe``
+act on each vector alone and leave ``spare`` unused. The walks apply the
+closed form (``complete_axis_walk``) or the spectrum (``spectral_axis_walk``)
+that the full walks apply along each axis, and agree with them to
+rounding, not bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -75,7 +69,13 @@ from .states import StateVector
 # it into the config hash, so a resumed run never mixes records across kernels.
 KERNEL_VERSION = 3
 
-Walk = Callable[[np.ndarray, np.ndarray, np.ndarray], None]
+
+def _stepped(state: StateVector, pair: tuple, params: np.ndarray) -> StateVector:
+    """A new state: one step of ``pair``, given one layer's ``params``, on a copy of ``state``."""
+    factors, step = pair
+    amps = state.amplitudes[None].copy()
+    step(amps, np.empty_like(amps), *(f[:, 0] for f in factors(params[None, None])))
+    return StateVector(amps[0], state.tensor_shape)
 
 
 def phase_shift(state: StateVector, gamma: float, table: ObjectiveTable) -> StateVector:
@@ -86,47 +86,32 @@ def phase_shift(state: StateVector, gamma: float, table: ObjectiveTable) -> Stat
         raise ValueError(
             f"table has {table.values.size} values, state has {state.total_points}"
         )
-    amps = state.amplitudes.copy()
-    level_phases = np.empty(table.n_unique, dtype=np.complex128)
+    pair = prepare_phase(table, np.empty((1, table.n_unique), np.complex128))
+    return _stepped(state, pair, np.array([gamma], dtype=float))
+
+
+def prepare_phase(table: ObjectiveTable, level_phases: np.ndarray) -> tuple:
+    """The phase shift over ``table`` on ``(rows, K)`` blocks; its factors are the columns -i gamma.
+
+    ``levels[level_index]`` are the objective values f_k, as complex numbers
+    (``ObjectiveTable.phase_levels``). The step ``apply_phase`` exponentiates
+    each distinct value once per row, into the first rows of
+    ``level_phases``, a buffer of ``table.n_unique`` columns that the
+    caller owns, and gathers them into ``spare``; the exponential is
+    elementwise, so the result is the same as exponentiating all K values.
+    """
     levels, level_index = table.phase_levels, table.level_index
-    apply_phase(amps, (gamma,), levels, level_index, np.empty_like(amps), level_phases)
-    return StateVector(amps, state.tensor_shape)
 
+    def apply_phase(amplitudes, spare, exponents):
+        phases = level_phases[: len(amplitudes)]
+        np.multiply(levels, exponents, out=phases)
+        np.exp(phases, out=phases)
+        # mode="raise" would gather into a temporary and copy; level_index is in range
+        phases.take(level_index, axis=-1, out=spare, mode="clip")
+        # phases first: numpy's complex loops round differently with the operands swapped
+        np.multiply(spare, amplitudes, out=amplitudes)
 
-def apply_phase(
-    amplitudes: np.ndarray,
-    gammas: Sequence[float],
-    levels: np.ndarray,
-    level_index: np.ndarray,
-    spare: np.ndarray,
-    level_phases: np.ndarray,
-) -> None:
-    """Multiply amplitude_rk by exp(-i*gamma_r*f_k) in place.
-
-    ``amplitudes`` is a ``(rows, K)`` block with one gamma per row (a flat
-    state takes one gamma), and ``spare`` is a scratch buffer of its shape.
-    ``levels[level_index]`` are the objective values f_k, given as complex
-    numbers (``ObjectiveTable.phase_levels``; a real array gives the same
-    bits, cast on every call). Each distinct value is exponentiated once per
-    row, into ``level_phases`` (one complex entry per level and row), and
-    gathered into ``spare``; the exponential is elementwise, so the result
-    is the same as exponentiating all K values.
-    """
-    np.multiply(levels, _per_row(-1j * np.asarray(gammas), level_phases.ndim), out=level_phases)
-    np.exp(level_phases, out=level_phases)
-    # mode="raise" would gather into a temporary and copy; level_index is in range
-    level_phases.take(level_index, axis=-1, out=spare, mode="clip")
-    # phases first: numpy's complex loops round differently with the operands swapped
-    np.multiply(spare, amplitudes, out=amplitudes)
-
-
-def _per_row(factors: np.ndarray, ndim: int) -> np.ndarray:
-    """One scalar factor per row, as a ``(rows, 1, ..., 1)`` column of ``ndim`` axes.
-
-    numpy multiplies each row by its constant as one state by a scalar, so a
-    row's bits do not depend on its neighbours, unless each row has one entry.
-    """
-    return factors.reshape((-1,) + (1,) * (ndim - 1))
+    return (lambda gammas: (-1j * gammas,)), apply_phase
 
 
 # --------------------------------------------------------------------------
@@ -197,22 +182,15 @@ def _per_dimension(times, dims: int) -> np.ndarray:
     return times
 
 
-def _mixed(state: StateVector, walk: Walk, times: np.ndarray) -> StateVector:
-    """A new state: ``walk`` run on a copy of ``state``'s amplitudes."""
-    amps = state.amplitudes.copy()
-    walk(amps, times, np.empty_like(amps))
-    return StateVector(amps, state.tensor_shape)
-
-
 def qmoa_mixer(
     state: StateVector, times: np.ndarray, graphs: tuple[CirculantGraph, ...]
 ) -> StateVector:
     """Separable continuous-time walk: one circulant graph per dimension."""
     times = _per_dimension(times, len(state.tensor_shape))
-    return _mixed(state, prepare_qmoa(graphs, state.tensor_shape), times)
+    return _stepped(state, prepare_qmoa(graphs, state.tensor_shape), times)
 
 
-def prepare_qmoa(graphs: tuple[CirculantGraph, ...], shape: tuple[int, ...]) -> Walk:
+def prepare_qmoa(graphs: tuple[CirculantGraph, ...], shape: tuple[int, ...]) -> tuple:
     """QMOA's walk on states of ``shape``, one circulant graph per dimension.
 
     Complete graphs on every dimension take ``complete_walk``'s closed form;
@@ -238,35 +216,37 @@ def _all_complete(graphs: tuple[CirculantGraph, ...], shape: tuple[int, ...]) ->
     return all(len(g.connection_set) == g.size // 2 for g in graphs)  # every offset
 
 
-def _prepare_spectral(spectra: tuple[np.ndarray, ...], shape: tuple[int, ...]) -> Walk:
-    scale = float(1 / np.sqrt(np.longdouble(np.prod(shape))))
+def _prepare_spectral(spectra: tuple[np.ndarray, ...], shape: tuple[int, ...]) -> tuple:
+    """``qmoa_walk``, DFT^-1 exp(-i sum_d t_d v_d) DFT, over per-dimension spectra v_d.
 
-    def walk(amps, times, spare):
-        qmoa_walk(amps.reshape((-1,) + shape), times, spectra, scale, spare)
-
-    return walk
-
-
-def qmoa_walk(
-    tensor: np.ndarray,
-    times: np.ndarray,
-    spectra: tuple[np.ndarray, ...],
-    scale: float,
-    spare: np.ndarray,
-) -> None:
-    """DFT^-1 exp(-i sum_d t_d spectra_d) DFT, in place, on a contiguous (rows,) + (N,)*D block.
-
-    ``times`` holds one row of D times per state. With circulant
-    eigenvalues as spectra this is exp(-i sum_d t_d L_d); with
-    ``MomentumGrid.kinetic_spectra`` it is the QOWE mixer. ``scale`` is
-    1/sqrt(K) rounded from long double, each transform's unitary factor.
-    The diagonal phase goes into ``spare``, a contiguous buffer of
-    ``tensor``'s size that is reshaped to the tensor.
+    With circulant eigenvalues as the v_d this is exp(-i sum_d t_d L_d);
+    with ``MomentumGrid.kinetic_spectra`` it is the QOWE mixer. The factors
+    are exp(-i t_d v_d) for each dimension d, each 1 on every tensor axis
+    but d's. A step multiplies them into ``spare`` from 1+0j rather than
+    from the first factor (where some t_d = 0, that multiplication sets the
+    signs of the zero parts), so only the last product is state-sized.
+    ``scale`` is 1/sqrt(K) rounded from long double, each transform's
+    unitary factor.
     """
-    phase = _diagonal_phase(times, spectra, spare.reshape(tensor.shape))
-    _unitary_dft(tensor, scale, inverse=False)
-    tensor *= phase
-    _unitary_dft(tensor, scale, inverse=True)
+    scale = float(1 / np.sqrt(np.longdouble(np.prod(shape))))
+    dims = len(shape)
+
+    def factors(times):
+        columns = (-1j * times).reshape(times.shape + (1,) * dims)
+        return tuple(np.exp(columns[:, :, d] * v) for d, v in enumerate(spectra))
+
+    def qmoa_walk(amps, spare, *phases):
+        tensor, product = amps.reshape((-1,) + shape), spare.reshape((-1,) + shape)
+        *leading, last = phases
+        phase = 1 + 0j
+        for factor in leading:
+            phase = phase * factor
+        np.multiply(phase, last, out=product)
+        _unitary_dft(tensor, scale, inverse=False)
+        tensor *= product
+        _unitary_dft(tensor, scale, inverse=True)
+
+    return factors, qmoa_walk
 
 
 def _unitary_dft(tensor: np.ndarray, scale: float, inverse: bool) -> None:
@@ -287,79 +267,54 @@ def _unitary_dft(tensor: np.ndarray, scale: float, inverse: bool) -> None:
             np.multiply(parts, scale, out=parts)
 
 
-def _diagonal_phase(times, vectors: tuple[np.ndarray, ...], out: np.ndarray) -> np.ndarray:
-    """prod_d exp(-i t_d v_d) into ``out``, from D small per-dimension exponentials per state.
-
-    ``out`` is a block with a leading row axis before the tensor shape, and
-    ``times`` one row of D times per state; one row may also come as D times
-    and a bare tensor, so the columns take their rank from ``out``. Each v_d
-    broadcasts along its own tensor axis, so only the last product is
-    state-sized. The product starts from 1+0j rather than from the first
-    factor; where some t_d = 0, that multiplication sets the signs of the
-    zero parts.
-    """
-    exponents = -1j * np.asarray(times).reshape(-1, len(vectors))
-    *factors, last = (np.exp(_per_row(e, out.ndim) * v) for e, v in zip(exponents.T, vectors))
-    phase = 1 + 0j
-    for factor in factors:
-        phase = phase * factor
-    return np.multiply(phase, last, out=out)
-
-
 def qaoa_complete_mixer(state: StateVector, t: float) -> StateVector:
     """Walk on the complete graph over all K states, O(K) via the global mean.
 
     The leading global phase exp(i*t) of the closed form is kept so the
     operator matches exp(-i*t*A) for the complete-graph adjacency exactly.
     """
-    return _mixed(state, prepare_complete((state.total_points,)), _per_dimension(t, 1))
+    return _stepped(state, prepare_complete((state.total_points,)), _per_dimension(t, 1))
 
 
-def prepare_complete(shape: tuple[int, ...]) -> Walk:
-    """``complete_walk`` over the axes of ``shape``: the grid's for QMOA, ``(K,)`` for QAOA."""
+def prepare_complete(shape: tuple[int, ...]) -> tuple:
+    """``complete_walk`` over the axes of ``shape``: the grid's for QMOA, ``(K,)`` for QAOA.
+
+    On N vertices exp(-i t (J - I)) = e^{it} (I + (e^{-itN} - 1) J/N), and
+    J/N replaces each entry by the mean along its axis. The factors are
+    (e^{-i t_d N} - 1) / N for the walk time t_d of each axis, and the global
+    phase e^{i sum_d t_d} as a column over the tensor, its sum started from
+    +0.0. A step adds to each axis its factor times its sums, formed in the
+    first K/N entries per state of ``spare``, and then takes the phase.
+    """
     dims = len(shape)
-    axes = []
+    axes = []  # (tensor axis, its size, the shape of a state's sums along it)
     for d in range(dims):
         axis = tensor_axis(d, dims)
         axes.append((axis, shape[axis], shape[:axis] + (1,) + shape[axis + 1 :]))
+    sizes = np.array([n for _, n, _ in axes])
 
-    def walk(amps, times, spare):
-        complete_walk(amps.reshape((-1,) + shape), times, axes, spare)
+    def factors(times):
+        totals = np.zeros(times.shape[:-1])
+        for d in range(dims):
+            totals += times[..., d]
+        phases = np.exp(1j * totals).reshape(totals.shape + (1,) * dims)
+        return (np.exp(-1j * times * sizes) - 1.0) / sizes, phases
 
-    return walk
+    def complete_walk(amps, spare, scales, phases):
+        tensor, scratch = amps.reshape((-1,) + shape), spare.reshape(-1)
+        for d, (axis, n, sums_shape) in enumerate(axes):
+            term = scratch[: tensor.size // n].reshape(tensor.shape[:1] + sums_shape)
+            np.add.reduce(tensor, axis=1 + axis, keepdims=True, out=term)
+            # Scalar first, in place, N a power of two: this keeps QAOA bit for bit the
+            # scalar-mean closed form (numpy's out-of-place product fuses multiply-adds).
+            # Rows go one by one: where a state has a single sum, a column of factors
+            # would take the array-by-array product, which fuses too.
+            for factor, sums in zip(scales[:, d], term):
+                np.multiply(factor, sums, out=sums)
+            np.add(tensor, term, out=tensor)
+        np.multiply(phases, tensor, out=tensor)
 
-
-def complete_walk(
-    tensor: np.ndarray, times: np.ndarray, axes: Sequence[tuple], spare: np.ndarray
-) -> None:
-    """exp(-i sum_d t_d A_d) for complete graphs A_d, in place, on a contiguous block of tensors.
-
-    ``tensor`` has a leading row axis, with ``times`` one row of D times per
-    state. Time t_d walks grid dimension d; ``axes[d]`` is (its tensor axis
-    after the row axis, its size N, the shape of a state's sums along it),
-    as ``prepare_complete`` lays them out. One axis of K with one time is
-    the complete graph on all K states. On N vertices
-    exp(-i t (J - I)) = e^{it} (I + (e^{-itN} - 1) J/N), and J/N replaces
-    each entry by the mean along its axis. So each axis adds (e^{-itN} - 1)
-    times its mean, formed from the axis sums in the first K/N entries per
-    state of the contiguous buffer ``spare``, and one global phase
-    e^{i sum_d t_d} per state follows.
-    """
-    rows = times.reshape(-1, len(axes))
-    scratch = spare.reshape(-1)
-    totals = np.zeros(len(rows))
-    for d, (axis, n, sums_shape) in enumerate(axes):
-        term = scratch[: tensor.size // n].reshape(tensor.shape[:1] + sums_shape)
-        np.add.reduce(tensor, axis=1 + axis, keepdims=True, out=term)
-        totals += rows[:, d]
-        # Scalar first, in place, N a power of two: this keeps QAOA bit for bit the
-        # scalar-mean closed form (numpy's out-of-place product fuses multiply-adds).
-        # Rows go one by one: where a state has a single sum, a column of factors
-        # would take the array-by-array product, which fuses too.
-        for factor, sums in zip((np.exp(-1j * rows[:, d] * n) - 1.0) / n, term):
-            np.multiply(factor, sums, out=sums)
-        np.add(tensor, term, out=tensor)
-    np.multiply(_per_row(np.exp(1j * totals), tensor.ndim), tensor, out=tensor)
+    return factors, complete_walk
 
 
 def hypercube_mixer(state: StateVector, t: float) -> StateVector:
@@ -368,35 +323,35 @@ def hypercube_mixer(state: StateVector, t: float) -> StateVector:
     Equivalent to the product of commuting single-qubit rotations
     cos(t)*I - i*sin(t)*X applied to each of the M = log2(K) qubits.
     """
-    return _mixed(state, prepare_hypercube(state.total_points), _per_dimension(t, 1))
+    return _stepped(state, prepare_hypercube(state.total_points), _per_dimension(t, 1))
 
 
-def prepare_hypercube(k: int) -> Walk:
-    """``hypercube_walk`` on K = 2^M states."""
+def prepare_hypercube(k: int) -> tuple:
+    """``hypercube_walk`` on K = 2^M states; its factors are cos t and i sin t of each time t."""
     if k & (k - 1) or k < 1:
         raise ValueError(f"hypercube mixer needs K = 2^M states, got K={k}")
-    return hypercube_walk
+    return (lambda times: (np.cos(times), 1j * np.sin(times))), hypercube_walk
 
 
-def hypercube_walk(amplitudes: np.ndarray, times: np.ndarray, spare: np.ndarray) -> None:
-    """The hypercube walk, in place, on a contiguous (rows, 2^M) block (a flat state is one row).
+def hypercube_walk(
+    amplitudes: np.ndarray, spare: np.ndarray, c: np.ndarray, js: np.ndarray
+) -> None:
+    """The hypercube walk, in place, on a contiguous (rows, 2^M) block.
 
-    State r walks for time ``times.flat[r]``. Pass i pairs index k with its
+    State r walks for a time t_r, given as the ``(rows, 1)`` columns ``c``
+    of cos(t_r) and ``js`` of i*sin(t_r). Pass i pairs index k with its
     partner across qubit i. Viewed as ``x.reshape(-1, 2, 2**i)`` per state,
     the partners are the same view with its middle axis reversed, so a pass
     is three whole-array ufuncs on the amplitudes x: ``spare`` gets i*sin(t)
     times x, x is scaled by cos(t), and x less the swapped ``spare`` goes into x.
     """
-    lead = amplitudes.shape[:-1]
-    c = _per_row(np.cos(times), amplitudes.ndim)
-    js = _per_row(1j * np.sin(times), amplitudes.ndim)
-    y = spare.reshape(amplitudes.shape)
+    rows = len(amplitudes)
     for i in range(amplitudes.shape[-1].bit_length() - 1):
-        pairs = lead + (-1, 2, 1 << i)
-        np.multiply(js, amplitudes, out=y)
+        pairs = (rows, -1, 2, 1 << i)
+        np.multiply(js, amplitudes, out=spare)
         np.multiply(c, amplitudes, out=amplitudes)
         x = amplitudes.reshape(pairs)
-        np.subtract(x, y.reshape(pairs)[..., ::-1, :], out=x)
+        np.subtract(x, spare.reshape(pairs)[..., ::-1, :], out=x)
 
 
 # --------------------------------------------------------------------------
@@ -453,10 +408,10 @@ def qowe_mixer(
     shape = state.tensor_shape
     if grid.tensor_shape != shape:
         raise ValueError(f"grid has shape {grid.tensor_shape}, state has {shape}")
-    return _mixed(state, prepare_qowe(momentum, shape), _per_dimension(times, len(shape)))
+    return _stepped(state, prepare_qowe(momentum, shape), _per_dimension(times, len(shape)))
 
 
-def prepare_qowe(momentum: MomentumGrid, shape: tuple[int, ...]) -> Walk:
+def prepare_qowe(momentum: MomentumGrid, shape: tuple[int, ...]) -> tuple:
     """QOWE's kinetic walk: ``qmoa_walk`` over ``momentum.kinetic_spectra()``."""
     if momentum.values.shape != (len(shape), shape[0]):
         raise ValueError(f"momentum grid of shape {momentum.values.shape} does not fit {shape}")
@@ -466,12 +421,23 @@ def prepare_qowe(momentum: MomentumGrid, shape: tuple[int, ...]) -> Walk:
 # --------------------------------------------------------------------------
 # Product states: one N-vector per grid dimension
 # --------------------------------------------------------------------------
-#
-# A product state is a (rows, D, N) block, entry (r, d) dimension d's vector
-# of state r. Its walks are prepared as a pair (factors, walk): ``factors``
-# maps the walk times of every layer, shape (rows, p, D), to the arrays one
-# layer's ``walk(block, *layer_factors)`` takes, each with a layer axis at
-# position 1, so that the exponentials of all layers are formed in one call.
+
+
+def prepare_axis_phase(levels: np.ndarray) -> tuple:
+    """The phase shift on product states, over the ``(D, N)`` complex ``levels``.
+
+    Row d of ``levels`` holds dimension d's objective terms; its factors are
+    exp(-i gamma levels) for every row and layer, which a step multiplies
+    into each vector.
+    """
+
+    def factors(gammas):
+        return (np.exp((-1j * gammas[..., None]) * levels),)
+
+    def step(block, spare, phases):
+        np.multiply(phases, block, out=block)
+
+    return factors, step
 
 
 def prepare_axis_qmoa(graphs: tuple[CirculantGraph, ...], shape: tuple[int, ...]) -> tuple:
@@ -502,14 +468,16 @@ def complete_axis_factors(times: np.ndarray, n: int) -> tuple[np.ndarray, np.nda
     return (np.exp(-1j * n * times) - 1.0) / n, np.exp(1j * times)
 
 
-def complete_axis_walk(block: np.ndarray, factors: np.ndarray, phases: np.ndarray) -> None:
+def complete_axis_walk(
+    block: np.ndarray, spare: np.ndarray, factors: np.ndarray, phases: np.ndarray
+) -> None:
     """``complete_walk``'s closed form on every vector of a (rows, D, N) block, in place.
 
     Each vector gains its factor (e^{-itN} - 1) / N times its sum, then
-    takes its phase e^{it}. The product of the factors and the sums goes
-    into a new array: numpy rounds an in-place product of single entries
-    differently, which would give a row alone other bits, at D = 1, than
-    in a block.
+    takes its phase e^{it}; ``spare`` is not used. The product of the
+    factors and the sums goes into a new array: numpy rounds an in-place
+    product of single entries differently, which would give a row alone
+    other bits, at D = 1, than in a block.
     """
     sums = np.add.reduce(block, axis=-1, keepdims=True)
     np.add(block, factors * sums, out=block)
@@ -521,12 +489,13 @@ def spectral_axis_factors(times: np.ndarray, spectra: np.ndarray) -> tuple[np.nd
     return (np.exp((-1j * times)[..., None] * spectra),)
 
 
-def spectral_axis_walk(block: np.ndarray, phases: np.ndarray) -> None:
+def spectral_axis_walk(block: np.ndarray, spare: np.ndarray, phases: np.ndarray) -> None:
     """DFT^-1 diag(phases) DFT on every vector of a (rows, D, N) block, in place.
 
     Row d of ``spectra`` in ``spectral_axis_factors`` is the spectrum
     ``qmoa_walk`` takes for dimension d, in DFT frequency order. Each vector
-    is transformed by the unitary DFT along the last axis.
+    is transformed by the unitary DFT along the last axis; ``spare`` is not
+    used.
     """
     np.fft.fft(block, axis=-1, norm="ortho", out=block)
     np.multiply(phases, block, out=block)

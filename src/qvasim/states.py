@@ -46,8 +46,9 @@ class StateVector:
         return probabilities_of(self.amplitudes)
 
     def norm_drift(self) -> float:
-        """|1 - squared norm|."""
-        return norm_drift_of(self.amplitudes)
+        """|1 - squared norm|, from one dot product of the ``float64`` view with itself."""
+        pairs = self.amplitudes.view(np.float64)
+        return abs(1.0 - float(pairs.dot(pairs)))
 
     def renormalised(self) -> "StateVector":
         """Rescale to unit norm if drift exceeds the threshold (logged)."""
@@ -69,12 +70,6 @@ def probabilities_of(
     """
     probabilities = np.square(amplitudes.real, out=out)
     return np.add(probabilities, np.square(amplitudes.imag, out=scratch), out=probabilities)
-
-
-def norm_drift_of(amplitudes: np.ndarray) -> float:
-    """|1 - squared norm|, from one dot product of the ``float64`` view with itself."""
-    pairs = amplitudes.view(np.float64)
-    return abs(1.0 - float(pairs.dot(pairs)))
 
 
 def renormalise(amplitudes: np.ndarray, drift: float, out: np.ndarray | None = None) -> np.ndarray:

@@ -29,7 +29,7 @@ from qvasim.engine import NelderMeadResult, OptimiserOptions, nelder_mead
 from qvasim.functions import get_function
 from qvasim.grid import SolutionGrid
 from qvasim.hybrid import BaselineResult
-from qvasim.mixers import CirculantGraph, MomentumGrid, _diagonal_phase
+from qvasim.mixers import CirculantGraph, MomentumGrid
 from qvasim.states import StateVector
 
 DENSE_ORACLE_CAP = 4096
@@ -212,13 +212,33 @@ def scipy_qmoa_walk(
 ) -> np.ndarray:
     """``qvasim.mixers.qmoa_walk`` through ``scipy.fft``'s unitary n-dimensional transforms.
 
-    The same diagonal phase, between ``fftn`` and ``ifftn`` with
-    ``norm="ortho"``; both overwrite ``tensor``, as the library's walk does.
+    The diagonal phase ``diagonal_phase`` forms, between ``fftn`` and
+    ``ifftn`` with ``norm="ortho"``; both overwrite ``tensor``, as the
+    library's walk does.
     """
-    phase = _diagonal_phase(times, spectra, spare.reshape(tensor.shape))
+    phase = diagonal_phase(times, spectra, spare.reshape(tensor.shape))
     spectrum = sfft.fftn(tensor, norm="ortho", overwrite_x=True)
     spectrum *= phase
     return sfft.ifftn(spectrum, norm="ortho", overwrite_x=True)
+
+
+def diagonal_phase(times, vectors: tuple[np.ndarray, ...], out: np.ndarray) -> np.ndarray:
+    """prod_d exp(-i t_d v_d) into ``out``: the spectral walk's diagonal phase, kept apart.
+
+    The library forms the same product from its own factors; this copy
+    fixes the arithmetic they must reproduce bit for bit. ``out`` has the tensor's shape, with or without a leading row axis, and
+    ``times`` one row of D times per state. Each exponent -i t_d is a column
+    over ``out``'s axes times v_d, which broadcasts along its own tensor
+    axis. The product starts from 1+0j, multiplies the factors in order and
+    writes the last product into ``out``.
+    """
+    exponents = -1j * np.asarray(times).reshape(-1, len(vectors))
+    columns = (e.reshape((-1,) + (1,) * (out.ndim - 1)) for e in exponents.T)
+    *factors, last = (np.exp(column * v) for column, v in zip(columns, vectors))
+    phase = 1 + 0j
+    for factor in factors:
+        phase = phase * factor
+    return np.multiply(phase, last, out=out)
 
 
 def _column(factors: list, ndim: int):

@@ -20,9 +20,11 @@ from qvasim.ansatz import (
     Algorithm,
     AnsatzSpec,
     ParameterVector,
+    ProductPropagator,
     Propagator,
     _Evaluator,
     apply_ansatz,
+    evaluator,
     initial_state,
     objective_value,
 )
@@ -261,6 +263,36 @@ def test_workspace_holds_only_the_states():
     rows = propagator.rows
     assert sorted(a.size for a in workspace) == [table.n_unique * rows, 256 * rows, 256 * rows]
     assert not any(a.dtype == np.float64 and a.size >= grid.total_points for a in arrays)
+
+
+@pytest.mark.parametrize("depth", [1, 4])
+@pytest.mark.parametrize(
+    "label, path",
+    [(label, Propagator) for label in ("qmoa_complete", "qmoa_cycle", "qaoa_complete")]
+    + [(label, Propagator) for label in ("qaoa_hypercube", "qowe_equal")]
+    + [(label, ProductPropagator) for label in ("qmoa_complete", "qmoa_cycle", "qowe_equal")],
+)
+def test_factors_are_formed_once_per_chunk(label, path, depth):
+    """Each pair's ``factors`` is called once per one-chunk evaluation, whatever the depth."""
+    grid, table = problem(2, 16)
+    spec = make_spec(label, 2, 16, depth)
+    full = path is Propagator
+    propagator = Propagator(spec, table, grid) if full else evaluator(spec, table, grid)
+    assert type(propagator) is path
+    calls = []
+    for name in ("_phase", "_walk"):
+        factors, step = getattr(propagator, name)
+
+        def counting(params, factors=factors, name=name):
+            calls.append(name)
+            return factors(params)
+
+        setattr(propagator, name, (counting, step))
+    rng = np.random.default_rng(depth)
+    points = [random_params(spec, 2, rng).flatten() for _ in range(3)]
+    assert len(points) <= propagator.rows
+    propagator.expectations(points)
+    assert sorted(calls) == ["_phase", "_walk"]
 
 
 @pytest.mark.parametrize(

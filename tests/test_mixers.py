@@ -16,13 +16,14 @@ from qvasim.grid import along_axis, make_grid, table_from_values
 from qvasim.mixers import (
     CirculantGraph,
     MomentumGrid,
-    apply_phase,
     circulant_eigenvalues,
     hypercube_mixer,
-    hypercube_walk,
     phase_shift,
+    prepare_axis_qmoa,
+    prepare_axis_qowe,
     prepare_complete,
     prepare_hypercube,
+    prepare_phase,
     prepare_qmoa,
     prepare_qowe,
     qaoa_complete_mixer,
@@ -263,7 +264,11 @@ def test_public_kernels_reject_non_finite_parameters(bad):
                 call()
 
 
-@pytest.mark.parametrize("mixer", ["qmoa_cycle", "qmoa_complete", "qowe", "qaoa_complete", "hypercube"])
+@pytest.mark.parametrize(
+    "mixer",
+    ["qmoa_cycle", "qmoa_complete", "qowe", "qaoa_complete", "hypercube"]
+    + ["axis_qmoa_cycle", "axis_qmoa_complete", "axis_qowe"],
+)
 def test_prepared_walks_keep_no_state_sized_buffer(mixer):
     """A prepared walk keeps its factors only; the caller's ``spare`` is its scratch."""
     n = 64
@@ -276,19 +281,26 @@ def test_prepared_walks_keep_no_state_sized_buffer(mixer):
         "qowe": lambda: prepare_qowe(momentum, shape),
         "qaoa_complete": lambda: prepare_complete((k,)),
         "hypercube": lambda: prepare_hypercube(k),
+        "axis_qmoa_cycle": lambda: prepare_axis_qmoa((CirculantGraph.cycle(n),) * 2, shape),
+        "axis_qmoa_complete": lambda: prepare_axis_qmoa((CirculantGraph.complete(n),) * 2, shape),
+        "axis_qowe": lambda: prepare_axis_qowe(momentum, shape),
     }[mixer]
     tracemalloc.start()
     try:
         before, _ = tracemalloc.get_traced_memory()
-        walk = prepare()
+        factors, step = prepare()
         retained, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert retained - before < 0.1 * 16 * k
-    amps = random_state(np.random.default_rng(13), k).amplitudes.copy()
+    rng = np.random.default_rng(13)
+    if mixer.startswith("axis"):  # a product state: one unit N-vector per dimension
+        state = np.array([[random_state(rng, n).amplitudes for _ in range(2)]])
+    else:
+        state = random_state(rng, k).amplitudes[None].copy()
     times = np.array([0.4] if mixer in ("qaoa_complete", "hypercube") else [0.4, 0.7])
-    walk(amps, times, np.empty_like(amps))
-    assert np.linalg.norm(amps) == pytest.approx(1.0)
+    step(state, np.empty_like(state), *(f[:, 0] for f in factors(times[None, None])))
+    assert np.linalg.norm(state, axis=-1) == pytest.approx(1.0)
 
 
 def same_bits(a, b):
@@ -325,7 +337,9 @@ class TestInPlaceKernels:
             times = [first] + list(rng.uniform(-2 * np.pi, 2 * np.pi, rows - 1))
             amps = random_block(rng, rows, k, flat)
             ours = amps.copy()
-            hypercube_walk(ours, times, np.empty_like(amps))
+            factors, step = prepare_hypercube(k)
+            layer = (f[:, 0] for f in factors(np.reshape(times, (rows, 1, 1))))
+            step(ours.reshape(rows, k), np.empty((rows, k), complex), *layer)
             theirs = ping_pong_hypercube_walk(amps.copy(), times, np.empty_like(amps))
             assert same_bits(ours, theirs)
 
@@ -339,7 +353,9 @@ class TestInPlaceKernels:
             amps = random_block(rng, rows, 512, flat)
             ours = amps.copy()
             level_phases = np.empty(amps.shape[:-1] + (table.n_unique,), complex)
-            apply_phase(ours, gammas, levels, level_index, np.empty_like(amps), level_phases)
+            factors, step = prepare_phase(table, np.empty((rows, table.n_unique), complex))
+            layer = (f[:, 0] for f in factors(np.reshape(gammas, (rows, 1, 1))))
+            step(ours.reshape(rows, 512), np.empty((rows, 512), complex), *layer)
             theirs = out_of_place_phase(
                 amps, gammas, levels, level_index, np.empty_like(amps), level_phases
             )
@@ -362,8 +378,11 @@ class TestInPlaceKernels:
         per_row = 1 if kernel in ("phase", "qaoa_complete") or "hypercube" in kernel else dims
         times = rng.uniform(-2.0, 2.0, (rows, per_row))
         cycle, complete = (CirculantGraph.cycle(n),) * dims, (CirculantGraph.complete(n),) * dims
-        walk, public = {
-            "phase": (None, lambda s, t: phase_shift(s, t[0], table)),
+        pair, public = {
+            "phase": (
+                prepare_phase(table, np.empty((rows, table.n_unique), complex)),
+                lambda s, t: phase_shift(s, t[0], table),
+            ),
             "qmoa_cycle": (prepare_qmoa(cycle, shape), lambda s, t: qmoa_mixer(s, t, cycle)),
             "qmoa_complete": (
                 prepare_qmoa(complete, shape),
@@ -377,13 +396,9 @@ class TestInPlaceKernels:
         assert kernel != "hypercube_odd" or k.bit_length() % 2 == 0  # M = log2 K is odd
         amps = random_block(rng, rows, k, flat)
         buffer = amps.copy()
-        spare = np.empty_like(amps)
-        if walk is None:
-            level_phases = np.empty(amps.shape[:-1] + (table.n_unique,), complex)
-            gammas = times[:, 0].tolist()
-            apply_phase(buffer, gammas, table.phase_levels, table.level_index, spare, level_phases)
-        else:
-            walk(buffer, times[0] if flat else times, spare)
+        factors, step = pair
+        layer = (f[:, 0] for f in factors(times[:, None]))
+        step(buffer.reshape(rows, k), np.empty((rows, k), complex), *layer)
         for row, out, t in zip(amps.reshape(rows, k), buffer.reshape(rows, k), times):
             assert same_bits(out, public(StateVector(row, shape), t).amplitudes)
 
@@ -636,11 +651,11 @@ class TestSpectralWalkAgainstScipy:
         times = np.array(data.draw(st.lists(time, min_size=dims, max_size=dims)))
         if mixer == "qowe":
             momentum = MomentumGrid.from_grid(make_grid([-1.5] * dims, [2.0] * dims, n))
-            walk, spectra = prepare_qowe(momentum, shape), momentum.kinetic_spectra()
+            pair, spectra = prepare_qowe(momentum, shape), momentum.kinetic_spectra()
         else:
             width = st.just(1) if mixer == "qmoa_cycle" else st.integers(1, n // 2 - 1)
             graphs = tuple(CirculantGraph.banded(n, data.draw(width)) for _ in range(dims))
-            walk = prepare_qmoa(graphs, shape)
+            pair = prepare_qmoa(graphs, shape)
             spectra = tuple(
                 along_axis(circulant_eigenvalues(g), d, dims) for d, g in enumerate(graphs)
             )
@@ -653,7 +668,8 @@ class TestSpectralWalkAgainstScipy:
             amps = np.zeros(k, dtype=complex)
             amps[data.draw(st.integers(0, k - 1))] = 1.0
         ours = amps.copy()
-        walk(ours, times, np.empty_like(amps))
+        factors, step = pair
+        step(ours[None], np.empty((1, k), complex), *(f[:, 0] for f in factors(times[None, None])))
         theirs = scipy_qmoa_walk(amps.copy().reshape(shape), times, spectra, np.empty_like(amps))
         assert np.array_equal(ours.view(np.uint64), theirs.ravel().view(np.uint64))
 

@@ -11,7 +11,6 @@ from qvasim.states import (
     expectation,
     gaussian_wavepacket,
     grid_superposition,
-    norm_drift_of,
     probabilities_of,
     sample,
     state_to_csv,
@@ -183,7 +182,7 @@ def test_norm_drift_in_one_pass_matches_the_probability_sum(k, seed, delta):
     rng = np.random.default_rng(seed)
     amps = rng.normal(size=k) + 1j * rng.normal(size=k)
     state = StateVector(amps / np.linalg.norm(amps) * (1.0 + delta), (k,))
-    drift = norm_drift_of(state.amplitudes)
+    drift = state.norm_drift()
     assert abs(drift - abs(1.0 - probabilities_of(state.amplitudes).sum())) <= 1e-13
     assert state.norm_drift() == drift
 
