@@ -5,9 +5,11 @@ K amplitudes, and the ``ProductPropagator``, over D vectors of N entries,
 for QMOA and QOWE on an additive objective. Each holds two prepared
 ``(factors, step)`` pairs of ``qvasim.mixers``, its phase shift and its
 walk, and both run one layer loop, ``_Evaluator._evolve``, on a block of
-parameter vectors, one per row of their workspace. ``evaluator`` picks
-between them from the spec's family and the table alone. ``apply_ansatz``
-and ``objective_value`` always take the full path.
+parameter vectors, one per row of the state block and ``spare`` that
+``_Evaluator`` owns: rows of ``(K,)`` amplitudes on the full path, of
+``(D, N)`` vectors on the product path. ``evaluator`` picks between them
+from the spec's family and the table alone. ``apply_ansatz`` and
+``objective_value`` always take the full path.
 """
 
 from __future__ import annotations
@@ -186,36 +188,55 @@ def _check_drawn(spec: AnsatzSpec) -> None:
         )
 
 
+def _outer(axes: np.ndarray) -> np.ndarray:
+    """The flat outer product of a row viewed as ``(vectors, entries)``, vector 0 fastest.
+
+    A new array: a ``(K,)`` row is one vector, and its product is a copy with the same bits.
+    """
+    axes = axes.reshape(-1, axes.shape[-1])
+    flat = axes[-1].copy()
+    for vector in axes[-2::-1]:
+        flat = np.multiply.outer(flat, vector).ravel()
+    return flat
+
+
 class _Evaluator:
-    """What both evaluators share: the layer loop, the row blocks, the measurements and ``state``.
+    """What both evaluators share: the workspace, the layer loop, the measurements and ``state``.
 
-    The constructor fixes the fields both need, among them
-    ``rows = max(1, BATCH_POINTS // size)`` for ``size`` entries in one row
-    of the workspace. ``_layers`` splits parameters into layers, ``_evolve``
-    runs them and ``_check_norms`` is the norm check after each layer. A
-    subclass supplies:
-
-    * ``_initial``, the state block's first row, which every evaluation
-      starts from;
-    * ``_phase`` and ``_walk``, its two ``(factors, step)`` pairs from
-      ``qvasim.mixers``;
-    * ``_workspace(count)``, the views of a ``count``-row evaluation: the
-      state block, the steps' ``spare``, the state block as ``_check_norms``
-      takes it, and two float buffers of the state block's shape;
-    * ``_expectations`` and ``_probabilities``, each row's <Q> and its K
-      probabilities in grid layout, formed from the blocks of ``_chunk_probabilities``;
-    * ``_amplitudes``, which turns one row of the state block into the K
-      amplitudes, in a new array.
+    ``initial``, which every evaluation starts from, is one row: ``(K,)``
+    amplitudes on the full path, ``(D, N)`` vectors on the product path.
+    The workspace, allocated once, is two complex blocks of ``(rows,) +
+    initial.shape`` with ``rows = max(1, BATCH_POINTS // initial.size)``:
+    the state block, which every step updates in place, and ``spare``, the
+    steps' only scratch, whose ``float64`` halves hold a chunk's
+    probabilities. ``_layers`` splits parameters into layers, ``_evolve``
+    runs them and ``_check_norms`` is the norm check after each layer;
+    ``samples`` and ``state`` take a row's K entries from ``_outer``. A
+    subclass supplies ``_phase`` and ``_walk``, its two ``(factors, step)``
+    pairs from ``qvasim.mixers``, and ``_expectations``, each row's <Q>
+    from the blocks of ``_chunk_probabilities``.
     """
 
-    def __init__(self, spec: AnsatzSpec, grid: SolutionGrid, size: int):
-        self.rows = max(1, BATCH_POINTS // size)
+    def __init__(self, spec: AnsatzSpec, grid: SolutionGrid, initial: np.ndarray):
+        self._initial = initial
+        self.rows = max(1, BATCH_POINTS // initial.size)
         self.n_params = spec.total_params(grid.dims)
         self._width = spec.params_per_layer(grid.dims)
         self._shape = grid.tensor_shape
         shared = spec.algorithm is Algorithm.QMOA and spec.shared_walk_time
         self._shared_dims = grid.dims if shared else None  # one walk time drives every dimension
+        shape = (self.rows,) + initial.shape
+        self._states = (np.empty(shape, np.complex128), np.empty(shape, np.complex128))
         self._views: dict[int, tuple] = {}
+
+    def _workspace(self, count: int) -> tuple:
+        """The ``count``-row views: state block, ``spare``, the state block as a
+        ``(count, vectors, entries)`` block for ``_check_norms``, and the two
+        halves of ``spare``'s ``float64`` view, each shaped as the state block.
+        """
+        state, spare = (b[:count] for b in self._states)
+        halves = spare.reshape(-1).view(np.float64).reshape((2,) + state.shape)
+        return state, spare, state.reshape(count, -1, state.shape[-1]), *halves
 
     def _layers(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Each row's gammas, ``(count, p, 1)``, and walk times, ``(count, p, times)``."""
@@ -230,7 +251,7 @@ class _Evaluator:
 
         Each pair's factors are formed once, for all layers; a layer is the
         phase step, the walk step and the norm check. Returns the state block
-        and the two float buffers of ``_workspace``. ``drift_logs``, one list
+        and the two float halves of ``spare``. ``drift_logs``, one list
         per row, collects each row's per-layer drifts seen before any
         correction. A vector past the threshold is rescaled in place.
         """
@@ -302,7 +323,8 @@ class _Evaluator:
         equal rows draw again. Each row's draws are ``states.sample_of`` on
         its K probabilities, as ``states.sample`` of ``state(row)`` draws.
         """
-        return [sample_of(p, rng, shots) for p in self._probabilities(self._block(points))]
+        chunks = self._chunk_probabilities(self._block(points))
+        return [sample_of(_outer(p), rng, shots) for probs in chunks for p in probs]
 
     def state(self, flat: np.ndarray, drift_log: list[float] | None = None) -> StateVector:
         """The state prepared by one parameter vector, in a new array.
@@ -311,7 +333,7 @@ class _Evaluator:
         """
         logs = None if drift_log is None else [drift_log]
         block = self._evolve(self._block(np.asarray(flat, dtype=float)[None]), logs)[0]
-        return StateVector(self._amplitudes(block[0]), self._shape)
+        return StateVector(_outer(block[0]), self._shape)
 
 
 class Propagator(_Evaluator):
@@ -329,13 +351,10 @@ class Propagator(_Evaluator):
       siblings, which keeps only what the mixer fixes.
 
     It evolves up to ``rows = max(1, BATCH_POINTS // K)`` parameter vectors
-    at a time, each in its own row of the workspace, which it allocates once
-    and which holds every buffer an evaluation writes:
-
-    * a ``(rows, K)`` complex state buffer, which every step updates in place;
-    * a second one, the steps' ``spare``, their only scratch;
-    * one complex entry per objective level and row, the phase step's
-      buffer for its level exponentials.
+    at a time, each in its own row of the workspace, which holds every
+    buffer an evaluation writes: ``_Evaluator``'s ``(rows, K)`` state block
+    and ``spare``, and one complex entry per objective level and row, the
+    phase step's buffer for its level exponentials.
 
     An evaluation of ``count`` parameter vectors runs on the first ``count``
     rows of each buffer, a ``(count, K)`` block even for one vector; the
@@ -361,9 +380,8 @@ class Propagator(_Evaluator):
         if table.values.size != grid.total_points:
             raise ValueError("objective table does not match the grid")
         k = grid.total_points
-        super().__init__(spec, grid, k)
+        super().__init__(spec, grid, initial_state(spec, grid).amplitudes)
         self.table = table
-        self._initial = initial_state(spec, grid).amplitudes
         algorithm = spec.algorithm
         if algorithm is Algorithm.QMOA:
             self._walk = prepare_qmoa(spec.graphs, self._shape)
@@ -373,36 +391,12 @@ class Propagator(_Evaluator):
             self._walk = prepare_complete((k,))
         else:
             self._walk = prepare_hypercube(k)
-        shape = (self.rows, k)
-        self._states = (np.empty(shape, np.complex128), np.empty(shape, np.complex128))
         self._level_phases = np.empty((self.rows, table.n_unique), np.complex128)
         self._phase = prepare_phase(table, self._level_phases)
-
-    def _workspace(self, count: int) -> tuple:
-        """The ``count``-row views: state buffer, spare, the state buffer as a
-        ``(count, 1, K)`` block for ``_check_norms``, and the two halves of
-        the spare's ``float64`` view, each shaped as the state buffer.
-        """
-        state, spare = (b[:count] for b in self._states)
-        halves = spare.reshape(-1).view(np.float64).reshape((2,) + spare.shape)
-        return state, spare, state[:, None], *halves
-
-    def _probabilities(self, points: np.ndarray) -> Iterator[np.ndarray]:
-        return (p for probs in self._chunk_probabilities(points) for p in probs)
 
     def _expectations(self, points: np.ndarray) -> Iterator[float]:
         for probs in self._chunk_probabilities(points):
             yield from np.vecdot(probs, self.table.values).tolist()
-
-    _amplitudes = staticmethod(np.copy)
-
-
-def _outer(axes: np.ndarray) -> np.ndarray:
-    """The flat outer product of D per-dimension vectors, dimension 0 fastest, in a new array."""
-    flat = axes[-1].copy()
-    for vector in axes[-2::-1]:
-        flat = np.multiply.outer(flat, vector).ravel()
-    return flat
 
 
 class ProductPropagator(_Evaluator):
@@ -416,18 +410,19 @@ class ProductPropagator(_Evaluator):
     products too. So the state stays the outer product of D vectors of N
     entries, and an evaluation costs O(p D N) instead of O(p K).
 
-    Its workspace is a ``(rows, D, N)`` complex block of
+    Its workspace is ``_Evaluator``'s: a ``(rows, D, N)`` complex block of
     ``rows = max(1, BATCH_POINTS // (D N))`` product states, entry (r, d)
-    dimension d's vector of row r. Its phase pair
+    dimension d's vector of row r, and a ``spare`` block of the same shape,
+    whose ``float64`` halves hold a chunk's per-dimension probabilities; its
+    steps take ``spare`` but need no scratch. Its phase pair
     (``qvasim.mixers.prepare_axis_phase``) multiplies each vector by its
     phases; dimension 0's also carry exp(-i gamma c), so that the outer
     product is the state itself, global phase included. Its walk pair
     (``prepare_axis_qmoa`` or ``prepare_axis_qowe``) walks each vector.
     ``_Evaluator._evolve`` forms both pairs' factors for all layers at once
     and checks each vector's norm drift after every layer under the 1e-12
-    renormalise policy; the steps need no scratch, so its ``spare`` is None.
-    Every operation acts on each vector alone, so a row's bits do not depend
-    on what else shares the call.
+    renormalise policy. Every operation acts on each vector alone, so a
+    row's bits do not depend on what else shares the call.
 
     <Q> is c + sum_d <|phi_d|^2, a_d>, one dot product per row. ``samples``
     draws with ``states.sample_of`` from the outer product of the
@@ -439,10 +434,8 @@ class ProductPropagator(_Evaluator):
 
     def __init__(self, spec: AnsatzSpec, grid: SolutionGrid, parts: tuple[float, np.ndarray]):
         """``parts`` is the table's (c, a) from ``grid.additive_parts``."""
-        dims, n = grid.dims, grid.points_per_dim
         offset, terms = parts
-        super().__init__(spec, grid, dims * n)
-        self._initial = _initial_axes(spec, grid)
+        super().__init__(spec, grid, _initial_axes(spec, grid))
         if spec.algorithm is Algorithm.QMOA:
             self._walk = prepare_axis_qmoa(spec.graphs, self._shape)
         elif spec.algorithm is Algorithm.QOWE:
@@ -453,23 +446,11 @@ class ProductPropagator(_Evaluator):
         levels = terms.astype(np.complex128)
         levels[0] += offset
         self._phase = prepare_axis_phase(levels)
-        self._state = np.empty((self.rows, dims, n), np.complex128)
-        self._probs, self._scratch = (np.empty((self.rows, dims, n)) for _ in range(2))
-
-    def _workspace(self, count: int) -> tuple:
-        """``(count, D, N)`` views: state, no spare, state again, the two probability buffers."""
-        state = self._state[:count]
-        return state, None, state, self._probs[:count], self._scratch[:count]
 
     def _expectations(self, points: np.ndarray) -> Iterator[float]:
         for probs in self._chunk_probabilities(points):
             values = self._offset + np.vecdot(probs.reshape(len(probs), -1), self._terms)
             yield from values.tolist()
-
-    def _probabilities(self, points: np.ndarray) -> Iterator[np.ndarray]:
-        return (_outer(p) for probs in self._chunk_probabilities(points) for p in probs)
-
-    _amplitudes = staticmethod(_outer)
 
 
 def evaluator(

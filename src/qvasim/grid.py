@@ -278,11 +278,3 @@ def additive_parts(table: ObjectiveTable, grid: SolutionGrid) -> tuple[float, np
     error -= tensor
     np.abs(error, out=error)
     return (c, a) if error.max() <= ADDITIVE_RTOL * (table.max_value - table.min_value) else None
-
-
-def objective_to_csv(table: ObjectiveTable, grid: SolutionGrid, path) -> None:
-    """Write the table as CSV rows ``k, x_0, ..., x_{D-1}, f``."""
-    cols = grid.coordinate_columns()
-    header = "k," + ",".join(f"x{d}" for d in range(grid.dims)) + ",f"
-    data = np.column_stack([np.arange(grid.total_points), cols.T, table.values])
-    np.savetxt(path, data, delimiter=",", header=header, comments="")

@@ -141,11 +141,6 @@ class CirculantGraph:
             )
         object.__setattr__(self, "connection_set", offsets)
 
-    @property
-    def degree(self) -> int:
-        half = self.size // 2 if self.size % 2 == 0 else None
-        return sum(1 if j == half else 2 for j in self.connection_set)
-
     @classmethod
     def complete(cls, size: int) -> "CirculantGraph":
         return cls(size, frozenset(range(1, size // 2 + 1)))

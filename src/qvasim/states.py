@@ -39,9 +39,6 @@ class StateVector:
     def total_points(self) -> int:
         return self.amplitudes.size
 
-    def as_tensor(self) -> np.ndarray:
-        return self.amplitudes.reshape(self.tensor_shape)
-
     def probabilities(self) -> np.ndarray:
         return probabilities_of(self.amplitudes)
 
@@ -178,12 +175,3 @@ def sample_of(probabilities: np.ndarray, rng: np.random.Generator, shots: int) -
     cdf[-1] = 1.0
     draws = rng.random(shots)
     return np.searchsorted(cdf, draws, side="right").astype(np.int64)
-
-
-def state_to_csv(state: StateVector, path) -> None:
-    """Write amplitudes as CSV rows ``k, re, im, probability``."""
-    k = np.arange(state.total_points)
-    data = np.column_stack(
-        [k, state.amplitudes.real, state.amplitudes.imag, state.probabilities()]
-    )
-    np.savetxt(path, data, delimiter=",", header="k,re,im,probability", comments="")

@@ -140,7 +140,7 @@ def centred_fourier(
     column = tuple(n if a == axis else 1 for a in range(dims))
     pre = np.exp(-1j * k0 * dx * np.arange(n)).reshape(column)
     post = np.exp(-1j * dk * x0 * np.arange(n)).reshape(column) * np.exp(-1j * k0 * x0)
-    psi = state.as_tensor()
+    psi = state.amplitudes.reshape(state.tensor_shape)
     if direction == "forward":
         out = post * np.fft.fft(pre * psi, axis=axis, norm="ortho")
     else:

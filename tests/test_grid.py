@@ -13,7 +13,6 @@ from qvasim.grid import (
     coords_to_index,
     index_to_coords,
     make_grid,
-    objective_to_csv,
     table_from_values,
 )
 
@@ -247,12 +246,3 @@ class TestObjectiveTable:
         assert table.values[table.argmin_index] == table.min_value
         assert table.min_value == np.min(table.values)
         assert table.max_value == np.max(table.values)
-
-    def test_csv_export(self, tmp_path):
-        grid = make_grid([0], [3], 4)
-        table = build_objective(grid, lambda x: x[0] * 2.0)
-        path = tmp_path / "table.csv"
-        objective_to_csv(table, grid, path)
-        rows = np.loadtxt(path, delimiter=",", skiprows=1)
-        assert rows.shape == (4, 3)
-        assert np.array_equal(rows[:, 2], [0.0, 2.0, 4.0, 6.0])

@@ -95,7 +95,10 @@ def additive_problems(draw):
 @settings(max_examples=30, deadline=None)
 @given(case=additive_problems(), depth=st.integers(1, 3))
 def test_product_path_matches_the_full_propagator(label, case, depth):
-    """<Q> to 1e-12 of the range and every amplitude to 1e-12; each row's bits as alone."""
+    """<Q> to 1e-12 of the range and every amplitude to 1e-12; each row's bits as alone.
+
+    Amplitudes a caller holds survive later evaluations of the workspace.
+    """
     grid, table, rng = case
     spec = make_spec(label, grid, depth)
     product = evaluator(spec, table, grid)
@@ -105,12 +108,35 @@ def test_product_path_matches_the_full_propagator(label, case, depth):
     scale = table.max_value - table.min_value
     values = product.expectations(points)
     assert np.allclose(values, full.expectations(points), rtol=0, atol=TOLERANCE * scale)
+    held = []
     for flat, value in zip(points, values):
         amps = product.state(flat).amplitudes
+        held.append((amps, amps.copy()))
         assert np.max(np.abs(amps - full.state(flat).amplitudes)) <= TOLERANCE
         assert product.expectations(flat[None])[0].hex() == value.hex()
         alone = evaluator(spec, table, grid).state(flat).amplitudes
         assert np.array_equal(amps.view(np.uint64), alone.view(np.uint64))
+    product.expectations(points[::-1])
+    product.samples(points, rng, 3)
+    for amps, kept in held:
+        assert np.array_equal(amps.view(np.uint64), kept.view(np.uint64))
+
+
+@pytest.mark.parametrize("label", LABELS)
+def test_product_workspace_is_a_state_block_and_its_spare(label):
+    """Two complex ``(rows, D, N)`` blocks besides the start, and no float block of their size."""
+    grid, table = problem("rastrigin", 2, 16)
+    spec = make_spec(label, grid, depth=2)
+    product = evaluator(spec, table, grid)
+    assert type(product) is ProductPropagator
+    product.expectations(random_points(spec, grid.dims, np.random.default_rng(0), 3))
+    fields = list(vars(product).values())
+    fields += [item for v in fields if isinstance(v, tuple) for item in v]
+    arrays = [v for v in fields if isinstance(v, np.ndarray)]
+    shape = (product.rows, grid.dims, grid.points_per_dim)
+    workspace = [a for a in arrays if a is not product._initial and a.dtype == np.complex128]
+    assert [a.shape for a in workspace] == [shape, shape]
+    assert not any(a.dtype == np.float64 and a.size == np.prod(shape) for a in arrays)
 
 
 @pytest.mark.parametrize("label", LABELS)

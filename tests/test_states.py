@@ -13,7 +13,6 @@ from qvasim.states import (
     grid_superposition,
     probabilities_of,
     sample,
-    state_to_csv,
 )
 
 
@@ -185,12 +184,3 @@ def test_norm_drift_in_one_pass_matches_the_probability_sum(k, seed, delta):
     drift = state.norm_drift()
     assert abs(drift - abs(1.0 - probabilities_of(state.amplitudes).sum())) <= 1e-13
     assert state.norm_drift() == drift
-
-
-def test_csv_export(tmp_path):
-    state = equal_superposition(4)
-    path = tmp_path / "state.csv"
-    state_to_csv(state, path)
-    rows = np.loadtxt(path, delimiter=",", skiprows=1)
-    assert rows.shape == (4, 4)
-    assert np.allclose(rows[:, 3], 0.25)
