@@ -7,7 +7,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .grid import ObjectiveTable, SolutionGrid, index_to_coords
+from .grid import ObjectiveTable, SolutionGrid
 from .states import StateVector, expectation
 
 
@@ -37,8 +37,8 @@ def statistical_distance(
     distance of the farthest grid point, so a delta at the minimiser scores
     0 and a delta at the farthest point scores 1.
     """
-    target = index_to_coords(grid, table.argmin_index)
-    deltas = grid.coordinate_columns() - target[:, None]
+    deltas = grid.coordinate_columns()
+    deltas -= deltas[:, [table.argmin_index]]  # the list index copies the minimiser's column
     distances = np.sqrt(np.sum(deltas**2, axis=0))
     return float(np.dot(distances, probabilities) / np.max(distances))
 
@@ -64,7 +64,7 @@ def metrics_for_state(
         statistical_distance=statistical_distance(probabilities, grid, table),
         max_amplification=amplification,
         max_amplified_index=idx,
-        max_amplified_rank=table.rank_of(float(table.values[idx])),
+        max_amplified_rank=int(table.level_index[idx]) + 1,
     )
 
 

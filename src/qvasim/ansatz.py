@@ -209,8 +209,8 @@ class _Evaluator:
     initial.shape`` with ``rows = max(1, BATCH_POINTS // initial.size)``:
     the state block, which every step updates in place, and ``spare``, the
     steps' only scratch, whose ``float64`` halves hold a chunk's
-    probabilities. ``_layers`` splits parameters into layers, ``_evolve``
-    runs them and ``_check_norms`` is the norm check after each layer;
+    probabilities. ``_layers`` splits parameters layer-major, ``_evolve``
+    runs the layers and ``_check_norms`` is the norm check after each layer;
     ``samples`` and ``state`` take a row's K entries from ``_outer``. A
     subclass supplies ``_phase`` and ``_walk``, its two ``(factors, step)``
     pairs from ``qvasim.mixers``, and ``_expectations``, each row's <Q>
@@ -239,8 +239,8 @@ class _Evaluator:
         return state, spare, state.reshape(count, -1, state.shape[-1]), *halves
 
     def _layers(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Each row's gammas, ``(count, p, 1)``, and walk times, ``(count, p, times)``."""
-        layers = points.reshape(len(points), -1, self._width)
+        """The gammas, ``(p, count, 1)``, and walk times, ``(p, count, times)``, layer-major."""
+        layers = points.reshape(len(points), -1, self._width).swapaxes(0, 1)
         times = layers[:, :, 1:]
         if self._shared_dims is not None:
             times = times.repeat(self._shared_dims, axis=-1)
@@ -249,9 +249,10 @@ class _Evaluator:
     def _evolve(self, points: np.ndarray, drift_logs: list[list[float]] | None) -> tuple:
         """Run every layer for each row of a checked block of at most ``rows`` rows.
 
-        Each pair's factors are formed once, for all layers; a layer is the
-        phase step, the walk step and the norm check. Returns the state block
-        and the two float halves of ``spare``. ``drift_logs``, one list
+        Each pair's factors are formed once, for all layers, with the layer
+        on axis 0, so zipping them yields each layer's arguments; a layer is
+        the phase step, the walk step and the norm check. Returns the state
+        block and the two float halves of ``spare``. ``drift_logs``, one list
         per row, collects each row's per-layer drifts seen before any
         correction. A vector past the threshold is rescaled in place.
         """
@@ -262,11 +263,10 @@ class _Evaluator:
         state, spare, norm_block, *buffers = views
         gammas, times = self._layers(points)
         (phase_factors, phase), (walk_factors, walk) = self._phase, self._walk
-        phases, walks = phase_factors(gammas), walk_factors(times)
         np.copyto(state, self._initial)
-        for layer in range(gammas.shape[1]):
-            phase(state, spare, *(f[:, layer] for f in phases))
-            walk(state, spare, *(f[:, layer] for f in walks))
+        for phase_args, walk_args in zip(zip(*phase_factors(gammas)), zip(*walk_factors(times))):
+            phase(state, spare, *phase_args)
+            walk(state, spare, *walk_args)
             self._check_norms(norm_block, drift_logs)
         return (state, *buffers)
 

@@ -567,15 +567,15 @@ def run_single_repeat(
     options: OptimiserOptions,
     identity_extension: bool,
 ):
-    """One repeat at depth ``spec.depth``, as a generator that ``_run_group`` drives.
+    """One repeat at depth ``spec.depth``, as a generator that ``_run_group`` builds and drives.
 
     It draws its start, then yields its start spec (``spec``, or for a
     "gaussian" start ``spec`` with the drawn wavepacket) and is sent the
     ``ansatz.evaluator`` of that spec on the driver's table and ``grid``. From
     then on it yields each block of parameter vectors its optimisation tries
     (see ``_nelder_mead``) and is sent their <Q> values. It returns its
-    ``RepeatResult``, whose ``wall_time`` the driver fills in.
-    ``_run_group([run_single_repeat(...)], table, grid)`` runs one repeat alone.
+    ``RepeatResult``, whose ``wall_time`` the driver fills in. A task of one
+    seed runs one repeat alone.
 
     Every family runs one loop of simplex passes from the same start, whose
     ``evaluations`` add up. Only QOWE goes round again, with its bounds 1.2x
@@ -642,10 +642,13 @@ def run_single_repeat(
     )
 
 
-def _run_group(repeats: list, table: ObjectiveTable, grid: SolutionGrid) -> list[RepeatResult]:
-    """Run ``run_single_repeat`` generators on one table and grid in lockstep.
+def _run_group(task: tuple) -> list[RepeatResult]:
+    """One ``parallel_map`` task: a group of a depth's repeats, run in lockstep.
 
-    Returns their results in order. Repeats that yield the same start spec
+    ``task`` is ``(spec, table, grid, warm, seeds, options, firsts)``. One
+    ``run_single_repeat`` generator is built per seed, and ``firsts`` marks
+    the group's repeat 0, which extends a warm start by an identity layer.
+    Returns their results in seed order. Repeats that yield the same start spec
     object form a cohort and share one ``ansatz.evaluator`` of it on ``table``
     and ``grid``; cohorts run one after another, so at most one workspace is
     alive. Each round takes the pending block of every active repeat in the
@@ -656,6 +659,11 @@ def _run_group(repeats: list, table: ObjectiveTable, grid: SolutionGrid) -> list
     equal share of the evaluator's construction and, per point, of every
     call it was evaluated in.
     """
+    spec, table, grid, warm, seeds, options, firsts = task
+    repeats = [
+        run_single_repeat(spec, grid, warm, seed, options, warm is not None and first)
+        for seed, first in zip(seeds, firsts)
+    ]
     clock = time.perf_counter
     seconds = [0.0] * len(repeats)
     results: list[RepeatResult | None] = [None] * len(repeats)
@@ -698,20 +706,6 @@ def _run_group(repeats: list, table: ObjectiveTable, grid: SolutionGrid) -> list
     for result, spent in zip(results, seconds):
         result.wall_time = spent
     return results
-
-
-def _group_task(task) -> list[RepeatResult]:
-    """One ``parallel_map`` task: a group of a depth's repeats, run by ``_run_group``.
-
-    ``firsts`` marks the group's repeat 0, which extends a warm start by an
-    identity layer.
-    """
-    spec, table, grid, warm, seeds, options, firsts = task
-    repeats = [
-        run_single_repeat(spec, grid, warm, seed, options, warm is not None and first)
-        for seed, first in zip(seeds, firsts)
-    ]
-    return _run_group(repeats, table, grid)
 
 
 def resolve_workers(workers: int | None = None) -> int:
@@ -787,9 +781,9 @@ def optimise_at_depth(
     indices to results already known, for example restored from a record
     log; only the other repeats are run, and the known results take their
     places in repeat order. The repeats to run are split into ``workers``
-    groups of consecutive repeats, one ``parallel_map`` task each, and each
-    group runs in lockstep (``_run_group``); the results do not depend on
-    the split.
+    groups of consecutive repeats, one ``parallel_map`` task of
+    ``_run_group`` each, which runs its group in lockstep; the results do
+    not depend on the split.
     """
     warm = warm_start
     if warm is not None:
@@ -806,7 +800,7 @@ def optimise_at_depth(
         (spec, table, grid, warm, [seed_list[j] for j in group], options, (group == 0).tolist())
         for group in groups
     ]
-    fresh = iter([r for group in parallel_map(_group_task, tasks, workers) for r in group])
+    fresh = iter([r for group in parallel_map(_run_group, tasks, workers) for r in group])
     results = [done[j] if j in done else next(fresh) for j in range(repeats)]
     return DepthResult(depth=p, repeats=results)
 

@@ -145,11 +145,11 @@ def coords_to_index(grid: SolutionGrid, coords: Sequence[float]) -> int:
 class ObjectiveTable:
     """Objective values over a grid plus ranking metadata.
 
-    ``unique_sorted_values`` deduplicates with exact floating-point equality;
-    ``rank_of`` maps a value to its 1-based rank among those unique values.
+    ``unique_sorted_values`` deduplicates with exact floating-point equality.
     ``level_index`` maps every grid point to its entry in
     ``unique_sorted_values``, so ``unique_sorted_values[level_index]`` equals
-    ``values``; the phase shift exponentiates each distinct value once.
+    ``values``; the phase shift exponentiates each distinct value once, and a
+    point's 1-based rank among the unique values is its ``level_index + 1``.
     """
 
     values: np.ndarray
@@ -171,12 +171,6 @@ class ObjectiveTable:
         repeat it on every call.
         """
         return self.unique_sorted_values.astype(np.complex128)
-
-    def rank_of(self, value: float) -> int:
-        pos = int(np.searchsorted(self.unique_sorted_values, value))
-        if pos >= self.n_unique or self.unique_sorted_values[pos] != value:
-            raise KeyError(f"value {value!r} is not an objective value of this table")
-        return pos + 1
 
 
 def columnwise(fn: Callable) -> Callable[[np.ndarray], np.ndarray]:

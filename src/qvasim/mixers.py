@@ -15,11 +15,12 @@ its ``prepare_*`` function, which validates its arguments and keeps what the
 operator fixes (levels, spectra, a shape) but no state-sized buffer. It
 returns a pair ``(factors, step)``:
 
-* ``factors(params)`` takes the ``(rows, p, ·)`` gammas or walk times of
+* ``factors(params)`` takes the ``(p, rows, ·)`` gammas or walk times of
   every layer of a block of states at once and returns the arrays a step
-  takes, each with the layer on axis 1;
+  takes, each with the layer on axis 0, so ``zip(*factors(params))`` yields
+  one argument tuple per layer;
 * ``step(state, spare, *layer_factors)`` applies one layer in place to the
-  block ``state``, given ``f[:, layer]`` of each array ``f``.
+  block ``state``, given ``f[layer]`` of each array ``f``.
 
 So an evaluation forms the exponentials of all its layers in one call per
 operator. Each row's scalar factors enter as a ``(rows, 1, ...)`` column,
@@ -74,7 +75,7 @@ def _stepped(state: StateVector, pair: tuple, params: np.ndarray) -> StateVector
     """A new state: one step of ``pair``, given one layer's ``params``, on a copy of ``state``."""
     factors, step = pair
     amps = state.amplitudes[None].copy()
-    step(amps, np.empty_like(amps), *(f[:, 0] for f in factors(params[None, None])))
+    step(amps, np.empty_like(amps), *(f[0] for f in factors(params[None, None])))
     return StateVector(amps[0], state.tensor_shape)
 
 
@@ -429,10 +430,10 @@ def prepare_axis_phase(levels: np.ndarray) -> tuple:
     def factors(gammas):
         return (np.exp((-1j * gammas[..., None]) * levels),)
 
-    def step(block, spare, phases):
+    def apply_axis_phase(block, spare, phases):
         np.multiply(phases, block, out=block)
 
-    return factors, step
+    return factors, apply_axis_phase
 
 
 def prepare_axis_qmoa(graphs: tuple[CirculantGraph, ...], shape: tuple[int, ...]) -> tuple:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qvasim.analysis import (
     fit_scaling,
@@ -103,6 +105,22 @@ class TestMetricsRecord:
         assert record.max_amplified_rank == 1  # value 3.0 is the lowest unique value
         assert 0.0 <= record.mean_error <= 1.0
         assert record.max_amplification == pytest.approx(2.4)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_rank_is_the_searchsorted_rank_on_repeated_values(self, data):
+        """The rank is the most amplified value's 1-based position among the unique values."""
+        k = data.draw(st.sampled_from([4, 8, 16]))
+        pool = data.draw(st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=k // 2, unique=True))
+        picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=k, max_size=k))
+        table = table_from_values([pool[i] for i in picks])  # k > len(pool): values repeat
+        assume(table.n_unique > 1)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        amps = rng.normal(size=k) + 1j * rng.normal(size=k)
+        state = StateVector(amps / np.linalg.norm(amps), (k,))
+        record = metrics_for_state(state, make_grid([0.0], [1.0], k), table)
+        value = table.values[record.max_amplified_index]
+        assert record.max_amplified_rank == np.searchsorted(table.unique_sorted_values, value) + 1
 
 
 class TestRdgs:

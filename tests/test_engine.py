@@ -875,10 +875,9 @@ class TestQoweProtocol:
         assert rung / engine.QOWE_GROWTH < needed
         for identity in (True, False):
             passes = self.record_passes(monkeypatch)
-            repeat = engine.run_single_repeat(
-                spec.at_depth(2), grid, warm, 0, OptimiserOptions(), identity
+            engine._run_group(
+                (spec.at_depth(2), table, grid, warm, [0], OptimiserOptions(), [identity])
             )
-            engine._run_group([repeat], table, grid)
             start, options, _ = passes[0]
             last_layer = [0.0, 0.0] if identity else [engine.QOWE_GAMMA0, engine.QOWE_T0]
             assert np.array_equal(start, [0.1, 0.9, *last_layer])

@@ -132,7 +132,7 @@ class TestObjectiveTable:
         table = build_objective(grid, lambda x: np.broadcast_to(3.5, np.shape(x[0])))
         assert table.min_value == table.max_value == 3.5
         assert table.n_unique == 1
-        assert table.rank_of(3.5) == 1
+        assert np.array_equal(table.level_index + 1, [1, 1, 1, 1])
 
     def test_argmin_ties_take_smallest_index(self):
         table = table_from_values([2.0, 1.0, 1.0, 5.0])
@@ -140,11 +140,7 @@ class TestObjectiveTable:
 
     def test_rank_metadata(self):
         table = table_from_values([4.0, 1.0, 4.0, 9.0, 1.0])
-        assert table.rank_of(1.0) == 1
-        assert table.rank_of(4.0) == 2
-        assert table.rank_of(9.0) == 3
-        with pytest.raises(KeyError):
-            table.rank_of(2.0)
+        assert np.array_equal(table.level_index + 1, [2, 1, 2, 3, 1])
 
     def test_unique_count_against_sort_dedupe(self):
         rng = np.random.default_rng(5)

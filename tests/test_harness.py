@@ -444,8 +444,10 @@ class TestRunner:
         monkeypatch.setattr(
             engine,
             "_run_group",
-            lambda repeats, table, grid: [
-                r for one in repeats for r in real_group([one], table, grid)
+            lambda task: [
+                r
+                for seed, first in zip(task[4], task[6])
+                for r in real_group(task[:4] + ([seed], task[5], [first]))
             ],
         )
         alone = run_experiment(replace(config, output_dir=str(tmp_path / "alone")), workers=1)

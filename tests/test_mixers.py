@@ -19,6 +19,7 @@ from qvasim.mixers import (
     circulant_eigenvalues,
     hypercube_mixer,
     phase_shift,
+    prepare_axis_phase,
     prepare_axis_qmoa,
     prepare_axis_qowe,
     prepare_complete,
@@ -301,6 +302,30 @@ def test_prepared_walks_keep_no_state_sized_buffer(mixer):
     times = np.array([0.4] if mixer in ("qaoa_complete", "hypercube") else [0.4, 0.7])
     step(state, np.empty_like(state), *(f[:, 0] for f in factors(times[None, None])))
     assert np.linalg.norm(state, axis=-1) == pytest.approx(1.0)
+
+
+def test_prepared_steps_are_named_by_their_stage():
+    """Each ``prepare_*`` pair's step carries the ``__name__`` that keys its stage."""
+    n = 8
+    grid = make_grid([0.0, 0.0], [1.0, 1.0], n)
+    shape, k = grid.tensor_shape, grid.total_points
+    momentum = MomentumGrid.from_grid(grid)
+    table = table_from_values(np.arange(k, dtype=float))
+    cycle, complete = (CirculantGraph.cycle(n),) * 2, (CirculantGraph.complete(n),) * 2
+    pairs = {
+        "apply_phase": [prepare_phase(table, np.empty((1, table.n_unique), complex))],
+        "apply_axis_phase": [prepare_axis_phase(np.zeros((2, n), complex))],
+        "qmoa_walk": [prepare_qmoa(cycle, shape), prepare_qowe(momentum, shape)],
+        "complete_walk": [prepare_qmoa(complete, shape), prepare_complete((k,))],
+        "hypercube_walk": [prepare_hypercube(k)],
+        "complete_axis_walk": [prepare_axis_qmoa(complete, shape)],
+        "spectral_axis_walk": [
+            prepare_axis_qmoa(cycle, shape),
+            prepare_axis_qowe(momentum, shape),
+        ],
+    }
+    for name, prepared in pairs.items():
+        assert [step.__name__ for _, step in prepared] == [name] * len(prepared)
 
 
 def same_bits(a, b):

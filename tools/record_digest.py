@@ -7,9 +7,10 @@ For each workload of ``<tree>/bench/workloads.py`` it runs the seed-1
 the package imported from ``<tree>/src`` and the output in a temporary
 directory. Each record is written as one JSON line of its dataclass fields,
 ``wall_time`` dropped and every float (also inside a list) as
-``float.hex``. It prints the record count per workload, the total, and the
-sha256 of all lines. Two trees with the same digest produced the same
-records to the last bit.
+``float.hex``. It prints each workload's record count and the sha256 of its
+lines, then the total count and the sha256 of all lines. Two trees with the
+same total digest produced the same records to the last bit; where they
+differ, the workload digests name the workloads whose records moved.
 """
 
 import os
@@ -60,13 +61,15 @@ def main() -> None:
     total = 0
     with tempfile.TemporaryDirectory() as scratch:
         for name, workload in WORKLOADS.items():
-            count = 0
+            count, own = 0, hashlib.sha256()
             for base_seed in workload.call_seeds(1, 25):  # seed 1, a 25 s run
                 config = workload.config(base_seed, str(Path(scratch) / f"{name}-{base_seed}"))
                 for record in run_experiment(config, workers=1):
-                    digest.update(record_line(record).encode() + b"\n")
+                    line = record_line(record).encode() + b"\n"
+                    digest.update(line)
+                    own.update(line)
                     count += 1
-            print(f"{name}: {count} records", flush=True)
+            print(f"{name}: {count} records, sha256 {own.hexdigest()}", flush=True)
             total += count
     print(f"total: {total} records")
     print(f"sha256: {digest.hexdigest()}")
