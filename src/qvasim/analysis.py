@@ -7,7 +7,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .grid import ObjectiveTable, SolutionGrid
+from .grid import ObjectiveTable, SolutionGrid, along_axis, index_to_coords
 from .states import StateVector, expectation
 
 
@@ -37,9 +37,11 @@ def statistical_distance(
     distance of the farthest grid point, so a delta at the minimiser scores
     0 and a delta at the farthest point scores 1.
     """
-    deltas = grid.coordinate_columns()
-    deltas -= deltas[:, [table.argmin_index]]  # the list index copies the minimiser's column
-    distances = np.sqrt(np.sum(deltas**2, axis=0))
+    minimiser = index_to_coords(grid, table.argmin_index)
+    distances = np.zeros(grid.tensor_shape)
+    for d in range(grid.dims):  # in dimension order: the bits of summing (D, K) columns
+        distances += along_axis((grid.axis_coords(d) - minimiser[d]) ** 2, d, grid.dims)
+    distances = np.sqrt(distances, out=distances).reshape(-1)
     return float(np.dot(distances, probabilities) / np.max(distances))
 
 

@@ -43,10 +43,10 @@ annotation: ``int`` admits an integer >= 1, ``float`` a number > 0 (a ``bool``
 is neither), ``bool`` and ``str`` themselves, ``list[T]`` a list or tuple of
 T's and ``tuple[int, int]`` two such integers; only ``base_seed`` (any integer)
 and ``output_dir`` (non-empty, or a path) differ. It then rejects no cells, a hybrid
-study over more than one depth, a list key the kind does not read, and any cell
-the runner could not set up (function undefined at D, grid off the
-power-of-two or qubit-cap rules, unknown or out-of-range algorithm label), so a
-config error surfaces before any record is written.
+study over more than one depth, a list key the kind does not read, a cell listed
+twice (a repeated list entry) and any cell the runner could not set up (function
+undefined at D, grid off the power-of-two or qubit-cap rules, unknown or
+out-of-range algorithm label), so a config error surfaces before any record is written.
 """
 
 from __future__ import annotations
@@ -179,7 +179,9 @@ class ExperimentConfig:
             raise ConfigError(
                 f"{self.kind} config has no cells: functions or one of {read} is empty"
             )
-        for label, name, dims, n_points in cells:
+        for i, (label, name, dims, n_points) in enumerate(cells):
+            if cells[i] in cells[:i]:
+                raise ConfigError(f"cell (label, function, D, N) = {cells[i]} is listed twice")
             if not FUNCTIONS[name].supports(dims):
                 raise ConfigError(f"{name} is not defined for D={dims}")
             try:

@@ -47,7 +47,9 @@ from .engine import (
     nelder_mead_runs,
 )
 from .functions import TestFunction, get_function
-from .grid import ObjectiveTable, SolutionGrid, build_objective, columnwise, make_grid
+from .grid import (
+    ObjectiveTable, SolutionGrid, build_objective, columnwise, index_to_coords, make_grid
+)
 from .mixers import CirculantGraph
 
 # Importable from this module for the benchmark's tracer (bench/tracing.py),
@@ -159,7 +161,6 @@ def hybrid_optimise(
         graphs=tuple(CirculantGraph.complete(n_points) for _ in range(dims)),
     )
     times_per_layer = spec.walk_times_per_layer(dims)
-    coords = grid.coordinate_columns()
     n_params = spec.total_params(dims)
     propagator = evaluator(spec, table, grid)
 
@@ -184,7 +185,8 @@ def hybrid_optimise(
     seeds_tried = 0
     found = None
     launched: dict[int, NelderMeadResult] = {}  # grid index of a start -> its run
-    runs = _classical_searches(f, dims, (coords[:, k] for k in dict.fromkeys(sample_minima)))
+    starts = (index_to_coords(grid, k) for k in dict.fromkeys(sample_minima))
+    runs = _classical_searches(f, dims, starts)
     for k in sample_minima:
         seeds_tried += 1
         if k not in launched:

@@ -94,14 +94,14 @@ def phase_shift(state: StateVector, gamma: float, table: ObjectiveTable) -> Stat
 def prepare_phase(table: ObjectiveTable, level_phases: np.ndarray) -> tuple:
     """The phase shift over ``table`` on ``(rows, K)`` blocks; its factors are the columns -i gamma.
 
-    ``levels[level_index]`` are the objective values f_k, as complex numbers
-    (``ObjectiveTable.phase_levels``). The step ``apply_phase`` exponentiates
+    ``levels[level_index]`` are the objective values f_k, cast to complex once
+    per pair (the cast is exact). The step ``apply_phase`` exponentiates
     each distinct value once per row, into the first rows of
     ``level_phases``, a buffer of ``table.n_unique`` columns that the
     caller owns, and gathers them into ``spare``; the exponential is
     elementwise, so the result is the same as exponentiating all K values.
     """
-    levels, level_index = table.phase_levels, table.level_index
+    levels, level_index = table.unique_sorted_values.astype(np.complex128), table.level_index
 
     def apply_phase(amplitudes, spare, exponents):
         phases = level_phases[: len(amplitudes)]

@@ -14,7 +14,9 @@ a loop of one simplex run after another, which the lockstep restarts must
 reproduce. ``ping_pong_hypercube_walk`` and ``out_of_place_phase`` are the
 hypercube walk and the phase shift in an earlier form, which wrote each
 pass or product into the other of two buffers; the in-place kernels must
-give their bits.
+give their bits. ``column_statistical_distance`` is the statistical distance
+in its earlier form over the (D, K) coordinate columns, whose bits the
+per-axis form must give.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from scipy import optimize as sciopt
 
 from qvasim.engine import NelderMeadResult, OptimiserOptions, nelder_mead
 from qvasim.functions import get_function
-from qvasim.grid import SolutionGrid
+from qvasim.grid import ObjectiveTable, SolutionGrid
 from qvasim.hybrid import BaselineResult
 from qvasim.mixers import CirculantGraph, MomentumGrid
 from qvasim.states import StateVector
@@ -277,6 +279,16 @@ def out_of_place_phase(
     level_phases.take(level_index, axis=-1, out=out, mode="clip")
     np.multiply(out, amplitudes, out=out)
     return out
+
+
+def column_statistical_distance(
+    probabilities: np.ndarray, grid: SolutionGrid, table: ObjectiveTable
+) -> float:
+    """``qvasim.analysis.statistical_distance`` over the (D, K) coordinate columns."""
+    deltas = grid.coordinate_columns()
+    deltas -= deltas[:, [table.argmin_index]]  # the list index copies the minimiser's column
+    distances = np.sqrt(np.sum(deltas**2, axis=0))
+    return float(np.dot(distances, probabilities) / np.max(distances))
 
 
 def sequential_baseline(

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -14,6 +16,8 @@ from qvasim.analysis import (
 )
 from qvasim.grid import SolutionGrid, build_objective, make_grid, table_from_values
 from qvasim.states import StateVector, equal_superposition
+
+from oracles import column_statistical_distance
 
 
 class TestMeanError:
@@ -69,6 +73,37 @@ class TestStatisticalDistance:
             amps /= np.linalg.norm(amps)
             d = statistical_distance(StateVector(amps, (8, 8)).probabilities(), grid, table)
             assert 0.0 <= d <= 1.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_bits_equal_the_column_form(self, data):
+        """Per-axis offsets give the bits of the distance over the (D, K) coordinate columns."""
+        dims = data.draw(st.integers(1, 4))
+        n = data.draw(st.sampled_from([2, 4, 8, 16]))
+        bound = st.floats(-1e3, 1e3, allow_nan=False)
+        lower = data.draw(st.lists(bound, min_size=dims, max_size=dims))
+        widths = data.draw(st.lists(st.floats(1e-3, 1e3), min_size=dims, max_size=dims))
+        grid = make_grid(lower, np.add(lower, widths), n)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        k = grid.total_points
+        table = table_from_values(rng.integers(-5, 5, k) * rng.uniform(0.5, 2.0))
+        probabilities = rng.dirichlet(np.ones(k))
+        ours = statistical_distance(probabilities, grid, table)
+        assert ours.hex() == column_statistical_distance(probabilities, grid, table).hex()
+
+    def test_allocates_less_than_four_point_arrays(self):
+        """One call forms no (D, K) array: its offsets are per axis."""
+        grid = make_grid([-1.0, 0.0, 2.0], [1.0, 3.0, 5.0], 32)
+        table = table_from_values(np.random.default_rng(3).uniform(size=grid.total_points))
+        probabilities = equal_superposition(grid.total_points).probabilities()
+        statistical_distance(probabilities, grid, table)
+        tracemalloc.start()
+        try:
+            statistical_distance(probabilities, grid, table)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 8 * grid.total_points
 
 
 class TestMaxAmplification:

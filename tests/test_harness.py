@@ -2,6 +2,7 @@ import csv
 import json
 import logging
 import os
+import re
 import subprocess
 import sys
 import time
@@ -171,6 +172,27 @@ class TestConfig:
         with pytest.raises(ConfigError, match="unknown algorithm"):
             tiny_config(tmp_path, algorithms=["qantum"])
 
+    @pytest.mark.parametrize("key, kind, lists, cell", [
+        ("algorithms", "mixer_comparison", {}, ("qaoa_complete", "rastrigin", 2, 4)),
+        ("functions", "mixer_comparison", {}, ("qaoa_complete", "rastrigin", 2, 4)),
+        ("bandwidths", "degree_sweep", {"algorithms": [], "bandwidths": [1]},
+         ("qmoa_banded_1", "rastrigin", 2, 4)),
+        ("dims_list", "hybrid_study", {"algorithms": [], "dims_list": [2]},
+         (None, "rastrigin", 2, 4)),
+        ("grid_sizes", "scaling_study", {"dims_list": [2], "grid_sizes": [4]},
+         ("qaoa_complete", "rastrigin", 2, 4)),
+    ])
+    def test_repeated_cell_rejected(self, tmp_path, key, kind, lists, cell):
+        """A repeated list entry would run its cells twice and log two records under one key."""
+        depths = (1, 3) if kind == "scaling_study" else (1, 1)
+        fields = dict(kind=kind, depth_range=depths, algorithms=["qaoa_complete"],
+                      functions=["rastrigin"])
+        fields.update(lists)
+        tiny_config(tmp_path, **fields)
+        fields[key] = fields[key] * 2
+        with pytest.raises(ConfigError, match=re.escape(f"= {cell} is listed twice")):
+            tiny_config(tmp_path, **fields)
+
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="not found"):
             load_config("/nonexistent/config.yaml")
@@ -279,7 +301,6 @@ class TestConfig:
             build_ansatz_spec("qmoa_banded_9", 2, 8)
 
     def test_docstring_lists_every_key(self):
-        import re
         from dataclasses import fields
 
         import qvasim.harness.config as config_module

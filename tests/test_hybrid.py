@@ -8,7 +8,7 @@ import qvasim.hybrid
 from qvasim.ansatz import ProductPropagator
 from qvasim.engine import OptimiserOptions, nelder_mead
 from qvasim.functions import get_function
-from qvasim.grid import build_objective, make_grid
+from qvasim.grid import SolutionGrid, build_objective, make_grid
 from qvasim.hybrid import (
     HybridAccounting,
     classical_baseline,
@@ -59,6 +59,19 @@ class TestHybridOptimise:
         assert result.accounting.fev_nelder_mead >= 0
         # one sample-set minimum recorded per estimation; seeding never uses more
         assert result.seeds_tried <= result.accounting.fev_qmoa
+
+    def test_prebuilt_table_forms_no_coordinate_columns(self, monkeypatch):
+        """Each launch start is one grid point's coordinates; no (D, K) columns are formed."""
+        f = get_function("rastrigin")
+        grid = make_grid(*f.domain(2), 8)
+        table = build_objective(grid, f.fn)
+
+        def refuse(self):
+            raise AssertionError("coordinate columns formed")
+
+        monkeypatch.setattr(SolutionGrid, "coordinate_columns", refuse)
+        result = hybrid_optimise(f, 2, 8, depth=1, seed=3, grid=grid, table=table)
+        assert result.distinct_starts > 0
 
 
 @pytest.mark.parametrize("dims, at_cap", [(2, True), (1, False)])

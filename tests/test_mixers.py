@@ -300,7 +300,7 @@ def test_prepared_walks_keep_no_state_sized_buffer(mixer):
     else:
         state = random_state(rng, k).amplitudes[None].copy()
     times = np.array([0.4] if mixer in ("qaoa_complete", "hypercube") else [0.4, 0.7])
-    step(state, np.empty_like(state), *(f[:, 0] for f in factors(times[None, None])))
+    step(state, np.empty_like(state), *(f[0] for f in factors(times[None, None])))
     assert np.linalg.norm(state, axis=-1) == pytest.approx(1.0)
 
 
@@ -363,7 +363,7 @@ class TestInPlaceKernels:
             amps = random_block(rng, rows, k, flat)
             ours = amps.copy()
             factors, step = prepare_hypercube(k)
-            layer = (f[:, 0] for f in factors(np.reshape(times, (rows, 1, 1))))
+            layer = (f[0] for f in factors(np.reshape(times, (1, rows, 1))))
             step(ours.reshape(rows, k), np.empty((rows, k), complex), *layer)
             theirs = ping_pong_hypercube_walk(amps.copy(), times, np.empty_like(amps))
             assert same_bits(ours, theirs)
@@ -372,14 +372,14 @@ class TestInPlaceKernels:
     def test_phase_bits_equal_out_of_place(self, rows, flat):
         rng = np.random.default_rng(rows)
         table = table_from_values(rng.integers(-40, 40, 512) * rng.uniform(0.5, 2.0))
-        levels, level_index = table.phase_levels, table.level_index
+        levels, level_index = table.unique_sorted_values.astype(complex), table.level_index
         for first in (*SPECIAL_TIMES, rng.uniform(-2 * np.pi, 2 * np.pi)):
             gammas = [first] + list(rng.uniform(-2 * np.pi, 2 * np.pi, rows - 1))
             amps = random_block(rng, rows, 512, flat)
             ours = amps.copy()
             level_phases = np.empty(amps.shape[:-1] + (table.n_unique,), complex)
             factors, step = prepare_phase(table, np.empty((rows, table.n_unique), complex))
-            layer = (f[:, 0] for f in factors(np.reshape(gammas, (rows, 1, 1))))
+            layer = (f[0] for f in factors(np.reshape(gammas, (1, rows, 1))))
             step(ours.reshape(rows, 512), np.empty((rows, 512), complex), *layer)
             theirs = out_of_place_phase(
                 amps, gammas, levels, level_index, np.empty_like(amps), level_phases
@@ -422,7 +422,7 @@ class TestInPlaceKernels:
         amps = random_block(rng, rows, k, flat)
         buffer = amps.copy()
         factors, step = pair
-        layer = (f[:, 0] for f in factors(times[:, None]))
+        layer = (f[0] for f in factors(times[None]))
         step(buffer.reshape(rows, k), np.empty((rows, k), complex), *layer)
         for row, out, t in zip(amps.reshape(rows, k), buffer.reshape(rows, k), times):
             assert same_bits(out, public(StateVector(row, shape), t).amplitudes)
@@ -694,7 +694,7 @@ class TestSpectralWalkAgainstScipy:
             amps[data.draw(st.integers(0, k - 1))] = 1.0
         ours = amps.copy()
         factors, step = pair
-        step(ours[None], np.empty((1, k), complex), *(f[:, 0] for f in factors(times[None, None])))
+        step(ours[None], np.empty((1, k), complex), *(f[0] for f in factors(times[None, None])))
         theirs = scipy_qmoa_walk(amps.copy().reshape(shape), times, spectra, np.empty_like(amps))
         assert np.array_equal(ours.view(np.uint64), theirs.ravel().view(np.uint64))
 
