@@ -211,10 +211,11 @@ class _Evaluator:
     steps' only scratch, whose ``float64`` halves hold a chunk's
     probabilities. ``_layers`` splits parameters layer-major, ``_evolve``
     runs the layers and ``_check_norms`` is the norm check after each layer;
-    ``samples`` and ``state`` take a row's K entries from ``_outer``. A
-    subclass supplies ``_phase`` and ``_walk``, its two ``(factors, step)``
-    pairs from ``qvasim.mixers``, and ``_expectations``, each row's <Q>
-    from the blocks of ``_chunk_probabilities``.
+    ``samples`` and ``state`` take a row's K entries from ``_outer``, and
+    ``_expectations`` each row's <Q>: ``_offset`` plus one ``np.vecdot`` of
+    its probabilities, flattened, with ``_values``. A subclass defines only
+    its constructor, which supplies ``_initial``, ``_values``, ``_offset``,
+    and ``_phase`` and ``_walk``, its ``(factors, step)`` pairs of ``qvasim.mixers``.
     """
 
     def __init__(self, spec: AnsatzSpec, grid: SolutionGrid, initial: np.ndarray):
@@ -304,6 +305,11 @@ class _Evaluator:
         for at in range(0, len(points), self.rows):
             yield probabilities_of(*self._evolve(points[at : at + self.rows], None))
 
+    def _expectations(self, points: np.ndarray) -> Iterator[float]:
+        for probs in self._chunk_probabilities(points):
+            values = self._offset + np.vecdot(probs.reshape(len(probs), -1), self._values)
+            yield from values.tolist()
+
     def expectations(self, points: np.ndarray) -> list[float]:
         """<Q> of the state prepared by each row of ``points``, in row order.
 
@@ -367,9 +373,9 @@ class Propagator(_Evaluator):
     renormalise policy, with ``_check_norms`` on the block viewed as
     ``(count, 1, K)``, so each row's amplitudes equal, bit for bit, those of
     composing ``phase_shift``, the mixer and ``StateVector.renormalised``
-    layer by layer, whatever else shares the call. The <Q> of a chunk are one
-    ``np.vecdot`` of its probabilities with the objective values, each row
-    with the bits of ``states.expectation`` of its ``state``.
+    layer by layer, whatever else shares the call. Its ``_values`` are the
+    table's values and its ``_offset`` 0.0, so each row's <Q> has the bits
+    of ``states.expectation`` of its ``state``.
 
     Nothing a caller receives aliases the workspace: ``state`` copies its
     row out, so it survives later evaluations.
@@ -381,7 +387,6 @@ class Propagator(_Evaluator):
             raise ValueError("objective table does not match the grid")
         k = grid.total_points
         super().__init__(spec, grid, initial_state(spec, grid).amplitudes)
-        self.table = table
         algorithm = spec.algorithm
         if algorithm is Algorithm.QMOA:
             self._walk = prepare_qmoa(spec.graphs, self._shape)
@@ -393,10 +398,7 @@ class Propagator(_Evaluator):
             self._walk = prepare_hypercube(k)
         self._level_phases = np.empty((self.rows, table.n_unique), np.complex128)
         self._phase = prepare_phase(table, self._level_phases)
-
-    def _expectations(self, points: np.ndarray) -> Iterator[float]:
-        for probs in self._chunk_probabilities(points):
-            yield from np.vecdot(probs, self.table.values).tolist()
+        self._values, self._offset = table.values, 0.0
 
 
 class ProductPropagator(_Evaluator):
@@ -412,9 +414,8 @@ class ProductPropagator(_Evaluator):
 
     Its workspace is ``_Evaluator``'s: a ``(rows, D, N)`` complex block of
     ``rows = max(1, BATCH_POINTS // (D N))`` product states, entry (r, d)
-    dimension d's vector of row r, and a ``spare`` block of the same shape,
-    whose ``float64`` halves hold a chunk's per-dimension probabilities; its
-    steps take ``spare`` but need no scratch. Its phase pair
+    dimension d's vector of row r, and ``spare``, whose ``float64`` halves
+    hold a chunk's per-dimension probabilities. Its phase pair
     (``qvasim.mixers.prepare_axis_phase``) multiplies each vector by its
     phases; dimension 0's also carry exp(-i gamma c), so that the outer
     product is the state itself, global phase included. Its walk pair
@@ -424,12 +425,12 @@ class ProductPropagator(_Evaluator):
     renormalise policy. Every operation acts on each vector alone, so a
     row's bits do not depend on what else shares the call.
 
-    <Q> is c + sum_d <|phi_d|^2, a_d>, one dot product per row. ``samples``
-    draws with ``states.sample_of`` from the outer product of the
-    per-dimension probabilities, so for one ``rng`` its draws are those of
-    the full path on the same state. ``state`` builds the K amplitudes once,
-    as an outer product. The results agree with ``Propagator``'s to within
-    rounding, not bit for bit.
+    Its ``_values`` are the terms a, flattened, and its ``_offset`` c, so
+    <Q> is c + sum_d <|phi_d|^2, a_d>. ``samples`` draws with
+    ``states.sample_of`` from the outer product of the per-dimension
+    probabilities, so for one ``rng`` its draws are the full path's on the
+    same state; ``state`` builds the K amplitudes once, as an outer product.
+    The results agree with ``Propagator``'s to rounding, not bit for bit.
     """
 
     def __init__(self, spec: AnsatzSpec, grid: SolutionGrid, parts: tuple[float, np.ndarray]):
@@ -442,15 +443,10 @@ class ProductPropagator(_Evaluator):
             self._walk = prepare_axis_qowe(MomentumGrid.from_grid(grid), self._shape)
         else:
             raise ValueError(f"{spec.algorithm.value} does not keep a product state")
-        self._offset, self._terms = offset, terms.reshape(-1)
+        self._values, self._offset = terms.reshape(-1), offset
         levels = terms.astype(np.complex128)
         levels[0] += offset
         self._phase = prepare_axis_phase(levels)
-
-    def _expectations(self, points: np.ndarray) -> Iterator[float]:
-        for probs in self._chunk_probabilities(points):
-            values = self._offset + np.vecdot(probs.reshape(len(probs), -1), self._terms)
-            yield from values.tolist()
 
 
 def evaluator(

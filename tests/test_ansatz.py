@@ -253,12 +253,14 @@ def test_probabilities_formed_once_per_evaluation(label, monkeypatch):
 
 
 def test_workspace_holds_only_the_states():
-    """No K-float array: two K-complex state buffers and one entry per objective level."""
+    """No K-float array but the table's own values, which <Q> reads: two K-complex state
+    buffers and one entry per objective level."""
     grid, table = problem(2, 16)
     propagator = Propagator(make_spec("qmoa_cycle", 2, 16, depth=2), table, grid)
+    assert propagator._values is table.values
     fields = list(vars(propagator).values())
     fields += [item for v in fields if isinstance(v, tuple) for item in v]
-    arrays = [v for v in fields if isinstance(v, np.ndarray)]
+    arrays = [v for v in fields if isinstance(v, np.ndarray) and v is not table.values]
     workspace = [a for a in arrays if a is not propagator._initial and a.dtype == np.complex128]
     rows = propagator.rows
     assert sorted(a.size for a in workspace) == [table.n_unique * rows, 256 * rows, 256 * rows]

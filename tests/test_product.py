@@ -179,8 +179,11 @@ def test_product_state_renormalises_each_dimension(label, monkeypatch, caplog):
 )
 def test_qaoa_takes_the_full_path_on_an_additive_table(spec):
     grid, table = problem("styblinski_tang", 2, 8)
-    assert additive_parts(table, grid) is not None
+    parts = additive_parts(table, grid)
+    assert parts is not None
     assert type(evaluator(spec, table, grid)) is Propagator
+    with pytest.raises(ValueError, match="does not keep a product state"):
+        ProductPropagator(spec, grid, parts)
 
 
 @pytest.mark.parametrize("label", LABELS)
